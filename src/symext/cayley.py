@@ -111,11 +111,15 @@ class ForbiddenOperator:
         return self.operator.apply(v)
 
 
-def forbidden_operator(a: DomainOperator, z: complex) -> ForbiddenOperator:
-    """Solve f - (z - zbar)h = psi over f in N_z, psi in N_zbar, h in D(A)."""
+def forbidden_operator(a: DomainOperator, z: complex,
+                       dd: Optional[DefectData] = None) -> ForbiddenOperator:
+    """Solve f - (z - zbar)h = psi over f in N_z, psi in N_zbar, h in D(A).
+
+    ``dd`` is the defect data of A at z when the caller already holds it.
+    """
     z = require_offaxis(z)
-    _require_symmetric(a)
-    dd = defect_data(a, z)
+    if dd is None:
+        dd = defect_data(a, z)
     d = a.ambient_dim
     n, nb = dd.n_z.dim, dd.n_zbar.dim
     system = np.hstack([
@@ -155,18 +159,22 @@ def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
 
 
 def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
-                  dd: Optional[DefectData] = None) -> AdmissibilityResult:
+                  dd: Optional[DefectData] = None,
+                  u: Optional[DomainOperator] = None) -> AdmissibilityResult:
     """Fixed-point test for U_z (+) T on M_z (+) D(T).
 
     Admissible means (z/zbar)-scaled fixed vectors are absent, i.e.
     ker(W - E) = {0} for W = U_z (+) T; on failure the witness is a unit
-    kernel vector of W - E, phase-fixed for determinism.
+    kernel vector of W - E, phase-fixed for determinism. ``dd`` and ``u`` are
+    the defect data and the Cayley transform of A at z when the caller
+    already holds them.
     """
     z = require_offaxis(z)
     if dd is None:
         dd = defect_data(a, z)
     _check_parameter_shapes(dd, t)
-    u = cayley(a, z)
+    if u is None:
+        u = cayley(a, z)
     w_frame = np.hstack([u.domain.frame, t.domain.frame])
     w_action = np.hstack([u.action, t.action])
     diff = w_action - w_frame

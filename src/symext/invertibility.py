@@ -181,7 +181,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
     while dd.defect_numbers[0] > 0:
         c_inv = inverse_op(current)
         x_inv = forbidden_operator(c_inv, 1.0 / z)
-        x_here = forbidden_operator(current, z)
+        x_here = forbidden_operator(current, z, dd=dd)
         placed = False
         for attempt in range(dd.n_z.dim):
             f1 = dd.n_z.frame[:, attempt]

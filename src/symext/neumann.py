@@ -113,12 +113,15 @@ class ExtensionReport:
     witnesses: dict
 
 
-def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
-           dd: Optional[DefectData] = None) -> ExtensionReport:
-    """Build the extension B determined by the parameter at base point z.
+def construct_extension(a: DomainOperator, z: complex, parameter: ContractionParameter,
+                        dd: Optional[DefectData] = None,
+                        u: Optional[DomainOperator] = None) -> DomainOperator:
+    """The operator B determined by the parameter at base point z, unreported.
 
-    Raises NotAdmissible (with the kernel witness) when the parameter admits a
-    fixed vector, in which case the formula would not define an operator.
+    ``dd`` and ``u`` are the defect data and the Cayley transform of A at z
+    when the caller already holds them. Raises NotAdmissible (with the kernel
+    witness) when the parameter admits a fixed vector, in which case the
+    formula would not define an operator.
     """
     z = require_offaxis(z)
     if parameter.z != z:
@@ -126,7 +129,7 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
     if dd is None:
         dd = defect_data(a, z)
     t = parameter.t
-    adm = is_admissible(a, z, t, dd=dd)
+    adm = is_admissible(a, z, t, dd=dd, u=u)
     if not adm.admissible:
         raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
     p, q = t.domain.frame, t.action
@@ -135,6 +138,17 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
     b = operator_from_generators(generators, images, tol=a.tol)
     if not graph_contains(b, a, tol=GRAPH_INCLUSION_TOL):
         raise NotAnExtension("constructed operator does not extend the base")
+    return b
+
+
+def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
+           dd: Optional[DefectData] = None) -> ExtensionReport:
+    """Build the extension B determined by the parameter at base point z.
+
+    ``construct_extension`` builds B; the report adds its class, injectivity
+    (with a kernel witness when it fails) and defect numbers.
+    """
+    b = construct_extension(a, z, parameter, dd)
     invertible = is_injective(b)
     witnesses = {}
     if not invertible:

@@ -15,20 +15,32 @@ recovers R_lam as (A_{F(lam)} - lam)^{-1} in the half-plane of lam0, and as
 ``i_admissibility_test`` singles out the parameter families arising from
 invertible extensions: F is rejected when some nonzero psi reaches the scaled
 forbidden-operator limit at 0 with a bounded norm-loss rate.
+
+``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written
+and used by the checks as references. ``ParameterFunction.from_extension``
+samples F from one Hermitian eigendecomposition of Atilde instead, through
+B_lam = lam + R_lam^{-1}, under the same guards.
 """
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cayley import defect_data, forbidden_operator, require_offaxis
+from .cayley import cayley, defect_data, forbidden_operator, require_offaxis
 from .errors import (InsufficientSamples, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
-from .neumann import ContractionParameter, extend
+from .neumann import ContractionParameter, construct_extension
 from .operators import (DomainOperator, inverse_op, operator_from_generators,
                         operator_from_matrix)
 from .subspaces import DEFAULT_TOL, SectorSpec, Subspace, fix_phase
+
+# Guards on a sample of F, shared by frak_f and the spectral sampler so that
+# both reject the same points.
+PROJECTION_TOL = 1e-10    # smallest singular value of P_H on L_lam, relative
+RESIDUAL_TOL = 1e-8       # range residual and defect-space leakage of a sample
+EXPANSION_SLACK = 1e-7    # allowed excess of a sample's norm over 1
 
 
 def _half_plane(lam: complex, lambda0: complex) -> bool:
@@ -125,7 +137,7 @@ def frak_b(ext: EmbeddedExtension, lam: complex) -> DomainOperator:
     if proj.shape[1]:
         s = np.linalg.svd(proj, compute_uv=False)
         # injective only if every column direction survives: full column rank
-        if proj.shape[1] > proj.shape[0] or s[-1] <= 1e-10 * max(1.0, s[0]):
+        if proj.shape[1] > proj.shape[0] or s[-1] <= PROJECTION_TOL * max(1.0, s[0]):
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
     images = ext.embed.conj().T @ (ext.atilde_matrix() @ g)
@@ -155,19 +167,77 @@ def frak_f(ext: EmbeddedExtension, lam: complex, lambda0: complex,
     for j in range(n_frame.shape[1]):
         nu = n_frame[:, j]
         c, *_ = np.linalg.lstsq(down, nu, rcond=None)
-        if np.linalg.norm(down @ c - nu) > 1e-8:
+        if np.linalg.norm(down @ c - nu) > RESIDUAL_TOL:
             raise ProjectionDegenerate(
                 f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
         img = up @ c
         coords = nbar_frame.conj().T @ img
-        if np.linalg.norm(img - nbar_frame @ coords) > 1e-8 * max(1.0, np.linalg.norm(img)):
+        if np.linalg.norm(img - nbar_frame @ coords) > RESIDUAL_TOL * max(1.0, np.linalg.norm(img)):
             raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
         out[:, j] = coords
     if out.size:
         top = np.linalg.svd(out, compute_uv=False)[0]
-        if top > 1.0 + 1e-7:
+        if top > 1.0 + EXPANSION_SLACK:
             raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
     return out
+
+
+def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
+                      lams) -> dict:
+    """F(lam) at every lam, as frak_f gives it, from one eigendecomposition.
+
+    Atilde = V (Lambda + Delta') V^H with V, Lambda from eigh of its Hermitian
+    part; Delta' is the anti-Hermitian residue the EmbeddedExtension gate
+    admits, and one correction step (Lambda - lam + Delta')^{-1} ~ D - D Delta' D
+    with D = (Lambda - lam)^{-1} keeps R_lam as accurate as a direct solve.
+    From B_lam = lam + R_lam^{-1},
+
+        F(lam) = (I + (lam - lam0bar) R_lam)(I + (lam - lam0) R_lam)^{-1},
+
+    two rational functions of R_lam, which therefore commute. Every guard of
+    frak_f applies, with its error and threshold.
+    """
+    m = ext.atilde_matrix()
+    m_h = (m + m.conj().T) / 2
+    mu, v = np.linalg.eigh(m_h)
+    y = v.conj().T @ ext.embed
+    delta = v.conj().T @ (m - m_h) @ v
+    n_frame, nbar_frame = frames
+    eye = np.eye(y.shape[1])
+    samples = {}
+    for lam in lams:
+        lam = complex(lam)
+        if not _half_plane(lam, lambda0):
+            raise ValueError(
+                f"frak_f is contractive only in the half-plane of {lambda0}; got {lam}")
+        d_lam = (1.0 / (mu - lam))[:, None]
+        dy = d_lam * y
+        x = dy - d_lam * (delta @ dy)
+        # V x spans L_lam; P_H must be injective on it, tested as in frak_b
+        s = np.linalg.svd(y.conj().T @ np.linalg.qr(x)[0], compute_uv=False)
+        if s[-1] <= PROJECTION_TOL * max(1.0, s[0]):
+            raise ProjectionDegenerate(
+                f"projection onto H is not injective on the constrained space at {lam}")
+        r = y.conj().T @ x
+        down = eye + (lam - lambda0) * r
+        try:
+            w = np.linalg.solve(down, n_frame)
+        except np.linalg.LinAlgError:  # exactly singular: no defect vector is reached
+            w = np.full(n_frame.shape, np.nan, dtype=complex)
+        if not np.all(np.linalg.norm(down @ w - n_frame, axis=0) <= RESIDUAL_TOL):
+            raise ProjectionDegenerate(
+                f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
+        img = w + (lam - np.conj(lambda0)) * (r @ w)
+        coords = nbar_frame.conj().T @ img
+        leak = np.linalg.norm(img - nbar_frame @ coords, axis=0)
+        if np.any(leak > RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(img, axis=0))):
+            raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
+        if coords.size:
+            top = np.linalg.svd(coords, compute_uv=False)[0]
+            if top > 1.0 + EXPANSION_SLACK:
+                raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
+        samples[lam] = coords
+    return samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +275,10 @@ class ParameterFunction:
 
     @classmethod
     def from_extension(cls, ext: EmbeddedExtension, lambda0: complex, lams) -> "ParameterFunction":
+        """F sampled at ``lams``: the values of frak_f, from one eigendecomposition."""
         dd = defect_data(ext.base, lambda0)
         frames = (dd.n_z.frame, dd.n_zbar.frame)
-        samples = {complex(lam): frak_f(ext, lam, lambda0, frames) for lam in lams}
+        samples = _spectral_samples(ext, dd.z, frames, lams)
         return cls(lambda0, *frames, samples, "from-extension")
 
     @classmethod
@@ -217,16 +288,30 @@ class ParameterFunction:
         return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean, "user")
 
 
+# Defect data and Cayley transform of a base operator at the base points the
+# Shtraus formula extends from, so that a grid of lam pays for them once.
+# Keyed weakly on the operator itself: DomainOperator is frozen and its arrays
+# are read-only, so an entry holds while the operator lives and goes with it.
+_BASE_POINT_DATA = weakref.WeakKeyDictionary()
+
+
+def _base_point_data(a: DomainOperator, z: complex) -> tuple:
+    per_point = _BASE_POINT_DATA.setdefault(a, {})
+    if z not in per_point:
+        per_point[z] = (defect_data(a, z), cayley(a, z))
+    return per_point[z]
+
+
 def _extension_matrix_for(a: DomainOperator, base_point: complex, dom_frame, rng_frame,
                           matrix) -> np.ndarray:
     """Total extension of A at the given base point from a frame-coded parameter."""
     t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom_frame, a.tol),
                        rng_frame @ matrix)
     parameter = ContractionParameter.from_operator(base_point, t)
-    report = extend(a, base_point, parameter)
-    if not report.b.is_total():
+    b = construct_extension(a, base_point, parameter, *_base_point_data(a, base_point))
+    if not b.is_total():
         raise ResolventSingular("extension is not total; resolvent formula needs a full domain")
-    return report.b.to_matrix()
+    return b.to_matrix()
 
 
 def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,

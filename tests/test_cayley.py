@@ -208,3 +208,16 @@ def test_admissibility_matches_forbidden_formulation():
             smin = np.linalg.svd(diff, compute_uv=False)[-1]
             assert verdict.admissible == (smin > 1e-9)
     assert hits > 5
+
+
+def test_forbidden_operator_precomputed_defect_data():
+    for seed in range(6):
+        a, z, _ = random_instance(seed + 30)
+        for point in (z, 1.0 / z):
+            base = a if point == z else inverse_op(a)
+            plain = forbidden_operator(base, point)
+            given = forbidden_operator(base, point, dd=defect_data(base, point))
+            assert plain.single_valued == given.single_valued
+            assert np.array_equal(plain.relation.graph.frame, given.relation.graph.frame)
+            assert np.array_equal(plain.domain.frame, given.domain.frame)
+            assert np.array_equal(plain.operator.action, given.operator.action)

@@ -1,9 +1,14 @@
 """Exit-space extensions: compressed resolvents, the L/B/F chain, boundary test."""
 
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
 import symext as sx
+from symext import resolvents
 from symext.cayley import defect_data
 from symext.errors import (InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
@@ -15,6 +20,7 @@ from symext.resolvents import (EmbeddedExtension, ParameterFunction,
                                compressed_resolvent, default_lambda_grid,
                                frak_b, frak_f, i_admissibility_test,
                                script_l, shtraus_resolvent)
+from symext.serialize import decode_operator, encode_operator, json_dump
 from symext.subspaces import SectorSpec
 
 from conftest import random_instance
@@ -298,3 +304,103 @@ def test_inverse_pair_requires_invertible(worked_a):
     bad = EmbeddedExtension.canonical(worked_a, singular)
     with pytest.raises(SpectrumHit):
         bad.inverse_pair()
+
+
+def grid_and_sector(lambda0, ext):
+    """The points the CLI and the boundary test sample F at."""
+    sector = SectorSpec.default_for(lambda0).sample_points()
+    return (list(default_lambda_grid(lambda0, ext.atilde_matrix()))
+            + [lam for ray in sector.values() for lam in ray])
+
+
+def engine_vs_oracle(ext, lambda0):
+    """Largest entrywise gap between from_extension samples and frak_f."""
+    points = grid_and_sector(lambda0, ext)
+    f = ParameterFunction.from_extension(ext, lambda0, points)
+    frames = (f.domain_frame, f.range_frame)
+    assert len(f.sampled_points()) == len(points)
+    worst = 0.0
+    for lam in points:
+        sample, oracle = f.sample_at(lam), frak_f(ext, lam, lambda0, frames)
+        assert sample.shape == oracle.shape
+        if sample.size:
+            worst = max(worst, float(np.max(np.abs(sample - oracle))))
+    return worst
+
+
+@pytest.mark.parametrize("doubled", [True, False])
+def test_from_extension_matches_frak_f_on_chains(doubled):
+    for seed in range(6):
+        a, z, _ = random_instance(seed + 40, max_dim=7)
+        chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
+        assert engine_vs_oracle(EmbeddedExtension.from_chain(chain), z) <= 1e-12
+
+
+def test_from_extension_matches_frak_f_canonical_family(worked_a):
+    for b in (3.0, -1.0, 0.5):
+        ext = canonical_diag(worked_a, b)
+        assert engine_vs_oracle(ext, 1j) <= 1e-12
+        f = ParameterFunction.from_extension(ext, 1j, (0.2 + 0.7j,))
+        assert abs(f.sample_at(0.2 + 0.7j)[0, 0] - (b + 1j) / (b - 1j)) < 1e-10
+
+
+def test_from_extension_defect_zero_empty():
+    h = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=3, defect=0, seed=4))
+    ext = EmbeddedExtension.canonical(h, h)
+    f = ParameterFunction.from_extension(ext, 1j, (0.4 + 0.6j, -0.3 + 0.2j))
+    assert all(f.sample_at(lam).shape == (0, 0) for lam in f.sampled_points())
+
+
+def test_from_extension_halfplane_guard(worked_a):
+    ext = doubled_ext(worked_a)
+    with pytest.raises(ValueError, match="half-plane"):
+        ParameterFunction.from_extension(ext, 1j, (0.3 + 0.5j, 0.5 - 0.5j))
+
+
+def test_from_extension_non_hermitian_within_gate():
+    # a skew perturbation of the exit block, orthogonal to the lifted domain,
+    # that the EmbeddedExtension gate still admits; samples taken from the
+    # Hermitian part alone, without the correction step, miss frak_f by 6e-9
+    a, z, _ = random_instance(77, max_dim=6)
+    chain = build_invertible_selfadjoint(a, z, seed=1, double_first=True)
+    m = chain.final.to_matrix()
+    d = a.ambient_dim
+    rng = np.random.default_rng(5)
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    bump = np.zeros_like(m)
+    bump[d:, d:] = 4e-9 * np.linalg.norm(m, 2) * k / np.linalg.norm(k, 2)
+    ext = EmbeddedExtension(a, operator_from_matrix(m + bump), np.eye(2 * d, d), d)
+    skew = ext.atilde_matrix() - ext.atilde_matrix().conj().T
+    assert np.linalg.norm(skew, 2) > 1e-9 * np.linalg.norm(m, 2)
+    assert engine_vs_oracle(ext, z) <= 1e-12
+    grid = default_lambda_grid(z, ext.atilde_matrix())
+    f = ParameterFunction.from_extension(ext, z, grid)
+    worst = max(float(np.linalg.norm(shtraus_resolvent(a, z, f, lam)
+                                     - compressed_resolvent(ext, lam), 2)) for lam in grid)
+    assert worst < 1e-12
+
+
+def test_shtraus_base_point_cache_sound_and_weak():
+    a, z, _ = random_instance(81, max_dim=6)
+    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, z, seed=2))
+    grid = default_lambda_grid(z, ext.atilde_matrix())
+    f = ParameterFunction.from_extension(ext, z, grid)
+    points = list(grid[:3]) + [np.conj(lam) for lam in grid[:3]]
+    for lam in points:
+        shtraus_resolvent(a, z, f, lam)
+    assert a in resolvents._BASE_POINT_DATA
+    copy = decode_operator(json.loads(json_dump(encode_operator(a))))
+    assert copy is not a and copy not in resolvents._BASE_POINT_DATA
+    for lam in points:
+        # the copy misses the cache on each branch's first point, the original hits it
+        assert np.array_equal(shtraus_resolvent(copy, z, f, lam),
+                              shtraus_resolvent(a, z, f, lam))
+    assert set(resolvents._BASE_POINT_DATA[copy]) == {z, np.conj(z)}
+    gone = weakref.ref(copy)
+    gc.collect()
+    entries = len(resolvents._BASE_POINT_DATA)
+    del copy
+    gc.collect()
+    assert gone() is None
+    assert len(resolvents._BASE_POINT_DATA) == entries - 1
+    assert a in resolvents._BASE_POINT_DATA
