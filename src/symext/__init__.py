@@ -22,15 +22,14 @@ from .instances import InstanceSpec, gen_symmetric, truncated_shift
 from .invertibility import (ExtensionChain, InvertibilityVerdict,
                             build_invertible_selfadjoint, check_invertibility,
                             double)
-from .neumann import (ContractionParameter, ExtensionReport, classify, extend,
+from .neumann import (ContractionParameter, ExtensionReport, extend,
                       recover_parameter)
 from .operators import (DomainOperator, LinearRelation, compose,
-                        direct_sum_op, graph, graph_contains, graph_distance,
+                        direct_sum_op, graph_contains, graph_distance,
                         identity_operator, inverse_op, is_injective,
                         is_isometric, is_nonexpanding, is_symmetric,
                         make_operator, negate, operator_from_generators,
-                        operator_from_matrix, relation_is_operator, restrict,
-                        scale_op)
+                        operator_from_matrix, restrict, scale_op)
 from .resolvents import (EmbeddedExtension, IAdmissibilityVerdict,
                          ParameterFunction, compressed_resolvent,
                          default_lambda_grid, frak_b, frak_f,
@@ -50,15 +49,14 @@ __all__ = [
     "ParameterFunction", "ParameterShapeViolation", "ProjectionDegenerate",
     "RealPoint", "ResolventSingular", "SectorSpec", "SpecInfeasible",
     "SpectrumHit", "Subspace", "SymextError", "build_invertible_selfadjoint",
-    "cayley", "check_invertibility", "classify", "compose",
-    "compressed_resolvent", "default_lambda_grid", "defect_data",
-    "direct_sum_embed", "direct_sum_op", "double", "extend", "fix_phase",
-    "forbidden_operator", "frak_b", "frak_f", "gen_symmetric", "graph",
-    "graph_contains", "graph_distance", "i_admissibility_test",
-    "identity_operator", "inverse_cayley", "inverse_op", "is_admissible",
-    "is_injective", "is_isometric", "is_nonexpanding", "is_symmetric",
-    "make_operator", "negate", "operator_from_generators",
-    "operator_from_matrix", "orthonormalize", "recover_parameter",
-    "relation_is_operator", "restrict", "run_suite", "scale_op", "script_l",
+    "cayley", "check_invertibility", "compose", "compressed_resolvent",
+    "default_lambda_grid", "defect_data", "direct_sum_embed", "direct_sum_op",
+    "double", "extend", "fix_phase", "forbidden_operator", "frak_b", "frak_f",
+    "gen_symmetric", "graph_contains", "graph_distance",
+    "i_admissibility_test", "identity_operator", "inverse_cayley",
+    "inverse_op", "is_admissible", "is_injective", "is_isometric",
+    "is_nonexpanding", "is_symmetric", "make_operator", "negate",
+    "operator_from_generators", "operator_from_matrix", "orthonormalize",
+    "recover_parameter", "restrict", "run_suite", "scale_op", "script_l",
     "shtraus_resolvent", "truncated_shift",
 ]

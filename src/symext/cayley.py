@@ -16,7 +16,8 @@ import numpy as np
 from .errors import NotInvertible, ParameterShapeViolation, RealPoint
 from .operators import (DomainOperator, LinearRelation, is_isometric,
                         is_symmetric, operator_from_generators)
-from .subspaces import REAL_AXIS_GUARD, Subspace, fix_phase, orthonormalize
+from .subspaces import (REAL_AXIS_GUARD, Subspace, fix_phase, orthonormalize,
+                        rank_split)
 
 # Containment slack for parameter shape checks, looser than rank decisions.
 SHAPE_TOL = 1e-8
@@ -127,13 +128,7 @@ def forbidden_operator(a: DomainOperator, z: complex,
         -dd.n_zbar.frame,
         -(z - np.conj(z)) * a.domain.frame,
     ])
-    if system.shape[1] == 0:
-        null = np.zeros((0, 0), complex)
-    else:
-        _, s, vh = np.linalg.svd(system, full_matrices=True)
-        scale = s[0] if s.size and s[0] > 0 else 1.0
-        rank = int(np.sum(s > a.tol * scale))
-        null = vh[rank:].conj().T
+    _, _, null = rank_split(system, a.tol, floor=0.0, part="null")
     f_part = dd.n_z.frame @ null[:n, :]
     psi_part = dd.n_zbar.frame @ null[n:n + nb, :]
     relation = LinearRelation.from_pairs(f_part, psi_part, d, tol=a.tol)
@@ -177,12 +172,8 @@ def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
         u = cayley(a, z)
     w_frame = np.hstack([u.domain.frame, t.domain.frame])
     w_action = np.hstack([u.action, t.action])
-    diff = w_action - w_frame
-    if diff.shape[1] == 0:
-        return AdmissibilityResult(True, None, float("inf"))
-    _, s, vh = np.linalg.svd(diff)
-    margin = float(s[-1])
-    if margin > a.tol * max(1.0, s[0]):
+    _, s, null = rank_split(w_action - w_frame, a.tol, part="null")
+    margin = float(s[-1]) if s.size else float("inf")
+    if null.shape[1] == 0:
         return AdmissibilityResult(True, None, margin)
-    witness = fix_phase(w_frame @ vh[-1].conj())
-    return AdmissibilityResult(False, witness, margin)
+    return AdmissibilityResult(False, fix_phase(w_frame @ null[:, -1]), margin)

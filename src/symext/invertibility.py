@@ -24,9 +24,9 @@ from .cayley import (defect_data, forbidden_operator, is_admissible,
 from .errors import ChoiceExhausted, NotInvertibleBase
 from .neumann import ContractionParameter, extend
 from .operators import (DomainOperator, direct_sum_op, graph_contains,
-                        inverse_op, is_injective, is_symmetric, kernel_witness,
-                        negate, scale_op)
-from .subspaces import Subspace
+                        inverse_op, is_injective, is_symmetric, negate,
+                        scale_op)
+from .subspaces import Subspace, rank_split
 
 # Margin below which a candidate direction is considered to collide with a
 # forbidden image during the constructive chain.
@@ -58,7 +58,7 @@ def check_invertibility(a: DomainOperator, z: complex,
     report = extend(a, z, parameter)
     b = report.b
 
-    s_b = np.linalg.svd(b.action, compute_uv=False)
+    _, s_b, _ = rank_split(b.action, b.tol)
     margin_direct = float(s_b[-1]) if s_b.size else float("inf")
     direct = report.invertible
 
@@ -78,15 +78,13 @@ def check_invertibility(a: DomainOperator, z: complex,
         t_imgs = np.column_stack([parameter.t.apply(meet.frame[:, j]) for j in range(meet.dim)])
         x_imgs = np.column_stack([x.apply(meet.frame[:, j]) for j in range(meet.dim)])
         diff = t_imgs - (np.conj(z) / z) * x_imgs
-        s = np.linalg.svd(diff, compute_uv=False)
+        rank, s, _ = rank_split(diff, a.tol)
         margin_forbidden = float(s[-1])
-        via_forbidden = bool(margin_forbidden > a.tol * max(1.0, s[0]))
+        via_forbidden = rank == meet.dim
 
     agree = direct == via_admissibility == via_forbidden
-    witness = None
-    if not direct:
-        witness = kernel_witness(b)
-    return InvertibilityVerdict(direct, via_admissibility, via_forbidden, agree, witness,
+    return InvertibilityVerdict(direct, via_admissibility, via_forbidden, agree,
+                                report.witnesses.get("kernel"),
                                 {"direct": margin_direct,
                                  "via_admissibility": margin_adm,
                                  "via_forbidden": margin_forbidden})

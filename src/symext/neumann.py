@@ -162,11 +162,6 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
                            defects, witnesses)
 
 
-def classify(report: ExtensionReport) -> str:
-    """Recompute the classification from the extension itself."""
-    return classify_operator(report.b)
-
-
 def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> ContractionParameter:
     """Parameter whose extension of A at z is B.
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, NotInvertible
-from .subspaces import DEFAULT_TOL, Subspace, fix_phase, orthonormalize
+from .subspaces import DEFAULT_TOL, Subspace, fix_phase, orthonormalize, rank_split
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,19 +106,19 @@ def is_symmetric(a: DomainOperator, tol=None) -> bool:
 
 
 def is_injective(a: DomainOperator, tol=None) -> bool:
-    if a.domain_dim == 0:
-        return True
-    tol = a.tol if tol is None else tol
-    s = np.linalg.svd(a.action, compute_uv=False)
-    return bool(s[-1] > tol * max(1.0, s[0]))
+    rank, _, _ = rank_split(a.action, a.tol if tol is None else tol)
+    return rank == a.domain_dim
 
 
 def kernel_witness(a: DomainOperator) -> np.ndarray:
-    """Unit kernel-direction estimate: smallest right singular vector, phase-fixed."""
-    if a.domain_dim == 0:
-        raise NotInvertible("empty domain has no kernel direction")
-    _, _, vh = np.linalg.svd(a.action)
-    return fix_phase(a.domain.frame @ vh[-1].conj())
+    """Unit kernel direction, phase-fixed: the smallest right singular vector.
+
+    Raises NotInvertible when A is injective, so that no direction exists.
+    """
+    _, _, null = rank_split(a.action, a.tol, part="null")
+    if null.shape[1] == 0:
+        raise NotInvertible("operator is injective; there is no kernel direction")
+    return fix_phase(a.domain.frame @ null[:, -1])
 
 
 def inverse_op(a: DomainOperator, tol=None) -> DomainOperator:
@@ -181,14 +181,11 @@ def compose(outer: DomainOperator, inner: DomainOperator) -> DomainOperator:
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("ambient dimensions differ")
     d = inner.ambient_dim
-    if inner.domain_dim == 0:
-        return DomainOperator(d, inner.domain, inner.action)
     # domain coordinates c with (I - P_outer) inner.action c = 0
     resid = inner.action - outer.domain.frame @ (outer.domain.frame.conj().T @ inner.action)
-    _, s, vh = np.linalg.svd(resid, full_matrices=True)
-    scale = max(np.linalg.norm(inner.action, 2), 1.0)
-    rank = int(np.sum(s > inner.tol * scale))
-    null = vh[rank:].conj().T
+    # ||resid|| <= ||inner.action||, so the cut scales with the inner action
+    _, _, null = rank_split(resid, inner.tol, floor=max(1.0, np.linalg.norm(inner.action, 2)),
+                            part="null")
     if null.shape[1] == 0:
         empty = Subspace(d, np.zeros((d, 0), complex), inner.tol)
         return DomainOperator(d, empty, np.zeros((d, 0), complex))
@@ -236,12 +233,7 @@ class LinearRelation:
     def multivalued_part(self) -> Subspace:
         """Images paired with 0: the vertical component of the graph."""
         top, bot = self._halves()
-        if self.dim == 0:
-            return Subspace(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex), self.graph.tol)
-        _, s, vh = np.linalg.svd(top, full_matrices=True)
-        scale = max(1.0, s[0]) if s.size else 1.0
-        rank = int(np.sum(s > self.graph.tol * scale)) if s.size else 0
-        null = vh[rank:].conj().T
+        _, _, null = rank_split(top, self.graph.tol, part="null")
         return orthonormalize(bot @ null, ambient_dim=self.ambient_dim, tol=self.graph.tol)
 
     def is_operator(self) -> bool:
@@ -258,25 +250,17 @@ class LinearRelation:
         return operator_from_generators(top, bot, tol=self.graph.tol)
 
 
-def graph(a: DomainOperator) -> LinearRelation:
-    return LinearRelation.from_operator(a)
-
-
-def relation_is_operator(r: LinearRelation) -> bool:
-    return r.is_operator()
-
-
 def graph_distance(a, b) -> float:
     """Projector gap between graphs; accepts operators or relations."""
-    ga = a if isinstance(a, LinearRelation) else graph(a)
-    gb = b if isinstance(b, LinearRelation) else graph(b)
+    ga = a if isinstance(a, LinearRelation) else LinearRelation.from_operator(a)
+    gb = b if isinstance(b, LinearRelation) else LinearRelation.from_operator(b)
     return ga.graph.distance(gb.graph)
 
 
 def graph_contains(big, small, tol=1e-8) -> bool:
     """Whether graph(small) sits inside graph(big) within tol."""
-    gb = big if isinstance(big, LinearRelation) else graph(big)
-    gs = small if isinstance(small, LinearRelation) else graph(small)
+    gb = big if isinstance(big, LinearRelation) else LinearRelation.from_operator(big)
+    gs = small if isinstance(small, LinearRelation) else LinearRelation.from_operator(small)
     if gs.dim == 0:
         return True
     resid = gs.graph.frame - gb.graph.frame @ (gb.graph.frame.conj().T @ gs.graph.frame)

@@ -34,7 +34,7 @@ from .errors import (InsufficientSamples, ProjectionDegenerate,
 from .neumann import ContractionParameter, construct_extension
 from .operators import (DomainOperator, inverse_op, operator_from_generators,
                         operator_from_matrix)
-from .subspaces import DEFAULT_TOL, SectorSpec, Subspace, fix_phase
+from .subspaces import DEFAULT_TOL, SectorSpec, Subspace, fix_phase, rank_split
 
 # Guards on a sample of F, shared by frak_f and the spectral sampler so that
 # both reject the same points.
@@ -93,12 +93,16 @@ class EmbeddedExtension:
     def atilde_matrix(self) -> np.ndarray:
         return self.atilde.to_matrix()
 
+    def is_invertible(self) -> bool:
+        """Atilde has full rank at DEFAULT_TOL, relative to its largest singular value."""
+        m = self.atilde_matrix()
+        return rank_split(m, DEFAULT_TOL, floor=0.0)[0] == m.shape[0]
+
     def inverse_pair(self) -> "EmbeddedExtension":
         """The same picture for A^{-1} inside Atilde^{-1}."""
-        m = self.atilde_matrix()
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= DEFAULT_TOL * s[0]:
+        if not self.is_invertible():
             raise SpectrumHit("extension is not invertible")
+        m = self.atilde_matrix()
         return EmbeddedExtension(inverse_op(self.base),
                                  operator_from_matrix(np.linalg.inv(m), tol=self.atilde.tol),
                                  self.embed, self.exit_dim)
@@ -108,8 +112,7 @@ def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
     """P_H (Atilde - lam)^{-1} restricted to H, as a d x d matrix."""
     m = ext.atilde_matrix()
     shifted = m - lam * np.eye(m.shape[0])
-    s = np.linalg.svd(shifted, compute_uv=False)
-    if s[-1] <= 1e-10 * max(1.0, s[0]):
+    if rank_split(shifted, 1e-10)[0] < m.shape[0]:
         raise SpectrumHit(f"{lam} is numerically an eigenvalue of the extension")
     return ext.embed.conj().T @ np.linalg.solve(shifted, ext.embed)
 
@@ -121,12 +124,8 @@ def script_l(ext: EmbeddedExtension, lam: complex) -> Subspace:
     h_embedded = Subspace(total, ext.embed, ext.atilde.tol)
     q = h_embedded.complement().frame
     constraint = q.conj().T @ (m - lam * np.eye(total))
-    if constraint.shape[0] == 0:
-        return Subspace(total, np.eye(total, dtype=complex), ext.atilde.tol)
-    _, s, vh = np.linalg.svd(constraint, full_matrices=True)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > ext.atilde.tol * scale))
-    return Subspace(total, vh[rank:].conj().T, ext.atilde.tol)
+    _, _, null = rank_split(constraint, ext.atilde.tol, floor=0.0, part="null")
+    return Subspace(total, null, ext.atilde.tol)
 
 
 def frak_b(ext: EmbeddedExtension, lam: complex) -> DomainOperator:
@@ -134,12 +133,10 @@ def frak_b(ext: EmbeddedExtension, lam: complex) -> DomainOperator:
     l_space = script_l(ext, lam)
     g = l_space.frame
     proj = ext.embed.conj().T @ g
-    if proj.shape[1]:
-        s = np.linalg.svd(proj, compute_uv=False)
-        # injective only if every column direction survives: full column rank
-        if proj.shape[1] > proj.shape[0] or s[-1] <= PROJECTION_TOL * max(1.0, s[0]):
-            raise ProjectionDegenerate(
-                f"projection onto H is not injective on the constrained space at {lam}")
+    # injective only if every column direction survives: full column rank
+    if rank_split(proj, PROJECTION_TOL)[0] < proj.shape[1]:
+        raise ProjectionDegenerate(
+            f"projection onto H is not injective on the constrained space at {lam}")
     images = ext.embed.conj().T @ (ext.atilde_matrix() @ g)
     return operator_from_generators(proj, images, tol=ext.base.tol)
 
@@ -214,8 +211,7 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
         dy = d_lam * y
         x = dy - d_lam * (delta @ dy)
         # V x spans L_lam; P_H must be injective on it, tested as in frak_b
-        s = np.linalg.svd(y.conj().T @ np.linalg.qr(x)[0], compute_uv=False)
-        if s[-1] <= PROJECTION_TOL * max(1.0, s[0]):
+        if rank_split(y.conj().T @ np.linalg.qr(x)[0], PROJECTION_TOL)[0] < x.shape[1]:
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
         r = y.conj().T @ x
@@ -332,8 +328,7 @@ def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
         b_mat = _extension_matrix_for(a, np.conj(lambda0), f.range_frame, f.domain_frame,
                                       matrix.conj().T)
     shifted = b_mat - lam * np.eye(a.ambient_dim)
-    s = np.linalg.svd(shifted, compute_uv=False)
-    if s[-1] <= 1e-12 * max(1.0, s[0]):
+    if rank_split(shifted, 1e-12)[0] < a.ambient_dim:
         raise ResolventSingular(f"extension minus {lam} is singular")
     return np.linalg.inv(shifted)
 
@@ -445,16 +440,15 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     img_coords = nbar_frame.conj().T @ x_imgs
     k_mat = f0 @ dom_coords - scale * img_coords
 
-    _, s, vh = np.linalg.svd(k_mat)
+    _, s, kernel_dirs = rank_split(k_mat, kernel_tol, part="null")
     kernel_margin = float(s[-1]) if s.size else float("inf")
-    kernel_dirs = [vh[i].conj() for i in range(len(s)) if s[i] <= kernel_tol * max(1.0, s[0])]
 
     two_smallest = sector.radii[-2:]
     witness = None
     witness_resid = None
     witness_proxy = None
     rate_estimates = {}
-    for direction in kernel_dirs:
+    for direction in kernel_dirs.T:
         psi = fix_phase(x.domain.frame @ direction)
         psi = psi / np.linalg.norm(psi)
         psi_coords = n_frame.conj().T @ psi

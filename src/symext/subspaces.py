@@ -1,7 +1,12 @@
 """Subspaces of C^d held as orthonormal frames, plus the sector geometry.
 
-All rank decisions in the toolkit funnel through ``orthonormalize`` and use
-one global default tolerance, relative to the largest singular value.
+Every rank decision in the toolkit, whether a span, a kernel, injectivity or
+invertibility, is made by ``rank_split``: one SVD, cut at singular values
+above ``tol * max(floor, s[0])``. Floor 0 makes the cut relative to the
+largest singular value (spans of frames, whose scale means nothing); floor 1
+makes it absolute for matrices of norm below 1 (actions and shifted matrices,
+where a small operator must not count as full rank). ``DEFAULT_TOL`` is the
+tolerance operators and subspaces carry unless given another.
 """
 
 from dataclasses import dataclass
@@ -117,6 +122,40 @@ class Subspace:
         return float(np.linalg.norm(self.projector() - other.projector(), 2))
 
 
+def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
+    """Numerical rank of ``m`` from one SVD: singular values above tol * max(floor, s[0]).
+
+    ``part`` picks the factorization and the frame returned with the rank:
+
+    - ``None``: singular values only; the frame is None;
+    - ``"range"``: thin SVD; the frame is an orthonormal basis of the range,
+      rows x rank;
+    - ``"null"``: full SVD; the frame is an orthonormal basis of the kernel,
+      cols x (cols - rank), with the smallest right singular vector last.
+
+    Returns ``(rank, s, frame)`` with ``s`` descending. A matrix with no rows
+    or no columns has rank 0 and empty ``s`` and takes no SVD.
+    """
+    if part not in (None, "range", "null"):
+        raise ValueError(f"part must be None, 'range' or 'null', got {part!r}")
+    rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        # an empty range, and every column direction in the kernel
+        s, u, vh = np.zeros(0), np.zeros((rows, 0), complex), np.eye(cols, dtype=complex)
+    elif part is None:
+        s = np.linalg.svd(m, compute_uv=False)
+    elif part == "range":
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    else:
+        _, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank = int(np.sum(s > tol * max(floor, s[0]))) if s.size else 0
+    if part is None:
+        return rank, s, None
+    if part == "range":
+        return rank, s, u[:, :rank]
+    return rank, s, vh[rank:].conj().T
+
+
 def orthonormalize(vectors, ambient_dim=None, tol=DEFAULT_TOL) -> Subspace:
     """Orthonormal frame for the span of the given vectors.
 
@@ -124,12 +163,8 @@ def orthonormalize(vectors, ambient_dim=None, tol=DEFAULT_TOL) -> Subspace:
     singular value. Dependent and zero vectors are dropped silently.
     """
     m = _as_complex_matrix(vectors, ambient_dim)
-    d = m.shape[0]
-    if m.shape[1] == 0:
-        return Subspace(d, np.zeros((d, 0), complex), tol)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return Subspace(d, u[:, :rank], tol)
+    _, _, frame = rank_split(m, tol, floor=0.0, part="range")
+    return Subspace(m.shape[0], frame, tol)
 
 
 def direct_sum_embed(dims):

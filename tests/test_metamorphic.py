@@ -1,0 +1,83 @@
+"""Metamorphic property: every rank verdict is invariant under unitary conjugation.
+
+For a unitary Q, the operator QAQ^H has domain Q D(A) and action Q A; its
+defect spaces, Cayley transform and forbidden operator are the Q-images of
+those of A, and the parameter QTQ^H of QAQ^H corresponds to T. So defect
+numbers, admissibility, the three invertibility tests and dim D(X_z) must not
+change. A verdict whose margin lies in the CLI borderline band may differ.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import symext as sx
+from symext.cli import BORDERLINE_HIGH, BORDERLINE_LOW
+from symext.operators import DomainOperator
+from symext.subspaces import Subspace
+
+
+def conjugate(q, a: DomainOperator) -> DomainOperator:
+    return DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, q @ a.domain.frame, a.tol),
+                          q @ a.action)
+
+
+def borderline(*margins) -> bool:
+    return any(BORDERLINE_LOW < m < BORDERLINE_HIGH for m in margins)
+
+
+@st.composite
+def instances(draw):
+    """(A, z, T matrix, Q) with d <= 8, T a generic contraction of norm 0.5-0.9."""
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, d - 1))
+    t_dim = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**31 - 1))
+    window = draw(st.sampled_from([(0.5, 2.0), (-2.0, -0.5)]))
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=d, defect=n, spectrum_window=window,
+                                         seed=seed))
+    half_plane = draw(st.sampled_from([-1, 1]))
+    z = complex(draw(st.floats(-1.5, 1.5)), draw(st.floats(0.3, 1.5)) * half_plane)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, t_dim)) + 1j * rng.standard_normal((n, t_dim))
+    norm = draw(st.floats(0.5, 0.9))
+    matrix = raw * (norm / np.linalg.norm(raw, 2))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return a, z, matrix, q
+
+
+def on_forbidden_operator(a, z, dd):
+    """Rank-one matrix sending f1 to (zbar/z) X_{1/z}(A^{-1}) f1: B then has a kernel."""
+    x = sx.forbidden_operator(sx.inverse_op(a), 1 / z)
+    image = (np.conj(z) / z) * x.apply(dd.n_z.frame[:, 0])
+    return (dd.n_zbar.frame.conj().T @ image).reshape(-1, 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(instances())
+def test_verdicts_invariant_under_unitary_conjugation(case):
+    a, z, generic, q = case
+    b = conjugate(q, a)
+    dd_a, dd_b = sx.defect_data(a, z), sx.defect_data(b, z)
+    assert dd_a.defect_numbers == dd_b.defect_numbers
+    assert (sx.forbidden_operator(a, z, dd=dd_a).domain.dim
+            == sx.forbidden_operator(b, z, dd=dd_b).domain.dim)
+
+    # a generic contraction, and one on the forbidden operator whose B has a kernel
+    for matrix in (generic, on_forbidden_operator(a, z, dd_a)):
+        t_a = sx.ContractionParameter.from_matrix(dd_a, matrix).t
+        # the same parameter read through Q: domain Q D(T), action Q T
+        t_b = conjugate(q, t_a)
+        adm_a = sx.is_admissible(a, z, t_a, dd=dd_a)
+        adm_b = sx.is_admissible(b, z, t_b, dd=dd_b)
+        if not borderline(adm_a.margin, adm_b.margin):
+            assert adm_a.admissible == adm_b.admissible
+
+        v_a = sx.check_invertibility(a, z, sx.ContractionParameter.from_operator(z, t_a))
+        v_b = sx.check_invertibility(b, z, sx.ContractionParameter.from_operator(z, t_b))
+        for name in ("direct", "via_admissibility", "via_forbidden"):
+            if not borderline(v_a.margins[name], v_b.margins[name]):
+                assert getattr(v_a, name) == getattr(v_b, name), name
+        if v_a.witness is not None and v_b.witness is not None:
+            # a one-dimensional kernel: the witnesses agree up to a phase
+            assert abs(abs(np.vdot(q @ v_a.witness, v_b.witness)) - 1.0) < 1e-8

@@ -1,4 +1,4 @@
-"""Generalized Neumann formulas: extend, classify, recover_parameter."""
+"""Generalized Neumann formulas: extend, classify_operator, recover_parameter."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from symext.cayley import defect_data
 from symext.errors import NotAdmissible, NotAnExtension, ParameterShapeViolation
 from symext.neumann import (ACCUMULATIVE, DISSIPATIVE, ISOMETRIC, MIXED,
                             SELF_ADJOINT, STRICTLY_CONTRACTIVE, SYMMETRIC,
-                            ContractionParameter, classify, extend,
+                            ContractionParameter, classify_operator, extend,
                             recover_parameter)
 from symext.operators import (graph_contains, graph_distance, is_symmetric,
                               make_operator, operator_from_matrix)
@@ -164,7 +164,7 @@ def test_classify_total_hermitian():
         worked_parameter(defect_data(
             sx.operator_from_generators(np.array([[1.0], [0.0]], dtype=complex),
                                         np.array([[1.0], [0.0]], dtype=complex)), 1j), 1j))
-    assert classify(report_like) == SELF_ADJOINT
+    assert classify_operator(report_like.b) == SELF_ADJOINT
 
 
 def test_recover_parameter_worked_diagonal(worked_a):

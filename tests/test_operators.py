@@ -60,6 +60,11 @@ def test_is_injective_hand_values():
 def test_kernel_witness_diag():
     w = kernel_witness(operator_from_matrix(np.diag([1.0, 0.0])))
     assert np.allclose(w, [0.0, 1.0], atol=1e-12)
+    # an injective operator, or an empty domain, has no kernel direction
+    with pytest.raises(NotInvertible):
+        kernel_witness(operator_from_matrix(np.diag([1.0, -0.3])))
+    with pytest.raises(NotInvertible):
+        kernel_witness(make_operator(Subspace(2, np.zeros((2, 0))), np.zeros((2, 0))))
 
 
 def test_inverse_op_hand_values():

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import symext as sx
 from symext.subspaces import (DEFAULT_TOL, SectorSpec, Subspace, direct_sum_embed,
-                              fix_phase, orthonormalize)
+                              fix_phase, orthonormalize, rank_split)
 
 SEEDS = range(20)
 
@@ -214,3 +214,110 @@ def test_sector_default_for():
     low = SectorSpec.default_for(-2.0 - 0.5j)
     assert low.half_plane_sign == -1
     assert all(np.sign(np.sin(t)) == -1 for t in low.ray_angles)
+
+
+def test_rank_split_parts_and_floors():
+    # singular values 0.5, 0.1 and 0: floor 1 cuts at tol, floor 0 at tol * 0.5
+    m = np.diag([0.5, 0.1, 0.0]).astype(complex)
+    for floor, tol, rank in ((1.0, 0.15, 1), (0.0, 0.15, 2), (1.0, 0.05, 2), (0.0, 0.05, 2),
+                             (1.0, 0.6, 0), (0.0, 0.6, 1)):
+        r, s, frame = rank_split(m, tol, floor=floor)
+        assert r == rank and frame is None
+        assert np.allclose(s, [0.5, 0.1, 0.0], rtol=0, atol=1e-15)
+        r, _, rng = rank_split(m, tol, floor=floor, part="range")
+        assert r == rank and rng.shape == (3, rank)
+        assert np.allclose(np.abs(rng), np.eye(3)[:, :rank])
+        r, _, null = rank_split(m, tol, floor=floor, part="null")
+        assert r == rank and null.shape == (3, 3 - rank)
+        assert np.allclose(np.abs(null), np.eye(3)[:, rank:])
+    with pytest.raises(ValueError):
+        rank_split(m, 0.1, part="kernel")
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_rank_split_empty_inputs(shape):
+    m = np.zeros(shape, dtype=complex)
+    rows, cols = shape
+    for floor in (0.0, 1.0):
+        r, s, frame = rank_split(m, DEFAULT_TOL, floor=floor)
+        assert r == 0 and s.shape == (0,) and frame is None
+        r, s, rng = rank_split(m, DEFAULT_TOL, floor=floor, part="range")
+        assert r == 0 and s.shape == (0,) and rng.shape == (rows, 0)
+        r, s, null = rank_split(m, DEFAULT_TOL, floor=floor, part="null")
+        # no equations: every column direction is in the kernel
+        assert r == 0 and s.shape == (0,)
+        assert np.array_equal(null, np.eye(cols, dtype=complex))
+
+
+def test_rank_split_value_at_the_cut_is_dropped():
+    # powers of two: the SVD returns them exactly, and so does the cut
+    m = np.diag([2.0, 0.5]).astype(complex)
+    r, s, _ = rank_split(m, 0.25, floor=0.0)
+    assert np.array_equal(s, [2.0, 0.5]) and 0.25 * s[0] == s[1]
+    assert r == 1
+    r, _, null = rank_split(m, 0.5, floor=1.0, part="null")
+    assert r == 1 and null.shape == (2, 1)
+    assert rank_split(m, 0.25 - 2 ** -20, floor=0.0)[0] == 2
+
+
+def _deficient(rng, rows, cols, rank, norm):
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    m = left @ right
+    return m * (norm / np.linalg.norm(m, 2)) if rank else m
+
+
+def test_rank_split_matches_the_inline_cuts_it_replaced():
+    """Array-equal to the per-site formulas the toolkit used before rank_split."""
+    rng = np.random.default_rng(71)
+    tol = DEFAULT_TOL
+    for _ in range(40):
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        m = _deficient(rng, rows, cols, int(rng.integers(0, min(rows, cols) + 1)),
+                       float(rng.choice([1e-11, 0.3, 5.0])))
+
+        # orthonormalize: range, relative to s[0]
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        r, _, frame = rank_split(m, tol, floor=0.0, part="range")
+        assert r == rank and np.array_equal(frame, u[:, :rank])
+
+        # forbidden_operator, script_l: null, relative to s[0] (1 for a zero matrix)
+        _, s, vh = np.linalg.svd(m, full_matrices=True)
+        scale = s[0] if s.size and s[0] > 0 else 1.0
+        rank = int(np.sum(s > tol * scale))
+        r, s_new, null = rank_split(m, tol, floor=0.0, part="null")
+        assert r == rank and np.array_equal(s_new, s)
+        assert np.array_equal(null, vh[rank:].conj().T)
+
+        # multivalued_part, compose: null, floor 1 (compose: floor ||action|| >= s[0])
+        scale = max(1.0, s[0])
+        rank = int(np.sum(s > tol * scale))
+        r, _, null = rank_split(m, tol, part="null")
+        assert r == rank and np.array_equal(null, vh[rank:].conj().T)
+        floor = max(np.linalg.norm(m, 2), 1.0)
+        rank = int(np.sum(s > tol * floor))
+        assert np.array_equal(rank_split(m, tol, floor=floor, part="null")[2],
+                              vh[rank:].conj().T)
+
+        # is_admissible, kernel_witness: margin s[-1], smallest right singular vector
+        admissible = s[-1] > tol * max(1.0, s[0])
+        _, s_new, null = rank_split(m, tol, part="null")
+        if rows >= cols:
+            assert (null.shape[1] == 0) == admissible
+        if null.shape[1]:
+            assert np.array_equal(null[:, -1], vh[-1].conj())
+
+        # i_admissibility_test: kernel directions among the first min(rows, cols)
+        dirs = [vh[i].conj() for i in range(len(s)) if s[i] <= tol * max(1.0, s[0])]
+        assert np.array_equal(np.array(dirs).reshape(-1, cols),
+                              null.T[:len(dirs)])
+
+        # is_injective, compressed_resolvent, frak_b, shtraus_resolvent: values, floor 1
+        s = np.linalg.svd(m, compute_uv=False)
+        r, s_new, _ = rank_split(m, tol)
+        assert np.array_equal(s_new, s)
+        assert (r == min(rows, cols)) == bool(s[-1] > tol * max(1.0, s[0]))
+        # inverse_pair, check_i_admissibility: values, relative to s[0]
+        r, _, _ = rank_split(m, tol, floor=0.0)
+        assert (r < min(rows, cols)) == bool(s[-1] <= tol * s[0])
