@@ -200,17 +200,13 @@ def _write_resolvent_csv(path, rows, d):
     header = ["lambda_re", "lambda_im"]
     for i in range(d):
         for j in range(d):
-            header.extend([f"R{i}{j}_re", f"R{i}{j}_im"])
+            header.extend([f"R{i}_{j}_re", f"R{i}_{j}_im"])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for lam, matrix in rows:
-            line = [repr(float(lam.real)), repr(float(lam.imag))]
-            for i in range(d):
-                for j in range(d):
-                    line.extend([repr(float(matrix[i, j].real)),
-                                 repr(float(matrix[i, j].imag))])
-            writer.writerow(line)
+            cells = np.ascontiguousarray(matrix, dtype=complex).view(np.float64).ravel()
+            writer.writerow(map(repr, [float(lam.real), float(lam.imag), *cells.tolist()]))
 
 
 def cmd_verify(args) -> int:

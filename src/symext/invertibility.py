@@ -56,10 +56,6 @@ def check_invertibility(a: DomainOperator, z: complex,
     if not is_injective(a):
         raise NotInvertibleBase("base operator has a nontrivial kernel")
     report = extend(a, z, parameter)
-    b = report.b
-
-    _, s_b, _ = rank_split(b.action, b.tol)
-    margin_direct = float(s_b[-1]) if s_b.size else float("inf")
     direct = report.invertible
 
     a_inv = inverse_op(a)
@@ -85,7 +81,7 @@ def check_invertibility(a: DomainOperator, z: complex,
     agree = direct == via_admissibility == via_forbidden
     return InvertibilityVerdict(direct, via_admissibility, via_forbidden, agree,
                                 report.witnesses.get("kernel"),
-                                {"direct": margin_direct,
+                                {"direct": report.injectivity_margin,
                                  "via_admissibility": margin_adm,
                                  "via_forbidden": margin_forbidden})
 

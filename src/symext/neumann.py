@@ -18,9 +18,9 @@ import numpy as np
 
 from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import NotAdmissible, NotAnExtension
-from .operators import (DomainOperator, graph_contains, is_injective,
+from .operators import (DomainOperator, LinearRelation, graph_contains,
                         is_symmetric, kernel_witness, operator_from_generators)
-from .subspaces import Subspace, orthonormalize
+from .subspaces import Subspace, orthonormalize, rank_split
 
 # Graph inclusion uses a fixed, looser tolerance than rank decisions.
 GRAPH_INCLUSION_TOL = 1e-8
@@ -111,17 +111,20 @@ class ExtensionReport:
     invertible: bool
     defect_numbers_of_b: tuple
     witnesses: dict
+    # smallest singular value of B's action, inf when D(B) = {0}
+    injectivity_margin: float
 
 
 def construct_extension(a: DomainOperator, z: complex, parameter: ContractionParameter,
                         dd: Optional[DefectData] = None,
-                        u: Optional[DomainOperator] = None) -> DomainOperator:
+                        u: Optional[DomainOperator] = None,
+                        graph_a: Optional[LinearRelation] = None) -> DomainOperator:
     """The operator B determined by the parameter at base point z, unreported.
 
-    ``dd`` and ``u`` are the defect data and the Cayley transform of A at z
-    when the caller already holds them. Raises NotAdmissible (with the kernel
-    witness) when the parameter admits a fixed vector, in which case the
-    formula would not define an operator.
+    ``dd`` and ``u`` are the defect data and the Cayley transform of A at z,
+    and ``graph_a`` the graph of A, when the caller already holds them.
+    Raises NotAdmissible (with the kernel witness) when the parameter admits a
+    fixed vector, in which case the formula would not define an operator.
     """
     z = require_offaxis(z)
     if parameter.z != z:
@@ -136,7 +139,7 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
     generators = np.hstack([a.domain.frame, q - p])
     images = np.hstack([a.action, z * q - np.conj(z) * p])
     b = operator_from_generators(generators, images, tol=a.tol)
-    if not graph_contains(b, a, tol=GRAPH_INCLUSION_TOL):
+    if not graph_contains(b, a if graph_a is None else graph_a, tol=GRAPH_INCLUSION_TOL):
         raise NotAnExtension("constructed operator does not extend the base")
     return b
 
@@ -146,10 +149,12 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
     """Build the extension B determined by the parameter at base point z.
 
     ``construct_extension`` builds B; the report adds its class, injectivity
-    (with a kernel witness when it fails) and defect numbers.
+    (with a kernel witness when it fails, and the smallest singular value it
+    was decided on) and defect numbers.
     """
     b = construct_extension(a, z, parameter, dd)
-    invertible = is_injective(b)
+    rank, s, _ = rank_split(b.action, b.tol)
+    invertible = rank == b.domain_dim
     witnesses = {}
     if not invertible:
         witnesses["kernel"] = kernel_witness(b)
@@ -159,7 +164,7 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
                                        ambient_dim=b.ambient_dim, tol=b.tol).dim
         for w in (z, np.conj(z)))
     return ExtensionReport(b, parameter, classify_operator(b), invertible,
-                           defects, witnesses)
+                           defects, witnesses, float(s[-1]) if s.size else float("inf"))
 
 
 def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> ContractionParameter:

@@ -32,8 +32,8 @@ from .cayley import cayley, defect_data, forbidden_operator, require_offaxis
 from .errors import (InsufficientSamples, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import ContractionParameter, construct_extension
-from .operators import (DomainOperator, inverse_op, operator_from_generators,
-                        operator_from_matrix)
+from .operators import (DomainOperator, LinearRelation, inverse_op,
+                        operator_from_generators, operator_from_matrix)
 from .subspaces import DEFAULT_TOL, SectorSpec, Subspace, fix_phase, rank_split
 
 # Guards on a sample of F, shared by frak_f and the spectral sampler so that
@@ -284,17 +284,19 @@ class ParameterFunction:
         return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean, "user")
 
 
-# Defect data and Cayley transform of a base operator at the base points the
-# Shtraus formula extends from, so that a grid of lam pays for them once.
-# Keyed weakly on the operator itself: DomainOperator is frozen and its arrays
-# are read-only, so an entry holds while the operator lives and goes with it.
+# Defect data, Cayley transform and graph of a base operator at the base
+# points the Shtraus formula extends from, so that a grid of lam pays for them
+# once per point. Keyed weakly on the operator itself: DomainOperator is frozen
+# and its arrays are read-only, so an entry holds while the operator lives and
+# goes with it.
 _BASE_POINT_DATA = weakref.WeakKeyDictionary()
 
 
 def _base_point_data(a: DomainOperator, z: complex) -> tuple:
+    """``(dd, u, graph_a)`` of A at z, the inputs ``construct_extension`` reuses."""
     per_point = _BASE_POINT_DATA.setdefault(a, {})
     if z not in per_point:
-        per_point[z] = (defect_data(a, z), cayley(a, z))
+        per_point[z] = (defect_data(a, z), cayley(a, z), LinearRelation.from_operator(a))
     return per_point[z]
 
 

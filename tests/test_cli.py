@@ -195,7 +195,7 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
     expect_header = ["lambda_re", "lambda_im"]
     for i in range(d):
         for j in range(d):
-            expect_header.extend([f"R{i}{j}_re", f"R{i}{j}_im"])
+            expect_header.extend([f"R{i}_{j}_re", f"R{i}_{j}_im"])
     assert rows[0] == expect_header
     assert len(rows) - 1 == len(doc["points"])
     ext = decode_embedded_extension(ext_doc)
@@ -209,6 +209,39 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
     report = json.loads(res.stdout)
     assert report["all_passed"] is True
     assert len(report["checks"]) == 9
+
+
+def test_written_files_match_stdlib_encoding_and_old_csv_rows(tmp_path):
+    """A d=12 doubled rung: JSON files are the stdlib's bytes, CSV rows the per-cell formula."""
+    op, ext, chain, grid, res, ver = (tmp_path / name for name in (
+        "op.json", "ext.json", "chain.json", "grid.csv", "res.json", "verify.json"))
+    for argv in (["gen", "--dim", 12, "--defect", 3, "--seed", 3, "-o", op],
+                 ["build-sa", op, "--z", "0,1", "--seed", 3, "--double", "-o", ext,
+                  "--chain", chain],
+                 ["resolvent", op, ext, "--lambda0", "0,1", "--csv", grid, "-o", res],
+                 ["verify", op, ext, "--lambda0", "0,1", "--seed", 3, "-o", ver]):
+        assert cli.main([str(a) for a in argv]) == cli.EXIT_OK
+    for path in (op, ext, chain, res, ver):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
+
+    d = 12
+    with open(grid, newline="") as fh:
+        header, *rows = fh.read().split("\r\n")[:-1]
+    names = header.split(",")
+    assert len(names) == 2 + 2 * d * d == len(set(names))
+    assert names[2:4] == ["R0_0_re", "R0_0_im"] and names[-1] == "R11_11_im"
+    decoded = decode_embedded_extension(json.loads(ext.read_text()))
+    lams = [complex(*p["lambda"]) for p in json.loads(res.read_text())["points"]
+            if "skipped" not in p]
+    assert len(rows) == len(lams) > 0
+    for row, lam in zip(rows, lams):
+        matrix = compressed_resolvent(decoded, lam)
+        line = [repr(float(lam.real)), repr(float(lam.imag))]
+        for i in range(d):
+            for j in range(d):
+                line.extend([repr(float(matrix[i, j].real)), repr(float(matrix[i, j].imag))])
+        assert row == ",".join(line)
 
 
 def test_verify_without_extension_skips(tmp_path):

@@ -1,10 +1,13 @@
-"""Metamorphic property: every rank verdict is invariant under unitary conjugation.
+"""Metamorphic properties: every rank verdict is invariant under the symmetries
+the theory promises.
 
 For a unitary Q, the operator QAQ^H has domain Q D(A) and action Q A; its
 defect spaces, Cayley transform and forbidden operator are the Q-images of
-those of A, and the parameter QTQ^H of QAQ^H corresponds to T. So defect
-numbers, admissibility, the three invertibility tests and dim D(X_z) must not
-change. A verdict whose margin lies in the CLI borderline band may differ.
+those of A, and the parameter QTQ^H of QAQ^H corresponds to T. For c > 0,
+cA at cz has the defect spaces and Cayley transform of A at z, so the same T
+is a parameter of it and extends it to cB. In both cases defect numbers,
+admissibility, the three invertibility tests and dim D(X_z) must not change.
+A verdict whose margin lies in the CLI borderline band may differ.
 """
 
 import numpy as np
@@ -53,31 +56,47 @@ def on_forbidden_operator(a, z, dd):
     return (dd.n_zbar.frame.conj().T @ image).reshape(-1, 1)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(instances())
-def test_verdicts_invariant_under_unitary_conjugation(case):
-    a, z, generic, q = case
-    b = conjugate(q, a)
-    dd_a, dd_b = sx.defect_data(a, z), sx.defect_data(b, z)
+def assert_same_verdicts(a, z, b, w, q, generic):
+    """(A, z) and (B, w) give equal verdicts off the borderline band.
+
+    The parameter of A built from ``generic`` (and the rank-one one on the
+    forbidden operator) is read for B through Q, as domain Q D(T) and action
+    Q T; a kernel witness of A maps to one of B by Q.
+    """
+    dd_a, dd_b = sx.defect_data(a, z), sx.defect_data(b, w)
     assert dd_a.defect_numbers == dd_b.defect_numbers
     assert (sx.forbidden_operator(a, z, dd=dd_a).domain.dim
-            == sx.forbidden_operator(b, z, dd=dd_b).domain.dim)
+            == sx.forbidden_operator(b, w, dd=dd_b).domain.dim)
 
     # a generic contraction, and one on the forbidden operator whose B has a kernel
     for matrix in (generic, on_forbidden_operator(a, z, dd_a)):
         t_a = sx.ContractionParameter.from_matrix(dd_a, matrix).t
-        # the same parameter read through Q: domain Q D(T), action Q T
         t_b = conjugate(q, t_a)
         adm_a = sx.is_admissible(a, z, t_a, dd=dd_a)
-        adm_b = sx.is_admissible(b, z, t_b, dd=dd_b)
+        adm_b = sx.is_admissible(b, w, t_b, dd=dd_b)
         if not borderline(adm_a.margin, adm_b.margin):
             assert adm_a.admissible == adm_b.admissible
 
         v_a = sx.check_invertibility(a, z, sx.ContractionParameter.from_operator(z, t_a))
-        v_b = sx.check_invertibility(b, z, sx.ContractionParameter.from_operator(z, t_b))
+        v_b = sx.check_invertibility(b, w, sx.ContractionParameter.from_operator(w, t_b))
         for name in ("direct", "via_admissibility", "via_forbidden"):
             if not borderline(v_a.margins[name], v_b.margins[name]):
                 assert getattr(v_a, name) == getattr(v_b, name), name
         if v_a.witness is not None and v_b.witness is not None:
             # a one-dimensional kernel: the witnesses agree up to a phase
             assert abs(abs(np.vdot(q @ v_a.witness, v_b.witness)) - 1.0) < 1e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(instances())
+def test_verdicts_invariant_under_unitary_conjugation(case):
+    a, z, generic, q = case
+    assert_same_verdicts(a, z, conjugate(q, a), z, q, generic)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(instances(), st.floats(0.5, 2.0))
+def test_verdicts_invariant_under_positive_scaling(case, c):
+    a, z, generic, _ = case
+    scaled = DomainOperator(a.ambient_dim, a.domain, c * a.action)
+    assert_same_verdicts(a, z, scaled, c * z, np.eye(a.ambient_dim), generic)

@@ -1,9 +1,11 @@
-"""JSON schema round-trips and canonical formatting."""
+"""JSON schema round-trips, canonical formatting and the byte contract of json_dump."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symext.instances import InstanceSpec, gen_symmetric
 from symext.invertibility import build_invertible_selfadjoint
@@ -137,3 +139,80 @@ def test_deep_roundtrip_generated():
     back = load_operator(json.loads(text))
     assert graph_distance(back, a) < 1e-12
     assert json_dump(operator_file(back)) == text
+
+
+def stdlib_dump(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+SCALARS = st.one_of(FINITE, SPECIAL, st.integers(), st.booleans(), st.none(), st.text())
+
+
+@st.composite
+def matrices(draw):
+    """encode_matrix of a random-shape matrix, sometimes with one leaf or row spoiled."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    values = draw(st.lists(st.one_of(FINITE, SPECIAL), min_size=2 * rows * cols,
+                           max_size=2 * rows * cols))
+    m = encode_matrix(np.array(values).view(complex).reshape(rows, cols))
+    if rows and cols:
+        i, j, k = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), draw(st.integers(0, 1))
+        spoil = draw(st.sampled_from(["none", "leaf", "ragged", "tuple"]))
+        if spoil == "leaf":
+            m[i][j][k] = draw(st.one_of(SPECIAL, st.integers(), st.booleans(), st.none()))
+        elif spoil == "ragged":
+            del m[i][j]
+        elif spoil == "tuple":
+            m[i][j] = tuple(m[i][j])
+    return m
+
+
+DOCS = st.recursive(
+    st.one_of(SCALARS, matrices()),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(DOCS)
+def test_json_dump_is_stdlib_encoding(doc):
+    assert json_dump(doc) == stdlib_dump(doc)
+
+
+def test_json_dump_float_subclass_and_non_string_keys():
+    doc = {"m": [[[np.float64(1.5), 2.0]]], "k": {2: [1.0], 1: "é"}, "n": [[[1.0, 2.0]]]}
+    assert json_dump(doc) == stdlib_dump(doc)
+
+
+def test_encode_matrix_matches_elementwise_formula():
+    def old_encode_matrix(m):
+        m = np.asarray(m, dtype=complex)
+        return [[[complex(v).real, complex(v).imag] for v in row] for row in m]
+
+    rng = np.random.default_rng(7)
+    full = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    full[0, 0] = complex(-0.0, 0.0)
+    cases = [full, full.T, full[::2, 1:], rng.standard_normal((3, 4)),
+             rng.integers(-5, 5, (2, 3)), np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0))]
+    for m in cases:
+        new, old = encode_matrix(m), old_encode_matrix(m)
+        assert new == old and type(new) is list
+        assert all(type(row) is list for row in new)
+        assert stdlib_dump(new) == stdlib_dump(old)
+    assert str(encode_matrix(full)[0][0]) == "[-0.0, 0.0]"
+
+
+def test_json_dump_writes_edits_made_after_encoding():
+    a, _, _ = random_instance(11)
+    doc = operator_file(a)
+    before = json_dump(doc)
+    doc["action"][0][0][0] = 7.25
+    doc["domain_frame"][1][0][1] = float("nan")
+    after = json_dump(doc)
+    assert after == stdlib_dump(doc) and after != before
+    back = json.loads(after)
+    assert back["action"][0][0][0] == 7.25 and np.isnan(back["domain_frame"][1][0][1])
