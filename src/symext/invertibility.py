@@ -12,6 +12,14 @@ where X is the forbidden operator. The chain builder applies rank-one
 isometric parameters that dodge both forbidden images, dropping the defect by
 one per step while preserving symmetry, injectivity, and invertibility, until
 a self-adjoint invertible operator remains.
+
+A rank-one step changes each object of the chain by one vector, so the builder
+carries N_z, N_zbar, D(B), B, R(B) and B^{-1} from step to step and updates
+them in closed form instead of rebuilding them. Only the base (symmetric,
+injective) and the final operator (symmetric, injective, extending the start)
+are checked from scratch; ``extend``, ``forbidden_operator``, ``defect_data``
+and ``inverse_op`` stay the independent constructions a step is checked
+against.
 """
 
 from dataclasses import dataclass
@@ -21,7 +29,7 @@ import numpy as np
 
 from .cayley import (defect_data, forbidden_operator, is_admissible,
                      require_offaxis)
-from .errors import ChoiceExhausted, NotInvertibleBase
+from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
 from .neumann import ContractionParameter, extend
 from .operators import (DomainOperator, direct_sum_op, graph_contains,
                         inverse_op, is_injective, is_symmetric, negate,
@@ -100,7 +108,12 @@ class ChainStep:
 
 @dataclass(frozen=True, eq=False)
 class ExtensionChain:
-    """Audit trail of the constructive self-adjoint invertible extension."""
+    """Audit trail of the constructive self-adjoint invertible extension.
+
+    ``final_inverse`` is the inverse of ``final`` as the builder carried it:
+    the inverse of the start operator with one column appended per step, so
+    its first dim D(B) domain and action columns are B^{-1} for every step B.
+    """
 
     base: DomainOperator
     z: complex
@@ -109,6 +122,7 @@ class ExtensionChain:
     steps: tuple
     final: DomainOperator
     exit_dim: int
+    final_inverse: DomainOperator
 
 
 def _candidate_units(n_zbar: Subspace, forbidden_images, rng, batch: int):
@@ -150,63 +164,132 @@ def _pick_direction(n_zbar: Subspace, forbidden_images, rng) -> np.ndarray:
     return best
 
 
+def _forbidden_images(f1, n_zbar: Subspace, c: DomainOperator, c_inv: DomainOperator,
+                      z: complex):
+    """(zbar/z) X_{1/z}(C^{-1}) f1 and X_z(C) f1, each from one least-squares solve.
+
+    Each image is the psi in N_zbar(C) with f1 - psi in R(C), respectively
+    D(C). An image is left out when the residual fails the
+    ``Subspace.contains`` cut: f1 is then outside that operator's domain.
+    """
+    images = []
+    for frame, scale in ((c_inv.domain.frame, np.conj(z) / z), (c.domain.frame, 1.0)):
+        system = np.hstack([n_zbar.frame, frame])
+        coef = np.linalg.lstsq(system, f1, rcond=None)[0]
+        if np.linalg.norm(system @ coef - f1) <= 10 * c.tol * max(1.0, np.linalg.norm(f1)):
+            images.append(scale * (n_zbar.frame @ coef[:n_zbar.dim]))
+    return images
+
+
+def _new_column(frame, v, tol):
+    """Twice Gram-Schmidt of v against an orthonormal frame.
+
+    Returns ``(u, c, norm)`` with v = frame c + norm u and u a unit vector
+    orthogonal to the frame, or None when ``rank_split`` (floor max(1, |v|))
+    puts v inside span(frame).
+    """
+    c = frame.conj().T @ v
+    r = v - frame @ c
+    c2 = frame.conj().T @ r
+    r = r - frame @ c2
+    rank, s, _ = rank_split(r.reshape(-1, 1), tol, floor=max(1.0, np.linalg.norm(v)))
+    if rank == 0:
+        return None
+    return r / s[0], c + c2, s[0]
+
+
+def _extend_by(op: DomainOperator, column, image) -> DomainOperator:
+    """op on D(op) (+) span(v) with v = frame c + norm u sent to ``image``."""
+    u, c, norm = column
+    frame = np.hstack([op.domain.frame, u.reshape(-1, 1)])
+    action = np.hstack([op.action, ((image - op.action @ c) / norm).reshape(-1, 1)])
+    return DomainOperator(op.ambient_dim, Subspace(op.ambient_dim, frame, op.tol), action)
+
+
+def _drop(space: Subspace, v: np.ndarray) -> Subspace:
+    """space minus the unit vector v in it, by a QR in frame coordinates."""
+    q, _ = np.linalg.qr((space.frame.conj().T @ v).reshape(-1, 1), mode="complete")
+    return Subspace(space.ambient_dim, space.frame @ q[:, 1:], space.tol)
+
+
 def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
                                  double_first: bool = False) -> ExtensionChain:
     """Iterate rank-one isometric extensions down to a self-adjoint invertible one.
 
-    Each step sends the first defect-frame vector f1 to a unit h in N_zbar
-    chosen away from both forbidden images: (zbar/z) X_{1/z}(C^{-1}) f1
+    Each step sends a defect-frame vector f1 of N_z(C) to a unit h in
+    N_zbar(C) chosen away from both forbidden images: (zbar/z) X_{1/z}(C^{-1}) f1
     (would kill invertibility) and X_z(C) f1 (would kill admissibility).
-    With ``double_first`` the chain starts from A (+) (-A), the exit-space
-    form; the reported exit_dim is the dimension added beyond the original
-    space.
+    Each image is one least-squares solve at f1 for psi in N_zbar(C):
+    f1 = psi + (z - zbar) g with g in D(C) for X_z(C), and
+    f1 = psi + (1/z - 1/zbar) g with g in R(C) for X_{1/z}(C^{-1}), since
+    N_{1/z}(C^{-1}) = N_z(C) and N_{1/zbar}(C^{-1}) = N_zbar(C). The step B
+    is then updated in closed form, not rebuilt:
+
+    - N_z(B) = N_z(C) minus the column f1, N_zbar(B) = N_zbar(C) minus h;
+    - D(B) = D(C) (+) span(h - f1) with B(h - f1) = zh - zbar f1, and
+      R(B) = R(C) (+) span(zh - zbar f1) with B^{-1} mapping back; each gains
+      one twice-Gram-Schmidt column.
+
+    A candidate whose h - f1 falls in D(C) (inadmissible) or whose
+    zh - zbar f1 falls in R(C) (B has a kernel) costs one unit of a
+    deterministic retry budget. Symmetry and injectivity are checked on the
+    base before the chain and, with graph(A) inside graph(B), on the final
+    operator after it; a failure there raises NotAnExtension. With
+    ``double_first`` the chain starts from A (+) (-A), the exit-space form;
+    the reported exit_dim is the dimension added beyond the original space.
     """
     z = require_offaxis(z)
+    zbar = np.conj(z)
     if not is_symmetric(a):
         raise ValueError("operator must be symmetric")
     if not is_injective(a):
         raise NotInvertibleBase("base operator has a nontrivial kernel")
     start = double(a) if double_first else a
-    current = start
+    current, current_inv = start, inverse_op(start)
+    dd = defect_data(start, z)
+    n_z, n_zbar = dd.n_z, dd.n_zbar
+    tol = start.tol
     rng = np.random.default_rng(seed)
     steps = []
-    dd = defect_data(current, z)
-    budget = RETRIES_PER_DIM * current.ambient_dim
-    while dd.defect_numbers[0] > 0:
-        c_inv = inverse_op(current)
-        x_inv = forbidden_operator(c_inv, 1.0 / z)
-        x_here = forbidden_operator(current, z, dd=dd)
+    budget = RETRIES_PER_DIM * start.ambient_dim
+    while n_z.dim > 0:
         placed = False
-        for attempt in range(dd.n_z.dim):
-            f1 = dd.n_z.frame[:, attempt]
-            images = []
-            if x_inv.single_valued and x_inv.domain.contains(f1):
-                images.append((np.conj(z) / z) * x_inv.apply(f1))
-            if x_here.single_valued and x_here.domain.contains(f1):
-                images.append(x_here.apply(f1))
-            h = _pick_direction(dd.n_zbar, images, rng)
+        for attempt in range(n_z.dim):
+            f1 = n_z.frame[:, attempt]
+            images = _forbidden_images(f1, n_zbar, current, current_inv, z)
+            h = _pick_direction(n_zbar, images, rng)
             if h is None:
                 budget -= 1
                 if budget <= 0:
                     raise ChoiceExhausted("no direction clears the forbidden images")
                 continue
-            dom = Subspace(current.ambient_dim, f1.reshape(-1, 1), current.tol)
-            t = DomainOperator(current.ambient_dim, dom, h.reshape(-1, 1))
-            parameter = ContractionParameter.from_operator(z, t)
-            report = extend(current, z, parameter, dd=dd)
-            if not report.invertible:
+            v, w = h - f1, z * h - zbar * f1
+            dom_col = _new_column(current.domain.frame, v, tol)
+            ran_col = None if dom_col is None else _new_column(current_inv.domain.frame, w, tol)
+            if ran_col is None:
                 budget -= 1
                 if budget <= 0:
-                    raise ChoiceExhausted("candidate directions kept producing kernels")
+                    raise ChoiceExhausted(
+                        "candidate directions kept producing kernels or fixed vectors")
                 continue
-            steps.append(ChainStep(parameter, report.b, report.defect_numbers_of_b))
-            current = report.b
+            dom = Subspace(start.ambient_dim, f1.reshape(-1, 1), tol)
+            t = DomainOperator(start.ambient_dim, dom, h.reshape(-1, 1))
+            current = _extend_by(current, dom_col, w)
+            current_inv = _extend_by(current_inv, ran_col, v)
+            n_z = Subspace(start.ambient_dim, np.delete(n_z.frame, attempt, axis=1), tol)
+            n_zbar = _drop(n_zbar, h)
+            steps.append(ChainStep(ContractionParameter.from_operator(z, t), current,
+                                   (n_z.dim, n_zbar.dim)))
             placed = True
             break
         if not placed:
             raise ChoiceExhausted("no defect direction could be extended")
-        dd = defect_data(current, z)
+    if not is_symmetric(current):
+        raise NotAnExtension("chain lost symmetry")
+    if not is_injective(current):
+        raise NotAnExtension("chain lost injectivity")
     if not graph_contains(current, start):
-        raise AssertionError("chain lost the base operator")
+        raise NotAnExtension("chain lost the base operator")
     exit_dim = a.ambient_dim if double_first else 0
-    return ExtensionChain(a, z, seed, double_first, tuple(steps), current, exit_dim)
+    return ExtensionChain(a, z, seed, double_first, tuple(steps), current, exit_dim,
+                          current_inv)

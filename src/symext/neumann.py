@@ -160,8 +160,7 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
         witnesses["kernel"] = kernel_witness(b)
     # B need not be symmetric, so count codimensions of the shifted ranges directly
     defects = tuple(
-        b.ambient_dim - orthonormalize(b.action - w * b.domain.frame,
-                                       ambient_dim=b.ambient_dim, tol=b.tol).dim
+        b.ambient_dim - rank_split(b.action - w * b.domain.frame, b.tol, floor=0.0)[0]
         for w in (z, np.conj(z)))
     return ExtensionReport(b, parameter, classify_operator(b), invertible,
                            defects, witnesses, float(s[-1]) if s.size else float("inf"))

@@ -81,18 +81,19 @@ def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOpera
     """Operator sending generator column j to image column j.
 
     The generators must be linearly independent (checked by singular values);
-    the domain is their orthonormalized span.
+    the domain is their orthonormalized span. One thin SVD gen = U S Vh gives
+    both: the domain frame U, and the coefficients V S^{-1} that write U in
+    the generators.
     """
     gen = np.asarray(generators, dtype=complex)
     img = np.asarray(images, dtype=complex)
     if gen.shape != img.shape:
         raise ValueError("generators and images must have matching shapes")
     d, k = gen.shape
-    dom = orthonormalize(gen, ambient_dim=d, tol=tol)
-    if dom.dim != k:
+    rank, s, (u, vh) = rank_split(gen, tol, floor=0.0, part="svd")
+    if rank != k:
         raise ValueError("generators are linearly dependent; the map is ill-defined")
-    coeffs = np.linalg.lstsq(gen, dom.frame, rcond=None)[0]
-    return DomainOperator(d, dom, img @ coeffs)
+    return DomainOperator(d, Subspace(d, u, tol), img @ (vh.conj().T / s))
 
 
 def is_symmetric(a: DomainOperator, tol=None) -> bool:

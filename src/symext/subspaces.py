@@ -131,28 +131,33 @@ def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
     - ``"range"``: thin SVD; the frame is an orthonormal basis of the range,
       rows x rank;
     - ``"null"``: full SVD; the frame is an orthonormal basis of the kernel,
-      cols x (cols - rank), with the smallest right singular vector last.
+      cols x (cols - rank), with the smallest right singular vector last;
+    - ``"svd"``: thin SVD; the frame is the pair ``(U, Vh)`` cut to the rank,
+      rows x rank and rank x cols, so that ``U @ diag(s[:rank]) @ Vh`` is the
+      rank-cut matrix.
 
     Returns ``(rank, s, frame)`` with ``s`` descending. A matrix with no rows
     or no columns has rank 0 and empty ``s`` and takes no SVD.
     """
-    if part not in (None, "range", "null"):
-        raise ValueError(f"part must be None, 'range' or 'null', got {part!r}")
+    if part not in (None, "range", "null", "svd"):
+        raise ValueError(f"part must be None, 'range', 'null' or 'svd', got {part!r}")
     rows, cols = m.shape
     if rows == 0 or cols == 0:
         # an empty range, and every column direction in the kernel
         s, u, vh = np.zeros(0), np.zeros((rows, 0), complex), np.eye(cols, dtype=complex)
     elif part is None:
         s = np.linalg.svd(m, compute_uv=False)
-    elif part == "range":
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-    else:
+    elif part == "null":
         _, s, vh = np.linalg.svd(m, full_matrices=True)
+    else:
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
     rank = int(np.sum(s > tol * max(floor, s[0]))) if s.size else 0
     if part is None:
         return rank, s, None
     if part == "range":
         return rank, s, u[:, :rank]
+    if part == "svd":
+        return rank, s, (u[:, :rank], vh[:rank])
     return rank, s, vh[rank:].conj().T
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symext import cli
+from symext import cli, invertibility
 from symext.cayley import defect_data
 from symext.neumann import ContractionParameter
 from symext.operators import operator_from_generators
@@ -164,6 +164,17 @@ def test_check_invert_disagreement_exit_code(tmp_path, monkeypatch):
     code = cli.main(["check-invert", str(op_path), "--param", str(par_path),
                      "-o", str(tmp_path / "v2.json")])
     assert code == 0
+
+
+def test_build_sa_final_oracle_failure_is_io_error(tmp_path, monkeypatch, capsys):
+    # a chain whose final operator fails graph(A) inside graph(B) exits 1 with a message
+    op_path = tmp_path / "op.json"
+    write_worked_operator(op_path)
+    monkeypatch.setattr(invertibility, "graph_contains", lambda *a, **k: False)
+    code = cli.main(["build-sa", str(op_path), "--z", "0,1", "-o", str(tmp_path / "ext.json")])
+    assert code == 1
+    assert "error: chain lost the base operator" in capsys.readouterr().err
+    assert not (tmp_path / "ext.json").exists()
 
 
 def test_pipeline_gen_build_resolvent_verify(tmp_path):

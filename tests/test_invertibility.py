@@ -5,13 +5,15 @@ import pytest
 
 import symext as sx
 from symext.cayley import defect_data, forbidden_operator
-from symext.errors import NotAdmissible, NotInvertibleBase
-from symext.invertibility import (build_invertible_selfadjoint,
+from symext.errors import NotAdmissible, NotInvertibleBase, SymextError
+from symext.invertibility import (MIN_SEPARATION, _forbidden_images,
+                                  build_invertible_selfadjoint,
                                   check_invertibility, double)
-from symext.neumann import ContractionParameter
+from symext.neumann import ContractionParameter, extend
 from symext.operators import (graph_contains, graph_distance, inverse_op,
                               is_injective, is_symmetric, make_operator,
                               operator_from_matrix)
+from symext.resolvents import EmbeddedExtension
 from symext.subspaces import Subspace
 
 from conftest import random_contraction, random_instance, worked_parameter
@@ -162,20 +164,82 @@ def test_chain_requires_symmetric_injective():
                                      1j, seed=0)
 
 
+def recomputed_forbidden_images(current, z, f1):
+    """(zbar/z) X_{1/z}(C^{-1}) f1 and X_z(C) f1, from full ForbiddenOperators."""
+    images = []
+    x_inv = forbidden_operator(inverse_op(current), 1.0 / z)
+    if x_inv.single_valued and x_inv.domain.contains(f1):
+        images.append((np.conj(z) / z) * x_inv.apply(f1))
+    x_here = forbidden_operator(current, z)
+    if x_here.single_valued and x_here.domain.contains(f1):
+        images.append(x_here.apply(f1))
+    return images
+
+
 def test_chain_avoids_forbidden_images():
     # each rank-one choice stays clear of both forbidden images when they exist
     for seed in range(8):
         a, z, n = random_instance(seed + 60, max_dim=6)
-        chain = build_invertible_selfadjoint(a, z, seed=seed)
-        current = a
-        for step in chain.steps:
-            f1 = step.parameter.t.domain.frame[:, 0]
-            h = step.parameter.t.apply(f1)
-            x_inv = forbidden_operator(inverse_op(current), 1.0 / z)
-            if x_inv.single_valued and x_inv.domain.contains(f1):
-                img = (np.conj(z) / z) * x_inv.apply(f1)
-                assert np.linalg.norm(h - img) > 1e-6
-            x_here = forbidden_operator(current, z)
-            if x_here.single_valued and x_here.domain.contains(f1):
-                assert np.linalg.norm(h - x_here.apply(f1)) > 1e-6
-            current = step.operator
+        for doubled in (False, True):
+            chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
+            current = double(a) if doubled else a
+            for step in chain.steps:
+                f1 = step.parameter.t.domain.frame[:, 0]
+                h = step.parameter.t.apply(f1)
+                for img in recomputed_forbidden_images(current, z, f1):
+                    assert np.linalg.norm(h - img) > 1e-6
+                current = step.operator
+
+
+def carried_inverse(chain, op):
+    """The chain's inverse of one of its operators: the leading columns of final_inverse."""
+    inv, k = chain.final_inverse, op.domain_dim
+    return make_operator(Subspace(inv.ambient_dim, inv.domain.frame[:, :k], inv.tol),
+                         inv.action[:, :k])
+
+
+def test_chain_replay_matches_recomputation():
+    # the builder carries each step's operator, inverse and defect frames in
+    # closed form; replay every step through the independent constructions
+    for seed in range(30):
+        a, z, _ = random_instance(seed + 200, max_dim=8)
+        for doubled in (False, True):
+            chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
+            previous = double(a) if doubled else a
+            assert graph_distance(carried_inverse(chain, previous), inverse_op(previous)) <= 1e-12
+            for step in chain.steps:
+                t = step.parameter.t
+                f1, h = t.domain.frame[:, 0], t.action[:, 0]
+                dd = defect_data(previous, z)
+                assert dd.n_z.contains(f1) and dd.n_zbar.contains(h)
+                images = recomputed_forbidden_images(previous, z, f1)
+                solved = _forbidden_images(f1, dd.n_zbar, previous,
+                                           carried_inverse(chain, previous), z)
+                assert len(solved) == len(images) == 2
+                for img, sol in zip(images, solved):
+                    assert np.linalg.norm(sol - img) <= 1e-12
+                    assert np.linalg.norm(h - img) > MIN_SEPARATION
+                rebuilt = extend(previous, z, step.parameter).b
+                assert graph_distance(step.operator, rebuilt) <= 1e-12
+                assert step.defect_numbers == defect_data(step.operator, z).defect_numbers
+                inverse = carried_inverse(chain, step.operator)
+                assert graph_distance(inverse, inverse_op(step.operator)) <= 1e-12
+                previous = step.operator
+            assert previous is chain.final
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10])
+def test_chain_near_zero_spectrum_valid_or_typed(eps):
+    # spectrum window (eps, 2): a chain ends in an invertible extension of the
+    # full length, or the builder raises a typed error; nothing in between
+    for seed in range(6):
+        for d in (8, 12):
+            a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=d, defect=d // 4,
+                                                 spectrum_window=(eps, 2.0), seed=seed))
+            for doubled in (False, True):
+                try:
+                    chain = build_invertible_selfadjoint(a, 1j, seed=seed, double_first=doubled)
+                except SymextError:
+                    continue
+                assert len(chain.steps) == (d // 4) * (2 if doubled else 1)
+                assert EmbeddedExtension.from_chain(chain).is_invertible()
