@@ -1,6 +1,6 @@
 """Constructing an invertible self-adjoint extension step by step.
 
-Each step adds one exit dimension and drops the defect by one, using a
+Each step adds one dimension to the domain and drops the defect by one, using a
 rank-one isometric parameter that dodges both forbidden images; the final
 operator is Hermitian with spectrum bounded away from zero.
 """
@@ -20,7 +20,7 @@ for doubled in (False, True):
     print(f"\ndouble_first = {doubled}: start defect "
           f"{defect_data(start, 1j).defect_numbers}, {len(chain.steps)} steps")
     for k, step in enumerate(chain.steps):
-        print(f"  step {k}: ambient {step.operator.ambient_dim}, "
+        print(f"  step {k}: dim D(B_k) {chain.operator(k).domain_dim}, "
               f"defect -> {step.defect_numbers}")
     m = chain.final.to_matrix()
     eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)

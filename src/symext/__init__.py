@@ -28,14 +28,13 @@ from .operators import (DomainOperator, LinearRelation, compose,
                         direct_sum_op, graph_contains, graph_distance,
                         identity_operator, inverse_op, is_injective,
                         is_isometric, is_nonexpanding, is_symmetric,
-                        make_operator, negate, operator_from_generators,
-                        operator_from_matrix, restrict, scale_op)
+                        make_operator, operator_from_generators,
+                        operator_from_matrix, scale_op)
 from .resolvents import (EmbeddedExtension, IAdmissibilityVerdict,
                          ParameterFunction, compressed_resolvent,
                          default_lambda_grid, frak_b, frak_f,
                          i_admissibility_test, script_l, shtraus_resolvent)
-from .subspaces import (DEFAULT_TOL, SectorSpec, Subspace, direct_sum_embed,
-                        fix_phase, orthonormalize)
+from .subspaces import DEFAULT_TOL, SectorSpec, Subspace, orthonormalize
 
 __version__ = "0.1.0"
 
@@ -50,13 +49,12 @@ __all__ = [
     "RealPoint", "ResolventSingular", "SectorSpec", "SpecInfeasible",
     "SpectrumHit", "Subspace", "SymextError", "build_invertible_selfadjoint",
     "cayley", "check_invertibility", "compose", "compressed_resolvent",
-    "default_lambda_grid", "defect_data", "direct_sum_embed", "direct_sum_op",
-    "double", "extend", "fix_phase", "forbidden_operator", "frak_b", "frak_f",
-    "gen_symmetric", "graph_contains", "graph_distance",
-    "i_admissibility_test", "identity_operator", "inverse_cayley",
-    "inverse_op", "is_admissible", "is_injective", "is_isometric",
-    "is_nonexpanding", "is_symmetric", "make_operator", "negate",
-    "operator_from_generators", "operator_from_matrix", "orthonormalize",
-    "recover_parameter", "restrict", "run_suite", "scale_op", "script_l",
-    "shtraus_resolvent", "truncated_shift",
+    "default_lambda_grid", "defect_data", "direct_sum_op", "double", "extend",
+    "forbidden_operator", "frak_b", "frak_f", "gen_symmetric",
+    "graph_contains", "graph_distance", "i_admissibility_test",
+    "identity_operator", "inverse_cayley", "inverse_op", "is_admissible",
+    "is_injective", "is_isometric", "is_nonexpanding", "is_symmetric",
+    "make_operator", "operator_from_generators", "operator_from_matrix",
+    "orthonormalize", "recover_parameter", "run_suite", "scale_op",
+    "script_l", "shtraus_resolvent", "truncated_shift",
 ]

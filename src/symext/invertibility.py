@@ -32,8 +32,8 @@ from .cayley import (defect_data, forbidden_operator, is_admissible,
 from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
 from .neumann import ContractionParameter, extend
 from .operators import (DomainOperator, direct_sum_op, graph_contains,
-                        inverse_op, is_injective, is_symmetric, negate,
-                        scale_op)
+                        inverse_op, is_injective, is_symmetric, make_operator,
+                        negate, scale_op)
 from .subspaces import Subspace, rank_split
 
 # Margin below which a candidate direction is considered to collide with a
@@ -102,17 +102,22 @@ def double(a: DomainOperator) -> DomainOperator:
 @dataclass(frozen=True, eq=False)
 class ChainStep:
     parameter: ContractionParameter
-    operator: DomainOperator
     defect_numbers: tuple
+
+
+def _leading(op: DomainOperator, k: int) -> DomainOperator:
+    """op on the span of its first k domain frame columns."""
+    return make_operator(Subspace(op.ambient_dim, op.domain.frame[:, :k], op.tol),
+                         op.action[:, :k])
 
 
 @dataclass(frozen=True, eq=False)
 class ExtensionChain:
     """Audit trail of the constructive self-adjoint invertible extension.
 
-    ``final_inverse`` is the inverse of ``final`` as the builder carried it:
-    the inverse of the start operator with one column appended per step, so
-    its first dim D(B) domain and action columns are B^{-1} for every step B.
+    A step appends one domain column, so B_k, the operator after step k, is the
+    leading dim D(B_k) columns of ``final`` (``operator(k)``), and B_k^{-1} those
+    of ``final_inverse``, the inverse of ``final`` as the builder carried it.
     """
 
     base: DomainOperator
@@ -123,6 +128,12 @@ class ExtensionChain:
     final: DomainOperator
     exit_dim: int
     final_inverse: DomainOperator
+
+    def operator(self, k: int) -> DomainOperator:
+        """B_k, the operator after step k (0-based), from ``final``."""
+        if not 0 <= k < len(self.steps):
+            raise IndexError(f"chain has {len(self.steps)} steps, no step {k}")
+        return _leading(self.final, self.final.domain_dim - len(self.steps) + 1 + k)
 
 
 def _candidate_units(n_zbar: Subspace, forbidden_images, rng, batch: int):
@@ -278,7 +289,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
             current_inv = _extend_by(current_inv, ran_col, v)
             n_z = Subspace(start.ambient_dim, np.delete(n_z.frame, attempt, axis=1), tol)
             n_zbar = _drop(n_zbar, h)
-            steps.append(ChainStep(ContractionParameter.from_operator(z, t), current,
+            steps.append(ChainStep(ContractionParameter.from_operator(z, t),
                                    (n_z.dim, n_zbar.dim)))
             placed = True
             break

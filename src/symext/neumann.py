@@ -20,7 +20,7 @@ from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import NotAdmissible, NotAnExtension
 from .operators import (DomainOperator, LinearRelation, graph_contains,
                         is_symmetric, kernel_witness, operator_from_generators)
-from .subspaces import Subspace, orthonormalize, rank_split
+from .subspaces import Subspace, rank_split
 
 # Graph inclusion uses a fixed, looser tolerance than rank decisions.
 GRAPH_INCLUSION_TOL = 1e-8
@@ -177,11 +177,11 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
         raise NotAnExtension("operator does not extend the base")
     dd = defect_data(a, z)
     shifted = b.action - z * b.domain.frame
-    range_bz = orthonormalize(shifted, ambient_dim=b.ambient_dim, tol=b.tol)
-    t_domain = dd.n_z.intersect(range_bz)
+    rank, s, (u, vh) = rank_split(shifted, b.tol, floor=0.0, part="svd")
+    t_domain = dd.n_z.intersect(Subspace(b.ambient_dim, u, b.tol))
     if t_domain.dim == 0:
         return ContractionParameter.empty(z, a.ambient_dim)
-    coeffs = np.linalg.lstsq(shifted, t_domain.frame, rcond=None)[0]
+    coeffs = vh.conj().T @ ((u.conj().T @ t_domain.frame) / s[:rank, None])
     resid = np.linalg.norm(shifted @ coeffs - t_domain.frame, 2)
     if resid > 1e-8:
         raise NotAnExtension("defect directions are not reached by (B - z)")

@@ -160,23 +160,28 @@ def frak_f(ext: EmbeddedExtension, lam: complex, lambda0: complex,
     fb, act = bop.domain.frame, bop.action
     down = act - lambda0 * fb
     up = act - np.conj(lambda0) * fb
-    out = np.zeros((nbar_frame.shape[1], n_frame.shape[1]), dtype=complex)
-    for j in range(n_frame.shape[1]):
-        nu = n_frame[:, j]
-        c, *_ = np.linalg.lstsq(down, nu, rcond=None)
-        if np.linalg.norm(down @ c - nu) > RESIDUAL_TOL:
-            raise ProjectionDegenerate(
-                f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
-        img = up @ c
-        coords = nbar_frame.conj().T @ img
-        if np.linalg.norm(img - nbar_frame @ coords) > RESIDUAL_TOL * max(1.0, np.linalg.norm(img)):
-            raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
-        out[:, j] = coords
-    if out.size:
-        top = np.linalg.svd(out, compute_uv=False)[0]
+    c = np.linalg.lstsq(down, n_frame, rcond=None)[0]
+    return _checked_sample(down @ c - n_frame, up @ c, nbar_frame, lam)
+
+
+def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
+    """Coordinates of ``img`` in ``nbar_frame``, after the guards on a sample of F.
+
+    Columns j of ``residual`` (the solve through B_lam - lam0) and of ``img``
+    belong to defect column j and are guarded alone; the sample must not expand.
+    """
+    if not np.all(np.linalg.norm(residual, axis=0) <= RESIDUAL_TOL):
+        raise ProjectionDegenerate(
+            f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
+    coords = nbar_frame.conj().T @ img
+    leak = np.linalg.norm(img - nbar_frame @ coords, axis=0)
+    if np.any(leak > RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(img, axis=0))):
+        raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
+    if coords.size:
+        top = np.linalg.svd(coords, compute_uv=False)[0]
         if top > 1.0 + EXPANSION_SLACK:
             raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
-    return out
+    return coords
 
 
 def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
@@ -191,8 +196,8 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
 
         F(lam) = (I + (lam - lam0bar) R_lam)(I + (lam - lam0) R_lam)^{-1},
 
-    two rational functions of R_lam, which therefore commute. Every guard of
-    frak_f applies, with its error and threshold.
+    two rational functions of R_lam, which therefore commute. The guards are
+    frak_f's: P_H injective on L_lam, then ``_checked_sample``.
     """
     m = ext.atilde_matrix()
     m_h = (m + m.conj().T) / 2
@@ -220,19 +225,8 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
             w = np.linalg.solve(down, n_frame)
         except np.linalg.LinAlgError:  # exactly singular: no defect vector is reached
             w = np.full(n_frame.shape, np.nan, dtype=complex)
-        if not np.all(np.linalg.norm(down @ w - n_frame, axis=0) <= RESIDUAL_TOL):
-            raise ProjectionDegenerate(
-                f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
         img = w + (lam - np.conj(lambda0)) * (r @ w)
-        coords = nbar_frame.conj().T @ img
-        leak = np.linalg.norm(img - nbar_frame @ coords, axis=0)
-        if np.any(leak > RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(img, axis=0))):
-            raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
-        if coords.size:
-            top = np.linalg.svd(coords, compute_uv=False)[0]
-            if top > 1.0 + EXPANSION_SLACK:
-                raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
-        samples[lam] = coords
+        samples[lam] = _checked_sample(down @ w - n_frame, img, nbar_frame, lam)
     return samples
 
 

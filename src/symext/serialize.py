@@ -1,4 +1,4 @@
-"""JSON encoding of the toolkit's value types (schema version 1).
+"""JSON encoding of the toolkit's value types (schema version 1; chains 2).
 
 Complex scalars are [re, im] pairs; matrices are row-major nested lists with
 [re, im] leaves. Encoding is canonical (sorted keys, two-space indent), so the
@@ -28,6 +28,7 @@ from .resolvents import EmbeddedExtension, ParameterFunction
 from .subspaces import DEFAULT_TOL, Subspace
 
 SCHEMA_VERSION = 1
+CHAIN_SCHEMA_VERSION = 2  # steps hold parameters; B_k is a prefix of "final"
 
 
 def encode_complex(z) -> list:
@@ -133,7 +134,7 @@ def decode_embedded_extension(data, tol=DEFAULT_TOL) -> EmbeddedExtension:
 
 def chain_file(chain) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": CHAIN_SCHEMA_VERSION,
         "kind": "extension_chain",
         "z": encode_complex(chain.z),
         "seed": chain.seed,
@@ -141,14 +142,8 @@ def chain_file(chain) -> dict:
         "exit_dim": chain.exit_dim,
         "base": encode_operator(chain.base),
         "final": encode_operator(chain.final),
-        "steps": [
-            {
-                "parameter": parameter_file(step.parameter),
-                "operator": encode_operator(step.operator),
-                "defect_numbers": list(step.defect_numbers),
-            }
-            for step in chain.steps
-        ],
+        "steps": [{"parameter": parameter_file(step.parameter),
+                   "defect_numbers": list(step.defect_numbers)} for step in chain.steps],
     }
 
 

@@ -132,7 +132,7 @@ def test_criterion_4_selfadjoint_chain_builder():
             initial = defect_data(start, z).defect_numbers[0]
             chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
             steps_ok = len(chain.steps) == initial
-            inj_ok = all(is_injective(s.operator) for s in chain.steps)
+            inj_ok = all(is_injective(chain.operator(k)) for k in range(len(chain.steps)))
             m = chain.final.to_matrix()
             herm_ok = np.linalg.norm(m - m.conj().T, 2) < 1e-10
             eig_min = float(np.min(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))

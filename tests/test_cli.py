@@ -13,11 +13,12 @@ import pytest
 
 from symext import cli, invertibility
 from symext.cayley import defect_data
-from symext.neumann import ContractionParameter
-from symext.operators import operator_from_generators
+from symext.neumann import ContractionParameter, extend
+from symext.operators import graph_distance, operator_from_generators
 from symext.resolvents import compressed_resolvent
-from symext.serialize import (decode_embedded_extension, json_dump,
-                              operator_file, parameter_file)
+from symext.serialize import (decode_complex, decode_embedded_extension,
+                              decode_operator, decode_parameter, json_dump,
+                              load_operator, operator_file, parameter_file)
 
 from conftest import worked_parameter
 
@@ -220,6 +221,34 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
     report = json.loads(res.stdout)
     assert report["all_passed"] is True
     assert len(report["checks"]) == 9
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_chain_file_operators_are_leading_columns_of_final(tmp_path, doubled):
+    # the chain file stores each B_k once, as the leading columns of "final";
+    # each step's parameter replayed from the file rebuilds that prefix
+    op_path, chain_path = tmp_path / "op.json", tmp_path / "chain.json"
+    assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", "4",
+                     "-o", str(op_path)]) == cli.EXIT_OK
+    assert cli.main(["build-sa", str(op_path), "--z", "0,1", "--seed", "4",
+                     "-o", str(tmp_path / "ext.json"), "--chain", str(chain_path)]
+                    + (["--double"] if doubled else [])) == cli.EXIT_OK
+    a = load_operator(json.loads(op_path.read_text()))
+    chain = invertibility.build_invertible_selfadjoint(a, 1j, seed=4, double_first=doubled)
+    doc = json.loads(chain_path.read_text())
+    final, z = decode_operator(doc["final"]), decode_complex(doc["z"])
+    base = decode_operator(doc["base"])
+    previous = invertibility.double(base) if doc["doubled"] else base
+    assert len(doc["steps"]) == len(chain.steps) == (4 if doubled else 2)
+    for k, step_doc in enumerate(doc["steps"]):
+        width = previous.domain_dim + 1
+        current = chain.operator(k)
+        assert np.array_equal(final.domain.frame[:, :width], current.domain.frame)
+        assert np.array_equal(final.action[:, :width], current.action)
+        replayed = extend(previous, z, decode_parameter(step_doc["parameter"])).b
+        assert graph_distance(replayed, current) <= 1e-12
+        previous = current
+    assert previous.domain_dim == final.domain_dim
 
 
 def test_written_files_match_stdlib_encoding_and_old_csv_rows(tmp_path):

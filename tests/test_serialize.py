@@ -99,14 +99,18 @@ def test_embedded_extension_roundtrip(worked_a):
 
 
 def test_chain_file_structure(worked_a):
-    chain = build_invertible_selfadjoint(worked_a, 1j, seed=0)
-    doc = chain_file(chain)
-    assert doc["kind"] == "extension_chain" and doc["schema"] == 1
-    assert doc["exit_dim"] == chain.exit_dim and doc["doubled"] is False
-    assert len(doc["steps"]) == len(chain.steps)
-    for step_doc, step in zip(doc["steps"], chain.steps):
-        assert step_doc["defect_numbers"] == list(step.defect_numbers)
-        assert step_doc["parameter"]["kind"] == "parameter"
+    for doubled in (False, True):
+        chain = build_invertible_selfadjoint(worked_a, 1j, seed=0, double_first=doubled)
+        doc = chain_file(chain)
+        assert doc["kind"] == "extension_chain" and doc["schema"] == 2
+        assert doc["exit_dim"] == chain.exit_dim and doc["doubled"] is doubled
+        assert len(doc["steps"]) == len(chain.steps)
+        for step_doc, step in zip(doc["steps"], chain.steps):
+            assert set(step_doc) == {"parameter", "defect_numbers"}
+            assert step_doc["defect_numbers"] == list(step.defect_numbers)
+            assert step_doc["parameter"]["kind"] == "parameter"
+        # the benchmark counts a chain file's steps by this key in its text
+        assert json_dump(doc).count('"defect_numbers"') == len(chain.steps)
 
 
 def test_parameter_function_file_sorted_samples(worked_a):
