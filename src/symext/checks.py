@@ -2,9 +2,19 @@
 
 Each check returns a CheckResult with the worst deviation it saw; the suite is
 what the ``verify`` CLI subcommand runs against an operator/extension pair.
+
+The suite computes each oracle object once. The three inversion checks walk
+the lam grid together (``check_inversion``): at each lam, L_lam and B_lam of
+the extension and L_{1/lam} and B_{1/lam} of its inverse pair are built once,
+by the stages that ``script_l``, ``frak_b`` and ``frak_f`` compose, and read
+by every check that needs them; they are dropped before the next lam. The
+checks on the base operator share A^{-1} and U_z(A) at each sampled z. The
+oracles stay the definitions, never the spectral engine. Every check keeps
+its own guard, so one that raises turns red and the others run on.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -13,9 +23,9 @@ from .cayley import cayley, defect_data, inverse_cayley
 from .errors import SymextError
 from .neumann import ContractionParameter, extend, recover_parameter
 from .operators import graph_distance, inverse_op
-from .resolvents import (EmbeddedExtension, ParameterFunction,
-                         compressed_resolvent, default_lambda_grid, frak_b,
-                         frak_f, i_admissibility_test, script_l)
+from .resolvents import (EmbeddedExtension, ParameterFunction, _contractive_point,
+                         _frak_b_from, _frak_f_from, compressed_resolvent,
+                         default_lambda_grid, i_admissibility_test, script_l)
 from .subspaces import SectorSpec, orthonormalize
 
 CAYLEY_TOL = 1e-10
@@ -42,13 +52,37 @@ def _sample_z_values(seed=0, count=5):
     return out
 
 
+class _BaseOperator:
+    """A^{-1} and the Cayley transforms U_z(A), each built on first use.
+
+    The checks on the base operator share one instance within a suite. A
+    failed construction is not kept: it raises again in every check using it.
+    """
+
+    def __init__(self, a):
+        self.a = a
+        self._cayley = {}
+
+    @cached_property
+    def inverse(self):
+        return inverse_op(self.a)
+
+    def cayley(self, z):
+        if z not in self._cayley:
+            self._cayley[z] = cayley(self.a, z)
+        return self._cayley[z]
+
+
 def check_range_defect_inverse(a, zs=None) -> CheckResult:
     """M and N spaces of A at z match those of A^{-1} at 1/z."""
-    zs = zs or _sample_z_values()
-    a_inv = inverse_op(a)
+    return _range_defect_inverse(_BaseOperator(a), zs or _sample_z_values())
+
+
+def _range_defect_inverse(base: _BaseOperator, zs) -> CheckResult:
+    a_inv = base.inverse
     worst = 0.0
     for z in zs:
-        dd = defect_data(a, z)
+        dd = defect_data(base.a, z)
         dd_inv = defect_data(a_inv, 1.0 / z)
         worst = max(worst, dd.m_z.distance(dd_inv.m_z), dd.n_z.distance(dd_inv.n_z),
                     dd.m_zbar.distance(dd_inv.m_zbar), dd.n_zbar.distance(dd_inv.n_zbar))
@@ -57,11 +91,14 @@ def check_range_defect_inverse(a, zs=None) -> CheckResult:
 
 def check_cayley_inverse_scaling(a, zs=None) -> CheckResult:
     """U_z(A) = (zbar/z) U_{1/z}(A^{-1}) as maps on M_z."""
-    zs = zs or _sample_z_values()
-    a_inv = inverse_op(a)
+    return _cayley_inverse_scaling(_BaseOperator(a), zs or _sample_z_values())
+
+
+def _cayley_inverse_scaling(base: _BaseOperator, zs) -> CheckResult:
+    a_inv = base.inverse
     worst = 0.0
     for z in zs:
-        u = cayley(a, z)
+        u = base.cayley(z)
         u_inv = cayley(a_inv, 1.0 / z)
         if u.domain_dim == 0:
             continue
@@ -74,11 +111,14 @@ def check_cayley_inverse_scaling(a, zs=None) -> CheckResult:
 
 def check_cayley_roundtrip(a, zs=None) -> CheckResult:
     """Inverse Cayley of U_z(A) at z recovers A."""
-    zs = zs or _sample_z_values()
+    return _cayley_roundtrip(_BaseOperator(a), zs or _sample_z_values())
+
+
+def _cayley_roundtrip(base: _BaseOperator, zs) -> CheckResult:
     worst = 0.0
     for z in zs:
-        rel = inverse_cayley(cayley(a, z), z)
-        worst = max(worst, graph_distance(rel, a))
+        rel = inverse_cayley(base.cayley(z), z)
+        worst = max(worst, graph_distance(rel, base.a))
     return CheckResult("cayley_roundtrip", worst < CAYLEY_TOL * 10, worst)
 
 
@@ -112,43 +152,102 @@ def check_neumann_roundtrip(a, z, seed=0, draws=5) -> CheckResult:
     return CheckResult("neumann_roundtrip", worst < ROUNDTRIP_TOL, worst)
 
 
-def check_constrained_space_inverse(ext, lams) -> CheckResult:
+INVERSION_CHECKS = ("constrained_space_inverse", "frak_b_inverse", "frak_f_inverse")
+
+
+class _GridPoint:
+    """L_lam and B_lam of the extension, and L_{1/lam} and B_{1/lam} of its
+    inverse pair, each built on first use by the oracles' own stages.
+
+    A point lives for one step of the pass over the grid, so nothing that
+    depends on lam outlives that step. A failed stage is not kept: it raises
+    again, with the same message, in every check that uses it.
+    """
+
+    def __init__(self, ext: EmbeddedExtension, lam: complex):
+        self.ext, self.lam = ext, lam
+
+    @cached_property
+    def l_space(self):
+        return script_l(self.ext, self.lam)
+
+    @cached_property
+    def l_space_inv(self):
+        return script_l(self.ext.inverse_pair(), 1.0 / self.lam)
+
+    @cached_property
+    def b(self):
+        return _frak_b_from(self.ext, self.lam, self.l_space)
+
+    @cached_property
+    def b_inv(self):
+        return _frak_b_from(self.ext.inverse_pair(), 1.0 / self.lam, self.l_space_inv)
+
+
+def _constrained_space_error(point: _GridPoint) -> float:
     """Atilde maps the constrained space at lam onto the one of the inverses at 1/lam."""
-    ext_inv = ext.inverse_pair()
-    m = ext.atilde_matrix()
-    worst = 0.0
-    for lam in lams:
-        left = orthonormalize(m @ script_l(ext, lam).frame, ambient_dim=m.shape[0])
-        right = script_l(ext_inv, 1.0 / lam)
-        worst = max(worst, left.distance(right))
-    return CheckResult("constrained_space_inverse", worst < RESOLVENT_TOL, worst)
+    m = point.ext.atilde_matrix()
+    left = orthonormalize(m @ point.l_space.frame, ambient_dim=m.shape[0])
+    return left.distance(point.l_space_inv)
 
 
-def check_frak_b_inverse(ext, lams) -> CheckResult:
+def _frak_b_error(point: _GridPoint) -> float:
     """B_lam(A, Atilde)^{-1} = B_{1/lam}(A^{-1}, Atilde^{-1}) as graphs."""
-    ext_inv = ext.inverse_pair()
-    worst = 0.0
-    for lam in lams:
-        left = inverse_op(frak_b(ext, lam))
-        right = frak_b(ext_inv, 1.0 / lam)
-        worst = max(worst, graph_distance(left, right))
-    return CheckResult("frak_b_inverse", worst < RESOLVENT_TOL, worst)
+    return graph_distance(inverse_op(point.b), point.b_inv)
 
 
-def check_frak_f_inverse(ext, lams, lambda0) -> CheckResult:
+def _frak_f_error(point: _GridPoint, lambda0, frames: tuple) -> float:
     """F(1/lam; 1/lam0) of the inverse pair = (lam0/lam0bar) F(lam; lam0)."""
-    dd = defect_data(ext.base, lambda0)
-    if dd.defect_numbers[0] == 0:
-        return CheckResult("frak_f_inverse", True, 0.0,
-                           note="defect is zero; both sides are empty", skipped=True)
-    frames = (dd.n_z.frame, dd.n_zbar.frame)
-    ext_inv = ext.inverse_pair()
-    worst = 0.0
+    lam = point.lam
+    lam0_inv = _contractive_point(1.0 / lam, 1.0 / lambda0)
+    left = _frak_f_from(point.b_inv, 1.0 / lam, lam0_inv, frames)
+    lam0 = _contractive_point(lam, lambda0)
+    right = (lambda0 / np.conj(lambda0)) * _frak_f_from(point.b, lam, lam0, frames)
+    return float(np.linalg.norm(left - right, 2))
+
+
+def check_inversion(ext: EmbeddedExtension, lams, lambda0) -> list:
+    """The three inversion identities, in one pass over ``lams``.
+
+    At each lam the pass builds L_lam, B_lam and their inverse-pair
+    counterparts at 1/lam once, with the stages that ``script_l``, ``frak_b``
+    and ``frak_f`` compose, and every check reads them from there. Each check
+    keeps its own guard: an exception in its set-up or at some lam turns that
+    check red with the exception as its note, and the others finish the grid.
+    Results come in the order of ``INVERSION_CHECKS``.
+    """
+    decided = {}
+    try:
+        dd = defect_data(ext.base, lambda0)
+        frames = (dd.n_z.frame, dd.n_zbar.frame)
+        if dd.defect_numbers[0] == 0:
+            decided["frak_f_inverse"] = CheckResult(
+                "frak_f_inverse", True, 0.0, note="defect is zero; both sides are empty",
+                skipped=True)
+    except _GUARDED as exc:
+        frames = None
+        decided["frak_f_inverse"] = _red("frak_f_inverse", exc)
+    for name in INVERSION_CHECKS:
+        if name not in decided:
+            try:
+                ext.inverse_pair()
+            except _GUARDED as exc:
+                decided[name] = _red(name, exc)
+    errors = dict(zip(INVERSION_CHECKS, (
+        _constrained_space_error, _frak_b_error,
+        partial(_frak_f_error, lambda0=lambda0, frames=frames))))
+    worst = dict.fromkeys(INVERSION_CHECKS, 0.0)
     for lam in lams:
-        left = frak_f(ext_inv, 1.0 / lam, 1.0 / lambda0, frames)
-        right = (lambda0 / np.conj(lambda0)) * frak_f(ext, lam, lambda0, frames)
-        worst = max(worst, float(np.linalg.norm(left - right, 2)))
-    return CheckResult("frak_f_inverse", worst < RESOLVENT_TOL, worst)
+        point = _GridPoint(ext, lam)
+        for name in INVERSION_CHECKS:
+            if name in decided:
+                continue
+            try:
+                worst[name] = max(worst[name], errors[name](point))
+            except _GUARDED as exc:
+                decided[name] = _red(name, exc)
+    return [decided.get(name) or CheckResult(name, worst[name] < RESOLVENT_TOL, worst[name])
+            for name in INVERSION_CHECKS]
 
 
 def check_resolvent_symmetry(ext, lams) -> CheckResult:
@@ -176,34 +275,39 @@ def check_i_admissibility(ext, lambda0) -> CheckResult:
                        note=f"kernel margin {margin:.3e}")
 
 
-def _guarded(name, fn, *args, **kwargs) -> CheckResult:
+_GUARDED = (SymextError, ValueError, np.linalg.LinAlgError)
+
+
+def _red(name, exc) -> CheckResult:
     """A check that blows up counts as failed, not as a crashed suite."""
+    return CheckResult(name, False, float("inf"), note=f"{type(exc).__name__}: {exc}")
+
+
+def _guarded(name, fn, *args, **kwargs) -> CheckResult:
     try:
         return fn(*args, **kwargs)
-    except (SymextError, ValueError, np.linalg.LinAlgError) as exc:
-        return CheckResult(name, False, float("inf"), note=f"{type(exc).__name__}: {exc}")
+    except _GUARDED as exc:
+        return _red(name, exc)
 
 
 def run_suite(a, ext: Optional[EmbeddedExtension] = None, lambda0: complex = 1j,
               seed: int = 0) -> list:
     """All named checks; extension-dependent ones are skipped without an extension."""
+    base, zs = _BaseOperator(a), _sample_z_values()
     results = [
-        _guarded("range_defect_inverse", check_range_defect_inverse, a),
-        _guarded("cayley_inverse_scaling", check_cayley_inverse_scaling, a),
-        _guarded("cayley_roundtrip", check_cayley_roundtrip, a),
+        _guarded("range_defect_inverse", _range_defect_inverse, base, zs),
+        _guarded("cayley_inverse_scaling", _cayley_inverse_scaling, base, zs),
+        _guarded("cayley_roundtrip", _cayley_roundtrip, base, zs),
         _guarded("neumann_roundtrip", check_neumann_roundtrip, a, lambda0, seed=seed),
     ]
     if ext is None:
-        for name in ("constrained_space_inverse", "frak_b_inverse", "frak_f_inverse",
-                     "resolvent_symmetry", "i_admissibility"):
+        for name in INVERSION_CHECKS + ("resolvent_symmetry", "i_admissibility"):
             results.append(CheckResult(name, True, 0.0, note="no extension supplied",
                                        skipped=True))
         return results
     lams = default_lambda_grid(lambda0, ext.atilde_matrix())
+    results.extend(check_inversion(ext, lams, lambda0))
     results.extend([
-        _guarded("constrained_space_inverse", check_constrained_space_inverse, ext, lams),
-        _guarded("frak_b_inverse", check_frak_b_inverse, ext, lams),
-        _guarded("frak_f_inverse", check_frak_f_inverse, ext, lams, lambda0),
         _guarded("resolvent_symmetry", check_resolvent_symmetry, ext, lams),
         _guarded("i_admissibility", check_i_admissibility, ext, lambda0),
     ])

@@ -136,43 +136,54 @@ class ExtensionChain:
         return _leading(self.final, self.final.domain_dim - len(self.steps) + 1 + k)
 
 
-def _candidate_units(n_zbar: Subspace, forbidden_images, rng, batch: int):
-    """Deterministic candidate unit vectors in N_zbar, most promising first."""
-    cands = []
-    frame = n_zbar.frame
-    for j in range(n_zbar.dim):
-        col = frame[:, j]
-        cands.extend([col, -col, 1j * col])
+def _candidate_coords(n_zbar: Subspace, forbidden_images, rng, batch: int) -> np.ndarray:
+    """Deterministic candidate unit vectors in N_zbar, most promising first.
+
+    Row k holds the coordinates of candidate k in the frame of N_zbar.
+    """
+    n = n_zbar.dim
+    eye = np.eye(n, dtype=complex)
+    # each frame column as col, -col, 1j col
+    rows = [np.stack([eye, -eye, 1j * eye], axis=1).reshape(3 * n, n)]
     # directions orthogonal (within N_zbar) to each forbidden image
     for img in forbidden_images:
-        coords = frame.conj().T @ img
-        for j in range(n_zbar.dim):
-            e = np.zeros(n_zbar.dim, complex)
-            e[j] = 1.0
-            v = e - coords * np.vdot(coords, e) / max(np.vdot(coords, coords).real, 1e-30)
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                cands.append(frame @ (v / nv))
-    for _ in range(batch):
-        raw = rng.standard_normal(n_zbar.dim) + 1j * rng.standard_normal(n_zbar.dim)
-        nv = np.linalg.norm(raw)
-        if nv > 0:
-            cands.append(frame @ (raw / nv))
-    return cands
+        c = n_zbar.frame.conj().T @ img
+        rows += _unit_rows(eye - c * c.conj()[:, None] / max(np.vdot(c, c).real, 1e-30), 1e-8)
+    raw = rng.standard_normal((batch, 2, n))
+    rows += _unit_rows(raw[:, 0] + 1j * raw[:, 1], 0.0)
+    return np.vstack(rows)
+
+
+def _unit_rows(rows, floor) -> list:
+    """The rows whose norm exceeds ``floor``, scaled to unit norm.
+
+    Each row's norm is taken alone: a norm along an axis of the whole block
+    sums in another order, and its last bits would move the chain.
+    """
+    return [r / nr for r in rows if (nr := np.linalg.norm(r)) > floor]
 
 
 def _pick_direction(n_zbar: Subspace, forbidden_images, rng) -> np.ndarray:
-    """Unit h in N_zbar maximizing the min distance to the forbidden images."""
+    """Unit h in N_zbar maximizing the min distance to the forbidden images.
+
+    Candidates are scanned in order; one replaces the best so far only if it
+    beats it by more than 1e-12.
+    """
+    coords = _candidate_coords(n_zbar, forbidden_images, rng, batch=16)
+    if forbidden_images:
+        cands = coords @ n_zbar.frame.T
+        images = np.vstack(forbidden_images)
+        scores = np.linalg.norm(cands[:, None, :] - images[None, :, :], axis=2).min(axis=1)
+    else:
+        scores = np.full(coords.shape[0], np.inf)
     best, best_score = None, -1.0
-    for cand in _candidate_units(n_zbar, forbidden_images, rng, batch=16):
-        score = min((np.linalg.norm(cand - img) for img in forbidden_images),
-                    default=float("inf"))
+    for k, score in enumerate(scores.tolist()):
         if score > best_score + 1e-12:
-            best, best_score = cand, score
+            best, best_score = k, score
     if best is None or best_score <= MIN_SEPARATION:
         return None
     # keep the winning phase: rotating h changes which vectors T pins down
-    return best
+    return n_zbar.frame @ coords[best]
 
 
 def _forbidden_images(f1, n_zbar: Subspace, c: DomainOperator, c_inv: DomainOperator,

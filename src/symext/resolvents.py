@@ -17,13 +17,16 @@ invertible extensions: F is rejected when some nonzero psi reaches the scaled
 forbidden-operator limit at 0 with a bounded norm-loss rate.
 
 ``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written
-and used by the checks as references. ``ParameterFunction.from_extension``
+and used by the checks as references; the checks call the stages they
+compose (``_frak_b_from``, ``_frak_f_from``) so that one L_lam serves every
+check at lam. ``ParameterFunction.from_extension``
 samples F from one Hermitian eigendecomposition of Atilde instead, through
 B_lam = lam + R_lam^{-1}, under the same guards.
 """
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -67,7 +70,7 @@ class EmbeddedExtension:
             raise ValueError("embedding is not isometric")
         if not self.atilde.is_total() or self.atilde.ambient_dim != d + self.exit_dim:
             raise ValueError("extension must be total on C^{d+e}")
-        m = self.atilde.to_matrix()
+        m = self.atilde_matrix()
         if np.linalg.norm(m - m.conj().T, 2) > gate * max(1.0, np.linalg.norm(m, 2)):
             raise ValueError("extension is not self-adjoint")
         lifted_domain = embed @ self.base.domain.frame
@@ -77,6 +80,36 @@ class EmbeddedExtension:
             raise ValueError("extension does not extend the embedded base operator")
         embed.setflags(write=False)
         object.__setattr__(self, "embed", embed)
+
+    # The values below do not depend on lam. Each is computed on first use and
+    # kept for the life of the extension; a failed computation is not kept and
+    # raises again on the next use.
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        m = self.atilde.to_matrix()
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def _invertible(self) -> bool:
+        m = self._matrix
+        return rank_split(m, DEFAULT_TOL, floor=0.0)[0] == m.shape[0]
+
+    @cached_property
+    def _inverse_pair(self) -> "EmbeddedExtension":
+        if not self._invertible:
+            raise SpectrumHit("extension is not invertible")
+        return EmbeddedExtension(inverse_op(self.base),
+                                 operator_from_matrix(np.linalg.inv(self._matrix),
+                                                      tol=self.atilde.tol),
+                                 self.embed, self.exit_dim)
+
+    @cached_property
+    def _h_complement(self) -> np.ndarray:
+        """Frame of the orthogonal complement of embedded H, which L_lam is cut out by."""
+        total = self._matrix.shape[0]
+        return Subspace(total, self.embed, self.atilde.tol).complement().frame
 
     @classmethod
     def canonical(cls, base: DomainOperator, atilde: DomainOperator) -> "EmbeddedExtension":
@@ -91,21 +124,16 @@ class EmbeddedExtension:
         return cls(chain.base, chain.final, embed, chain.exit_dim)
 
     def atilde_matrix(self) -> np.ndarray:
-        return self.atilde.to_matrix()
+        """Standard-basis matrix of Atilde (read-only)."""
+        return self._matrix
 
     def is_invertible(self) -> bool:
         """Atilde has full rank at DEFAULT_TOL, relative to its largest singular value."""
-        m = self.atilde_matrix()
-        return rank_split(m, DEFAULT_TOL, floor=0.0)[0] == m.shape[0]
+        return self._invertible
 
     def inverse_pair(self) -> "EmbeddedExtension":
         """The same picture for A^{-1} inside Atilde^{-1}."""
-        if not self.is_invertible():
-            raise SpectrumHit("extension is not invertible")
-        m = self.atilde_matrix()
-        return EmbeddedExtension(inverse_op(self.base),
-                                 operator_from_matrix(np.linalg.inv(m), tol=self.atilde.tol),
-                                 self.embed, self.exit_dim)
+        return self._inverse_pair
 
 
 def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
@@ -121,16 +149,18 @@ def script_l(ext: EmbeddedExtension, lam: complex) -> Subspace:
     """L_lam = {h in C^{d+e} : (Atilde - lam) h in embedded H}."""
     m = ext.atilde_matrix()
     total = m.shape[0]
-    h_embedded = Subspace(total, ext.embed, ext.atilde.tol)
-    q = h_embedded.complement().frame
-    constraint = q.conj().T @ (m - lam * np.eye(total))
+    constraint = ext._h_complement.conj().T @ (m - lam * np.eye(total))
     _, _, null = rank_split(constraint, ext.atilde.tol, floor=0.0, part="null")
     return Subspace(total, null, ext.atilde.tol)
 
 
 def frak_b(ext: EmbeddedExtension, lam: complex) -> DomainOperator:
     """B_lam = P_H Atilde (P_H|_{L_lam})^{-1}, an operator on C^d."""
-    l_space = script_l(ext, lam)
+    return _frak_b_from(ext, lam, script_l(ext, lam))
+
+
+def _frak_b_from(ext: EmbeddedExtension, lam: complex, l_space: Subspace) -> DomainOperator:
+    """B_lam from L_lam = ``script_l(ext, lam)``: the second stage of ``frak_b``."""
     g = l_space.frame
     proj = ext.embed.conj().T @ g
     # injective only if every column direction survives: full column rank
@@ -148,15 +178,29 @@ def frak_f(ext: EmbeddedExtension, lam: complex, lambda0: complex,
     Written in the defect frames of the base operator at lam0 (or the frames
     supplied by the caller); verified non-expanding.
     """
+    lambda0 = _contractive_point(lam, lambda0)
+    if frames is None:
+        dd = defect_data(ext.base, lambda0)
+        frames = (dd.n_z.frame, dd.n_zbar.frame)
+    return _frak_f_from(frak_b(ext, lam), lam, lambda0, frames)
+
+
+def _contractive_point(lam: complex, lambda0: complex) -> complex:
+    """``require_offaxis(lambda0)``, once lam is known to lie in its half-plane."""
     lambda0 = require_offaxis(lambda0)
     if not _half_plane(complex(lam), lambda0):
         raise ValueError(
             f"frak_f is contractive only in the half-plane of {lambda0}; got {lam}")
-    if frames is None:
-        dd = defect_data(ext.base, lambda0)
-        frames = (dd.n_z.frame, dd.n_zbar.frame)
+    return lambda0
+
+
+def _frak_f_from(bop: DomainOperator, lam: complex, lambda0: complex,
+                 frames: tuple) -> np.ndarray:
+    """F(lam) from B_lam = ``frak_b(ext, lam)``: the last stage of ``frak_f``.
+
+    ``lambda0`` is the value ``_contractive_point`` returned for lam.
+    """
     n_frame, nbar_frame = frames
-    bop = frak_b(ext, lam)
     fb, act = bop.domain.frame, bop.action
     down = act - lambda0 * fb
     up = act - np.conj(lambda0) * fb
@@ -209,9 +253,7 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
     samples = {}
     for lam in lams:
         lam = complex(lam)
-        if not _half_plane(lam, lambda0):
-            raise ValueError(
-                f"frak_f is contractive only in the half-plane of {lambda0}; got {lam}")
+        _contractive_point(lam, lambda0)
         d_lam = (1.0 / (mu - lam))[:, None]
         dy = d_lam * y
         x = dy - d_lam * (delta @ dy)

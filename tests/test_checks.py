@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from symext.checks import (CheckResult, check_cayley_roundtrip,
+from symext import checks
+from symext.cayley import defect_data
+from symext.checks import (INVERSION_CHECKS, CheckResult, check_cayley_roundtrip,
                            check_i_admissibility, check_neumann_roundtrip,
                            check_range_defect_inverse, run_suite)
+from symext.errors import ProjectionDegenerate
 from symext.instances import InstanceSpec, gen_symmetric
 from symext.invertibility import build_invertible_selfadjoint
-from symext.operators import operator_from_matrix
-from symext.resolvents import EmbeddedExtension
+from symext.operators import graph_distance, inverse_op, operator_from_matrix
+from symext.resolvents import (EmbeddedExtension, default_lambda_grid, frak_b,
+                               frak_f, script_l)
+from symext.subspaces import orthonormalize
 
 from conftest import random_instance
 
@@ -101,3 +106,71 @@ def test_neumann_roundtrip_skips_defect_zero():
     h = gen_symmetric(InstanceSpec(ambient_dim=3, defect=0, seed=1))
     res = check_neumann_roundtrip(h, 1j)
     assert res.skipped and res.passed
+
+
+def oracle_inversion_errors(ext, lambda0):
+    """The three inversion errors of the suite, from the public oracles one call at a time."""
+    ext_inv = ext.inverse_pair()
+    m = ext.atilde_matrix()
+    dd = defect_data(ext.base, lambda0)
+    frames = (dd.n_z.frame, dd.n_zbar.frame)
+    worst = dict.fromkeys(INVERSION_CHECKS, 0.0)
+    for lam in default_lambda_grid(lambda0, m):
+        left = orthonormalize(m @ script_l(ext, lam).frame, ambient_dim=m.shape[0])
+        errors = (left.distance(script_l(ext_inv, 1.0 / lam)),
+                  graph_distance(inverse_op(frak_b(ext, lam)), frak_b(ext_inv, 1.0 / lam)),
+                  float(np.linalg.norm(
+                      frak_f(ext_inv, 1.0 / lam, 1.0 / lambda0, frames)
+                      - (lambda0 / np.conj(lambda0)) * frak_f(ext, lam, lambda0, frames), 2)))
+        for name, error in zip(INVERSION_CHECKS, errors):
+            worst[name] = max(worst[name], error)
+    return worst
+
+
+def inversion_cases(worked_a):
+    yield worked_a, 1j, 0
+    for seed in (0, 7, 21):
+        a, z, _ = random_instance(seed, max_dim=6)
+        yield a, z, seed
+
+
+def test_inversion_pass_equals_public_oracles(worked_a):
+    # the one pass over the grid computes exactly what the definitions give
+    for a, z, seed in inversion_cases(worked_a):
+        by_name = {r.name: r for r in run_suite(a, full_ext(a, z, seed), lambda0=z, seed=seed)}
+        # a second, separately built extension: nothing is shared with the suite's
+        expected = oracle_inversion_errors(full_ext(a, z, seed), z)
+        for name in INVERSION_CHECKS:
+            assert by_name[name].max_error == expected[name], name
+
+
+@pytest.mark.parametrize("stage, red", [
+    ("_frak_f_from", {"frak_f_inverse"}),
+    ("_frak_b_from", {"frak_b_inverse", "frak_f_inverse"}),
+    ("script_l", set(INVERSION_CHECKS)),
+])
+def test_failed_stage_turns_only_its_checks_red(worked_a, monkeypatch, stage, red):
+    # a stage raising at one lam of the grid, on the extension's side only
+    ext = full_ext(worked_a, 1j)
+    clean = run_suite(worked_a, ext)
+    target = default_lambda_grid(1j, ext.atilde_matrix())[3]
+    real = getattr(checks, stage)
+    calls = []
+
+    def failing(*args):
+        lam = args[1]
+        calls.append(lam)
+        if lam == target:
+            raise ProjectionDegenerate(f"injected at {lam}")
+        return real(*args)
+
+    monkeypatch.setattr(checks, stage, failing)
+    results = run_suite(worked_a, ext)
+    assert target in calls
+    assert [r.name for r in results] == [r.name for r in clean]
+    for before, after in zip(clean, results):
+        if after.name in red:
+            assert not after.passed and after.max_error == float("inf")
+            assert after.note == f"ProjectionDegenerate: injected at {target}"
+        else:
+            assert after == before

@@ -9,18 +9,21 @@ is a parameter of it and extends it to cB. In both cases defect numbers,
 admissibility, the three invertibility tests and dim D(X_z) must not change.
 Swapping z and zbar gives two identities of extensions: an isometric T at z
 and T^{-1} at zbar give the same B, and a strict contraction T* at zbar gives
-the formal adjoint of B(A, z, T). A verdict whose margin lies in the CLI
-borderline band may differ.
+the formal adjoint of B(A, z, T). Moving the spectrum window of A towards 0
+must not change a verdict either, unless a typed error is raised. A verdict
+whose margin lies in the CLI borderline band may differ.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symext as sx
 from symext.cli import BORDERLINE_HIGH, BORDERLINE_LOW
 from symext.operators import DomainOperator
-from symext.subspaces import Subspace
+from symext.resolvents import EmbeddedExtension, ParameterFunction
+from symext.subspaces import SectorSpec, Subspace
 
 
 def conjugate(q, a: DomainOperator) -> DomainOperator:
@@ -150,3 +153,79 @@ def test_contraction_adjoint_at_zbar_is_formal_adjoint(case):
     gap = b_adj.domain.frame.conj().T @ b.action - b_adj.action.conj().T @ b.domain.frame
     scale = max(1.0, np.linalg.norm(b.action, 2), np.linalg.norm(b_adj.action, 2))
     assert np.linalg.norm(gap, 2) <= SWAP_TOL * scale
+
+
+def near_zero_verdicts(seed, d, eps):
+    """(verdict, margins) of each decision on gen_symmetric with window (eps, 2), z = i.
+
+    A decision that raises a SymextError gives the error's type instead.
+    """
+    z = 1j
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=d, defect=d // 4,
+                                         spectrum_window=(eps, 2.0), seed=seed))
+    dd = sx.defect_data(a, z)
+    n = dd.defect_numbers[0]
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    unitary, _ = np.linalg.qr(raw)
+    forbidden = on_forbidden_operator(a, z, dd)
+    sector = SectorSpec.default_for(z)
+    points = [lam for pts in sector.sample_points().values() for lam in pts]
+
+    def invertibility(matrix):
+        v = sx.check_invertibility(a, z, sx.ContractionParameter.from_matrix(dd, matrix))
+        return (v.direct, v.via_admissibility, v.via_forbidden), tuple(v.margins.values())
+
+    def extension_invertible():
+        # a unitary parameter: B is a self-adjoint extension inside C^d
+        b = sx.extend(a, z, sx.ContractionParameter.from_matrix(dd, unitary), dd=dd).b
+        ext = EmbeddedExtension.canonical(a, b)
+        s = np.linalg.svd(ext.atilde_matrix(), compute_uv=False)
+        return ext.is_invertible(), (s[-1] / s[0],)
+
+    def admissibility(f):
+        verdict = sx.i_admissibility_test(a, z, f, sector)
+        return verdict.admissible, (verdict.kernel_margin,)
+
+    def from_chain():
+        ext = EmbeddedExtension.from_chain(sx.build_invertible_selfadjoint(a, z, seed=seed))
+        return ParameterFunction.from_extension(ext, z, points)
+
+    # F(0+) equal to the scaled forbidden operator on f1, and 0 off it
+    constant = np.hstack([forbidden, np.zeros((n, n - 1), dtype=complex)])
+    decisions = {
+        "check_invertibility generic": lambda: invertibility(0.7 * unitary),
+        "check_invertibility forbidden": lambda: invertibility(forbidden),
+        "is_invertible unitary": extension_invertible,
+        "i_admissibility chain": lambda: admissibility(from_chain()),
+        "i_admissibility forbidden": lambda: admissibility(
+            ParameterFunction.constant(a, z, constant)),
+    }
+    out = {}
+    for name, decide in decisions.items():
+        try:
+            out[name] = decide()
+        except sx.SymextError as exc:
+            out[name] = type(exc)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verdicts_keep_as_spectrum_window_nears_zero(seed):
+    # window (eps, 2) for eps from 1e-2 down to 1e-10: each verdict stays as at
+    # 1e-2, or a typed error is raised, or a margin lies in the borderline band
+    for d in (6, 8):
+        reference = near_zero_verdicts(seed, d, 1e-2)
+        assert {name: r[0] for name, r in reference.items()} == {
+            "check_invertibility generic": (True, True, True),
+            "check_invertibility forbidden": (False, False, False),
+            "is_invertible unitary": True,
+            "i_admissibility chain": True,
+            "i_admissibility forbidden": False,
+        }
+        for eps in (1e-4, 1e-6, 1e-8, 1e-9, 1e-10):
+            for name, got in near_zero_verdicts(seed, d, eps).items():
+                if isinstance(got, type):
+                    continue
+                verdict, margins = got
+                assert verdict == reference[name][0] or borderline(*margins), (name, d, eps)
