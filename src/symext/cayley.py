@@ -16,17 +16,13 @@ import numpy as np
 from .errors import NotInvertible, ParameterShapeViolation, RealPoint
 from .operators import (DomainOperator, LinearRelation, is_isometric,
                         is_symmetric, operator_from_generators)
-from .subspaces import (REAL_AXIS_GUARD, Subspace, fix_phase, orthonormalize,
-                        rank_split)
-
-# Containment slack for parameter shape checks, looser than rank decisions.
-SHAPE_TOL = 1e-8
+from .subspaces import TOL, Subspace, fix_phase, orthonormalize, rank_split
 
 
 def require_offaxis(z: complex) -> complex:
     z = complex(z)
-    if abs(z.imag) < REAL_AXIS_GUARD:
-        raise RealPoint(f"spectral parameter {z} is within {REAL_AXIS_GUARD} of the real axis")
+    if abs(z.imag) < TOL.real_axis:
+        raise RealPoint(f"spectral parameter {z} is within {TOL.real_axis} of the real axis")
     return z
 
 
@@ -145,11 +141,11 @@ class AdmissibilityResult:
 
 
 def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
-    if not dd.n_z.contains_subspace(t.domain, tol=SHAPE_TOL):
+    if not dd.n_z.contains_subspace(t.domain, tol=TOL.shape):
         raise ParameterShapeViolation("parameter domain is not inside the defect space at z")
     if t.domain_dim:
         resid = t.action - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ t.action)
-        if np.linalg.norm(resid, 2) > SHAPE_TOL * max(1.0, np.linalg.norm(t.action, 2)):
+        if np.linalg.norm(resid, 2) > TOL.shape * max(1.0, np.linalg.norm(t.action, 2)):
             raise ParameterShapeViolation("parameter range is not inside the defect space at zbar")
 
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 file or schema problems, 2 infeasible instance
 parameters, 3 parameter rejected as not admissible (a unit witness is printed
-to stderr as JSON), 4 the three invertibility tests disagree beyond the
-borderline band.
+to stderr as JSON), 4 the three invertibility tests disagree and no margin
+lies in the borderline band (tol/10, 10*tol) around the rank cut ``--tol``.
 """
 
 import argparse
@@ -21,17 +21,13 @@ from .neumann import extend
 from .resolvents import (EmbeddedExtension, ParameterFunction,
                          compressed_resolvent, default_lambda_grid,
                          shtraus_resolvent)
-from .subspaces import DEFAULT_TOL
+from .subspaces import DEFAULT_TOL, TOL
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_ADMISSIBLE = 3
 EXIT_DISAGREEMENT = 4
-
-# margins inside this band are borderline; outside it, disagreement is an error
-BORDERLINE_LOW = 1e-9
-BORDERLINE_HIGH = 1e-6
 
 
 def _parse_complex(text: str) -> complex:
@@ -96,7 +92,7 @@ def cmd_extend(args) -> int:
     op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
     parameter = serialize.decode_parameter(_read_json(args.param), tol=args.tol)
     z = args.z if args.z is not None else parameter.z
-    if args.z is not None and abs(parameter.z - args.z) > 1e-12:
+    if args.z is not None and abs(parameter.z - args.z) > TOL.base_point_match:
         raise ValueError("--z disagrees with the parameter file base point")
     report = extend(op, z, parameter)
     doc = {
@@ -119,6 +115,8 @@ def cmd_check_invert(args) -> int:
     parameter = serialize.decode_parameter(_read_json(args.param), tol=args.tol)
     z = args.z if args.z is not None else parameter.z
     verdict = check_invertibility(op, z, parameter)
+    # margins strictly inside this band around the rank cut are borderline
+    band = (args.tol / TOL.borderline_factor, args.tol * TOL.borderline_factor)
     doc = {
         "schema": serialize.SCHEMA_VERSION,
         "kind": "invertibility_verdict",
@@ -129,13 +127,12 @@ def cmd_check_invert(args) -> int:
         "agree": verdict.agree,
         "margins": {k: (None if np.isinf(v) else v) for k, v in verdict.margins.items()},
         "witness": None if verdict.witness is None else _encode_vector(verdict.witness),
-        "tolerances": {"rank_tol": args.tol, "borderline_band": [BORDERLINE_LOW, BORDERLINE_HIGH]},
+        "tolerances": {"rank_tol": args.tol, "borderline_band": list(band)},
     }
     _write_output(doc, args.output)
     if not verdict.agree:
         finite = [v for v in verdict.margins.values() if not np.isinf(v)]
-        borderline = any(BORDERLINE_LOW < m < BORDERLINE_HIGH for m in finite)
-        if not borderline:
+        if not any(band[0] < m < band[1] for m in finite):
             return EXIT_DISAGREEMENT
     return EXIT_OK
 
@@ -189,8 +186,8 @@ def cmd_resolvent(args) -> int:
         "lambda0": serialize.encode_complex(lambda0),
         "points": points,
         "max_deviation": worst,
-        "tolerances": {"rank_tol": args.tol, "agreement_tol": 1e-8},
-        "agree": worst < 1e-8,
+        "tolerances": {"rank_tol": args.tol, "agreement_tol": TOL.resolvent_agreement},
+        "agree": worst < TOL.resolvent_agreement,
     }
     _write_output(doc, args.output)
     return EXIT_OK
@@ -225,8 +222,8 @@ def cmd_verify(args) -> int:
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
-        "tolerances": {"rank_tol": args.tol, "cayley_tol": checks.CAYLEY_TOL,
-                       "resolvent_tol": checks.RESOLVENT_TOL, "roundtrip_tol": checks.ROUNDTRIP_TOL},
+        "tolerances": {"rank_tol": args.tol, "cayley_tol": TOL.check_cayley,
+                       "resolvent_tol": TOL.check_resolvent, "roundtrip_tol": TOL.check_roundtrip},
     }
     _write_output(doc, args.output)
     return EXIT_OK
@@ -240,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="relative rank tolerance (default %(default)g)")
+                       help="relative rank tolerance, the centre of check-invert's borderline "
+                            "band (tol/10, 10*tol) (default %(default)g)")
         p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("gen", help="generate a seeded symmetric operator instance")

@@ -34,13 +34,7 @@ from .neumann import ContractionParameter, extend
 from .operators import (DomainOperator, direct_sum_op, graph_contains,
                         inverse_op, is_injective, is_symmetric, make_operator,
                         negate, scale_op)
-from .subspaces import Subspace, rank_split
-
-# Margin below which a candidate direction is considered to collide with a
-# forbidden image during the constructive chain.
-MIN_SEPARATION = 1e-6
-
-RETRIES_PER_DIM = 10
+from .subspaces import TOL, Subspace, rank_split
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +62,11 @@ def check_invertibility(a: DomainOperator, z: complex,
 
     a_inv = inverse_op(a)
     z_inv = 1.0 / z
+    dd_inv = defect_data(a_inv, z_inv)
     scaled_t = scale_op(parameter.t, z / np.conj(z))
-    adm = is_admissible(a_inv, z_inv, scaled_t)
-    via_admissibility = adm.admissible
-    margin_adm = adm.margin
+    adm = is_admissible(a_inv, z_inv, scaled_t, dd=dd_inv)
 
-    x = forbidden_operator(a_inv, z_inv)
+    x = forbidden_operator(a_inv, z_inv, dd=dd_inv)
     meet = parameter.t.domain.intersect(x.domain)
     if meet.dim == 0:
         via_forbidden = True
@@ -86,11 +79,11 @@ def check_invertibility(a: DomainOperator, z: complex,
         margin_forbidden = float(s[-1])
         via_forbidden = rank == meet.dim
 
-    agree = direct == via_admissibility == via_forbidden
-    return InvertibilityVerdict(direct, via_admissibility, via_forbidden, agree,
+    agree = direct == adm.admissible == via_forbidden
+    return InvertibilityVerdict(direct, adm.admissible, via_forbidden, agree,
                                 report.witnesses.get("kernel"),
                                 {"direct": report.injectivity_margin,
-                                 "via_admissibility": margin_adm,
+                                 "via_admissibility": adm.margin,
                                  "via_forbidden": margin_forbidden})
 
 
@@ -148,7 +141,8 @@ def _candidate_coords(n_zbar: Subspace, forbidden_images, rng, batch: int) -> np
     # directions orthogonal (within N_zbar) to each forbidden image
     for img in forbidden_images:
         c = n_zbar.frame.conj().T @ img
-        rows += _unit_rows(eye - c * c.conj()[:, None] / max(np.vdot(c, c).real, 1e-30), 1e-8)
+        proj = eye - c * c.conj()[:, None] / max(np.vdot(c, c).real, TOL.tiny_norm_sq)
+        rows += _unit_rows(proj, TOL.candidate_floor)
     raw = rng.standard_normal((batch, 2, n))
     rows += _unit_rows(raw[:, 0] + 1j * raw[:, 1], 0.0)
     return np.vstack(rows)
@@ -167,7 +161,7 @@ def _pick_direction(n_zbar: Subspace, forbidden_images, rng) -> np.ndarray:
     """Unit h in N_zbar maximizing the min distance to the forbidden images.
 
     Candidates are scanned in order; one replaces the best so far only if it
-    beats it by more than 1e-12.
+    beats it by more than ``TOL.candidate_tie``.
     """
     coords = _candidate_coords(n_zbar, forbidden_images, rng, batch=16)
     if forbidden_images:
@@ -178,9 +172,9 @@ def _pick_direction(n_zbar: Subspace, forbidden_images, rng) -> np.ndarray:
         scores = np.full(coords.shape[0], np.inf)
     best, best_score = None, -1.0
     for k, score in enumerate(scores.tolist()):
-        if score > best_score + 1e-12:
+        if score > best_score + TOL.candidate_tie:
             best, best_score = k, score
-    if best is None or best_score <= MIN_SEPARATION:
+    if best is None or best_score <= TOL.min_separation:
         return None
     # keep the winning phase: rotating h changes which vectors T pins down
     return n_zbar.frame @ coords[best]
@@ -273,7 +267,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
     tol = start.tol
     rng = np.random.default_rng(seed)
     steps = []
-    budget = RETRIES_PER_DIM * start.ambient_dim
+    budget = TOL.retries_per_dim * start.ambient_dim
     while n_z.dim > 0:
         placed = False
         for attempt in range(n_z.dim):

@@ -20,10 +20,7 @@ from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import NotAdmissible, NotAnExtension
 from .operators import (DomainOperator, LinearRelation, graph_contains,
                         is_symmetric, kernel_witness, operator_from_generators)
-from .subspaces import Subspace, rank_split
-
-# Graph inclusion uses a fixed, looser tolerance than rank decisions.
-GRAPH_INCLUSION_TOL = 1e-8
+from .subspaces import TOL, Subspace, rank_split
 
 SYMMETRIC = "symmetric"
 SELF_ADJOINT = "self-adjoint"
@@ -47,7 +44,7 @@ class ContractionParameter:
         require_offaxis(self.z)
         if self.t.domain_dim:
             s = np.linalg.svd(self.t.action, compute_uv=False)
-            if s[0] > 1.0 + 1e-8:
+            if s[0] > 1.0 + TOL.expanding:
                 raise ValueError(f"parameter is expanding: top singular value {s[0]:.3e}")
 
     @classmethod
@@ -78,10 +75,10 @@ def _parameter_kind(t: DomainOperator) -> str:
     if t.domain_dim == 0:
         return ISOMETRIC
     gram = t.action.conj().T @ t.action
-    if np.allclose(gram, np.eye(t.domain_dim), atol=1e-10):
+    if np.allclose(gram, np.eye(t.domain_dim), atol=TOL.isometric_kind):
         return ISOMETRIC
     s = np.linalg.svd(t.action, compute_uv=False)
-    if s[0] < 1.0 - 1e-10:
+    if s[0] < 1.0 - TOL.contractive_kind:
         return STRICTLY_CONTRACTIVE
     return MIXED
 
@@ -93,7 +90,7 @@ def classify_operator(b: DomainOperator) -> str:
     k = b.compression()
     imag = (k - k.conj().T) / 2j
     eigs = np.linalg.eigvalsh(imag)
-    slack = 1e-10 * max(1.0, np.linalg.norm(k, 2))
+    slack = TOL.dissipative_slack * max(1.0, np.linalg.norm(k, 2))
     if eigs.size == 0 or eigs[0] >= -slack:
         return DISSIPATIVE
     if eigs[-1] <= slack:
@@ -139,7 +136,7 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
     generators = np.hstack([a.domain.frame, q - p])
     images = np.hstack([a.action, z * q - np.conj(z) * p])
     b = operator_from_generators(generators, images, tol=a.tol)
-    if not graph_contains(b, a if graph_a is None else graph_a, tol=GRAPH_INCLUSION_TOL):
+    if not graph_contains(b, a if graph_a is None else graph_a):
         raise NotAnExtension("constructed operator does not extend the base")
     return b
 
@@ -173,7 +170,7 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
     (B - zbar). Requires graph(A) inside graph(B).
     """
     z = require_offaxis(z)
-    if not graph_contains(b, a, tol=GRAPH_INCLUSION_TOL):
+    if not graph_contains(b, a):
         raise NotAnExtension("operator does not extend the base")
     dd = defect_data(a, z)
     shifted = b.action - z * b.domain.frame
@@ -183,11 +180,11 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
         return ContractionParameter.empty(z, a.ambient_dim)
     coeffs = vh.conj().T @ ((u.conj().T @ t_domain.frame) / s[:rank, None])
     resid = np.linalg.norm(shifted @ coeffs - t_domain.frame, 2)
-    if resid > 1e-8:
+    if resid > TOL.recover_reach:
         raise NotAnExtension("defect directions are not reached by (B - z)")
     images = (b.action - np.conj(z) * b.domain.frame) @ coeffs
     out = images - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ images)
-    if np.linalg.norm(out, 2) > 1e-8 * max(1.0, np.linalg.norm(images, 2)):
+    if np.linalg.norm(out, 2) > TOL.recover_leak * max(1.0, np.linalg.norm(images, 2)):
         raise NotAnExtension("recovered images leave the defect space at zbar")
     t = DomainOperator(a.ambient_dim, t_domain, images)
     return ContractionParameter.from_operator(z, t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, NotInvertible
-from .subspaces import DEFAULT_TOL, Subspace, fix_phase, orthonormalize, rank_split
+from .subspaces import DEFAULT_TOL, TOL, Subspace, fix_phase, orthonormalize, rank_split
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,18 +96,17 @@ def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOpera
     return DomainOperator(d, Subspace(d, u, tol), img @ (vh.conj().T / s))
 
 
-def is_symmetric(a: DomainOperator, tol=None) -> bool:
+def is_symmetric(a: DomainOperator) -> bool:
     """(Av, w) = (v, Aw) on the domain, i.e. the compression is Hermitian."""
     if a.domain_dim == 0:
         return True
-    tol = a.tol if tol is None else tol
     k = a.compression()
     scale = max(1.0, np.linalg.norm(a.action, 2))
-    return bool(np.linalg.norm(k - k.conj().T, 2) <= 10 * tol * scale)
+    return bool(np.linalg.norm(k - k.conj().T, 2) <= 10 * a.tol * scale)
 
 
-def is_injective(a: DomainOperator, tol=None) -> bool:
-    rank, _, _ = rank_split(a.action, a.tol if tol is None else tol)
+def is_injective(a: DomainOperator) -> bool:
+    rank, _, _ = rank_split(a.action, a.tol)
     return rank == a.domain_dim
 
 
@@ -122,30 +121,27 @@ def kernel_witness(a: DomainOperator) -> np.ndarray:
     return fix_phase(a.domain.frame @ null[:, -1])
 
 
-def inverse_op(a: DomainOperator, tol=None) -> DomainOperator:
+def inverse_op(a: DomainOperator) -> DomainOperator:
     """Inverse with domain R(A); requires ker A = {0}."""
-    if not is_injective(a, tol):
+    if not is_injective(a):
         raise NotInvertible("operator has a nontrivial kernel")
     if a.domain_dim == 0:
         return DomainOperator(a.ambient_dim, a.domain, a.action)
-    return operator_from_generators(a.action, a.domain.frame, tol=a.tol if tol is None else tol)
+    return operator_from_generators(a.action, a.domain.frame, tol=a.tol)
 
 
-def is_isometric(a: DomainOperator, tol=None) -> bool:
+def is_isometric(a: DomainOperator) -> bool:
     if a.domain_dim == 0:
         return True
-    tol = a.tol if tol is None else tol
-    k = a.domain_dim
     gram = a.action.conj().T @ a.action
-    return bool(np.linalg.norm(gram - np.eye(k), 2) <= 100 * tol)
+    return bool(np.linalg.norm(gram - np.eye(a.domain_dim), 2) <= 100 * a.tol)
 
 
-def is_nonexpanding(a: DomainOperator, tol=None) -> bool:
-    tol = a.tol if tol is None else tol
+def is_nonexpanding(a: DomainOperator) -> bool:
     if a.domain_dim == 0:
         return True
     s = np.linalg.svd(a.action, compute_uv=False)
-    return bool(s[0] <= 1.0 + 100 * tol)
+    return bool(s[0] <= 1.0 + 100 * a.tol)
 
 
 def negate(a: DomainOperator) -> DomainOperator:
@@ -258,11 +254,11 @@ def graph_distance(a, b) -> float:
     return ga.graph.distance(gb.graph)
 
 
-def graph_contains(big, small, tol=1e-8) -> bool:
-    """Whether graph(small) sits inside graph(big) within tol."""
+def graph_contains(big, small) -> bool:
+    """Whether graph(small) sits inside graph(big) within ``TOL.graph_inclusion``."""
     gb = big if isinstance(big, LinearRelation) else LinearRelation.from_operator(big)
     gs = small if isinstance(small, LinearRelation) else LinearRelation.from_operator(small)
     if gs.dim == 0:
         return True
     resid = gs.graph.frame - gb.graph.frame @ (gb.graph.frame.conj().T @ gs.graph.frame)
-    return bool(np.linalg.norm(resid, 2) <= tol)
+    return bool(np.linalg.norm(resid, 2) <= TOL.graph_inclusion)

@@ -37,13 +37,7 @@ from .errors import (InsufficientSamples, ProjectionDegenerate,
 from .neumann import ContractionParameter, construct_extension
 from .operators import (DomainOperator, LinearRelation, inverse_op,
                         operator_from_generators, operator_from_matrix)
-from .subspaces import DEFAULT_TOL, SectorSpec, Subspace, fix_phase, rank_split
-
-# Guards on a sample of F, shared by frak_f and the spectral sampler so that
-# both reject the same points.
-PROJECTION_TOL = 1e-10    # smallest singular value of P_H on L_lam, relative
-RESIDUAL_TOL = 1e-8       # range residual and defect-space leakage of a sample
-EXPANSION_SLACK = 1e-7    # allowed excess of a sample's norm over 1
+from .subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace, fix_phase, rank_split
 
 
 def _half_plane(lam: complex, lambda0: complex) -> bool:
@@ -63,10 +57,11 @@ class EmbeddedExtension:
         embed = np.array(self.embed, dtype=complex)
         d = self.base.ambient_dim
         # loosening atilde.tol loosens the structural gates in step
-        gate = max(1e-8, 10.0 * self.atilde.tol)
+        gate = max(TOL.structure_gate, 10.0 * self.atilde.tol)
         if embed.shape != (d + self.exit_dim, d):
             raise ValueError("embedding has the wrong shape")
-        if not np.allclose(embed.conj().T @ embed, np.eye(d), atol=max(1e-10, self.atilde.tol)):
+        if not np.allclose(embed.conj().T @ embed, np.eye(d),
+                           atol=max(TOL.embedding_isometry, self.atilde.tol)):
             raise ValueError("embedding is not isometric")
         if not self.atilde.is_total() or self.atilde.ambient_dim != d + self.exit_dim:
             raise ValueError("extension must be total on C^{d+e}")
@@ -140,7 +135,7 @@ def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
     """P_H (Atilde - lam)^{-1} restricted to H, as a d x d matrix."""
     m = ext.atilde_matrix()
     shifted = m - lam * np.eye(m.shape[0])
-    if rank_split(shifted, 1e-10)[0] < m.shape[0]:
+    if rank_split(shifted, TOL.spectrum_hit)[0] < m.shape[0]:
         raise SpectrumHit(f"{lam} is numerically an eigenvalue of the extension")
     return ext.embed.conj().T @ np.linalg.solve(shifted, ext.embed)
 
@@ -164,7 +159,7 @@ def _frak_b_from(ext: EmbeddedExtension, lam: complex, l_space: Subspace) -> Dom
     g = l_space.frame
     proj = ext.embed.conj().T @ g
     # injective only if every column direction survives: full column rank
-    if rank_split(proj, PROJECTION_TOL)[0] < proj.shape[1]:
+    if rank_split(proj, TOL.projection)[0] < proj.shape[1]:
         raise ProjectionDegenerate(
             f"projection onto H is not injective on the constrained space at {lam}")
     images = ext.embed.conj().T @ (ext.atilde_matrix() @ g)
@@ -214,16 +209,16 @@ def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
     Columns j of ``residual`` (the solve through B_lam - lam0) and of ``img``
     belong to defect column j and are guarded alone; the sample must not expand.
     """
-    if not np.all(np.linalg.norm(residual, axis=0) <= RESIDUAL_TOL):
+    if not np.all(np.linalg.norm(residual, axis=0) <= TOL.sample_residual):
         raise ProjectionDegenerate(
             f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
     coords = nbar_frame.conj().T @ img
     leak = np.linalg.norm(img - nbar_frame @ coords, axis=0)
-    if np.any(leak > RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(img, axis=0))):
+    if np.any(leak > TOL.sample_residual * np.maximum(1.0, np.linalg.norm(img, axis=0))):
         raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
     if coords.size:
         top = np.linalg.svd(coords, compute_uv=False)[0]
-        if top > 1.0 + EXPANSION_SLACK:
+        if top > 1.0 + TOL.sample_expansion:
             raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
     return coords
 
@@ -258,7 +253,7 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
         dy = d_lam * y
         x = dy - d_lam * (delta @ dy)
         # V x spans L_lam; P_H must be injective on it, tested as in frak_b
-        if rank_split(y.conj().T @ np.linalg.qr(x)[0], PROJECTION_TOL)[0] < x.shape[1]:
+        if rank_split(y.conj().T @ np.linalg.qr(x)[0], TOL.projection)[0] < x.shape[1]:
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
         r = y.conj().T @ x
@@ -292,7 +287,7 @@ class ParameterFunction:
         if self.constant_matrix is not None:
             return self.constant_matrix
         for key, value in self.samples.items():
-            if abs(key - lam) <= 1e-9:
+            if abs(key - lam) <= TOL.sample_match:
                 return value
         raise KeyError(f"no sample stored at {lam}")
 
@@ -366,17 +361,15 @@ def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
         b_mat = _extension_matrix_for(a, np.conj(lambda0), f.range_frame, f.domain_frame,
                                       matrix.conj().T)
     shifted = b_mat - lam * np.eye(a.ambient_dim)
-    if rank_split(shifted, 1e-12)[0] < a.ambient_dim:
+    if rank_split(shifted, TOL.resolvent_singular)[0] < a.ambient_dim:
         raise ResolventSingular(f"extension minus {lam} is singular")
     return np.linalg.inv(shifted)
 
 
-def default_lambda_grid(lambda0: complex, atilde_matrix: Optional[np.ndarray] = None,
-                        points_per_circle: int = 12):
-    """Two circles around lam0 at radii 0.3 and 0.9 of |Im lam0|, inside its half-plane.
-
-    Points within 1e-6 of an eigenvalue of the extension (or of 0) are dropped.
-    """
+def default_lambda_grid(lambda0: complex, atilde_matrix: Optional[np.ndarray] = None):
+    """Twelve points on each of two circles around lam0, at radii 0.3 and 0.9 of
+    |Im lam0|, inside its half-plane, less those within ``TOL.grid_clearance`` of
+    the real axis, of 0 or of an eigenvalue of the extension."""
     lambda0 = require_offaxis(lambda0)
     eigs = np.array([])
     if atilde_matrix is not None:
@@ -384,13 +377,11 @@ def default_lambda_grid(lambda0: complex, atilde_matrix: Optional[np.ndarray] = 
     grid = []
     for factor in (0.3, 0.9):
         r = factor * abs(lambda0.imag)
-        for j in range(points_per_circle):
-            lam = lambda0 + r * np.exp(2j * np.pi * (j + 0.5) / points_per_circle)
-            if abs(lam.imag) < 1e-6 or not _half_plane(lam, lambda0):
-                continue
-            if abs(lam) < 1e-6:
-                continue
-            if eigs.size and np.min(np.abs(eigs - lam)) < 1e-6:
+        for j in range(12):
+            lam = lambda0 + r * np.exp(2j * np.pi * (j + 0.5) / 12)
+            if (abs(lam.imag) < TOL.grid_clearance or not _half_plane(lam, lambda0)
+                    or abs(lam) < TOL.grid_clearance
+                    or eigs.size and np.min(np.abs(eigs - lam)) < TOL.grid_clearance):
                 continue
             grid.append(lam)
     return tuple(grid)
@@ -431,22 +422,19 @@ def _neville_to_zero(radii, matrices):
 
 
 def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFunction,
-                         sector: Optional[SectorSpec] = None, rate_bound: float = 1e3,
-                         limit_tol: float = 1e-8, agreement_tol: float = 1e-6,
-                         kernel_tol: float = 1e-8) -> IAdmissibilityVerdict:
+                         sector: Optional[SectorSpec] = None) -> IAdmissibilityVerdict:
     """Test whether F satisfies the invertible-extension boundary condition.
 
     Along each sector ray, F is extrapolated to 0; a nonzero psi rejects F when
-    (F(0+) - (lam0bar/lam0) X) psi = 0 within ``limit_tol`` (X the forbidden
+    (F(0+) - (lam0bar/lam0) X) psi = 0 within ``TOL.limit`` (X the forbidden
     operator of A^{-1} at 1/lam0) and the discrete rate proxy
-    (1/|lam|)(||psi|| - ||F(lam) psi||) stays below ``rate_bound`` at the two
-    smallest radii. When D(X) = {0} every parameter passes immediately.
+    (1/|lam|)(||psi|| - ||F(lam) psi||) stays below ``TOL.rate_bound`` at the
+    two smallest radii. When D(X) = {0} every parameter passes immediately.
     """
     lambda0 = require_offaxis(lambda0)
     if sector is None:
         sector = SectorSpec.default_for(lambda0)
-    tolerances = {"rate_bound": rate_bound, "limit_tol": limit_tol,
-                  "agreement_tol": agreement_tol, "kernel_tol": kernel_tol}
+    tolerances = {"rate_bound": TOL.rate_bound, "limit_tol": TOL.limit, "kernel_tol": TOL.kernel}
     if len(sector.radii) < 4:
         raise InsufficientSamples("need at least four radii for the limit estimate")
     a_inv = inverse_op(a)
@@ -478,13 +466,11 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     img_coords = nbar_frame.conj().T @ x_imgs
     k_mat = f0 @ dom_coords - scale * img_coords
 
-    _, s, kernel_dirs = rank_split(k_mat, kernel_tol, part="null")
+    _, s, kernel_dirs = rank_split(k_mat, TOL.kernel, part="null")
     kernel_margin = float(s[-1]) if s.size else float("inf")
 
     two_smallest = sector.radii[-2:]
-    witness = None
-    witness_resid = None
-    witness_proxy = None
+    witness = witness_resid = witness_proxy = None
     rate_estimates = {}
     for direction in kernel_dirs.T:
         psi = fix_phase(x.domain.frame @ direction)
@@ -500,10 +486,10 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
             for lam, mat in zip(points, mats):
                 p = (1.0 - float(np.linalg.norm(mat @ psi_coords))) / abs(lam)
                 ray_proxies.append(p)
-                if abs(lam) <= max(two_smallest) * (1 + 1e-12):
+                if abs(lam) <= max(two_smallest) * (1 + TOL.radius_match):
                     min_proxy = min(min_proxy, p)
             proxies[theta] = tuple(ray_proxies)
-        if limit_resid <= limit_tol and min_proxy < rate_bound:
+        if limit_resid <= TOL.limit and min_proxy < TOL.rate_bound:
             witness = psi
             witness_resid = limit_resid
             witness_proxy = min_proxy

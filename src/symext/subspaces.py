@@ -6,7 +6,8 @@ above ``tol * max(floor, s[0])``. Floor 0 makes the cut relative to the
 largest singular value (spans of frames, whose scale means nothing); floor 1
 makes it absolute for matrices of norm below 1 (actions and shifted matrices,
 where a small operator must not count as full rank). ``DEFAULT_TOL`` is the
-tolerance operators and subspaces carry unless given another.
+tolerance operators and subspaces carry unless given another; every fixed
+threshold of the toolkit is a field of ``TOL``.
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,49 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# A spectral parameter closer than this to the real axis is rejected.
-REAL_AXIS_GUARD = 1e-8
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The fixed thresholds, one per decision; unlike DEFAULT_TOL, no object carries them."""
+
+    real_axis: float = 1e-8           # a spectral parameter this close to the real axis is rejected
+    phase_cutoff: float = 1e-8        # fix_phase: first coordinate above this share of the norm
+    frame_floor: float = 1e-12        # frame orthonormality is checked at 10 * max(tol, this)
+    shape: float = 1e-8               # parameter shape: domain inside N_z, range inside N_zbar
+    graph_inclusion: float = 1e-8     # graph(A) inside graph(B), for an extension of A
+    expanding: float = 1e-8           # a parameter of norm above 1 + this is rejected
+    isometric_kind: float = 1e-10     # parameter kind "isometric": T^H T = I within this
+    contractive_kind: float = 1e-10   # parameter kind "strictly-contractive": norm below 1 - this
+    dissipative_slack: float = 1e-10  # classify_operator: sign of the eigenvalues of Im B, relative
+    recover_reach: float = 1e-8       # recover_parameter: D(T) is reached through B - z
+    recover_leak: float = 1e-8        # recover_parameter: recovered images stay in N_zbar, relative
+    min_separation: float = 1e-6      # chain: a direction this close to a forbidden image collides
+    retries_per_dim: int = 10         # chain: retry budget per ambient dimension
+    tiny_norm_sq: float = 1e-30       # chain: floor of c^H c when projecting off a forbidden image
+    candidate_floor: float = 1e-8     # chain: shorter projected candidates are dropped
+    candidate_tie: float = 1e-12      # chain: a candidate must beat the best so far by more
+    structure_gate: float = 1e-8      # EmbeddedExtension: floor of the self-adjoint/extends gates
+    embedding_isometry: float = 1e-10  # EmbeddedExtension: floor of the embedding isometry gate
+    spectrum_hit: float = 1e-10       # compressed_resolvent: Atilde - lam is singular (SpectrumHit)
+    resolvent_singular: float = 1e-12  # shtraus_resolvent: B - lam is singular (ResolventSingular)
+    projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
+    sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): residual, leakage
+    sample_expansion: float = 1e-7    # sample of F (frak_f and the sampler): norm excess over 1
+    sample_match: float = 1e-9        # a stored sample of F answers every lam this close to it
+    grid_clearance: float = 1e-6      # default grid drops lam this close to R, 0 or an eigenvalue
+    rate_bound: float = 1e3           # i-admissibility: bound on the norm-loss rate proxy
+    limit: float = 1e-8               # i-admissibility: limit residual of a witness
+    kernel: float = 1e-8              # i-admissibility: kernel cut of F(0+) - (lam0bar/lam0) X
+    radius_match: float = 1e-12       # i-admissibility: relative slack picking the smallest radii
+    check_cayley: float = 1e-10       # verify: Cayley, defect-space and symmetry identities
+    check_resolvent: float = 1e-8     # verify: the three inversion identities
+    check_roundtrip: float = 1e-9     # verify: extend then recover_parameter
+    resolvent_agreement: float = 1e-8  # resolvent command: compressed vs Shtraus deviation
+    base_point_match: float = 1e-12   # extend command: --z equals the parameter's base point
+    borderline_factor: float = 10.0   # check-invert: margins in (tol/this, tol*this) are borderline
+
+
+TOL = Tolerances()
 
 
 def _as_complex_matrix(vectors, ambient_dim=None):
@@ -36,13 +78,13 @@ def _as_complex_matrix(vectors, ambient_dim=None):
     return m
 
 
-def fix_phase(v, cutoff=1e-8):
+def fix_phase(v):
     """Rotate a vector so its first non-negligible coordinate is real positive."""
     v = np.asarray(v, dtype=complex)
     nv = np.linalg.norm(v)
     if nv == 0:
         return v
-    idx = int(np.argmax(np.abs(v) > cutoff * nv))
+    idx = int(np.argmax(np.abs(v) > TOL.phase_cutoff * nv))
     ph = v[idx] / abs(v[idx])
     return v * np.conj(ph)
 
@@ -60,7 +102,7 @@ class Subspace:
         if frame.ndim != 2 or frame.shape[0] != self.ambient_dim:
             raise ValueError("frame must be ambient_dim x k")
         gram = frame.conj().T @ frame
-        if not np.allclose(gram, np.eye(frame.shape[1]), atol=max(self.tol, 1e-12) * 10):
+        if not np.allclose(gram, np.eye(frame.shape[1]), atol=max(self.tol, TOL.frame_floor) * 10):
             raise ValueError("frame columns are not orthonormal")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
@@ -76,13 +118,12 @@ class Subspace:
         v = np.asarray(v, dtype=complex).reshape(-1)
         return self.frame @ (self.frame.conj().T @ v)
 
-    def contains(self, v, tol=None) -> bool:
+    def contains(self, v) -> bool:
         v = np.asarray(v, dtype=complex).reshape(-1)
-        tol = self.tol if tol is None else tol
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
-        return np.linalg.norm(v - self.project(v)) <= 10 * tol * max(1.0, nv)
+        return np.linalg.norm(v - self.project(v)) <= 10 * self.tol * max(1.0, nv)
 
     def contains_subspace(self, other: "Subspace", tol=None) -> bool:
         tol = self.tol if tol is None else tol
@@ -220,13 +261,12 @@ class SectorSpec:
             raise ValueError("radii must strictly decrease")
 
     @classmethod
-    def default_for(cls, lambda0, epsilon=np.pi / 6, n_radii=8, ratio=0.25):
-        """Three rays spread across the sector, geometric radii toward 0."""
+    def default_for(cls, lambda0):
+        """Three rays spread across the sector, eight radii shrinking by 4 toward 0."""
         sign = 1 if lambda0.imag > 0 else -1
         angles = tuple(sign * th for th in (np.pi / 4, np.pi / 2, 3 * np.pi / 4))
         r0 = 0.25 * abs(lambda0)
-        radii = tuple(r0 * ratio ** k for k in range(n_radii))
-        return cls(sign, epsilon, angles, radii)
+        return cls(sign, ray_angles=angles, radii=tuple(r0 * 0.25 ** k for k in range(8)))
 
     def sample_points(self):
         """All lambda = r e^{i theta} on the sector grid, grouped by ray."""

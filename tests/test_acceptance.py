@@ -110,9 +110,9 @@ def test_criterion_3_cayley_identities():
     worst_spaces, worst_scaling = 0.0, 0.0
     for i in range(100):
         a, _, _ = random_instance(i + 300, max_dim=8)
-        zs = None  # each check draws its own 5 off-axis z values
-        r1 = check_range_defect_inverse(a, zs)
-        r2 = check_cayley_inverse_scaling(a, zs)
+        # each check draws its own 5 off-axis z values
+        r1 = check_range_defect_inverse(a)
+        r2 = check_cayley_inverse_scaling(a)
         worst_spaces = max(worst_spaces, r1.max_error)
         worst_scaling = max(worst_scaling, r2.max_error)
     ok = worst_spaces < 1e-10 and worst_scaling < 1e-10

@@ -19,6 +19,7 @@ from symext.resolvents import compressed_resolvent
 from symext.serialize import (decode_complex, decode_embedded_extension,
                               decode_operator, decode_parameter, json_dump,
                               load_operator, operator_file, parameter_file)
+from symext.subspaces import DEFAULT_TOL
 
 from conftest import worked_parameter
 
@@ -129,7 +130,8 @@ def test_check_invert_agreeing_verdict(tmp_path):
     assert doc["direct"] and doc["via_admissibility"] and doc["via_forbidden"]
     assert doc["agree"] is True and doc["witness"] is None
     assert set(doc["margins"]) == {"direct", "via_admissibility", "via_forbidden"}
-    assert doc["tolerances"]["borderline_band"] == [1e-9, 1e-6]
+    # the band brackets the rank cut: (tol/10, 10*tol) at the default --tol
+    assert doc["tolerances"]["borderline_band"] == [DEFAULT_TOL / 10, DEFAULT_TOL * 10]
 
 
 def test_check_invert_negative_verdict_keeps_agreement(tmp_path):
@@ -146,7 +148,7 @@ def test_check_invert_negative_verdict_keeps_agreement(tmp_path):
 
 def test_check_invert_disagreement_exit_code(tmp_path, monkeypatch):
     # a genuine disagreement needs a bug, so fabricate the verdict at the seam
-    # and confirm the borderline band separates exit 4 from exit 0
+    # and confirm the borderline band (tol/10, 10*tol) separates exit 4 from exit 0
     op_path, par_path = tmp_path / "op.json", tmp_path / "p.json"
     a = write_worked_operator(op_path)
     write_parameter(par_path, a, 1j)
@@ -161,9 +163,19 @@ def test_check_invert_disagreement_exit_code(tmp_path, monkeypatch):
     code = cli.main(["check-invert", str(op_path), "--param", str(par_path),
                      "-o", str(tmp_path / "v.json")])
     assert code == 4
-    FakeVerdict.margins = {"direct": 5e-8, "via_admissibility": 5e-8, "via_forbidden": 5e-8}
+    # next to the cut at the default --tol 1e-10: borderline
+    FakeVerdict.margins = {"direct": 2e-10, "via_admissibility": 2e-10, "via_forbidden": 2e-10}
     code = cli.main(["check-invert", str(op_path), "--param", str(par_path),
                      "-o", str(tmp_path / "v2.json")])
+    assert code == 0
+    # two decades above the cut: outside the band, so a disagreement there is an error
+    FakeVerdict.margins = {"direct": 5e-8, "via_admissibility": 5e-8, "via_forbidden": 5e-8}
+    code = cli.main(["check-invert", str(op_path), "--param", str(par_path),
+                     "-o", str(tmp_path / "v3.json")])
+    assert code == 4
+    # the band follows --tol
+    code = cli.main(["check-invert", str(op_path), "--param", str(par_path), "--tol", "1e-8",
+                     "-o", str(tmp_path / "v4.json")])
     assert code == 0
 
 

@@ -1,12 +1,14 @@
 """Three-way invertibility criterion and the constructive self-adjoint chain."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 import symext as sx
 from symext.cayley import defect_data, forbidden_operator
 from symext.errors import NotAdmissible, NotInvertibleBase, SymextError
-from symext.invertibility import (MIN_SEPARATION, _forbidden_images, _leading,
+from symext.invertibility import (_forbidden_images, _leading,
                                   build_invertible_selfadjoint,
                                   check_invertibility, double)
 from symext.neumann import ContractionParameter, extend
@@ -14,6 +16,7 @@ from symext.operators import (graph_contains, graph_distance, inverse_op,
                               is_injective, is_symmetric, negate,
                               operator_from_matrix)
 from symext.resolvents import EmbeddedExtension
+from symext.subspaces import TOL
 
 from conftest import random_contraction, random_instance, worked_parameter
 
@@ -32,6 +35,22 @@ def test_worked_c_eq_i_all_true(worked_a, worked_dd):
     assert (v.direct, v.via_admissibility, v.via_forbidden) == (True, True, True)
     assert v.agree and v.witness is None
     assert min(v.margins.values()) > 0.5
+
+
+def test_inverse_defect_data_built_once(monkeypatch):
+    # is_admissible and forbidden_operator share the defect data of A^{-1} at 1/z;
+    # the package re-exports a function named cayley, so fetch modules by full name
+    inv_mod, cayley_mod = map(importlib.import_module, ("symext.invertibility", "symext.cayley"))
+    a, z, _ = random_instance(7, max_dim=6)
+    parameter = random_contraction(np.random.default_rng(7), defect_data(a, z))
+    calls = {"invertibility": 0, "cayley": 0}
+    for name, mod in (("invertibility", inv_mod), ("cayley", cayley_mod)):
+        def counted(*args, _name=name, _fn=mod.defect_data, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, "defect_data", counted)
+    check_invertibility(a, z, parameter)
+    assert calls == {"invertibility": 1, "cayley": 0}
 
 
 def test_dense_range_vacuous_forbidden():
@@ -217,7 +236,7 @@ def test_chain_replay_matches_recomputation():
                 assert len(solved) == len(images) == 2
                 for img, sol in zip(images, solved):
                     assert np.linalg.norm(sol - img) <= 1e-12
-                    assert np.linalg.norm(h - img) > MIN_SEPARATION
+                    assert np.linalg.norm(h - img) > TOL.min_separation
                 rebuilt = extend(previous, z, step.parameter).b
                 current = chain.operator(k)
                 assert graph_distance(current, rebuilt) <= 1e-12

@@ -11,7 +11,9 @@ Swapping z and zbar gives two identities of extensions: an isometric T at z
 and T^{-1} at zbar give the same B, and a strict contraction T* at zbar gives
 the formal adjoint of B(A, z, T). Moving the spectrum window of A towards 0
 must not change a verdict either, unless a typed error is raised. A verdict
-whose margin lies in the CLI borderline band may differ.
+whose margin lies in the CLI borderline band may differ. Moving a rank-one T
+a distance delta off the forbidden operator moves every margin like delta, and
+the three invertibility tests may part only inside that band.
 """
 
 import numpy as np
@@ -20,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symext as sx
-from symext.cli import BORDERLINE_HIGH, BORDERLINE_LOW
+from symext import cli, serialize
 from symext.operators import DomainOperator
 from symext.resolvents import EmbeddedExtension, ParameterFunction
-from symext.subspaces import SectorSpec, Subspace
+from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace
 
 
 def conjugate(q, a: DomainOperator) -> DomainOperator:
@@ -32,7 +34,9 @@ def conjugate(q, a: DomainOperator) -> DomainOperator:
 
 
 def borderline(*margins) -> bool:
-    return any(BORDERLINE_LOW < m < BORDERLINE_HIGH for m in margins)
+    """Some margin lies in the CLI borderline band at the default --tol."""
+    factor = TOL.borderline_factor
+    return any(DEFAULT_TOL / factor < m < DEFAULT_TOL * factor for m in margins)
 
 
 @st.composite
@@ -229,3 +233,43 @@ def test_verdicts_keep_as_spectrum_window_nears_zero(seed):
                     continue
                 verdict, margins = got
                 assert verdict == reference[name][0] or borderline(*margins), (name, d, eps)
+
+
+def off_forbidden(seed, delta):
+    """(A, z, T) with T rank one and unit, sending f1 a distance delta from the
+    forbidden image (zbar/z) X_{1/z}(A^{-1}) f1, along a unit direction of
+    N_zbar orthogonal to it. d runs through 3..8 with the seed, defect 2."""
+    d = 3 + seed % 6
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=d, defect=2, seed=seed))
+    z = complex(0.5 * (seed % 3 - 1), 0.6 + 0.1 * (seed % 5)) * (1 if seed % 2 else -1)
+    dd = sx.defect_data(a, z)
+    image = on_forbidden_operator(a, z, dd)[:, 0]
+    away = np.array([-np.conj(image[1]), np.conj(image[0])]) / np.linalg.norm(image)
+    # |target - image| = delta on the unit sphere, since |image| = 1
+    target = (1 - delta**2 / 2) * image + delta * np.sqrt(1 - delta**2 / 4) * away
+    return a, z, sx.ContractionParameter.from_matrix(dd, target.reshape(-1, 1))
+
+
+def test_distance_family_margins_scale_and_disagreements_stay_in_band(tmp_path):
+    for seed in range(12):
+        for k in range(3, 13):
+            delta = 10.0 ** -k
+            a, z, parameter = off_forbidden(seed, delta)
+            v = sx.check_invertibility(a, z, parameter)
+            verdicts = (v.direct, v.via_admissibility, v.via_forbidden)
+            finite = [m for m in v.margins.values() if np.isfinite(m)]
+            assert finite and all(0.1 * delta <= m <= 10 * delta for m in finite), (
+                seed, delta, v.margins)
+            assert v.agree or borderline(*finite), (seed, delta)
+            if delta >= 1e-8:
+                assert verdicts == (True, True, True), (seed, delta)
+            if delta <= 1e-12:
+                assert verdicts == (False, False, False), (seed, delta)
+            if k == 10:
+                # next to the cut the CLI must not report a disagreement
+                op, par = tmp_path / f"op{seed}.json", tmp_path / f"p{seed}.json"
+                op.write_text(serialize.json_dump(serialize.operator_file(a)))
+                par.write_text(serialize.json_dump(serialize.parameter_file(parameter)))
+                code = cli.main(["check-invert", str(op), "--param", str(par),
+                                 "-o", str(tmp_path / f"v{seed}.json")])
+                assert code != cli.EXIT_DISAGREEMENT, seed

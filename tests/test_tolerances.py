@@ -1,0 +1,108 @@
+"""The fixed thresholds live in one record, ``symext.subspaces.TOL``.
+
+No module writes a threshold as a literal of its own, and every report that
+states a threshold reads it from the record, so what a report says is what
+was applied.
+"""
+
+import ast
+import dataclasses
+import json
+import re
+import tokenize
+from pathlib import Path
+
+import numpy as np
+
+import symext as sx
+from symext import cli, resolvents, serialize
+from symext.subspaces import DEFAULT_TOL, TOL
+
+SRC = Path(sx.__file__).parent
+
+
+def tolerance_block_lines():
+    """Lines of ``DEFAULT_TOL`` and of the ``Tolerances`` class in subspaces.py."""
+    tree = ast.parse((SRC / "subspaces.py").read_text(encoding="utf-8"))
+    lines = set()
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef) and node.name == "Tolerances") or (
+                isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["DEFAULT_TOL"]):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def test_no_scientific_literal_outside_the_tolerance_block():
+    block = tolerance_block_lines()
+    assert block
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        with open(path, encoding="utf-8") as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type != tokenize.NUMBER or not re.fullmatch(
+                        r"[0-9_.]+[eE][+-]?[0-9_]+[jJ]?", tok.string):
+                    continue
+                if path.name == "subspaces.py" and tok.start[0] in block:
+                    continue
+                stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert stray == []
+
+
+def _pipeline(tmp_path):
+    """A small gen -> build-sa run; returns the operator and extension paths."""
+    op, ext = tmp_path / "op.json", tmp_path / "ext.json"
+    assert cli.main(["gen", "--dim", "4", "--defect", "1", "--seed", "3", "-o", str(op)]) == 0
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "--double", "-o", str(ext)]) == 0
+    return op, ext
+
+
+def _report(tmp_path, name, argv):
+    out = tmp_path / f"{name}.json"
+    code = cli.main([*argv, "-o", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_cli_reports_state_the_record(tmp_path):
+    op, ext = _pipeline(tmp_path)
+    _, doc = _report(tmp_path, "res", ["resolvent", str(op), str(ext), "--lambda0", "0,1"])
+    assert doc["tolerances"] == {"rank_tol": DEFAULT_TOL,
+                                 "agreement_tol": TOL.resolvent_agreement}
+    _, doc = _report(tmp_path, "ver", ["verify", str(op), str(ext)])
+    assert doc["tolerances"] == {"rank_tol": DEFAULT_TOL, "cayley_tol": TOL.check_cayley,
+                                 "resolvent_tol": TOL.check_resolvent,
+                                 "roundtrip_tol": TOL.check_roundtrip}
+
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=4, defect=1, seed=3))
+    dd = sx.defect_data(a, 1j)
+    par = tmp_path / "p.json"
+    par.write_text(serialize.json_dump(serialize.parameter_file(
+        sx.ContractionParameter.from_matrix(dd, np.array([[0.5]])))))
+    for tol in (DEFAULT_TOL, 1e-8):
+        _, doc = _report(tmp_path, "inv", ["check-invert", str(op), "--param", str(par),
+                                           "--tol", repr(tol)])
+        assert doc["tolerances"]["borderline_band"] == [
+            tol / TOL.borderline_factor, tol * TOL.borderline_factor]
+
+
+def test_resolvent_agreement_reported_is_applied(tmp_path, monkeypatch):
+    op, ext = _pipeline(tmp_path)
+    _, doc = _report(tmp_path, "res", ["resolvent", str(op), str(ext), "--lambda0", "0,1"])
+    assert doc["agree"] and doc["max_deviation"] > 0
+    # a record whose agreement bound sits below the deviation flips report and verdict together
+    strict = dataclasses.replace(TOL, resolvent_agreement=doc["max_deviation"] / 2)
+    monkeypatch.setattr(cli, "TOL", strict)
+    _, doc = _report(tmp_path, "res2", ["resolvent", str(op), str(ext), "--lambda0", "0,1"])
+    assert doc["tolerances"]["agreement_tol"] == strict.resolvent_agreement
+    assert doc["agree"] is False
+
+
+def test_i_admissibility_verdict_states_the_record():
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=6, defect=1, seed=2))
+    ext = resolvents.EmbeddedExtension.from_chain(sx.build_invertible_selfadjoint(a, 1j))
+    sector = sx.SectorSpec.default_for(1j)
+    points = [lam for pts in sector.sample_points().values() for lam in pts]
+    f = sx.ParameterFunction.from_extension(ext, 1j, points)
+    verdict = sx.i_admissibility_test(a, 1j, f, sector)
+    assert verdict.tolerances == {"rate_bound": TOL.rate_bound, "limit_tol": TOL.limit,
+                                  "kernel_tol": TOL.kernel}
