@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NotInvertible, ParameterShapeViolation, RealPoint
 from .operators import (DomainOperator, LinearRelation, is_isometric,
                         is_symmetric, operator_from_generators)
-from .subspaces import TOL, Subspace, fix_phase, orthonormalize, rank_split
+from .subspaces import TOL, Subspace, fix_phase, opnorm, orthonormalize, rank_split
 
 
 def require_offaxis(z: complex) -> complex:
@@ -145,7 +145,7 @@ def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
         raise ParameterShapeViolation("parameter domain is not inside the defect space at z")
     if t.domain_dim:
         resid = t.action - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ t.action)
-        if np.linalg.norm(resid, 2) > TOL.shape * max(1.0, np.linalg.norm(t.action, 2)):
+        if opnorm(resid) > TOL.shape * max(1.0, opnorm(t.action)):
             raise ParameterShapeViolation("parameter range is not inside the defect space at zbar")
 
 

@@ -26,7 +26,7 @@ from .operators import graph_distance, inverse_op
 from .resolvents import (EmbeddedExtension, ParameterFunction, _contractive_point,
                          _frak_b_from, _frak_f_from, compressed_resolvent,
                          default_lambda_grid, i_admissibility_test, script_l)
-from .subspaces import TOL, SectorSpec, orthonormalize
+from .subspaces import TOL, SectorSpec, opnorm, orthonormalize
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _cayley_inverse_scaling(base: _BaseOperator, zs) -> CheckResult:
         cols = np.column_stack([
             (np.conj(z) / z) * u_inv.apply(u.domain.frame[:, j]) - u.apply(u.domain.frame[:, j])
             for j in range(u.domain_dim)])
-        worst = max(worst, float(np.linalg.norm(cols, 2)))
+        worst = max(worst, opnorm(cols))
     return CheckResult("cayley_inverse_scaling", worst < TOL.check_cayley, worst)
 
 
@@ -129,8 +129,7 @@ def check_neumann_roundtrip(a, z, seed=0) -> CheckResult:
     while done < 5 and attempts < 100:
         attempts += 1
         raw = rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
-        s = np.linalg.svd(raw, compute_uv=False)
-        mat = raw / (s[0] * rng.uniform(1.05, 2.0))
+        mat = raw / (opnorm(raw) * rng.uniform(1.05, 2.0))
         parameter = ContractionParameter.from_matrix(dd, mat)
         try:
             report = extend(a, z, parameter, dd=dd)
@@ -196,7 +195,7 @@ def _frak_f_error(point: _GridPoint, lambda0, frames: tuple) -> float:
     left = _frak_f_from(point.b_inv, 1.0 / lam, lam0_inv, frames)
     lam0 = _contractive_point(lam, lambda0)
     right = (lambda0 / np.conj(lambda0)) * _frak_f_from(point.b, lam, lam0, frames)
-    return float(np.linalg.norm(left - right, 2))
+    return opnorm(left - right)
 
 
 def check_inversion(ext: EmbeddedExtension, lams, lambda0) -> list:
@@ -249,7 +248,7 @@ def check_resolvent_symmetry(ext, lams) -> CheckResult:
     for lam in lams:
         left = compressed_resolvent(ext, lam).conj().T
         right = compressed_resolvent(ext, np.conj(lam))
-        worst = max(worst, float(np.linalg.norm(left - right, 2)))
+        worst = max(worst, opnorm(left - right))
     return CheckResult("resolvent_symmetry", worst < TOL.check_cayley, worst)
 
 

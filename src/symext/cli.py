@@ -21,7 +21,7 @@ from .neumann import extend
 from .resolvents import (EmbeddedExtension, ParameterFunction,
                          compressed_resolvent, default_lambda_grid,
                          shtraus_resolvent)
-from .subspaces import DEFAULT_TOL, TOL
+from .subspaces import DEFAULT_TOL, TOL, opnorm
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -171,7 +171,7 @@ def cmd_resolvent(args) -> int:
         try:
             compressed = compressed_resolvent(ext, lam)
             direct = shtraus_resolvent(op, lambda0, f, lam)
-            deviation = float(np.linalg.norm(compressed - direct, 2))
+            deviation = opnorm(compressed - direct)
             worst = max(worst, deviation)
             entry["deviation"] = deviation
             rows.append((lam, compressed))

@@ -20,7 +20,7 @@ from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import NotAdmissible, NotAnExtension
 from .operators import (DomainOperator, LinearRelation, graph_contains,
                         is_symmetric, kernel_witness, operator_from_generators)
-from .subspaces import TOL, Subspace, rank_split
+from .subspaces import TOL, Subspace, near_identity, opnorm, rank_split
 
 SYMMETRIC = "symmetric"
 SELF_ADJOINT = "self-adjoint"
@@ -42,10 +42,9 @@ class ContractionParameter:
 
     def __post_init__(self):
         require_offaxis(self.z)
-        if self.t.domain_dim:
-            s = np.linalg.svd(self.t.action, compute_uv=False)
-            if s[0] > 1.0 + TOL.expanding:
-                raise ValueError(f"parameter is expanding: top singular value {s[0]:.3e}")
+        top = opnorm(self.t.action)
+        if top > 1.0 + TOL.expanding:
+            raise ValueError(f"parameter is expanding: top singular value {top:.3e}")
 
     @classmethod
     def from_operator(cls, z: complex, t: DomainOperator) -> "ContractionParameter":
@@ -75,10 +74,9 @@ def _parameter_kind(t: DomainOperator) -> str:
     if t.domain_dim == 0:
         return ISOMETRIC
     gram = t.action.conj().T @ t.action
-    if np.allclose(gram, np.eye(t.domain_dim), atol=TOL.isometric_kind):
+    if near_identity(gram, TOL.isometric_kind):
         return ISOMETRIC
-    s = np.linalg.svd(t.action, compute_uv=False)
-    if s[0] < 1.0 - TOL.contractive_kind:
+    if opnorm(t.action) < 1.0 - TOL.contractive_kind:
         return STRICTLY_CONTRACTIVE
     return MIXED
 
@@ -90,7 +88,7 @@ def classify_operator(b: DomainOperator) -> str:
     k = b.compression()
     imag = (k - k.conj().T) / 2j
     eigs = np.linalg.eigvalsh(imag)
-    slack = TOL.dissipative_slack * max(1.0, np.linalg.norm(k, 2))
+    slack = TOL.dissipative_slack * max(1.0, opnorm(k))
     if eigs.size == 0 or eigs[0] >= -slack:
         return DISSIPATIVE
     if eigs[-1] <= slack:
@@ -179,12 +177,12 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
     if t_domain.dim == 0:
         return ContractionParameter.empty(z, a.ambient_dim)
     coeffs = vh.conj().T @ ((u.conj().T @ t_domain.frame) / s[:rank, None])
-    resid = np.linalg.norm(shifted @ coeffs - t_domain.frame, 2)
+    resid = opnorm(shifted @ coeffs - t_domain.frame)
     if resid > TOL.recover_reach:
         raise NotAnExtension("defect directions are not reached by (B - z)")
     images = (b.action - np.conj(z) * b.domain.frame) @ coeffs
     out = images - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ images)
-    if np.linalg.norm(out, 2) > TOL.recover_leak * max(1.0, np.linalg.norm(images, 2)):
+    if opnorm(out) > TOL.recover_leak * max(1.0, opnorm(images)):
         raise NotAnExtension("recovered images leave the defect space at zbar")
     t = DomainOperator(a.ambient_dim, t_domain, images)
     return ContractionParameter.from_operator(z, t)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, NotInvertible
-from .subspaces import DEFAULT_TOL, TOL, Subspace, fix_phase, orthonormalize, rank_split
+from .subspaces import (DEFAULT_TOL, TOL, Subspace, fix_phase, opnorm, orthonormalize,
+                        rank_split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +102,8 @@ def is_symmetric(a: DomainOperator) -> bool:
     if a.domain_dim == 0:
         return True
     k = a.compression()
-    scale = max(1.0, np.linalg.norm(a.action, 2))
-    return bool(np.linalg.norm(k - k.conj().T, 2) <= 10 * a.tol * scale)
+    scale = max(1.0, opnorm(a.action))
+    return opnorm(k - k.conj().T) <= 10 * a.tol * scale
 
 
 def is_injective(a: DomainOperator) -> bool:
@@ -134,14 +135,11 @@ def is_isometric(a: DomainOperator) -> bool:
     if a.domain_dim == 0:
         return True
     gram = a.action.conj().T @ a.action
-    return bool(np.linalg.norm(gram - np.eye(a.domain_dim), 2) <= 100 * a.tol)
+    return opnorm(gram - np.eye(a.domain_dim)) <= 100 * a.tol
 
 
 def is_nonexpanding(a: DomainOperator) -> bool:
-    if a.domain_dim == 0:
-        return True
-    s = np.linalg.svd(a.action, compute_uv=False)
-    return bool(s[0] <= 1.0 + 100 * a.tol)
+    return opnorm(a.action) <= 1.0 + 100 * a.tol
 
 
 def negate(a: DomainOperator) -> DomainOperator:
@@ -181,7 +179,7 @@ def compose(outer: DomainOperator, inner: DomainOperator) -> DomainOperator:
     # domain coordinates c with (I - P_outer) inner.action c = 0
     resid = inner.action - outer.domain.frame @ (outer.domain.frame.conj().T @ inner.action)
     # ||resid|| <= ||inner.action||, so the cut scales with the inner action
-    _, _, null = rank_split(resid, inner.tol, floor=max(1.0, np.linalg.norm(inner.action, 2)),
+    _, _, null = rank_split(resid, inner.tol, floor=max(1.0, opnorm(inner.action)),
                             part="null")
     if null.shape[1] == 0:
         empty = Subspace(d, np.zeros((d, 0), complex), inner.tol)
@@ -205,8 +203,13 @@ class LinearRelation:
 
     @classmethod
     def from_operator(cls, a: DomainOperator) -> "LinearRelation":
-        stacked = np.vstack([a.domain.frame, a.action])
-        return cls(a.ambient_dim, orthonormalize(stacked, ambient_dim=2 * a.ambient_dim, tol=a.tol))
+        """Graph of A from a reduced QR of ``[frame; action]``.
+
+        The frame is orthonormal, so the stacked matrix has every singular
+        value at least 1: its rank is full and there is no rank to decide.
+        """
+        q, _ = np.linalg.qr(np.vstack([a.domain.frame, a.action]))
+        return cls(a.ambient_dim, Subspace(2 * a.ambient_dim, q, a.tol))
 
     @classmethod
     def from_pairs(cls, domain_vectors, image_vectors, ambient_dim, tol=DEFAULT_TOL) -> "LinearRelation":
@@ -261,4 +264,4 @@ def graph_contains(big, small) -> bool:
     if gs.dim == 0:
         return True
     resid = gs.graph.frame - gb.graph.frame @ (gb.graph.frame.conj().T @ gs.graph.frame)
-    return bool(np.linalg.norm(resid, 2) <= TOL.graph_inclusion)
+    return opnorm(resid) <= TOL.graph_inclusion

@@ -37,7 +37,8 @@ from .errors import (InsufficientSamples, ProjectionDegenerate,
 from .neumann import ContractionParameter, construct_extension
 from .operators import (DomainOperator, LinearRelation, inverse_op,
                         operator_from_generators, operator_from_matrix)
-from .subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace, fix_phase, rank_split
+from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, fix_phase, near_identity,
+                        opnorm, rank_split)
 
 
 def _half_plane(lam: complex, lambda0: complex) -> bool:
@@ -60,18 +61,17 @@ class EmbeddedExtension:
         gate = max(TOL.structure_gate, 10.0 * self.atilde.tol)
         if embed.shape != (d + self.exit_dim, d):
             raise ValueError("embedding has the wrong shape")
-        if not np.allclose(embed.conj().T @ embed, np.eye(d),
-                           atol=max(TOL.embedding_isometry, self.atilde.tol)):
+        if not near_identity(embed.conj().T @ embed, max(TOL.embedding_isometry, self.atilde.tol),
+                             TOL.embedding_diagonal):
             raise ValueError("embedding is not isometric")
         if not self.atilde.is_total() or self.atilde.ambient_dim != d + self.exit_dim:
             raise ValueError("extension must be total on C^{d+e}")
         m = self.atilde_matrix()
-        if np.linalg.norm(m - m.conj().T, 2) > gate * max(1.0, np.linalg.norm(m, 2)):
+        if opnorm(m - m.conj().T) > gate * max(1.0, opnorm(m)):
             raise ValueError("extension is not self-adjoint")
         lifted_domain = embed @ self.base.domain.frame
-        if lifted_domain.shape[1] and np.linalg.norm(
-                m @ lifted_domain - embed @ self.base.action, 2) > gate * max(
-                1.0, np.linalg.norm(self.base.action, 2)):
+        if lifted_domain.shape[1] and opnorm(m @ lifted_domain - embed @ self.base.action) > (
+                gate * max(1.0, opnorm(self.base.action))):
             raise ValueError("extension does not extend the embedded base operator")
         embed.setflags(write=False)
         object.__setattr__(self, "embed", embed)
@@ -216,10 +216,9 @@ def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
     leak = np.linalg.norm(img - nbar_frame @ coords, axis=0)
     if np.any(leak > TOL.sample_residual * np.maximum(1.0, np.linalg.norm(img, axis=0))):
         raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
-    if coords.size:
-        top = np.linalg.svd(coords, compute_uv=False)[0]
-        if top > 1.0 + TOL.sample_expansion:
-            raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
+    top = opnorm(coords)
+    if top > 1.0 + TOL.sample_expansion:
+        raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
     return coords
 
 
@@ -456,7 +455,7 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     disagreement = 0.0
     for i in range(len(estimates)):
         for j in range(i + 1, len(estimates)):
-            disagreement = max(disagreement, float(np.linalg.norm(estimates[i] - estimates[j], 2)))
+            disagreement = max(disagreement, opnorm(estimates[i] - estimates[j]))
     f0 = sum(estimates) / len(estimates)
 
     # scaled forbidden operator in the same frames, restricted to D(X)

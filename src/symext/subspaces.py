@@ -24,6 +24,7 @@ class Tolerances:
     real_axis: float = 1e-8           # a spectral parameter this close to the real axis is rejected
     phase_cutoff: float = 1e-8        # fix_phase: first coordinate above this share of the norm
     frame_floor: float = 1e-12        # frame orthonormality is checked at 10 * max(tol, this)
+    frame_diagonal: float = 1e-5      # frame gate: extra slack on the diagonal of the Gram matrix
     shape: float = 1e-8               # parameter shape: domain inside N_z, range inside N_zbar
     graph_inclusion: float = 1e-8     # graph(A) inside graph(B), for an extension of A
     expanding: float = 1e-8           # a parameter of norm above 1 + this is rejected
@@ -39,6 +40,7 @@ class Tolerances:
     candidate_tie: float = 1e-12      # chain: a candidate must beat the best so far by more
     structure_gate: float = 1e-8      # EmbeddedExtension: floor of the self-adjoint/extends gates
     embedding_isometry: float = 1e-10  # EmbeddedExtension: floor of the embedding isometry gate
+    embedding_diagonal: float = 1e-5  # EmbeddedExtension: extra slack on the embedding Gram diagonal
     spectrum_hit: float = 1e-10       # compressed_resolvent: Atilde - lam is singular (SpectrumHit)
     resolvent_singular: float = 1e-12  # shtraus_resolvent: B - lam is singular (ResolventSingular)
     projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
@@ -78,6 +80,23 @@ def _as_complex_matrix(vectors, ambient_dim=None):
     return m
 
 
+def near_identity(gram: np.ndarray, atol: float, diagonal: float = 0.0) -> bool:
+    """Whether ``|G - I| <= atol + diagonal * I`` entrywise; NaN and inf fail.
+
+    This is ``np.allclose(G, I, rtol=diagonal, atol=atol)`` written out, so the
+    slack on the diagonal is named by the caller and none is hidden.
+    """
+    eye = np.eye(gram.shape[0])
+    return bool((np.abs(gram - eye) <= atol + diagonal * eye).all())
+
+
+def opnorm(m: np.ndarray) -> float:
+    """Spectral norm from one SVD, the value ``np.linalg.norm(m, 2)`` gives; 0.0 when empty."""
+    if m.size == 0:
+        return 0.0
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
 def fix_phase(v):
     """Rotate a vector so its first non-negligible coordinate is real positive."""
     v = np.asarray(v, dtype=complex)
@@ -101,8 +120,8 @@ class Subspace:
         frame = np.array(self.frame, dtype=complex)
         if frame.ndim != 2 or frame.shape[0] != self.ambient_dim:
             raise ValueError("frame must be ambient_dim x k")
-        gram = frame.conj().T @ frame
-        if not np.allclose(gram, np.eye(frame.shape[1]), atol=max(self.tol, TOL.frame_floor) * 10):
+        if not near_identity(frame.conj().T @ frame, max(self.tol, TOL.frame_floor) * 10,
+                             TOL.frame_diagonal):
             raise ValueError("frame columns are not orthonormal")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
@@ -130,7 +149,7 @@ class Subspace:
         if other.dim == 0:
             return True
         resid = other.frame - self.frame @ (self.frame.conj().T @ other.frame)
-        return np.linalg.norm(resid, 2) <= 10 * tol
+        return opnorm(resid) <= 10 * tol
 
     def complement(self) -> "Subspace":
         """Orthogonal complement in the same ambient space."""
@@ -159,8 +178,16 @@ class Subspace:
                               ambient_dim=self.ambient_dim, tol=self.tol)
 
     def distance(self, other: "Subspace") -> float:
-        """Operator-norm gap between the orthogonal projectors."""
-        return float(np.linalg.norm(self.projector() - other.projector(), 2))
+        """Operator-norm gap ``||P_U - P_V||`` between the orthogonal projectors.
+
+        It is 1 when the dimensions differ. For equal dimensions it equals
+        ``||(I - P_U) V||`` on the thin frames, which needs no d x d projector.
+        """
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimensions differ")
+        if self.dim != other.dim:
+            return 1.0
+        return opnorm(other.frame - self.frame @ (self.frame.conj().T @ other.frame))
 
 
 def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):

@@ -22,7 +22,7 @@ from symext.resolvents import (EmbeddedExtension, ParameterFunction,
                                compressed_resolvent, default_lambda_grid, frak_b,
                                frak_f, i_admissibility_test, script_l,
                                shtraus_resolvent)
-from symext.subspaces import SectorSpec, Subspace, orthonormalize
+from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace, orthonormalize
 
 from conftest import random_contraction, random_instance, worked_parameter
 
@@ -74,7 +74,9 @@ def test_criterion_1_neumann_roundtrip():
 
 
 def test_criterion_2_invertibility_equivalence():
-    kept, agreed, seed = 0, 0, 0
+    # margins up to the top of check-invert's borderline band may disagree
+    borderline = DEFAULT_TOL * TOL.borderline_factor
+    kept, agreed, skipped, seed = 0, 0, 0, 0
     while kept < 500:
         a, z, _ = random_instance(seed, max_dim=8)
         rng = np.random.default_rng(seed + 50_000)
@@ -86,7 +88,8 @@ def test_criterion_2_invertibility_equivalence():
         except NotAdmissible:
             continue
         finite = [v for v in verdict.margins.values() if np.isfinite(v)]
-        if finite and min(finite) <= 1e-6:
+        if finite and min(finite) <= borderline:
+            skipped += 1
             continue
         kept += 1
         agreed += verdict.agree
@@ -103,7 +106,8 @@ def test_criterion_2_invertibility_equivalence():
                       == verdict.via_forbidden == expect)
     ok = agreed == 500 and family_ok
     _report(2, "three-way invertibility equivalence", ok,
-            f"{agreed}/500 agree above margin 1e-6, worked family exact: {family_ok}")
+            f"{agreed}/500 agree above margin {borderline:.0e} ({skipped} borderline "
+            f"skipped), worked family exact: {family_ok}")
 
 
 def test_criterion_3_cayley_identities():

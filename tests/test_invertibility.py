@@ -16,11 +16,12 @@ from symext.operators import (graph_contains, graph_distance, inverse_op,
                               is_injective, is_symmetric, negate,
                               operator_from_matrix)
 from symext.resolvents import EmbeddedExtension
-from symext.subspaces import TOL
+from symext.subspaces import DEFAULT_TOL, TOL
 
 from conftest import random_contraction, random_instance, worked_parameter
 
-BORDERLINE = 1e-6
+# the top of check-invert's borderline band at the default tolerance
+BORDERLINE = DEFAULT_TOL * TOL.borderline_factor
 
 
 def test_worked_c_minus_one_all_false(worked_a, worked_dd):

@@ -73,6 +73,12 @@ def test_extend_contractive_halfplane_classification(worked_a, worked_dd):
     assert low.classification == DISSIPATIVE
 
 
+@pytest.mark.parametrize("gap, kind", [(1e-5, STRICTLY_CONTRACTIVE), (1e-11, ISOMETRIC)])
+def test_parameter_kind_isometric_means_within_the_record(worked_dd, gap, kind):
+    # ||T||^2 = 1 - gap: only a gap inside TOL.isometric_kind makes T isometric
+    assert worked_parameter(worked_dd, np.sqrt(1.0 - gap)).kind == kind
+
+
 def test_dissipative_quadratic_form_sign(worked_a):
     # z in the lower half-plane, |c| < 1: Im(Bv, v) >= 0 on D(B)
     rng = np.random.default_rng(21)

@@ -11,7 +11,7 @@ from symext.operators import (LinearRelation, compose, direct_sum_op,
                               is_nonexpanding, is_symmetric, kernel_witness,
                               make_operator, negate, operator_from_generators,
                               operator_from_matrix, restrict, scale_op)
-from symext.subspaces import Subspace, orthonormalize
+from symext.subspaces import Subspace, opnorm, orthonormalize
 
 
 def span_e1(d=2):
@@ -150,6 +150,22 @@ def test_graph_and_relation_roundtrip():
     assert rel.is_operator()
     back = rel.to_operator()
     assert graph_distance(back, a) < 1e-12
+
+
+@pytest.mark.parametrize("k, norm", [(0, 1.0), (5, 1.0), (3, 1.0), (3, 1e6)])
+def test_qr_graph_spans_the_svd_graph(k, norm):
+    rng = np.random.default_rng(k)
+    d = 5
+    domain = orthonormalize(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)),
+                            ambient_dim=d)
+    action = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    if k:
+        action *= norm / opnorm(action)
+    a = make_operator(domain, action)
+    graph = LinearRelation.from_operator(a).graph
+    svd_graph = orthonormalize(np.vstack([domain.frame, action]), ambient_dim=2 * d)
+    assert graph.dim == svd_graph.dim == k
+    assert graph.distance(svd_graph) <= 1e-14
 
 
 def test_graph_of_identity_on_c1():

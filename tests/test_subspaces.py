@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 import symext as sx
-from symext.subspaces import (DEFAULT_TOL, SectorSpec, Subspace, direct_sum_embed,
-                              fix_phase, orthonormalize, rank_split)
+from symext.subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, direct_sum_embed,
+                              fix_phase, near_identity, opnorm, orthonormalize, rank_split)
 
 SEEDS = range(20)
 
@@ -149,6 +149,70 @@ def test_distance_is_projector_gap():
         gap = np.linalg.norm(s1.projector() - s2.projector(), 2)
         assert abs(s1.distance(s2) - gap) < 1e-12
         assert s1.distance(s1) < 1e-12
+
+
+def test_distance_from_thin_frames():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        d = int(rng.integers(1, 9))
+        k = int(rng.integers(0, d + 1))
+        s1 = random_subspace(rng, d, k)
+        noise = 10.0 ** rng.uniform(-12, 0)
+        s2 = orthonormalize(s1.frame + noise * (rng.standard_normal((d, k))
+                                                + 1j * rng.standard_normal((d, k))),
+                            ambient_dim=d)
+        if s2.dim != k:
+            continue
+        gap = np.linalg.norm(s1.projector() - s2.projector(), 2)
+        assert abs(s1.distance(s2) - gap) <= 1e-14
+        assert abs(s1.distance(s2) - s2.distance(s1)) <= 1e-14
+        if k < d:
+            # unequal dimensions: some unit vector of one is orthogonal to the other
+            s3 = random_subspace(rng, d, k + 1)
+            assert s1.distance(s3) == 1.0 and s3.distance(s1) == 1.0
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (6, 1), (1, 6), (1, 1),
+                                   (4, 0), (0, 4), (0, 0)])
+def test_opnorm_is_numpy_spectral_norm(shape):
+    rng = np.random.default_rng(sum(shape))
+    real = rng.standard_normal(shape)
+    for m in (real, real + 1j * rng.standard_normal(shape), real.T):
+        assert opnorm(m) == np.linalg.norm(m, 2)
+
+
+def test_frame_gate_decides_as_allclose():
+    atol = max(DEFAULT_TOL, TOL.frame_floor) * 10
+    rtol = TOL.frame_diagonal
+    decisions = set()
+    for k in (1, 2, 4):
+        cases = []
+        for i, j in {(0, 0), (k - 1, 0)}:
+            bound = atol + (rtol if i == j else 0.0)
+            for rel in (1 - 1e-6, 1 + 1e-6):
+                for phase in (1.0, -1.0, 1j, np.exp(0.7j)):
+                    g = np.eye(k, dtype=complex)
+                    g[i, j] += rel * bound * phase
+                    cases.append(g)
+            for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+                g = np.eye(k, dtype=complex)
+                g[i, j] = bad
+                cases.append(g)
+        for g in cases:
+            decision = near_identity(g, atol, rtol)
+            assert decision == np.allclose(g, np.eye(k), rtol=rtol, atol=atol)
+            decisions.add(decision)
+    assert decisions == {True, False}
+    # the constructor applies that gate, with the diagonal slack of the record
+    for rel, ok in ((1 - 1e-6, True), (1 + 1e-6, False)):
+        frame = np.diag([np.sqrt(1.0 + rel * (atol + rtol)), 1.0]).astype(complex)
+        if ok:
+            assert Subspace(2, frame).dim == 2
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                Subspace(2, frame)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, np.array([[np.nan], [0.0]]))
 
 
 def test_contains_and_contains_subspace():

@@ -49,6 +49,35 @@ def test_no_scientific_literal_outside_the_tolerance_block():
     assert stray == []
 
 
+def _hidden_threshold_calls(tree):
+    """Calls to ``np.allclose``/``np.isclose`` and 2-norms ``np.linalg.norm(x, 2)``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name in ("np.allclose", "np.isclose", "numpy.allclose", "numpy.isclose"):
+            yield node
+        elif name in ("np.linalg.norm", "numpy.linalg.norm"):
+            order = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            if any(isinstance(o, ast.Constant) and o.value == 2 for o in order):
+                yield node
+
+
+def test_no_hidden_threshold_or_norm_wrapper():
+    # allclose and isclose carry a default rtol that no record names; the
+    # spectral norm is subspaces.opnorm, one SVD without numpy's norm wrapper
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in _hidden_threshold_calls(tree)]
+    assert found == []
+    # the scan sees each form it forbids
+    probe = ast.parse("np.allclose(a, b); np.isclose(a, b); np.linalg.norm(m, 2)\n"
+                      "np.linalg.norm(m, ord=2); np.linalg.norm(v); np.linalg.norm(m, 'fro')")
+    assert len(list(_hidden_threshold_calls(probe))) == 4
+
+
 def _pipeline(tmp_path):
     """A small gen -> build-sa run; returns the operator and extension paths."""
     op, ext = tmp_path / "op.json", tmp_path / "ext.json"
