@@ -26,7 +26,7 @@ from .operators import graph_distance, inverse_op
 from .resolvents import (EmbeddedExtension, ParameterFunction, _contractive_point,
                          _frak_b_from, _frak_f_from, compressed_resolvent,
                          default_lambda_grid, i_admissibility_test, script_l)
-from .subspaces import TOL, SectorSpec, opnorm, orthonormalize
+from .subspaces import TOL, SectorSpec, Subspace, opnorm
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _cayley_roundtrip(base: _BaseOperator, zs) -> CheckResult:
     for z in zs:
         rel = inverse_cayley(base.cayley(z), z)
         worst = max(worst, graph_distance(rel, base.a))
-    return CheckResult("cayley_roundtrip", worst < TOL.check_cayley * 10, worst)
+    return CheckResult("cayley_roundtrip", worst < TOL.check_cayley_roundtrip, worst)
 
 
 def check_neumann_roundtrip(a, z, seed=0) -> CheckResult:
@@ -177,15 +177,24 @@ class _GridPoint:
 
 
 def _constrained_space_error(point: _GridPoint) -> float:
-    """Atilde maps the constrained space at lam onto the one of the inverses at 1/lam."""
+    """Atilde maps the constrained space at lam onto the one of the inverses at 1/lam.
+
+    With F orthonormal, s_min(Atilde F)/s_max(Atilde F) is at least
+    s_min(Atilde)/s_max(Atilde), which exceeds tol once ``inverse_pair()``
+    exists: Atilde F has full column rank, and a QR orthonormalizes it.
+    """
     m = point.ext.atilde_matrix()
-    left = orthonormalize(m @ point.l_space.frame, ambient_dim=m.shape[0])
+    left = Subspace(m.shape[0], np.linalg.qr(m @ point.l_space.frame)[0])
     return left.distance(point.l_space_inv)
 
 
 def _frak_b_error(point: _GridPoint) -> float:
-    """B_lam(A, Atilde)^{-1} = B_{1/lam}(A^{-1}, Atilde^{-1}) as graphs."""
-    return graph_distance(inverse_op(point.b), point.b_inv)
+    """B_lam(A, Atilde)^{-1} = B_{1/lam}(A^{-1}, Atilde^{-1}) as graphs.
+
+    graph(B_lam^{-1}) is graph(B_lam) with its halves swapped; a kernel of
+    B_lam shows there as a vertical pair, far from any operator's graph.
+    """
+    return graph_distance(point.b.graph.inverse(), point.b_inv)
 
 
 def _frak_f_error(point: _GridPoint, lambda0, frames: tuple) -> float:

@@ -7,7 +7,6 @@ lies in the borderline band (tol/10, 10*tol) around the rank cut ``--tol``.
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -198,12 +197,13 @@ def _write_resolvent_csv(path, rows, d):
     for i in range(d):
         for j in range(d):
             header.extend([f"R{i}_{j}_re", f"R{i}_{j}_im"])
+    # what csv.writer writes: no header name and no repr of a float needs quoting
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for lam, matrix in rows:
             cells = np.ascontiguousarray(matrix, dtype=complex).view(np.float64).ravel()
-            writer.writerow(map(repr, [float(lam.real), float(lam.imag), *cells.tolist()]))
+            fh.write(",".join(map(repr, [float(lam.real), float(lam.imag), *cells.tolist()]))
+                     + "\r\n")
 
 
 def cmd_verify(args) -> int:

@@ -192,7 +192,8 @@ def _forbidden_images(f1, n_zbar: Subspace, c: DomainOperator, c_inv: DomainOper
     for frame, scale in ((c_inv.domain.frame, np.conj(z) / z), (c.domain.frame, 1.0)):
         system = np.hstack([n_zbar.frame, frame])
         coef = np.linalg.lstsq(system, f1, rcond=None)[0]
-        if np.linalg.norm(system @ coef - f1) <= 10 * c.tol * max(1.0, np.linalg.norm(f1)):
+        resid = np.linalg.norm(system @ coef - f1)
+        if resid <= TOL.membership_factor * c.tol * max(1.0, np.linalg.norm(f1)):
             images.append(scale * (n_zbar.frame @ coef[:n_zbar.dim]))
     return images
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import NotAdmissible, NotAnExtension
-from .operators import (DomainOperator, LinearRelation, graph_contains,
-                        is_symmetric, kernel_witness, operator_from_generators)
+from .operators import (DomainOperator, graph_contains, is_symmetric, kernel_witness,
+                        operator_from_generators)
 from .subspaces import TOL, Subspace, near_identity, opnorm, rank_split
 
 SYMMETRIC = "symmetric"
@@ -112,12 +112,11 @@ class ExtensionReport:
 
 def construct_extension(a: DomainOperator, z: complex, parameter: ContractionParameter,
                         dd: Optional[DefectData] = None,
-                        u: Optional[DomainOperator] = None,
-                        graph_a: Optional[LinearRelation] = None) -> DomainOperator:
+                        u: Optional[DomainOperator] = None) -> DomainOperator:
     """The operator B determined by the parameter at base point z, unreported.
 
     ``dd`` and ``u`` are the defect data and the Cayley transform of A at z,
-    and ``graph_a`` the graph of A, when the caller already holds them.
+    when the caller already holds them.
     Raises NotAdmissible (with the kernel witness) when the parameter admits a
     fixed vector, in which case the formula would not define an operator.
     """
@@ -134,7 +133,7 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
     generators = np.hstack([a.domain.frame, q - p])
     images = np.hstack([a.action, z * q - np.conj(z) * p])
     b = operator_from_generators(generators, images, tol=a.tol)
-    if not graph_contains(b, a if graph_a is None else graph_a):
+    if not graph_contains(b, a):
         raise NotAnExtension("constructed operator does not extend the base")
     return b
 

@@ -6,6 +6,7 @@ these domain coordinates, so non-dense domains need no special casing.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,11 @@ class DomainOperator:
             raise ValueError("action must be ambient_dim x dim(domain)")
         action.setflags(write=False)
         object.__setattr__(self, "action", action)
+
+    @cached_property
+    def graph(self) -> "LinearRelation":
+        """graph(A), built on first use and kept: the operator and its arrays are read-only."""
+        return LinearRelation.from_operator(self)
 
     @property
     def domain_dim(self) -> int:
@@ -103,7 +109,7 @@ def is_symmetric(a: DomainOperator) -> bool:
         return True
     k = a.compression()
     scale = max(1.0, opnorm(a.action))
-    return opnorm(k - k.conj().T) <= 10 * a.tol * scale
+    return opnorm(k - k.conj().T) <= TOL.symmetry_factor * a.tol * scale
 
 
 def is_injective(a: DomainOperator) -> bool:
@@ -135,11 +141,11 @@ def is_isometric(a: DomainOperator) -> bool:
     if a.domain_dim == 0:
         return True
     gram = a.action.conj().T @ a.action
-    return opnorm(gram - np.eye(a.domain_dim)) <= 100 * a.tol
+    return opnorm(gram - np.eye(a.domain_dim)) <= TOL.isometry_factor * a.tol
 
 
 def is_nonexpanding(a: DomainOperator) -> bool:
-    return opnorm(a.action) <= 1.0 + 100 * a.tol
+    return opnorm(a.action) <= 1.0 + TOL.isometry_factor * a.tol
 
 
 def negate(a: DomainOperator) -> DomainOperator:
@@ -161,14 +167,6 @@ def direct_sum_op(a: DomainOperator, b: DomainOperator) -> DomainOperator:
     action[:da, :ka] = a.action
     action[da:, ka:] = b.action
     return DomainOperator(da + db, Subspace(da + db, frame, a.tol), action)
-
-
-def restrict(a: DomainOperator, s: Subspace) -> DomainOperator:
-    """Restriction of A to a subspace of its domain."""
-    if not a.domain.contains_subspace(s):
-        raise DomainViolation("subspace is not contained in the domain")
-    coords = a.domain.frame.conj().T @ s.frame
-    return DomainOperator(a.ambient_dim, s, a.action @ coords)
 
 
 def compose(outer: DomainOperator, inner: DomainOperator) -> DomainOperator:
@@ -222,6 +220,15 @@ class LinearRelation:
     def dim(self) -> int:
         return self.graph.dim
 
+    def inverse(self) -> "LinearRelation":
+        """The inverse relation {(y, x) : (x, y) in the graph}: the halves swapped.
+
+        Swapping is a row permutation, so the frame stays orthonormal.
+        """
+        d = self.ambient_dim
+        frame = np.vstack([self.graph.frame[d:], self.graph.frame[:d]])
+        return LinearRelation(d, Subspace(2 * d, frame, self.graph.tol))
+
     def _halves(self):
         d = self.ambient_dim
         return self.graph.frame[:d, :], self.graph.frame[d:, :]
@@ -250,17 +257,18 @@ class LinearRelation:
         return operator_from_generators(top, bot, tol=self.graph.tol)
 
 
+def _relation(x) -> LinearRelation:
+    return x if isinstance(x, LinearRelation) else x.graph
+
+
 def graph_distance(a, b) -> float:
     """Projector gap between graphs; accepts operators or relations."""
-    ga = a if isinstance(a, LinearRelation) else LinearRelation.from_operator(a)
-    gb = b if isinstance(b, LinearRelation) else LinearRelation.from_operator(b)
-    return ga.graph.distance(gb.graph)
+    return _relation(a).graph.distance(_relation(b).graph)
 
 
 def graph_contains(big, small) -> bool:
     """Whether graph(small) sits inside graph(big) within ``TOL.graph_inclusion``."""
-    gb = big if isinstance(big, LinearRelation) else LinearRelation.from_operator(big)
-    gs = small if isinstance(small, LinearRelation) else LinearRelation.from_operator(small)
+    gb, gs = _relation(big), _relation(small)
     if gs.dim == 0:
         return True
     resid = gs.graph.frame - gb.graph.frame @ (gb.graph.frame.conj().T @ gs.graph.frame)

@@ -35,8 +35,8 @@ from .cayley import cayley, defect_data, forbidden_operator, require_offaxis
 from .errors import (InsufficientSamples, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import ContractionParameter, construct_extension
-from .operators import (DomainOperator, LinearRelation, inverse_op,
-                        operator_from_generators, operator_from_matrix)
+from .operators import (DomainOperator, inverse_op, operator_from_generators,
+                        operator_from_matrix)
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, fix_phase, near_identity,
                         opnorm, rank_split)
 
@@ -58,7 +58,7 @@ class EmbeddedExtension:
         embed = np.array(self.embed, dtype=complex)
         d = self.base.ambient_dim
         # loosening atilde.tol loosens the structural gates in step
-        gate = max(TOL.structure_gate, 10.0 * self.atilde.tol)
+        gate = max(TOL.structure_gate, TOL.structure_factor * self.atilde.tol)
         if embed.shape != (d + self.exit_dim, d):
             raise ValueError("embedding has the wrong shape")
         if not near_identity(embed.conj().T @ embed, max(TOL.embedding_isometry, self.atilde.tol),
@@ -85,6 +85,22 @@ class EmbeddedExtension:
         m = self.atilde.to_matrix()
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        """``(mu, v, kappa)``: eigh of the Hermitian part H = (M + M^H)/2, and a slack.
+
+        kappa is ||M - M^H||/2, the skew the self-adjoint gate admitted, plus
+        the rounding of eigh. By Weyl's inequality every singular value of
+        M - lam lies within kappa of the matching one of H - lam, and those
+        are the |mu - lam|.
+        """
+        m = self._matrix
+        mu, v = np.linalg.eigh((m + m.conj().T) / 2)
+        rounding = m.shape[0] * np.finfo(float).eps * float(np.max(np.abs(mu), initial=0.0))
+        mu.setflags(write=False)
+        v.setflags(write=False)
+        return mu, v, opnorm(m - m.conj().T) / 2 + rounding
 
     @cached_property
     def _invertible(self) -> bool:
@@ -132,12 +148,21 @@ class EmbeddedExtension:
 
 
 def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
-    """P_H (Atilde - lam)^{-1} restricted to H, as a d x d matrix."""
-    m = ext.atilde_matrix()
-    shifted = m - lam * np.eye(m.shape[0])
-    if rank_split(shifted, TOL.spectrum_hit)[0] < m.shape[0]:
+    """P_H (Atilde - lam)^{-1} restricted to H, as a d x d matrix.
+
+    SpectrumHit is decided on the eigenvalues mu of the Hermitian part, which
+    the extension computes once. With g and G the least and the largest
+    |mu - lam|, the singular values of Atilde - lam lie in [g - kappa,
+    G + kappa], so passing g - kappa > tol * max(1, G + kappa) implies passing
+    the rank cut ``rank_split(Atilde - lam, tol)``. The gate is stricter than
+    that cut only in a band of width kappa around it.
+    """
+    mu, _, kappa = ext._spectrum
+    gaps = np.abs(mu - lam)
+    if gaps.min() - kappa <= TOL.spectrum_hit * max(1.0, gaps.max() + kappa):
         raise SpectrumHit(f"{lam} is numerically an eigenvalue of the extension")
-    return ext.embed.conj().T @ np.linalg.solve(shifted, ext.embed)
+    m = ext.atilde_matrix()
+    return ext.embed.conj().T @ np.linalg.solve(m - lam * np.eye(m.shape[0]), ext.embed)
 
 
 def script_l(ext: EmbeddedExtension, lam: complex) -> Subspace:
@@ -226,10 +251,11 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
                       lams) -> dict:
     """F(lam) at every lam, as frak_f gives it, from one eigendecomposition.
 
-    Atilde = V (Lambda + Delta') V^H with V, Lambda from eigh of its Hermitian
-    part; Delta' is the anti-Hermitian residue the EmbeddedExtension gate
-    admits, and one correction step (Lambda - lam + Delta')^{-1} ~ D - D Delta' D
-    with D = (Lambda - lam)^{-1} keeps R_lam as accurate as a direct solve.
+    Atilde = V (Lambda + Delta') V^H with V, Lambda the eigh of its Hermitian
+    part, which the extension keeps; Delta' is the anti-Hermitian residue the
+    EmbeddedExtension gate admits, and one correction step
+    (Lambda - lam + Delta')^{-1} ~ D - D Delta' D with D = (Lambda - lam)^{-1}
+    keeps R_lam as accurate as a direct solve.
     From B_lam = lam + R_lam^{-1},
 
         F(lam) = (I + (lam - lam0bar) R_lam)(I + (lam - lam0) R_lam)^{-1},
@@ -239,7 +265,7 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
     """
     m = ext.atilde_matrix()
     m_h = (m + m.conj().T) / 2
-    mu, v = np.linalg.eigh(m_h)
+    mu, v, _ = ext._spectrum
     y = v.conj().T @ ext.embed
     delta = v.conj().T @ (m - m_h) @ v
     n_frame, nbar_frame = frames
@@ -314,19 +340,19 @@ class ParameterFunction:
         return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean, "user")
 
 
-# Defect data, Cayley transform and graph of a base operator at the base
-# points the Shtraus formula extends from, so that a grid of lam pays for them
-# once per point. Keyed weakly on the operator itself: DomainOperator is frozen
-# and its arrays are read-only, so an entry holds while the operator lives and
-# goes with it.
+# Defect data and Cayley transform of a base operator at the base points the
+# Shtraus formula extends from, so that a grid of lam pays for them once per
+# point (the operator carries its own graph). Keyed weakly on the operator
+# itself: DomainOperator is frozen and its arrays are read-only, so an entry
+# holds while the operator lives and goes with it.
 _BASE_POINT_DATA = weakref.WeakKeyDictionary()
 
 
 def _base_point_data(a: DomainOperator, z: complex) -> tuple:
-    """``(dd, u, graph_a)`` of A at z, the inputs ``construct_extension`` reuses."""
+    """``(dd, u)`` of A at z, the inputs ``construct_extension`` reuses."""
     per_point = _BASE_POINT_DATA.setdefault(a, {})
     if z not in per_point:
-        per_point[z] = (defect_data(a, z), cayley(a, z), LinearRelation.from_operator(a))
+        per_point[z] = (defect_data(a, z), cayley(a, z))
     return per_point[z]
 
 

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .operators import DomainOperator
-from .resolvents import EmbeddedExtension, ParameterFunction
+from .resolvents import EmbeddedExtension
 from .subspaces import DEFAULT_TOL, Subspace
 
 SCHEMA_VERSION = 1
@@ -55,18 +55,6 @@ def decode_matrix(data) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix")
     return np.array(rows, dtype=complex).reshape(len(rows), width)
-
-
-def encode_subspace(s: Subspace) -> dict:
-    return {"ambient_dim": s.ambient_dim, "frame": encode_matrix(s.frame)}
-
-
-def decode_subspace(data, tol=DEFAULT_TOL) -> Subspace:
-    d = int(data["ambient_dim"])
-    frame = decode_matrix(data["frame"])
-    if frame.shape[0] != d:
-        raise ValueError("frame rows do not match the ambient dimension")
-    return Subspace(d, frame, tol)
 
 
 def encode_operator(a: DomainOperator) -> dict:
@@ -145,24 +133,6 @@ def chain_file(chain) -> dict:
         "steps": [{"parameter": parameter_file(step.parameter),
                    "defect_numbers": list(step.defect_numbers)} for step in chain.steps],
     }
-
-
-def parameter_function_file(f: ParameterFunction) -> dict:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "parameter_function",
-        "lambda0": encode_complex(f.lambda0),
-        "provenance": f.provenance,
-        "domain_frame": encode_matrix(f.domain_frame),
-        "range_frame": encode_matrix(f.range_frame),
-        "samples": [
-            {"lambda": encode_complex(k), "matrix": encode_matrix(v)}
-            for k, v in sorted(f.samples.items(), key=lambda kv: (kv[0].real, kv[0].imag))
-        ],
-    }
-    if f.constant_matrix is not None:
-        doc["constant_matrix"] = encode_matrix(f.constant_matrix)
-    return doc
 
 
 def _expect_kind(data, kind):

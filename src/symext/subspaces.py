@@ -23,8 +23,12 @@ class Tolerances:
 
     real_axis: float = 1e-8           # a spectral parameter this close to the real axis is rejected
     phase_cutoff: float = 1e-8        # fix_phase: first coordinate above this share of the norm
-    frame_floor: float = 1e-12        # frame orthonormality is checked at 10 * max(tol, this)
+    frame_floor: float = 1e-12        # frame gate: checked at frame_factor * max(tol, this)
+    frame_factor: float = 10.0        # frame gate: Gram within this * max(tol, frame_floor) of I
     frame_diagonal: float = 1e-5      # frame gate: extra slack on the diagonal of the Gram matrix
+    membership_factor: float = 10.0   # Subspace.contains and its kin: residual up to this * tol
+    symmetry_factor: float = 10.0     # is_symmetric: ||K - K^H|| up to this * tol * max(1, ||A||)
+    isometry_factor: float = 100.0    # is_isometric, is_nonexpanding: slack of this * tol
     shape: float = 1e-8               # parameter shape: domain inside N_z, range inside N_zbar
     graph_inclusion: float = 1e-8     # graph(A) inside graph(B), for an extension of A
     expanding: float = 1e-8           # a parameter of norm above 1 + this is rejected
@@ -39,9 +43,10 @@ class Tolerances:
     candidate_floor: float = 1e-8     # chain: shorter projected candidates are dropped
     candidate_tie: float = 1e-12      # chain: a candidate must beat the best so far by more
     structure_gate: float = 1e-8      # EmbeddedExtension: floor of the self-adjoint/extends gates
+    structure_factor: float = 10.0    # EmbeddedExtension: those gates loosen as this * tol above it
     embedding_isometry: float = 1e-10  # EmbeddedExtension: floor of the embedding isometry gate
     embedding_diagonal: float = 1e-5  # EmbeddedExtension: extra slack on the embedding Gram diagonal
-    spectrum_hit: float = 1e-10       # compressed_resolvent: Atilde - lam is singular (SpectrumHit)
+    spectrum_hit: float = 1e-10       # compressed_resolvent: lam on the spectrum (SpectrumHit)
     resolvent_singular: float = 1e-12  # shtraus_resolvent: B - lam is singular (ResolventSingular)
     projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
     sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): residual, leakage
@@ -53,6 +58,7 @@ class Tolerances:
     kernel: float = 1e-8              # i-admissibility: kernel cut of F(0+) - (lam0bar/lam0) X
     radius_match: float = 1e-12       # i-admissibility: relative slack picking the smallest radii
     check_cayley: float = 1e-10       # verify: Cayley, defect-space and symmetry identities
+    check_cayley_roundtrip: float = 1e-9  # verify: inverse Cayley transform recovers A
     check_resolvent: float = 1e-8     # verify: the three inversion identities
     check_roundtrip: float = 1e-9     # verify: extend then recover_parameter
     resolvent_agreement: float = 1e-8  # resolvent command: compressed vs Shtraus deviation
@@ -120,7 +126,8 @@ class Subspace:
         frame = np.array(self.frame, dtype=complex)
         if frame.ndim != 2 or frame.shape[0] != self.ambient_dim:
             raise ValueError("frame must be ambient_dim x k")
-        if not near_identity(frame.conj().T @ frame, max(self.tol, TOL.frame_floor) * 10,
+        if not near_identity(frame.conj().T @ frame,
+                             TOL.frame_factor * max(self.tol, TOL.frame_floor),
                              TOL.frame_diagonal):
             raise ValueError("frame columns are not orthonormal")
         frame.setflags(write=False)
@@ -142,14 +149,15 @@ class Subspace:
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
-        return np.linalg.norm(v - self.project(v)) <= 10 * self.tol * max(1.0, nv)
+        resid = np.linalg.norm(v - self.project(v))
+        return resid <= TOL.membership_factor * self.tol * max(1.0, nv)
 
     def contains_subspace(self, other: "Subspace", tol=None) -> bool:
         tol = self.tol if tol is None else tol
         if other.dim == 0:
             return True
         resid = other.frame - self.frame @ (self.frame.conj().T @ other.frame)
-        return opnorm(resid) <= 10 * tol
+        return opnorm(resid) <= TOL.membership_factor * tol
 
     def complement(self) -> "Subspace":
         """Orthogonal complement in the same ambient space."""
@@ -169,13 +177,6 @@ class Subspace:
         if not np.any(keep):
             return Subspace(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex), self.tol)
         return orthonormalize(self.frame @ u[:, keep], tol=self.tol)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        """Span of the union."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return orthonormalize(np.hstack([self.frame, other.frame]),
-                              ambient_dim=self.ambient_dim, tol=self.tol)
 
     def distance(self, other: "Subspace") -> float:
         """Operator-norm gap ``||P_U - P_V||`` between the orthogonal projectors.
@@ -238,25 +239,6 @@ def orthonormalize(vectors, ambient_dim=None, tol=DEFAULT_TOL) -> Subspace:
     m = _as_complex_matrix(vectors, ambient_dim)
     _, _, frame = rank_split(m, tol, floor=0.0, part="range")
     return Subspace(m.shape[0], frame, tol)
-
-
-def direct_sum_embed(dims):
-    """Canonical isometric embeddings of C^{d_i} into C^{sum d_i}.
-
-    Returns (embeddings, projections); ``embeddings[i]`` is (D x d_i) and
-    ``projections[i]`` its adjoint.
-    """
-    total = int(sum(dims))
-    embeds = []
-    offset = 0
-    for d in dims:
-        e = np.zeros((total, d), dtype=complex)
-        e[offset:offset + d, :] = np.eye(d)
-        e.setflags(write=False)
-        embeds.append(e)
-        offset += d
-    projections = [e.conj().T for e in embeds]
-    return embeds, projections
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,28 @@ def test_written_files_match_stdlib_encoding_and_old_csv_rows(tmp_path):
         assert row == ",".join(line)
 
 
+@pytest.mark.parametrize("d", [1, 11])
+def test_resolvent_csv_bytes_are_csv_writer_bytes(tmp_path, d):
+    # the writer joins repr'd cells itself; csv.writer would write the same bytes
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+               1.7976931348623157e308, 0.1, -2.5e-17]
+    cells = np.resize(np.array(special), (3, 2 * d * d)).view(complex).reshape(3, d, d)
+    lams = (complex(-0.0, 5e-324), complex(float("nan"), float("inf")), 0.3 + 0.9j)
+    rows = list(zip(lams, cells))
+    path = tmp_path / "grid.csv"
+    cli._write_resolvent_csv(path, rows, d)
+
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda_re", "lambda_im"] + [
+            f"R{i}_{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im")])
+        for lam, matrix in rows:
+            flat = np.ascontiguousarray(matrix).view(np.float64).ravel().tolist()
+            writer.writerow(map(repr, [lam.real, lam.imag, *flat]))
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_verify_without_extension_skips(tmp_path):
     op_path = tmp_path / "op.json"
     write_worked_operator(op_path)

@@ -1,5 +1,8 @@
 """Operators with explicit domains: predicates, inversion, graphs, relations."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from symext.operators import (LinearRelation, compose, direct_sum_op,
                               inverse_op, is_injective, is_isometric,
                               is_nonexpanding, is_symmetric, kernel_witness,
                               make_operator, negate, operator_from_generators,
-                              operator_from_matrix, restrict, scale_op)
+                              operator_from_matrix, scale_op)
 from symext.subspaces import Subspace, opnorm, orthonormalize
 
 
@@ -112,14 +115,7 @@ def test_direct_sum_negate_scale():
     assert np.allclose(scale_op(a, 2j).apply(np.array([1.0, 0.0])), [2j, 0.0])
 
 
-def test_restrict_and_compose():
-    e = identity_operator(2)
-    inc = restrict(e, span_e1())
-    assert inc.domain_dim == 1
-    assert np.allclose(inc.apply(np.array([1.0, 0.0])), [1.0, 0.0])
-    with pytest.raises(DomainViolation):
-        restrict(make_operator(span_e1(), np.array([[1.0], [0.0]], dtype=complex)),
-                 Subspace(2, np.eye(2, dtype=complex)))
+def test_compose_with_inverse_is_identity():
     d = operator_from_matrix(np.diag([2.0, 5.0]))
     ident = compose(inverse_op(d), d)
     assert graph_distance(ident, identity_operator(2)) < 1e-10
@@ -216,3 +212,69 @@ def test_graph_contains_and_distance_symmetry():
     assert graph_contains(b, a)
     assert not graph_contains(a, b)
     assert graph_distance(a, b) == pytest.approx(graph_distance(b, a))
+
+
+def random_operator(rng, d, k):
+    domain = orthonormalize(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)),
+                            ambient_dim=d)
+    return make_operator(domain, rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))
+
+
+def test_operator_carries_one_graph(monkeypatch):
+    a = random_operator(np.random.default_rng(31), 5, 3)
+    graph = a.graph
+    assert a.graph is graph
+    assert graph.graph.distance(LinearRelation.from_operator(a).graph) <= 1e-15
+    # graph_contains and graph_distance read the carried graphs and build none
+    b = operator_from_matrix(np.eye(5))
+    assert b.graph.dim == 5
+
+    def no_build(cls, op):
+        raise AssertionError("graph rebuilt")
+
+    monkeypatch.setattr(LinearRelation, "from_operator", classmethod(no_build))
+    assert graph_contains(a, a) and not graph_contains(b, a)
+    assert graph_distance(a, b) == 1.0 and graph_distance(a, graph) <= 1e-15
+
+
+def test_inverse_relation_swaps_the_halves():
+    rng = np.random.default_rng(32)
+    for d, k in ((1, 1), (4, 2), (6, 6), (3, 0)):
+        a = random_operator(rng, d, k)
+        swapped = a.graph.inverse()
+        assert np.array_equal(swapped.inverse().graph.frame, a.graph.graph.frame)
+        if k:
+            assert graph_distance(swapped, inverse_op(a)) <= 1e-12
+    # a kernel of A is a vertical pair of the inverse relation
+    singular = operator_from_matrix(np.diag([1.0, 0.0]))
+    assert singular.graph.inverse().multivalued_part().dim == 1
+
+
+def _stray_graph_builds(tree):
+    """Calls ``LinearRelation.from_operator(...)`` outside ``DomainOperator.graph``."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "DomainOperator":
+            allowed |= {id(n) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name == "graph"
+                        for n in ast.walk(item)}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "LinearRelation.from_operator"
+            and id(node) not in allowed]
+
+
+def test_graphs_are_built_only_by_the_operator():
+    # every graph of an operator in the package is the one the operator carries
+    found = []
+    for path in sorted(Path(sx.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in _stray_graph_builds(tree)]
+    assert found == []
+    probe = ast.parse("class DomainOperator:\n"
+                      "    def graph(self):\n"
+                      "        return LinearRelation.from_operator(self)\n"
+                      "    def other(self):\n"
+                      "        return LinearRelation.from_operator(self)\n"
+                      "g = LinearRelation.from_operator(a)\n")
+    assert sorted(node.lineno for node in _stray_graph_builds(probe)) == [5, 6]

@@ -21,7 +21,7 @@ from symext.resolvents import (EmbeddedExtension, ParameterFunction,
                                frak_b, frak_f, i_admissibility_test,
                                script_l, shtraus_resolvent)
 from symext.serialize import decode_operator, encode_operator, json_dump
-from symext.subspaces import SectorSpec
+from symext.subspaces import TOL, SectorSpec, opnorm, rank_split
 
 from conftest import random_instance
 
@@ -63,6 +63,75 @@ def test_compressed_resolvent_spectrum_hit(worked_a):
     ext = canonical_diag(worked_a, 5.0)
     with pytest.raises(SpectrumHit):
         compressed_resolvent(ext, 5.0)
+
+
+GATE_STEPS = (1e-6, 1e-8, 1e-9, 3e-10, 1e-10, 3e-11, 1e-11, 1e-12, 0.0)
+
+
+def gate_decisions(ext):
+    """At lam = mu_k + delta and mu_k + i delta, for three eigenvalues mu_k of the
+    Hermitian part: (whether compressed_resolvent raises SpectrumHit, whether the
+    old cut rank_split(Atilde - lam, spectrum_hit) does, whether lam lies in the
+    band of width kappa around that cut where the spectral bounds cannot tell)."""
+    m = ext.atilde_matrix()
+    size = m.shape[0]
+    mu, _, kappa = ext._spectrum
+    # kappa covers the skew the self-adjoint gate admitted (Weyl's inequality)
+    assert kappa >= opnorm(m - m.conj().T) / 2
+    cut = TOL.spectrum_hit
+    for k in (0, size // 2, size - 1):
+        for lam in {mu[k] + step for delta in GATE_STEPS for step in (delta, 1j * delta)}:
+            try:
+                compressed_resolvent(ext, lam)
+                hit = False
+            except SpectrumHit:
+                hit = True
+            oracle = rank_split(m - lam * np.eye(size), cut)[0] < size
+            gaps = np.abs(mu - lam)
+            g, big = gaps.min(), gaps.max()
+            band = g - kappa <= cut * max(1.0, big + kappa) and (
+                g + kappa > cut * max(1.0, big - kappa))
+            yield hit, oracle, band
+
+
+def skewed_extension(scale):
+    """A doubled-chain extension plus a skew of norm ``scale * ||M||`` in its exit
+    block, orthogonal to the lifted domain, which the self-adjoint gate admits."""
+    a, z, _ = random_instance(77, max_dim=6)
+    m = build_invertible_selfadjoint(a, z, seed=1, double_first=True).final.to_matrix()
+    d = a.ambient_dim
+    rng = np.random.default_rng(5)
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k = (k - k.conj().T) / 2
+    bump = np.zeros_like(m)
+    bump[d:, d:] = scale * opnorm(m) * k / opnorm(k)
+    return EmbeddedExtension(a, operator_from_matrix(m + bump), np.eye(2 * d, d), d)
+
+
+@pytest.mark.parametrize("doubled", [True, False])
+def test_spectrum_hit_gate_matches_the_rank_cut(doubled):
+    # on chain-built extensions the spectral gate decides as the SVD cut did
+    cases = []
+    for d in (8, 32, 64):
+        a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=d, defect=d // 4, seed=d))
+        chain = build_invertible_selfadjoint(a, 1j, seed=3, double_first=doubled)
+        cases += list(gate_decisions(EmbeddedExtension.from_chain(chain)))
+    assert len(cases) == 3 * 3 * (2 * len(GATE_STEPS) - 1)
+    assert not any(band for _, _, band in cases)
+    assert [hit for hit, _, _ in cases] == [oracle for _, oracle, _ in cases]
+    assert 0 < sum(hit for hit, _, _ in cases) < len(cases)
+
+
+def test_spectrum_hit_gate_is_conservative_within_the_skew():
+    # a skew of 1e-9 ||M|| widens the band: the gate raises inside it, where the
+    # SVD cut may not, and agrees with the cut outside it
+    cases = list(gate_decisions(skewed_extension(1e-9)))
+    inside = [(hit, oracle) for hit, oracle, band in cases if band]
+    outside = [(hit, oracle) for hit, oracle, band in cases if not band]
+    assert inside and outside
+    assert all(hit for hit, _ in inside)
+    assert any(not oracle for _, oracle in inside)
+    assert all(hit == oracle for hit, oracle in outside)
 
 
 def test_resolvent_symmetry(worked_a):
@@ -396,6 +465,11 @@ def test_shtraus_base_point_cache_sound_and_weak():
         assert np.array_equal(shtraus_resolvent(copy, z, f, lam),
                               shtraus_resolvent(a, z, f, lam))
     assert set(resolvents._BASE_POINT_DATA[copy]) == {z, np.conj(z)}
+    # each point keeps the defect data and the Cayley transform; the graph of A
+    # that every extension is checked against is the one the operator carries
+    dd, u = resolvents._BASE_POINT_DATA[copy][z]
+    assert dd.z == z and u.ambient_dim == copy.ambient_dim
+    assert "graph" in vars(copy)
     gone = weakref.ref(copy)
     gc.collect()
     entries = len(resolvents._BASE_POINT_DATA)

@@ -11,14 +11,12 @@ from symext.instances import InstanceSpec, gen_symmetric
 from symext.invertibility import build_invertible_selfadjoint
 from symext.neumann import ContractionParameter
 from symext.operators import graph_distance
-from symext.resolvents import EmbeddedExtension, ParameterFunction, default_lambda_grid
+from symext.resolvents import EmbeddedExtension
 from symext.serialize import (chain_file, decode_complex, decode_embedded_extension,
                               decode_matrix, decode_operator, decode_parameter,
-                              decode_subspace, embedded_extension_file, encode_complex,
-                              encode_matrix, encode_operator, encode_subspace,
-                              json_dump, load_operator, operator_file,
-                              parameter_file, parameter_function_file)
-from symext.subspaces import Subspace
+                              embedded_extension_file, encode_complex, encode_matrix,
+                              encode_operator, json_dump, load_operator, operator_file,
+                              parameter_file)
 
 from conftest import random_instance, worked_parameter
 
@@ -39,20 +37,6 @@ def test_matrix_roundtrip():
 def test_matrix_ragged_rejected():
     with pytest.raises(ValueError):
         decode_matrix([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]])
-
-
-def test_subspace_roundtrip():
-    s = Subspace(3, np.array([[1.0], [1.0], [0.0]], dtype=complex) / np.sqrt(2))
-    back = decode_subspace(encode_subspace(s))
-    assert back.ambient_dim == 3 and s.distance(back) < 1e-12
-    with pytest.raises(ValueError):
-        decode_subspace({"ambient_dim": 4, "frame": encode_matrix(s.frame)})
-
-
-def test_subspace_zero_dim_roundtrip():
-    s = Subspace(3, np.zeros((3, 0), dtype=complex))
-    back = decode_subspace(encode_subspace(s))
-    assert back.dim == 0 and back.frame.shape == (3, 0)
 
 
 def test_operator_roundtrip(worked_a):
@@ -111,21 +95,6 @@ def test_chain_file_structure(worked_a):
             assert step_doc["parameter"]["kind"] == "parameter"
         # the benchmark counts a chain file's steps by this key in its text
         assert json_dump(doc).count('"defect_numbers"') == len(chain.steps)
-
-
-def test_parameter_function_file_sorted_samples(worked_a):
-    chain = build_invertible_selfadjoint(worked_a, 1j, seed=1, double_first=True)
-    ext = EmbeddedExtension.from_chain(chain)
-    grid = default_lambda_grid(1j, ext.atilde_matrix())
-    f = ParameterFunction.from_extension(ext, 1j, grid)
-    doc = parameter_function_file(f)
-    assert doc["kind"] == "parameter_function"
-    keys = [tuple(s["lambda"]) for s in doc["samples"]]
-    assert keys == sorted(keys)
-    assert "constant_matrix" not in doc
-    const = ParameterFunction.constant(worked_a, 1j, np.array([[0.5j]]))
-    cdoc = parameter_function_file(const)
-    assert decode_matrix(cdoc["constant_matrix"]).item() == 0.5j
 
 
 def test_json_dump_canonical():

@@ -78,6 +78,31 @@ def test_no_hidden_threshold_or_norm_wrapper():
     assert len(list(_hidden_threshold_calls(probe))) == 4
 
 
+def _literal_scaled_tolerances(tree):
+    """Products of a number literal and an expression that names a tolerance."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            continue
+        for literal, other in ((node.left, node.right), (node.right, node.left)):
+            if (isinstance(literal, ast.Constant) and type(literal.value) in (int, float)
+                    and "tol" in ast.unparse(other).lower()):
+                yield node
+                break
+
+
+def test_no_literal_scales_a_tolerance():
+    # a factor applied to a tolerance is itself a threshold, and a record field
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in _literal_scaled_tolerances(tree)]
+    assert found == []
+    probe = ast.parse("10 * a.tol * scale; TOL.check_cayley * 10; 10.0 * self.atilde.tol\n"
+                      "max(self.tol, TOL.frame_floor) * 10; 100 * tol; TOL.x * a.tol; 2 * r")
+    assert len(list(_literal_scaled_tolerances(probe))) == 5
+
+
 def _pipeline(tmp_path):
     """A small gen -> build-sa run; returns the operator and extension paths."""
     op, ext = tmp_path / "op.json", tmp_path / "ext.json"
