@@ -46,6 +46,11 @@ class DefectData:
     n_zbar: Subspace
     defect_numbers: tuple
 
+    def of_inverse(self) -> "DefectData":
+        """A^{-1} at 1/z: (A^{-1} - 1/z)Af = -(A - z)f/z, so these spaces relabelled."""
+        return DefectData(1.0 / self.z, self.m_z, self.n_z, self.m_zbar, self.n_zbar,
+                          self.defect_numbers)
+
 
 def defect_data(a: DomainOperator, z: complex) -> DefectData:
     z = require_offaxis(z)
@@ -128,9 +133,11 @@ def forbidden_operator(a: DomainOperator, z: complex,
     f_part = dd.n_z.frame @ null[:n, :]
     psi_part = dd.n_zbar.frame @ null[n:n + nb, :]
     relation = LinearRelation.from_pairs(f_part, psi_part, d, tol=a.tol)
-    single = relation.is_operator()
-    op = relation.to_operator() if single else None
-    return ForbiddenOperator(z, relation, single, op)
+    try:
+        op = relation.to_operator()
+    except NotInvertible:
+        op = None
+    return ForbiddenOperator(z, relation, op is not None, op)
 
 
 @dataclass(frozen=True, eq=False)

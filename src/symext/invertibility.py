@@ -8,18 +8,20 @@ The extension B built from (A, z, T) is invertible exactly when
         D(T) ∩ D(X), with an unconditional pass when
         that intersection is trivial                  (via_forbidden),
 
-where X is the forbidden operator. The chain builder applies rank-one
+where X is the forbidden operator. Tests (ii) and (iii) take A^{-1} at 1/z
+from A at z: (A^{-1} - 1/z)Af = -(A - z)f/z gives A's defect spaces and
+U_{1/z}(A^{-1}) = (z/zbar) U_z(A), and A^{-1}, whose rounding grows like
+cond(A), is never gated for symmetry. The chain builder applies rank-one
 isometric parameters that dodge both forbidden images, dropping the defect by
 one per step while preserving symmetry, injectivity, and invertibility, until
 a self-adjoint invertible operator remains.
 
 A rank-one step changes each object of the chain by one vector, so the builder
 carries N_z, N_zbar, D(B), B, R(B) and B^{-1} from step to step and updates
-them in closed form instead of rebuilding them. Only the base (symmetric,
-injective) and the final operator (symmetric, injective, extending the start)
-are checked from scratch; ``extend``, ``forbidden_operator``, ``defect_data``
-and ``inverse_op`` stay the independent constructions a step is checked
-against.
+them in closed form. Only the base (symmetric, injective) and the final
+operator (symmetric, injective, extending the start) are checked from scratch;
+``extend``, ``forbidden_operator``, ``defect_data`` and ``inverse_op`` stay
+the independent constructions a step is checked against.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import (defect_data, forbidden_operator, is_admissible,
+from .cayley import (cayley, defect_data, forbidden_operator, is_admissible,
                      require_offaxis)
 from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
 from .neumann import ContractionParameter, extend
@@ -57,16 +59,15 @@ def check_invertibility(a: DomainOperator, z: complex,
     z = require_offaxis(z)
     if not is_injective(a):
         raise NotInvertibleBase("base operator has a nontrivial kernel")
-    report = extend(a, z, parameter)
-    direct = report.invertible
+    dd = defect_data(a, z)
+    report = extend(a, z, parameter, dd)
 
-    a_inv = inverse_op(a)
-    z_inv = 1.0 / z
-    dd_inv = defect_data(a_inv, z_inv)
+    a_inv, dd_inv = inverse_op(a), dd.of_inverse()
+    u_inv = scale_op(cayley(a, z), z / np.conj(z))
     scaled_t = scale_op(parameter.t, z / np.conj(z))
-    adm = is_admissible(a_inv, z_inv, scaled_t, dd=dd_inv)
+    adm = is_admissible(a_inv, dd_inv.z, scaled_t, dd=dd_inv, u=u_inv)
 
-    x = forbidden_operator(a_inv, z_inv, dd=dd_inv)
+    x = forbidden_operator(a_inv, dd_inv.z, dd=dd_inv)
     meet = parameter.t.domain.intersect(x.domain)
     if meet.dim == 0:
         via_forbidden = True
@@ -79,8 +80,8 @@ def check_invertibility(a: DomainOperator, z: complex,
         margin_forbidden = float(s[-1])
         via_forbidden = rank == meet.dim
 
-    agree = direct == adm.admissible == via_forbidden
-    return InvertibilityVerdict(direct, adm.admissible, via_forbidden, agree,
+    agree = report.invertible == adm.admissible == via_forbidden
+    return InvertibilityVerdict(report.invertible, adm.admissible, via_forbidden, agree,
                                 report.witnesses.get("kernel"),
                                 {"direct": report.injectivity_margin,
                                  "via_admissibility": adm.margin,

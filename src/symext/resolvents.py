@@ -462,8 +462,8 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     tolerances = {"rate_bound": TOL.rate_bound, "limit_tol": TOL.limit, "kernel_tol": TOL.kernel}
     if len(sector.radii) < 4:
         raise InsufficientSamples("need at least four radii for the limit estimate")
-    a_inv = inverse_op(a)
-    x = forbidden_operator(a_inv, 1.0 / lambda0)
+    x = forbidden_operator(inverse_op(a), 1.0 / lambda0,
+                           dd=defect_data(a, lambda0).of_inverse())
     if x.domain.dim == 0:
         return IAdmissibilityVerdict(True, None, None, {}, 0.0, float("inf"),
                                      None, None, tolerances)

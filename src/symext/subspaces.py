@@ -167,16 +167,13 @@ class Subspace:
         return Subspace(self.ambient_dim, u[:, self.dim:], self.tol)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via principal angles: directions with cosine >= 1 - tol."""
+        """The directions of ``self`` that ``other.contains``: the kernel of
+        ``(I - P_other) F``, F the frame of ``self``, at the membership cut."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex), self.tol)
-        u, s, _ = np.linalg.svd(self.frame.conj().T @ other.frame, full_matrices=False)
-        keep = s >= 1.0 - self.tol
-        if not np.any(keep):
-            return Subspace(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex), self.tol)
-        return orthonormalize(self.frame @ u[:, keep], tol=self.tol)
+        resid = self.frame - other.frame @ (other.frame.conj().T @ self.frame)
+        _, _, null = rank_split(resid, TOL.membership_factor * self.tol, part="null")
+        return Subspace(self.ambient_dim, self.frame @ null, self.tol)
 
     def distance(self, other: "Subspace") -> float:
         """Operator-norm gap ``||P_U - P_V||`` between the orthogonal projectors.

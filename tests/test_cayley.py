@@ -8,7 +8,7 @@ from symext.cayley import (cayley, defect_data, forbidden_operator,
                            inverse_cayley, is_admissible, require_offaxis)
 from symext.errors import ParameterShapeViolation, RealPoint
 from symext.operators import (graph_distance, inverse_op, is_isometric,
-                              make_operator, operator_from_matrix)
+                              make_operator, operator_from_matrix, scale_op)
 from symext.subspaces import Subspace
 
 from conftest import random_instance, worked_parameter
@@ -62,12 +62,18 @@ def test_defect_data_requires_symmetric():
 
 
 def test_defect_matches_inverse_at_reciprocal_point():
+    # the from-scratch record of A^{-1} at 1/z against A's, and against A's relabelled
     for seed in range(8):
         a, z, _ = random_instance(seed)
         dd = defect_data(a, z)
         dd_inv = defect_data(inverse_op(a), 1.0 / z)
-        assert dd.m_z.distance(dd_inv.m_z) < 1e-10
-        assert dd.n_z.distance(dd_inv.n_z) < 1e-10
+        for got in (dd, dd.of_inverse()):
+            assert got.m_z.distance(dd_inv.m_z) < 1e-10
+            assert got.n_z.distance(dd_inv.n_z) < 1e-10
+            assert got.m_zbar.distance(dd_inv.m_zbar) < 1e-10
+            assert got.n_zbar.distance(dd_inv.n_zbar) < 1e-10
+        assert dd.of_inverse().z == dd_inv.z
+        assert dd.of_inverse().defect_numbers == dd_inv.defect_numbers
 
 
 def test_cayley_worked_family(worked_a):
@@ -91,14 +97,19 @@ def test_cayley_isometric_random():
 
 
 def test_cayley_inverse_scaling_identity():
-    # U_z(A) = (zbar/z) U_{1/z}(A^{-1}) on M_z
+    # U_z(A) = (zbar/z) U_{1/z}(A^{-1}) on M_z, with U_{1/z}(A^{-1}) from scratch
+    # and as check_invertibility takes it, (z/zbar) U_z(A)
     for seed in range(8):
         a, z, _ = random_instance(seed + 200)
         u = cayley(a, z)
         u_inv = cayley(inverse_op(a), 1.0 / z)
+        scaled = scale_op(u, z / np.conj(z))
+        assert scaled.domain.distance(u_inv.domain) < 1e-10
         for j in range(u.domain_dim):
             v = u.domain.frame[:, j]
-            assert np.allclose(u.apply(v), (np.conj(z) / z) * u_inv.apply(v), atol=1e-10)
+            for got in (u_inv, scaled):
+                assert np.allclose(u.apply(v), (np.conj(z) / z) * got.apply(v), atol=1e-10)
+            assert np.allclose(scaled.apply(v), u_inv.apply(v), atol=1e-10)
 
 
 def test_inverse_cayley_roundtrip():

@@ -39,19 +39,22 @@ def test_worked_c_eq_i_all_true(worked_a, worked_dd):
 
 
 def test_inverse_defect_data_built_once(monkeypatch):
-    # is_admissible and forbidden_operator share the defect data of A^{-1} at 1/z;
-    # the package re-exports a function named cayley, so fetch modules by full name
-    inv_mod, cayley_mod = map(importlib.import_module, ("symext.invertibility", "symext.cayley"))
+    # A^{-1}'s record at 1/z is A's at z relabelled: defect_data runs once, on A
+    # itself, and extend, is_admissible and forbidden_operator share it. The
+    # package re-exports a function named cayley, so fetch modules by full name
+    mods = {name: importlib.import_module(f"symext.{name}")
+            for name in ("invertibility", "neumann", "cayley")}
     a, z, _ = random_instance(7, max_dim=6)
     parameter = random_contraction(np.random.default_rng(7), defect_data(a, z))
-    calls = {"invertibility": 0, "cayley": 0}
-    for name, mod in (("invertibility", inv_mod), ("cayley", cayley_mod)):
-        def counted(*args, _name=name, _fn=mod.defect_data, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    calls = {name: [] for name in mods}
+    for name, mod in mods.items():
+        def counted(op, *args, _name=name, _fn=mod.defect_data, **kwargs):
+            calls[_name].append(op)
+            return _fn(op, *args, **kwargs)
         monkeypatch.setattr(mod, "defect_data", counted)
     check_invertibility(a, z, parameter)
-    assert calls == {"invertibility": 1, "cayley": 0}
+    assert len(calls["invertibility"]) == 1 and calls["invertibility"][0] is a
+    assert calls["neumann"] == [] and calls["cayley"] == []
 
 
 def test_dense_range_vacuous_forbidden():

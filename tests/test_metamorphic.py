@@ -16,6 +16,8 @@ a distance delta off the forbidden operator moves every margin like delta, and
 the three invertibility tests may part only inside that band.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,3 +275,80 @@ def test_distance_family_margins_scale_and_disagreements_stay_in_band(tmp_path):
                 code = cli.main(["check-invert", str(op), "--param", str(par),
                                  "-o", str(tmp_path / f"v{seed}.json")])
                 assert code != cli.EXIT_DISAGREEMENT, seed
+
+
+def small_eigenvalue_base(eps, d, n, seed):
+    """(A, rng) with s_min(A) = eps exactly: the Hermitian H has the eigenvalue eps,
+    its eigenvector lies in D(A), and the other d - n - 1 directions of D(A) are
+    random. The rest of the spectrum of H lies in (0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    eigs = rng.uniform(0.5, 2.0, d)
+    eigs[0] = eps
+    h = (q * eigs) @ q.conj().T
+    rest = rng.standard_normal((d, d - n - 1)) + 1j * rng.standard_normal((d, d - n - 1))
+    frame, _ = np.linalg.qr(np.hstack([q[:, :1], rest]))
+    return DomainOperator(d, Subspace(d, frame), (h + h.conj().T) / 2 @ frame), rng
+
+
+def contraction_on(dd, rng):
+    """A random full-domain parameter of norm 1/1.3."""
+    n = dd.defect_numbers[0]
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return sx.ContractionParameter.from_matrix(dd, raw / (1.3 * np.linalg.norm(raw, 2)))
+
+
+SMALL_EIGENVALUES = (1e-5, 1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10, 1e-11, 1e-12)
+
+
+@pytest.mark.parametrize("eps", SMALL_EIGENVALUES)
+def test_near_singular_base_gets_a_verdict(eps):
+    # cond(A) = 1/eps amplifies the rounding of A^{-1}; the inverse side is read
+    # from A's data at z, so each case agrees, parts only inside the borderline
+    # band, or has a kernel at the rank cut
+    for d in (4, 6, 8):
+        for n in range(1, min(3, d - 2) + 1):
+            for z in (1j, -1j, 0.3 + 0.8j, -0.5 - 1.1j):
+                for seed in range(2):
+                    a, rng = small_eigenvalue_base(eps, d, n, seed)
+                    parameter = contraction_on(sx.defect_data(a, z), rng)
+                    try:
+                        v = sx.check_invertibility(a, z, parameter)
+                    except sx.NotInvertibleBase:
+                        continue
+                    assert v.agree or borderline(*v.margins.values()), (d, n, z, seed)
+
+
+@pytest.mark.parametrize("eps", (1e-7, 3e-8, 1e-9, 3e-10))
+def test_near_singular_base_boundary_test_answers(eps):
+    # F from a doubled chain belongs to a self-adjoint invertible extension
+    for d in (4, 6):
+        for n in (1, 2):
+            for z in (1j, -1j):
+                a, _ = small_eigenvalue_base(eps, d, n, seed=d + n)
+                try:
+                    chain = sx.build_invertible_selfadjoint(a, z, double_first=True)
+                except sx.NotAnExtension:
+                    # s_min of the final operator is at most eps: next to the cut at 3e-10
+                    assert eps < 1e-9, (d, n, z)
+                    continue
+                sector = SectorSpec.default_for(z)
+                points = [lam for pts in sector.sample_points().values() for lam in pts]
+                f = ParameterFunction.from_extension(EmbeddedExtension.from_chain(chain), z,
+                                                     points)
+                assert sx.i_admissibility_test(a, z, f, sector).admissible, (d, n, z)
+
+
+def test_cli_answers_on_a_near_singular_base(tmp_path):
+    a, rng = small_eigenvalue_base(1e-9, 6, 2, seed=0)
+    op, par, ext = (tmp_path / name for name in ("op.json", "p.json", "ext.json"))
+    op.write_text(serialize.json_dump(serialize.operator_file(a)))
+    parameter = contraction_on(sx.defect_data(a, 1j), rng)
+    par.write_text(serialize.json_dump(serialize.parameter_file(parameter)))
+    assert cli.main(["check-invert", str(op), "--param", str(par),
+                     "-o", str(tmp_path / "inv.json")]) == cli.EXIT_OK
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "--double", "-o", str(ext)]) == 0
+    ver = tmp_path / "ver.json"
+    assert cli.main(["verify", str(op), str(ext), "-o", str(ver)]) == 0
+    checks = {c["name"]: c for c in json.loads(ver.read_text(encoding="utf-8"))["checks"]}
+    assert checks["i_admissibility"]["passed"], checks["i_admissibility"]

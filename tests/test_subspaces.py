@@ -127,6 +127,19 @@ def test_intersect_matches_scipy_principal_angles():
         assert got == expected
 
 
+@pytest.mark.parametrize("sine", [1e-6, 1e-8, 2e-9, 5e-10, 1e-12])
+def test_intersect_cuts_where_contains_does(sine):
+    # a meet direction is one the other space contains; a cosine cut of 1 - tol
+    # kept sines up to sqrt(2 tol), and contains then rejected the meet
+    e = np.eye(2, dtype=complex)
+    u = Subspace(2, e[:, :1])
+    v = Subspace(2, np.cos(sine) * e[:, :1] + np.sin(sine) * e[:, 1:])
+    for s1, s2 in ((u, v), (v, u)):
+        meet = s1.intersect(s2)
+        assert meet.dim == (sine <= TOL.membership_factor * DEFAULT_TOL)
+        assert s1.contains_subspace(meet) and s2.contains_subspace(meet)
+
+
 def test_grassmann_identity():
     # dim(S1+S2) + dim(S1 cap S2) = dim S1 + dim S2, rank oracle on stacked frames
     rng = np.random.default_rng(5)

@@ -78,6 +78,40 @@ def test_no_hidden_threshold_or_norm_wrapper():
     assert len(list(_hidden_threshold_calls(probe))) == 4
 
 
+# a full SVD decides a rank only through rank_split; opnorm wants the top value
+# and Subspace.complement the full left factor, where no rank is decided
+SVD_SITES = {"rank_split", "opnorm", "Subspace.complement"}
+
+
+def _svd_calls(tree):
+    """``(enclosing qualified name, node)`` for each call to ``np.linalg.svd``."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) in (
+                    "np.linalg.svd", "numpy.linalg.svd"):
+                yield ".".join(scope), child
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            yield from walk(child, scope + [child.name] if named else scope)
+    yield from walk(tree, [])
+
+
+def test_svd_only_in_the_rank_primitive():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {scope}" for scope, node in _svd_calls(tree)
+                  if path.name != "subspaces.py" or scope not in SVD_SITES]
+    assert found == []
+    probe = ast.parse("np.linalg.svd(m)\n"
+                      "class Subspace:\n"
+                      "    def intersect(self): return np.linalg.svd(m)\n"
+                      "    def complement(self): return numpy.linalg.svd(m)\n"
+                      "def rank_split(m): return np.linalg.svd(m, compute_uv=False)\n"
+                      "def opnorm(m): return np.linalg.norm(m)")
+    assert [scope for scope, _ in _svd_calls(probe)] == [
+        "", "Subspace.intersect", "Subspace.complement", "rank_split"]
+
+
 def _literal_scaled_tolerances(tree):
     """Products of a number literal and an expression that names a tolerance."""
     for node in ast.walk(tree):
