@@ -166,6 +166,9 @@ def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
     kernel vector of W - E, phase-fixed for determinism. ``dd`` and ``u`` are
     the defect data and the Cayley transform of A at z when the caller
     already holds them.
+
+    The verdict and the margin come from the singular values alone; the
+    vectors are computed only for a witness.
     """
     z = require_offaxis(z)
     if dd is None:
@@ -174,9 +177,12 @@ def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
     if u is None:
         u = cayley(a, z)
     w_frame = np.hstack([u.domain.frame, t.domain.frame])
-    w_action = np.hstack([u.action, t.action])
-    _, s, null = rank_split(w_action - w_frame, a.tol, part="null")
+    shifted = np.hstack([u.action, t.action]) - w_frame
+    rank, s, _ = rank_split(shifted, a.tol)
     margin = float(s[-1]) if s.size else float("inf")
-    if null.shape[1] == 0:
+    if rank == shifted.shape[1]:
         return AdmissibilityResult(True, None, margin)
-    return AdmissibilityResult(False, fix_phase(w_frame @ null[:, -1]), margin)
+    # at an infinite cut every right singular vector is a kernel vector, the
+    # smallest last, so a witness exists whatever this SVD's rounding decides
+    _, _, vecs = rank_split(shifted, np.inf, part="null")
+    return AdmissibilityResult(False, fix_phase(w_frame @ vecs[:, -1]), margin)

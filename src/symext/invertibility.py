@@ -59,11 +59,11 @@ def check_invertibility(a: DomainOperator, z: complex,
     z = require_offaxis(z)
     if not is_injective(a):
         raise NotInvertibleBase("base operator has a nontrivial kernel")
-    dd = defect_data(a, z)
-    report = extend(a, z, parameter, dd)
+    dd, u = defect_data(a, z), cayley(a, z)
+    report = extend(a, z, parameter, dd, u)
 
     a_inv, dd_inv = inverse_op(a), dd.of_inverse()
-    u_inv = scale_op(cayley(a, z), z / np.conj(z))
+    u_inv = scale_op(u, z / np.conj(z))
     scaled_t = scale_op(parameter.t, z / np.conj(z))
     adm = is_admissible(a_inv, dd_inv.z, scaled_t, dd=dd_inv, u=u_inv)
 

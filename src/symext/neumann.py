@@ -139,14 +139,15 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
 
 
 def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
-           dd: Optional[DefectData] = None) -> ExtensionReport:
+           dd: Optional[DefectData] = None,
+           u: Optional[DomainOperator] = None) -> ExtensionReport:
     """Build the extension B determined by the parameter at base point z.
 
-    ``construct_extension`` builds B; the report adds its class, injectivity
-    (with a kernel witness when it fails, and the smallest singular value it
-    was decided on) and defect numbers.
+    ``construct_extension`` builds B, from ``dd`` and ``u`` when given; the
+    report adds its class, injectivity (with a kernel witness when it fails,
+    and the smallest singular value it was decided on) and defect numbers.
     """
-    b = construct_extension(a, z, parameter, dd)
+    b = construct_extension(a, z, parameter, dd, u)
     rank, s, _ = rank_split(b.action, b.tol)
     invertible = rank == b.domain_dim
     witnesses = {}

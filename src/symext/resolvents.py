@@ -22,6 +22,12 @@ compose (``_frak_b_from``, ``_frak_f_from``) so that one L_lam serves every
 check at lam. ``ParameterFunction.from_extension``
 samples F from one Hermitian eigendecomposition of Atilde instead, through
 B_lam = lam + R_lam^{-1}, under the same guards.
+
+``shtraus_resolvent`` writes B - lam = M P^H, P = [F_A, C] unitary (F_A the
+domain frame of A, C a frame of D(A)^perp), and pays per lam two values-only
+SVDs (admissibility and the ``ResolventSingular`` gate on M) and one LU; the
+defect data, the Cayley transform and C are computed once per base point.
+``construct_extension`` stays the general path and the tests' reference.
 """
 
 import weakref
@@ -31,10 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import cayley, defect_data, forbidden_operator, require_offaxis
-from .errors import (InsufficientSamples, ProjectionDegenerate,
+from .cayley import cayley, defect_data, forbidden_operator, is_admissible, require_offaxis
+from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
-from .neumann import ContractionParameter, construct_extension
 from .operators import (DomainOperator, inverse_op, operator_from_generators,
                         operator_from_matrix)
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, fix_phase, near_identity,
@@ -340,32 +345,62 @@ class ParameterFunction:
         return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean, "user")
 
 
-# Defect data and Cayley transform of a base operator at the base points the
-# Shtraus formula extends from, so that a grid of lam pays for them once per
-# point (the operator carries its own graph). Keyed weakly on the operator
-# itself: DomainOperator is frozen and its arrays are read-only, so an entry
-# holds while the operator lives and goes with it.
+# Per base point z of the Shtraus formula, what a grid of lam shares: the
+# defect data and the Cayley transform of A at z, which admissibility reads,
+# and C, an orthonormal frame of D(A)^perp, which with the domain frame F_A
+# makes the unitary P = [F_A, C] that B - lam is written against. Keyed weakly
+# on the operator itself: DomainOperator is frozen and its arrays are
+# read-only, so an entry holds while the operator lives and goes with it.
 _BASE_POINT_DATA = weakref.WeakKeyDictionary()
 
 
 def _base_point_data(a: DomainOperator, z: complex) -> tuple:
-    """``(dd, u)`` of A at z, the inputs ``construct_extension`` reuses."""
+    """``(dd, u, c)`` of A at z: defect data, Cayley transform, frame of D(A)^perp."""
     per_point = _BASE_POINT_DATA.setdefault(a, {})
     if z not in per_point:
-        per_point[z] = (defect_data(a, z), cayley(a, z))
+        per_point[z] = (defect_data(a, z), cayley(a, z), a.domain.complement().frame)
     return per_point[z]
 
 
-def _extension_matrix_for(a: DomainOperator, base_point: complex, dom_frame, rng_frame,
-                          matrix) -> np.ndarray:
-    """Total extension of A at the given base point from a frame-coded parameter."""
-    t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom_frame, a.tol),
-                       rng_frame @ matrix)
-    parameter = ContractionParameter.from_operator(base_point, t)
-    b = construct_extension(a, base_point, parameter, *_base_point_data(a, base_point))
-    if not b.is_total():
+def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_frame,
+                         matrix, lam: complex) -> np.ndarray:
+    """(B - lam)^{-1}, B the extension of A at the base point from a frame-coded parameter.
+
+    With N = ``dom_frame``, T = ``rng_frame @ matrix``, X = T - N and
+    Y = z T - zbar N, B sends F_A to A F_A and X to Y. Writing X = F_A W + C Z
+    (W = F_A^H X, Z = C^H X) gives B C = (Y - A F_A W) Z^{-1}, so
+    B - lam = M P^H with M = [A F_A - lam F_A, B C - lam C]: the singular
+    values of M are those of B - lam, and (B - lam)^{-1} = P M^{-1}.
+    """
+    dd, u, c = _base_point_data(a, base_point)
+    fa, afa = a.domain.frame, a.action
+    t_action = rng_frame @ matrix
+    x = t_action - dom_frame
+    z_block = c.conj().T @ x
+    if not np.all(np.isfinite(z_block)):
+        raise ResolventSingular(f"parameter sample at {lam} is not finite")
+    # the gate ContractionParameter applies, on the coordinates of the sample
+    top = opnorm(matrix)
+    if top > 1.0 + TOL.expanding:
+        raise ValueError(f"parameter is expanding: top singular value {top:.3e}")
+    t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom_frame, a.tol), t_action)
+    adm = is_admissible(a, base_point, t, dd=dd, u=u)
+    if not adm.admissible:
+        raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
+    if z_block.shape[0] != z_block.shape[1]:
         raise ResolventSingular("extension is not total; resolvent formula needs a full domain")
-    return b.to_matrix()
+    y = base_point * t_action - np.conj(base_point) * dom_frame
+    try:
+        # (Y - A F_A W) Z^{-1}, as the solve Z^T V = (Y - A F_A W)^T
+        bc = np.linalg.solve(z_block.T, (y - afa @ (fa.conj().T @ x)).T).T
+    except np.linalg.LinAlgError:  # Z exactly singular: B is not total
+        bc = None
+    if bc is None or not np.all(np.isfinite(bc)):
+        raise ResolventSingular("extension is not total; Z = C^H X is singular")
+    m = np.hstack([afa - lam * fa, bc - lam * c])
+    if rank_split(m, TOL.resolvent_singular)[0] < a.ambient_dim:
+        raise ResolventSingular(f"extension minus {lam} is singular")
+    return np.hstack([fa, c]) @ np.linalg.inv(m)
 
 
 def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
@@ -378,17 +413,11 @@ def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
     lambda0 = require_offaxis(lambda0)
     lam = require_offaxis(complex(lam))
     if _half_plane(lam, lambda0):
-        matrix = f.sample_at(lam)
-        b_mat = _extension_matrix_for(a, lambda0, f.domain_frame, f.range_frame, matrix)
-    else:
-        # conj(lam) sits in the half-plane of lam0: adjoint branch
-        matrix = f.sample_at(np.conj(lam))
-        b_mat = _extension_matrix_for(a, np.conj(lambda0), f.range_frame, f.domain_frame,
-                                      matrix.conj().T)
-    shifted = b_mat - lam * np.eye(a.ambient_dim)
-    if rank_split(shifted, TOL.resolvent_singular)[0] < a.ambient_dim:
-        raise ResolventSingular(f"extension minus {lam} is singular")
-    return np.linalg.inv(shifted)
+        return _extension_resolvent(a, lambda0, f.domain_frame, f.range_frame,
+                                    f.sample_at(lam), lam)
+    # conj(lam) sits in the half-plane of lam0: adjoint branch
+    return _extension_resolvent(a, np.conj(lambda0), f.range_frame, f.domain_frame,
+                                f.sample_at(np.conj(lam)).conj().T, lam)
 
 
 def default_lambda_grid(lambda0: complex, atilde_matrix: Optional[np.ndarray] = None):

@@ -47,7 +47,7 @@ class Tolerances:
     embedding_isometry: float = 1e-10  # EmbeddedExtension: floor of the embedding isometry gate
     embedding_diagonal: float = 1e-5  # EmbeddedExtension: extra slack on the embedding Gram diagonal
     spectrum_hit: float = 1e-10       # compressed_resolvent: lam on the spectrum (SpectrumHit)
-    resolvent_singular: float = 1e-12  # shtraus_resolvent: B - lam is singular (ResolventSingular)
+    resolvent_singular: float = 1e-12  # shtraus_resolvent: M = (B - lam)P is singular
     projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
     sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): residual, leakage
     sample_expansion: float = 1e-7    # sample of F (frak_f and the sampler): norm excess over 1

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 import symext as sx
-from symext.cayley import defect_data, forbidden_operator
+from symext.cayley import cayley, defect_data, forbidden_operator, is_admissible
 from symext.errors import NotAdmissible, NotInvertibleBase, SymextError
 from symext.invertibility import (_forbidden_images, _leading,
                                   build_invertible_selfadjoint,
                                   check_invertibility, double)
 from symext.neumann import ContractionParameter, extend
 from symext.operators import (graph_contains, graph_distance, inverse_op,
-                              is_injective, is_symmetric, negate,
-                              operator_from_matrix)
+                              is_injective, is_symmetric, make_operator, negate,
+                              operator_from_matrix, scale_op)
 from symext.resolvents import EmbeddedExtension
-from symext.subspaces import DEFAULT_TOL, TOL
+from symext.subspaces import DEFAULT_TOL, TOL, Subspace, fix_phase, rank_split
 
 from conftest import random_contraction, random_instance, worked_parameter
 
@@ -55,6 +55,74 @@ def test_inverse_defect_data_built_once(monkeypatch):
     check_invertibility(a, z, parameter)
     assert len(calls["invertibility"]) == 1 and calls["invertibility"][0] is a
     assert calls["neumann"] == [] and calls["cayley"] == []
+
+
+def test_one_cayley_transform_per_check(monkeypatch):
+    # extend and U_{1/z}(A^{-1}) = (z/zbar) U_z(A) share one Cayley transform,
+    # so A is gated for symmetry once by defect_data and once by cayley
+    mods = [importlib.import_module(f"symext.{name}")
+            for name in ("invertibility", "neumann", "cayley", "operators")]
+    a, z, _ = random_instance(7, max_dim=6)
+    parameter = random_contraction(np.random.default_rng(7), defect_data(a, z))
+    calls = {"cayley": [], "is_symmetric": []}
+    for mod in mods:
+        for fname in calls:
+            if hasattr(mod, fname):
+                def counted(op, *args, _name=fname, _fn=getattr(mod, fname), **kwargs):
+                    calls[_name].append(op)
+                    return _fn(op, *args, **kwargs)
+                monkeypatch.setattr(mod, fname, counted)
+    check_invertibility(a, z, parameter)
+    assert calls["cayley"] == [a]
+    assert sum(op is a for op in calls["is_symmetric"]) == 2
+
+
+def _full_svd_admissibility(a, t, u):
+    """is_admissible's verdict, witness and margin from one full SVD, kept as the oracle."""
+    w_frame = np.hstack([u.domain.frame, t.domain.frame])
+    shifted = np.hstack([u.action, t.action]) - w_frame
+    _, s, null = rank_split(shifted, a.tol, part="null")
+    witness = fix_phase(w_frame @ null[:, -1]) if null.shape[1] else None
+    return null.shape[1] == 0, witness, (float(s[-1]) if s.size else float("inf")), s
+
+
+def _rank_one_onto(a, g, image):
+    """T sending the unit vector g to ``image``."""
+    return make_operator(Subspace(a.ambient_dim, g[:, None], a.tol), image[:, None])
+
+
+def test_admissibility_from_values_matches_full_svd():
+    # the pool of test_three_way_agreement_seeded; every fourth T is put on the
+    # forbidden operator of A^{-1} (as the benchmark sweep does) and every
+    # fourth, offset by two, on that of A, so both sides meet inadmissible T
+    rng = np.random.default_rng(31)
+    inadmissible = {"z": 0, "1/z": 0}
+    for seed in range(120):
+        a, z, _ = random_instance(seed, max_dim=6)
+        dd, u = defect_data(a, z), cayley(a, z)
+        a_inv, dd_inv = inverse_op(a), dd.of_inverse()
+        u_inv = scale_op(u, z / np.conj(z))
+        t = random_contraction(rng, dd, strict=bool(rng.uniform() < 0.7)).t
+        if seed % 4 in (0, 2):
+            x = (forbidden_operator(a_inv, dd_inv.z, dd=dd_inv) if seed % 4 == 0
+                 else forbidden_operator(a, z, dd=dd))
+            if x.domain.dim:
+                g = x.domain.frame[:, 0]
+                scale = np.conj(z) / z if seed % 4 == 0 else 1.0
+                t = _rank_one_onto(a, g, scale * x.apply(g))
+        sides = {"z": (a, z, t, dd, u),
+                 "1/z": (a_inv, dd_inv.z, scale_op(t, z / np.conj(z)), dd_inv, u_inv)}
+        for side, (op, w, tt, d_w, u_w) in sides.items():
+            got = is_admissible(op, w, tt, dd=d_w, u=u_w)
+            admissible, witness, margin, s = _full_svd_admissibility(op, tt, u_w)
+            assert got.admissible == admissible, (seed, side)
+            if admissible:
+                assert got.witness is None
+            else:
+                inadmissible[side] += 1
+                assert np.array_equal(got.witness, witness), (seed, side)
+            assert abs(got.margin - margin) <= 1e-14 * s[0], (seed, side)
+    assert inadmissible == {"z": 30, "1/z": 30}
 
 
 def test_dense_range_vacuous_forbidden():

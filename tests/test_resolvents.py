@@ -9,11 +9,11 @@ import pytest
 
 import symext as sx
 from symext import resolvents
-from symext.cayley import defect_data
+from symext.cayley import AdmissibilityResult, defect_data
 from symext.errors import (InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
 from symext.invertibility import build_invertible_selfadjoint, double
-from symext.neumann import recover_parameter
+from symext.neumann import ContractionParameter, construct_extension, recover_parameter
 from symext.operators import (graph_contains, graph_distance, inverse_op,
                               operator_from_matrix)
 from symext.resolvents import (EmbeddedExtension, ParameterFunction,
@@ -306,6 +306,102 @@ def test_shtraus_inadmissible_sample(worked_a):
         shtraus_resolvent(worked_a, 1j, f, 0.5j)
 
 
+def shtraus_oracle(a, lambda0, f, lam):
+    """(B - lam)^{-1} with B built by the general construct_extension."""
+    if np.sign(lam.imag) == np.sign(lambda0.imag):
+        z, dom, rng, mat = lambda0, f.domain_frame, f.range_frame, f.sample_at(lam)
+    else:
+        z, dom, rng = np.conj(lambda0), f.range_frame, f.domain_frame
+        mat = f.sample_at(np.conj(lam)).conj().T
+    t = sx.DomainOperator(a.ambient_dim, sx.Subspace(a.ambient_dim, dom, a.tol), rng @ mat)
+    b = construct_extension(a, z, ContractionParameter.from_operator(z, t))
+    return np.linalg.inv(b.to_matrix() - lam * np.eye(a.ambient_dim))
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_shtraus_block_form_matches_construct_extension(doubled):
+    # bases: the instance itself and, for a partial chain, its operator after
+    # the first step, a symmetric extension with the defect one lower
+    cases = partial = 0
+    for seed in range(6):
+        a, z, _ = random_instance(seed + 140, max_dim=8)
+        chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
+        exts = [EmbeddedExtension.from_chain(chain)]
+        if len(chain.steps) > 1:
+            exts.append(EmbeddedExtension.canonical(chain.operator(0), chain.final))
+        for ext in exts:
+            base = ext.base
+            grid = default_lambda_grid(z, ext.atilde_matrix())[::5]
+            f = ParameterFunction.from_extension(ext, z, grid)
+            for lam in grid + tuple(np.conj(grid)):
+                got = shtraus_resolvent(base, z, f, lam)
+                want = shtraus_oracle(base, z, f, lam)
+                scale = max(1.0, opnorm(want))
+                assert opnorm(got - want) <= 1e-12 * scale, (seed, lam)
+                # the block-form extension B = lam + R^{-1} extends the base
+                b = lam * np.eye(base.ambient_dim) + np.linalg.inv(got)
+                assert graph_contains(operator_from_matrix(b), base), (seed, lam)
+                cases += 1
+                partial += base is not a
+    assert cases >= 100 and partial >= 10
+
+
+def test_shtraus_singular_z_is_typed(worked_a, monkeypatch):
+    # F = 1 makes T = N, so X = T - N and Z = C^H X are exactly 0. Admissibility
+    # rejects that first; with it forced to pass, the solve through Z must still
+    # end in ResolventSingular, not in numpy's LinAlgError
+    f = ParameterFunction.constant(worked_a, 1j, np.array([[1.0]], dtype=complex))
+    _, _, c = resolvents._base_point_data(worked_a, 1j)
+    assert not np.any(c.conj().T @ (f.range_frame @ f.sample_at(0.5j) - f.domain_frame))
+    monkeypatch.setattr(resolvents, "is_admissible",
+                        lambda *args, **kwargs: AdmissibilityResult(True, None, 1.0))
+    with pytest.raises(ResolventSingular):
+        shtraus_resolvent(worked_a, 1j, f, 0.5j)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_shtraus_non_finite_sample_is_typed(worked_a, value):
+    f = ParameterFunction.constant(worked_a, 1j, np.array([[value]], dtype=complex))
+    for lam in (0.5j, -0.5j):
+        with pytest.raises(ResolventSingular):
+            shtraus_resolvent(worked_a, 1j, f, lam)
+
+
+def test_shtraus_rejects_an_expanding_sample(worked_a):
+    # the gate a ContractionParameter applies, on both branches
+    f = ParameterFunction.constant(worked_a, 1j, np.array([[1.0 + 1e-6]], dtype=complex))
+    for lam in (0.5j, -0.5j):
+        with pytest.raises(ValueError, match="expanding"):
+            shtraus_resolvent(worked_a, 1j, f, lam)
+
+
+def test_shtraus_per_lambda_cost(monkeypatch):
+    # once the base point is cached, a lam costs two values-only d x d SVDs
+    # (admissibility and the ResolventSingular gate), one inverse, no QR
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=5))
+    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, 1j, seed=0))
+    grid = default_lambda_grid(1j, ext.atilde_matrix())
+    f = ParameterFunction.from_extension(ext, 1j, grid)
+    shtraus_resolvent(a, 1j, f, grid[0])
+    shtraus_resolvent(a, 1j, f, np.conj(grid[0]))
+    calls = {"svd": [], "qr": [], "inv": []}
+    for name in calls:
+        def counted(m, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name].append((m.shape, kwargs.get("compute_uv", True)))
+            return _fn(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for lam in (grid[1], np.conj(grid[1])):
+        for name in calls:
+            calls[name].clear()
+        shtraus_resolvent(a, 1j, f, lam)
+        square = [call for call in calls["svd"] if call[0] == (8, 8)]
+        assert square == [((8, 8), False)] * 2
+        # the others are norms of d x n and n x n parameter matrices (n = 2 here)
+        assert all(shape[1] < 8 for shape, _ in calls["svd"] if shape != (8, 8))
+        assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
+
+
 def test_parameter_function_sampling(worked_a):
     mat = np.array([[0.25j]], dtype=complex)
     f = ParameterFunction.from_samples(worked_a, 1j, {0.5 + 0.5j: mat})
@@ -465,11 +561,13 @@ def test_shtraus_base_point_cache_sound_and_weak():
         assert np.array_equal(shtraus_resolvent(copy, z, f, lam),
                               shtraus_resolvent(a, z, f, lam))
     assert set(resolvents._BASE_POINT_DATA[copy]) == {z, np.conj(z)}
-    # each point keeps the defect data and the Cayley transform; the graph of A
-    # that every extension is checked against is the one the operator carries
-    dd, u = resolvents._BASE_POINT_DATA[copy][z]
+    # each point keeps the defect data, the Cayley transform and a frame C of
+    # D(A)^perp that completes the domain frame to a unitary
+    dd, u, c = resolvents._BASE_POINT_DATA[copy][z]
     assert dd.z == z and u.ambient_dim == copy.ambient_dim
-    assert "graph" in vars(copy)
+    p = np.hstack([copy.domain.frame, c])
+    assert p.shape == (copy.ambient_dim,) * 2
+    assert opnorm(p.conj().T @ p - np.eye(copy.ambient_dim)) < 1e-13
     gone = weakref.ref(copy)
     gc.collect()
     entries = len(resolvents._BASE_POINT_DATA)
