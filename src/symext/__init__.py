@@ -13,8 +13,8 @@ formats, and ``cli`` wires everything into subcommands.
 from .cayley import (DefectData, ForbiddenOperator, cayley, defect_data,
                      forbidden_operator, inverse_cayley, is_admissible)
 from .checks import CheckResult, run_suite
-from .errors import (ChoiceExhausted, DomainViolation, InsufficientSamples,
-                     NotAdmissible, NotAnExtension, NotInvertible,
+from .errors import (ChoiceExhausted, DomainViolation, ExpandingParameter,
+                     InsufficientSamples, NotAdmissible, NotAnExtension, NotInvertible,
                      NotInvertibleBase, ParameterShapeViolation,
                      ProjectionDegenerate, RealPoint, ResolventSingular,
                      SpecInfeasible, SpectrumHit, SymextError)
@@ -41,6 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "ChoiceExhausted", "ContractionParameter", "DEFAULT_TOL",
     "DefectData", "DomainOperator", "DomainViolation", "EmbeddedExtension",
+    "ExpandingParameter",
     "ExtensionChain", "ExtensionReport", "ForbiddenOperator",
     "IAdmissibilityVerdict", "InstanceSpec", "InsufficientSamples",
     "InvertibilityVerdict", "LinearRelation", "NotAdmissible",

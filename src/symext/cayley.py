@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotInvertible, ParameterShapeViolation, RealPoint
-from .operators import (DomainOperator, LinearRelation, is_isometric,
+from .operators import (DomainOperator, LinearRelation, derived, is_isometric,
                         is_symmetric, operator_from_generators)
 from .subspaces import TOL, Subspace, fix_phase, opnorm, orthonormalize, rank_split
 
@@ -53,22 +53,29 @@ class DefectData:
 
 
 def defect_data(a: DomainOperator, z: complex) -> DefectData:
+    """M and N spaces of A at z and zbar, computed once per operator and z."""
     z = require_offaxis(z)
-    _require_symmetric(a)
-    f = a.domain.frame
-    m_z = orthonormalize(a.action - z * f, ambient_dim=a.ambient_dim, tol=a.tol)
-    m_zbar = orthonormalize(a.action - np.conj(z) * f, ambient_dim=a.ambient_dim, tol=a.tol)
-    n_z = m_z.complement()
-    n_zbar = m_zbar.complement()
-    return DefectData(z, m_z, n_z, m_zbar, n_zbar, (n_z.dim, n_zbar.dim))
+
+    def build():
+        _require_symmetric(a)
+        f = a.domain.frame
+        m_z = orthonormalize(a.action - z * f, ambient_dim=a.ambient_dim, tol=a.tol)
+        m_zbar = orthonormalize(a.action - np.conj(z) * f, ambient_dim=a.ambient_dim, tol=a.tol)
+        n_z = m_z.complement()
+        n_zbar = m_zbar.complement()
+        return DefectData(z, m_z, n_z, m_zbar, n_zbar, (n_z.dim, n_zbar.dim))
+    return derived(a, ("defect_data", z), build)
 
 
 def cayley(a: DomainOperator, z: complex) -> DomainOperator:
-    """U_z with domain M_z: sends (A - z)f to (A - zbar)f."""
+    """U_z with domain M_z: sends (A - z)f to (A - zbar)f; computed once per operator and z."""
     z = require_offaxis(z)
-    _require_symmetric(a)
-    f = a.domain.frame
-    return operator_from_generators(a.action - z * f, a.action - np.conj(z) * f, tol=a.tol)
+
+    def build():
+        _require_symmetric(a)
+        f = a.domain.frame
+        return operator_from_generators(a.action - z * f, a.action - np.conj(z) * f, tol=a.tol)
+    return derived(a, ("cayley", z), build)
 
 
 def inverse_cayley(w: DomainOperator, z: complex) -> LinearRelation:
@@ -117,7 +124,8 @@ def forbidden_operator(a: DomainOperator, z: complex,
                        dd: Optional[DefectData] = None) -> ForbiddenOperator:
     """Solve f - (z - zbar)h = psi over f in N_z, psi in N_zbar, h in D(A).
 
-    ``dd`` is the defect data of A at z when the caller already holds it.
+    ``dd`` replaces ``defect_data(a, z)``: for A^{-1} callers pass A's data
+    relabelled by ``DefectData.of_inverse()``, which no memo of A^{-1} keeps.
     """
     z = require_offaxis(z)
     if dd is None:
@@ -163,9 +171,9 @@ def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
 
     Admissible means (z/zbar)-scaled fixed vectors are absent, i.e.
     ker(W - E) = {0} for W = U_z (+) T; on failure the witness is a unit
-    kernel vector of W - E, phase-fixed for determinism. ``dd`` and ``u`` are
-    the defect data and the Cayley transform of A at z when the caller
-    already holds them.
+    kernel vector of W - E, phase-fixed for determinism. ``dd`` and ``u``
+    replace ``defect_data(a, z)`` and ``cayley(a, z)``: for A^{-1} callers
+    pass A's data relabelled at 1/z, which no memo of A^{-1} keeps.
 
     The verdict and the margin come from the singular values alone; the
     vectors are computed only for a witness.

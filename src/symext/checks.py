@@ -8,9 +8,11 @@ the lam grid together (``check_inversion``): at each lam, L_lam and B_lam of
 the extension and L_{1/lam} and B_{1/lam} of its inverse pair are built once,
 by the stages that ``script_l``, ``frak_b`` and ``frak_f`` compose, and read
 by every check that needs them; they are dropped before the next lam. The
-checks on the base operator share A^{-1} and U_z(A) at each sampled z. The
-oracles stay the definitions, never the spectral engine. Every check keeps
-its own guard, so one that raises turns red and the others run on.
+checks on the base operator read A's defect data and Cayley transforms from
+A's memo (``operators.derived``). Each of the two A^{-1} checks builds A^{-1}
+itself, so A^{-1}'s facts are computed from A^{-1}, never relabelled from
+A's. The oracles stay the definitions, never the spectral engine. Every
+check keeps its own guard, so one that raises turns red and the others run on.
 """
 
 from dataclasses import dataclass
@@ -45,37 +47,12 @@ def _sample_z_values():
                     rng.uniform(0.3, 1.5) * (1 if rng.uniform() < 0.5 else -1)) for _ in range(5)]
 
 
-class _BaseOperator:
-    """A^{-1} and the Cayley transforms U_z(A), each built on first use.
-
-    The checks on the base operator share one instance within a suite. A
-    failed construction is not kept: it raises again in every check using it.
-    """
-
-    def __init__(self, a):
-        self.a = a
-        self._cayley = {}
-
-    @cached_property
-    def inverse(self):
-        return inverse_op(self.a)
-
-    def cayley(self, z):
-        if z not in self._cayley:
-            self._cayley[z] = cayley(self.a, z)
-        return self._cayley[z]
-
-
 def check_range_defect_inverse(a) -> CheckResult:
     """M and N spaces of A at z match those of A^{-1} at 1/z."""
-    return _range_defect_inverse(_BaseOperator(a), _sample_z_values())
-
-
-def _range_defect_inverse(base: _BaseOperator, zs) -> CheckResult:
-    a_inv = base.inverse
+    a_inv = inverse_op(a)
     worst = 0.0
-    for z in zs:
-        dd = defect_data(base.a, z)
+    for z in _sample_z_values():
+        dd = defect_data(a, z)
         dd_inv = defect_data(a_inv, 1.0 / z)
         worst = max(worst, dd.m_z.distance(dd_inv.m_z), dd.n_z.distance(dd_inv.n_z),
                     dd.m_zbar.distance(dd_inv.m_zbar), dd.n_zbar.distance(dd_inv.n_zbar))
@@ -84,14 +61,10 @@ def _range_defect_inverse(base: _BaseOperator, zs) -> CheckResult:
 
 def check_cayley_inverse_scaling(a) -> CheckResult:
     """U_z(A) = (zbar/z) U_{1/z}(A^{-1}) as maps on M_z."""
-    return _cayley_inverse_scaling(_BaseOperator(a), _sample_z_values())
-
-
-def _cayley_inverse_scaling(base: _BaseOperator, zs) -> CheckResult:
-    a_inv = base.inverse
+    a_inv = inverse_op(a)
     worst = 0.0
-    for z in zs:
-        u = base.cayley(z)
+    for z in _sample_z_values():
+        u = cayley(a, z)
         u_inv = cayley(a_inv, 1.0 / z)
         if u.domain_dim == 0:
             continue
@@ -104,14 +77,10 @@ def _cayley_inverse_scaling(base: _BaseOperator, zs) -> CheckResult:
 
 def check_cayley_roundtrip(a) -> CheckResult:
     """Inverse Cayley of U_z(A) at z recovers A."""
-    return _cayley_roundtrip(_BaseOperator(a), _sample_z_values())
-
-
-def _cayley_roundtrip(base: _BaseOperator, zs) -> CheckResult:
     worst = 0.0
-    for z in zs:
-        rel = inverse_cayley(base.cayley(z), z)
-        worst = max(worst, graph_distance(rel, base.a))
+    for z in _sample_z_values():
+        rel = inverse_cayley(cayley(a, z), z)
+        worst = max(worst, graph_distance(rel, a))
     return CheckResult("cayley_roundtrip", worst < TOL.check_cayley_roundtrip, worst)
 
 
@@ -294,11 +263,10 @@ def _guarded(name, fn, *args, **kwargs) -> CheckResult:
 def run_suite(a, ext: Optional[EmbeddedExtension] = None, lambda0: complex = 1j,
               seed: int = 0) -> list:
     """All named checks; extension-dependent ones are skipped without an extension."""
-    base, zs = _BaseOperator(a), _sample_z_values()
     results = [
-        _guarded("range_defect_inverse", _range_defect_inverse, base, zs),
-        _guarded("cayley_inverse_scaling", _cayley_inverse_scaling, base, zs),
-        _guarded("cayley_roundtrip", _cayley_roundtrip, base, zs),
+        _guarded("range_defect_inverse", check_range_defect_inverse, a),
+        _guarded("cayley_inverse_scaling", check_cayley_inverse_scaling, a),
+        _guarded("cayley_roundtrip", check_cayley_roundtrip, a),
         _guarded("neumann_roundtrip", check_neumann_roundtrip, a, lambda0, seed=seed),
     ]
     if ext is None:

@@ -32,6 +32,13 @@ class NotAdmissible(SymextError):
         self.witness = witness
 
 
+class ExpandingParameter(SymextError, ValueError):
+    """Contraction parameter has a singular value above 1 + ``TOL.expanding``.
+
+    Also a ValueError, the type this gate raised before it was typed.
+    """
+
+
 class NotAnExtension(SymextError):
     """Candidate operator does not extend the base operator."""
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .cayley import DefectData, defect_data, is_admissible, require_offaxis
-from .errors import NotAdmissible, NotAnExtension
+from .errors import ExpandingParameter, NotAdmissible, NotAnExtension
 from .operators import (DomainOperator, graph_contains, is_symmetric, kernel_witness,
                         operator_from_generators)
 from .subspaces import TOL, Subspace, near_identity, opnorm, rank_split
@@ -42,9 +42,7 @@ class ContractionParameter:
 
     def __post_init__(self):
         require_offaxis(self.z)
-        top = opnorm(self.t.action)
-        if top > 1.0 + TOL.expanding:
-            raise ValueError(f"parameter is expanding: top singular value {top:.3e}")
+        require_nonexpanding(self.t.action)
 
     @classmethod
     def from_operator(cls, z: complex, t: DomainOperator) -> "ContractionParameter":
@@ -68,6 +66,14 @@ class ContractionParameter:
         dom = Subspace(ambient_dim, np.zeros((ambient_dim, 0), complex))
         return cls(z, DomainOperator(ambient_dim, dom, np.zeros((ambient_dim, 0), complex)),
                    ISOMETRIC)
+
+
+def require_nonexpanding(matrix):
+    """Raise ExpandingParameter when the spectral norm exceeds 1 + ``TOL.expanding``."""
+    top = opnorm(matrix)
+    if top > 1.0 + TOL.expanding:
+        raise ExpandingParameter(
+            f"parameter is expanding: top singular value 1 + {top - 1.0:.3e}")
 
 
 def _parameter_kind(t: DomainOperator) -> str:
@@ -111,12 +117,10 @@ class ExtensionReport:
 
 
 def construct_extension(a: DomainOperator, z: complex, parameter: ContractionParameter,
-                        dd: Optional[DefectData] = None,
-                        u: Optional[DomainOperator] = None) -> DomainOperator:
+                        dd: Optional[DefectData] = None) -> DomainOperator:
     """The operator B determined by the parameter at base point z, unreported.
 
-    ``dd`` and ``u`` are the defect data and the Cayley transform of A at z,
-    when the caller already holds them.
+    ``dd`` is the defect data of A at z, when the caller already holds it.
     Raises NotAdmissible (with the kernel witness) when the parameter admits a
     fixed vector, in which case the formula would not define an operator.
     """
@@ -126,7 +130,7 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
     if dd is None:
         dd = defect_data(a, z)
     t = parameter.t
-    adm = is_admissible(a, z, t, dd=dd, u=u)
+    adm = is_admissible(a, z, t, dd=dd)
     if not adm.admissible:
         raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
     p, q = t.domain.frame, t.action
@@ -139,15 +143,14 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
 
 
 def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
-           dd: Optional[DefectData] = None,
-           u: Optional[DomainOperator] = None) -> ExtensionReport:
+           dd: Optional[DefectData] = None) -> ExtensionReport:
     """Build the extension B determined by the parameter at base point z.
 
-    ``construct_extension`` builds B, from ``dd`` and ``u`` when given; the
-    report adds its class, injectivity (with a kernel witness when it fails,
-    and the smallest singular value it was decided on) and defect numbers.
+    ``construct_extension`` builds B, from ``dd`` when given; the report
+    adds its class, injectivity (with a kernel witness when it fails, and the
+    smallest singular value it was decided on) and defect numbers.
     """
-    b = construct_extension(a, z, parameter, dd, u)
+    b = construct_extension(a, z, parameter, dd)
     rank, s, _ = rank_split(b.action, b.tol)
     invertible = rank == b.domain_dim
     witnesses = {}

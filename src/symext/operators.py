@@ -40,6 +40,11 @@ class DomainOperator:
         """graph(A), built on first use and kept: the operator and its arrays are read-only."""
         return LinearRelation.from_operator(self)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Facts computed from this operator, by key; read and written only by ``derived``."""
+        return {}
+
     @property
     def domain_dim(self) -> int:
         return self.domain.dim
@@ -103,18 +108,34 @@ def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOpera
     return DomainOperator(d, Subspace(d, u, tol), img @ (vh.conj().T / s))
 
 
+def derived(a: DomainOperator, key, build):
+    """``build()``, run once per operator and key and kept on the operator.
+
+    The rule: ``build`` computes its value from ``a`` and what ``key`` names
+    alone, never from another operator's data, so a kept value has the bits
+    a recomputation would give. A build that raises keeps nothing. The
+    operator and its arrays are read-only, and the memo goes with it.
+    """
+    memo = a._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def is_symmetric(a: DomainOperator) -> bool:
-    """(Av, w) = (v, Aw) on the domain, i.e. the compression is Hermitian."""
-    if a.domain_dim == 0:
-        return True
-    k = a.compression()
-    scale = max(1.0, opnorm(a.action))
-    return opnorm(k - k.conj().T) <= TOL.symmetry_factor * a.tol * scale
+    """(Av, w) = (v, Aw) on the domain, i.e. the compression is Hermitian; decided once."""
+    def gate():
+        if a.domain_dim == 0:
+            return True
+        k = a.compression()
+        scale = max(1.0, opnorm(a.action))
+        return opnorm(k - k.conj().T) <= TOL.symmetry_factor * a.tol * scale
+    return derived(a, "symmetric", gate)
 
 
 def is_injective(a: DomainOperator) -> bool:
-    rank, _, _ = rank_split(a.action, a.tol)
-    return rank == a.domain_dim
+    """ker A = {0} at the rank cut of A's action; decided once."""
+    return derived(a, "injective", lambda: rank_split(a.action, a.tol)[0] == a.domain_dim)
 
 
 def kernel_witness(a: DomainOperator) -> np.ndarray:

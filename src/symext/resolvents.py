@@ -25,22 +25,23 @@ B_lam = lam + R_lam^{-1}, under the same guards.
 
 ``shtraus_resolvent`` writes B - lam = M P^H, P = [F_A, C] unitary (F_A the
 domain frame of A, C a frame of D(A)^perp), and pays per lam two values-only
-SVDs (admissibility and the ``ResolventSingular`` gate on M) and one LU; the
-defect data, the Cayley transform and C are computed once per base point.
+SVDs (admissibility and the ``ResolventSingular`` gate on M) and one LU.
+The defect data and the Cayley transform of A at the base point, and C, are
+computed once per operator and kept in its memo (``operators.derived``).
 ``construct_extension`` stays the general path and the tests' reference.
 """
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .cayley import cayley, defect_data, forbidden_operator, is_admissible, require_offaxis
+from .cayley import defect_data, forbidden_operator, is_admissible, require_offaxis
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
-from .operators import (DomainOperator, inverse_op, operator_from_generators,
+from .neumann import require_nonexpanding
+from .operators import (DomainOperator, derived, inverse_op, operator_from_generators,
                         operator_from_matrix)
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, fix_phase, near_identity,
                         opnorm, rank_split)
@@ -345,23 +346,6 @@ class ParameterFunction:
         return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean, "user")
 
 
-# Per base point z of the Shtraus formula, what a grid of lam shares: the
-# defect data and the Cayley transform of A at z, which admissibility reads,
-# and C, an orthonormal frame of D(A)^perp, which with the domain frame F_A
-# makes the unitary P = [F_A, C] that B - lam is written against. Keyed weakly
-# on the operator itself: DomainOperator is frozen and its arrays are
-# read-only, so an entry holds while the operator lives and goes with it.
-_BASE_POINT_DATA = weakref.WeakKeyDictionary()
-
-
-def _base_point_data(a: DomainOperator, z: complex) -> tuple:
-    """``(dd, u, c)`` of A at z: defect data, Cayley transform, frame of D(A)^perp."""
-    per_point = _BASE_POINT_DATA.setdefault(a, {})
-    if z not in per_point:
-        per_point[z] = (defect_data(a, z), cayley(a, z), a.domain.complement().frame)
-    return per_point[z]
-
-
 def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_frame,
                          matrix, lam: complex) -> np.ndarray:
     """(B - lam)^{-1}, B the extension of A at the base point from a frame-coded parameter.
@@ -372,7 +356,9 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
     B - lam = M P^H with M = [A F_A - lam F_A, B C - lam C]: the singular
     values of M are those of B - lam, and (B - lam)^{-1} = P M^{-1}.
     """
-    dd, u, c = _base_point_data(a, base_point)
+    # C, like the defect data and the Cayley transform that admissibility
+    # reads, is computed once per operator and kept in its memo
+    c = derived(a, "domain_complement", lambda: a.domain.complement().frame)
     fa, afa = a.domain.frame, a.action
     t_action = rng_frame @ matrix
     x = t_action - dom_frame
@@ -380,11 +366,9 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
     if not np.all(np.isfinite(z_block)):
         raise ResolventSingular(f"parameter sample at {lam} is not finite")
     # the gate ContractionParameter applies, on the coordinates of the sample
-    top = opnorm(matrix)
-    if top > 1.0 + TOL.expanding:
-        raise ValueError(f"parameter is expanding: top singular value {top:.3e}")
+    require_nonexpanding(matrix)
     t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom_frame, a.tol), t_action)
-    adm = is_admissible(a, base_point, t, dd=dd, u=u)
+    adm = is_admissible(a, base_point, t)
     if not adm.admissible:
         raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
     if z_block.shape[0] != z_block.shape[1]:

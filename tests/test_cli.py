@@ -15,7 +15,7 @@ from symext import cli, invertibility
 from symext.cayley import defect_data
 from symext.neumann import ContractionParameter, extend
 from symext.operators import graph_distance, operator_from_generators
-from symext.resolvents import compressed_resolvent
+from symext.resolvents import ParameterFunction, compressed_resolvent
 from symext.serialize import (decode_complex, decode_embedded_extension,
                               decode_operator, decode_parameter, json_dump,
                               load_operator, operator_file, parameter_file)
@@ -354,6 +354,23 @@ def test_resolvent_custom_grid_and_spectrum_hit(tmp_path):
     skipped = [p for p in doc["points"] if "skipped" in p]
     assert len(skipped) == 1 and "SpectrumHit" in skipped[0]["skipped"]
     assert doc["agree"] is True
+
+
+def test_resolvent_skips_an_expanding_sample(tmp_path, monkeypatch):
+    # F of norm 1 + 5e-8 passes the sample guard but not the Shtraus formula's
+    # expanding gate: each point is skipped with the typed error, exit code 0
+    op_path, ext_path, out = (tmp_path / name for name in ("op.json", "ext.json", "res.json"))
+    write_worked_operator(op_path)
+    assert cli.main(["build-sa", str(op_path), "--z", "0,1", "--double",
+                     "-o", str(ext_path)]) == cli.EXIT_OK
+
+    def expanding(cls, ext, lambda0, lams):
+        return cls.constant(ext.base, lambda0, np.array([[1.0 + 5e-8]], dtype=complex))
+    monkeypatch.setattr(ParameterFunction, "from_extension", classmethod(expanding))
+    assert cli.main(["resolvent", str(op_path), str(ext_path), "--lambda0", "0,1",
+                     "-o", str(out)]) == cli.EXIT_OK
+    points = json.loads(out.read_text(encoding="utf-8"))["points"]
+    assert points and all("ExpandingParameter" in p["skipped"] for p in points)
 
 
 def test_tampered_extension_rejected_then_red(tmp_path):

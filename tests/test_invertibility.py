@@ -58,23 +58,35 @@ def test_inverse_defect_data_built_once(monkeypatch):
 
 
 def test_one_cayley_transform_per_check(monkeypatch):
-    # extend and U_{1/z}(A^{-1}) = (z/zbar) U_z(A) share one Cayley transform,
-    # so A is gated for symmetry once by defect_data and once by cayley
-    mods = [importlib.import_module(f"symext.{name}")
-            for name in ("invertibility", "neumann", "cayley", "operators")]
+    # counts the factorizations run on A where they run, not the calls that
+    # may reach them: a check on a fresh A runs one symmetry gate (the SVD of
+    # K - K^H, K its compression), one injectivity cut (the values-only SVD of
+    # its action) and one Cayley transform (the SVD of the generators
+    # A F - z F); a second check on the same A reads all three from its memo
+    mods = {name: importlib.import_module(f"symext.{name}") for name in ("operators", "cayley")}
     a, z, _ = random_instance(7, max_dim=6)
     parameter = random_contraction(np.random.default_rng(7), defect_data(a, z))
-    calls = {"cayley": [], "is_symmetric": []}
-    for mod in mods:
-        for fname in calls:
-            if hasattr(mod, fname):
-                def counted(op, *args, _name=fname, _fn=getattr(mod, fname), **kwargs):
-                    calls[_name].append(op)
-                    return _fn(op, *args, **kwargs)
-                monkeypatch.setattr(mod, fname, counted)
-    check_invertibility(a, z, parameter)
-    assert calls["cayley"] == [a]
-    assert sum(op is a for op in calls["is_symmetric"]) == 2
+    fresh = sx.DomainOperator(a.ambient_dim, a.domain, a.action)
+    k = fresh.compression()
+    skew, generators = k - k.conj().T, fresh.action - z * fresh.domain.frame
+    runs = dict.fromkeys(("symmetry gate", "injectivity cut", "Cayley transform"), 0)
+    for mod, fname, label, on_a in (
+            ("operators", "opnorm", "symmetry gate", lambda m, kw: np.array_equal(m, skew)),
+            ("operators", "rank_split", "injectivity cut",
+             lambda m, kw: m is fresh.action and kw.get("part") is None),
+            ("cayley", "operator_from_generators", "Cayley transform",
+             lambda m, kw: np.array_equal(m, generators))):
+        def counted(m, *args, _fn=getattr(mods[mod], fname), _label=label, _on_a=on_a,
+                    **kwargs):
+            runs[_label] += bool(_on_a(m, kwargs))
+            return _fn(m, *args, **kwargs)
+        monkeypatch.setattr(mods[mod], fname, counted)
+    first = check_invertibility(fresh, z, parameter)
+    assert runs == dict.fromkeys(runs, 1)
+    second = check_invertibility(fresh, z, parameter)
+    assert runs == dict.fromkeys(runs, 1)
+    assert (first.direct, first.via_admissibility, first.via_forbidden, first.margins) == (
+        second.direct, second.via_admissibility, second.via_forbidden, second.margins)
 
 
 def _full_svd_admissibility(a, t, u):

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import symext as sx
 from symext import cli, serialize
+from symext.checks import _sample_z_values
 from symext.operators import DomainOperator
 from symext.resolvents import EmbeddedExtension, ParameterFunction
 from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace
@@ -337,6 +338,31 @@ def test_near_singular_base_boundary_test_answers(eps):
                 f = ParameterFunction.from_extension(EmbeddedExtension.from_chain(chain), z,
                                                      points)
                 assert sx.i_admissibility_test(a, z, f, sector).admissible, (d, n, z)
+
+
+def test_inverse_checks_derive_a_inverse_from_scratch():
+    # cond(A) = 1e7 shows in the rounding of A^{-1}, so range_defect_inverse is
+    # red here. It must report exactly the error of A^{-1} built by inverse_op
+    # and decomposed on its own: A's data relabelled by of_inverse(), if it
+    # were kept in A^{-1}'s memo, would compare A's spaces with themselves
+    a, _ = small_eigenvalue_base(1e-7, 6, 1, seed=1)
+    zs = _sample_z_values()
+
+    def error(inverse_side):
+        worst = 0.0
+        for z in zs:
+            dd, dd_inv = sx.defect_data(a, z), inverse_side(z)
+            worst = max(worst, dd.m_z.distance(dd_inv.m_z), dd.n_z.distance(dd_inv.n_z),
+                        dd.m_zbar.distance(dd_inv.m_zbar), dd.n_zbar.distance(dd_inv.n_zbar))
+        return worst
+
+    a_inv = sx.inverse_op(a)
+    by_hand = error(lambda z: sx.defect_data(a_inv, 1.0 / z))
+    relabelled = error(lambda z: sx.defect_data(a, z).of_inverse())
+    got = {c.name: c for c in sx.run_suite(a)}["range_defect_inverse"]
+    assert by_hand >= TOL.check_cayley and not got.passed
+    assert got.max_error == by_hand
+    assert relabelled < 1e-14
 
 
 def test_cli_answers_on_a_near_singular_base(tmp_path):

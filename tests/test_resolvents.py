@@ -9,13 +9,13 @@ import pytest
 
 import symext as sx
 from symext import resolvents
-from symext.cayley import AdmissibilityResult, defect_data
-from symext.errors import (InsufficientSamples, NotAdmissible,
+from symext.cayley import AdmissibilityResult, DefectData, defect_data
+from symext.errors import (ExpandingParameter, InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
 from symext.invertibility import build_invertible_selfadjoint, double
 from symext.neumann import ContractionParameter, construct_extension, recover_parameter
-from symext.operators import (graph_contains, graph_distance, inverse_op,
-                              operator_from_matrix)
+from symext.operators import (DomainOperator, graph_contains, graph_distance, inverse_op,
+                              is_symmetric, operator_from_matrix)
 from symext.resolvents import (EmbeddedExtension, ParameterFunction,
                                compressed_resolvent, default_lambda_grid,
                                frak_b, frak_f, i_admissibility_test,
@@ -351,7 +351,7 @@ def test_shtraus_singular_z_is_typed(worked_a, monkeypatch):
     # rejects that first; with it forced to pass, the solve through Z must still
     # end in ResolventSingular, not in numpy's LinAlgError
     f = ParameterFunction.constant(worked_a, 1j, np.array([[1.0]], dtype=complex))
-    _, _, c = resolvents._base_point_data(worked_a, 1j)
+    c = worked_a.domain.complement().frame
     assert not np.any(c.conj().T @ (f.range_frame @ f.sample_at(0.5j) - f.domain_frame))
     monkeypatch.setattr(resolvents, "is_admissible",
                         lambda *args, **kwargs: AdmissibilityResult(True, None, 1.0))
@@ -374,6 +374,20 @@ def test_shtraus_rejects_an_expanding_sample(worked_a):
     for lam in (0.5j, -0.5j):
         with pytest.raises(ValueError, match="expanding"):
             shtraus_resolvent(worked_a, 1j, f, lam)
+
+
+def test_shtraus_expanding_sample_is_typed(worked_a):
+    # a norm of 1 + 5e-8 passes the sample guard at 1 + TOL.sample_expansion
+    # and fails the gate at 1 + TOL.expanding, on both branches and in
+    # ContractionParameter, with a typed error that shows the excess
+    matrix = np.array([[1.0 + 5e-8]], dtype=complex)
+    assert 1.0 + TOL.expanding < opnorm(matrix) <= 1.0 + TOL.sample_expansion
+    f = ParameterFunction.constant(worked_a, 1j, matrix)
+    for lam in (0.5j, -0.5j):
+        with pytest.raises(ExpandingParameter, match=r"1 \+ 5\.000e-08"):
+            shtraus_resolvent(worked_a, 1j, f, lam)
+    with pytest.raises(ExpandingParameter, match=r"1 \+ 5\.000e-08"):
+        ContractionParameter.from_matrix(defect_data(worked_a, 1j), matrix)
 
 
 def test_shtraus_per_lambda_cost(monkeypatch):
@@ -545,34 +559,55 @@ def test_from_extension_non_hermitian_within_gate():
     assert worst < 1e-12
 
 
-def test_shtraus_base_point_cache_sound_and_weak():
+def _bits(fact) -> list:
+    """The arrays and numbers of a memoized fact, for a bitwise comparison."""
+    if isinstance(fact, DefectData):
+        return [fact.z, fact.defect_numbers] + [
+            space.frame for space in (fact.m_z, fact.n_z, fact.m_zbar, fact.n_zbar)]
+    if isinstance(fact, DomainOperator):
+        return [fact.domain.frame, fact.action]
+    return [fact]
+
+
+def _memo_matches_scratch(op, a, z):
+    """Each fact in op's memo has the bits of its computation on a fresh copy of a."""
+    scratch = {"symmetric": is_symmetric,
+               "domain_complement": lambda fresh: fresh.domain.complement().frame,
+               ("defect_data", z): lambda fresh: defect_data(fresh, z),
+               ("defect_data", np.conj(z)): lambda fresh: defect_data(fresh, np.conj(z)),
+               ("cayley", z): lambda fresh: sx.cayley(fresh, z),
+               ("cayley", np.conj(z)): lambda fresh: sx.cayley(fresh, np.conj(z))}
+    # the Shtraus formula reads these on both branches, and nothing else
+    assert set(op._memo) == set(scratch)
+    for key, kept in op._memo.items():
+        fresh = decode_operator(json.loads(json_dump(encode_operator(a))))
+        want = scratch[key](fresh)
+        assert all(np.array_equal(x, y) for x, y in zip(_bits(kept), _bits(want))), key
+    return [weakref.ref(fact) for fact in op._memo.values()
+            if isinstance(fact, (DefectData, DomainOperator))]
+
+
+def test_operator_memo_sound_and_weak():
     a, z, _ = random_instance(81, max_dim=6)
     ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, z, seed=2))
     grid = default_lambda_grid(z, ext.atilde_matrix())
     f = ParameterFunction.from_extension(ext, z, grid)
     points = list(grid[:3]) + [np.conj(lam) for lam in grid[:3]]
-    for lam in points:
-        shtraus_resolvent(a, z, f, lam)
-    assert a in resolvents._BASE_POINT_DATA
     copy = decode_operator(json.loads(json_dump(encode_operator(a))))
-    assert copy is not a and copy not in resolvents._BASE_POINT_DATA
+    assert copy is not a and "_memo" not in vars(copy)
     for lam in points:
-        # the copy misses the cache on each branch's first point, the original hits it
+        # the copy misses the memo on each branch's first point; a keeps what
+        # its chain build computed and misses the Shtraus entries once
         assert np.array_equal(shtraus_resolvent(copy, z, f, lam),
                               shtraus_resolvent(a, z, f, lam))
-    assert set(resolvents._BASE_POINT_DATA[copy]) == {z, np.conj(z)}
-    # each point keeps the defect data, the Cayley transform and a frame C of
-    # D(A)^perp that completes the domain frame to a unitary
-    dd, u, c = resolvents._BASE_POINT_DATA[copy][z]
-    assert dd.z == z and u.ambient_dim == copy.ambient_dim
-    p = np.hstack([copy.domain.frame, c])
+    held = _memo_matches_scratch(copy, a, z)
+    assert len(held) == 4
+    # C completes the domain frame to a unitary
+    p = np.hstack([copy.domain.frame, copy._memo["domain_complement"]])
     assert p.shape == (copy.ambient_dim,) * 2
     assert opnorm(p.conj().T @ p - np.eye(copy.ambient_dim)) < 1e-13
     gone = weakref.ref(copy)
+    del copy, p
     gc.collect()
-    entries = len(resolvents._BASE_POINT_DATA)
-    del copy
-    gc.collect()
-    assert gone() is None
-    assert len(resolvents._BASE_POINT_DATA) == entries - 1
-    assert a in resolvents._BASE_POINT_DATA
+    assert gone() is None and all(fact() is None for fact in held)
+    assert ("cayley", complex(z)) in a._memo

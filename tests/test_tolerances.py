@@ -83,16 +83,21 @@ def test_no_hidden_threshold_or_norm_wrapper():
 SVD_SITES = {"rank_split", "opnorm", "Subspace.complement"}
 
 
-def _svd_calls(tree):
-    """``(enclosing qualified name, node)`` for each call to ``np.linalg.svd``."""
+def _scoped(tree, match):
+    """``(enclosing qualified name, node)`` for each node that ``match`` accepts."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and ast.unparse(child.func) in (
-                    "np.linalg.svd", "numpy.linalg.svd"):
+            if match(child):
                 yield ".".join(scope), child
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             yield from walk(child, scope + [child.name] if named else scope)
     yield from walk(tree, [])
+
+
+def _svd_calls(tree):
+    """``(enclosing qualified name, node)`` for each call to ``np.linalg.svd``."""
+    return _scoped(tree, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) in (
+        "np.linalg.svd", "numpy.linalg.svd"))
 
 
 def test_svd_only_in_the_rank_primitive():
@@ -110,6 +115,29 @@ def test_svd_only_in_the_rank_primitive():
                       "def opnorm(m): return np.linalg.norm(m)")
     assert [scope for scope, _ in _svd_calls(probe)] == [
         "", "Subspace.intersect", "Subspace.complement", "rank_split"]
+
+
+def _memo_uses(tree):
+    """``(enclosing qualified name, node)`` for each attribute or string named ``_memo``."""
+    return _scoped(tree, lambda node: (isinstance(node, ast.Attribute) and node.attr == "_memo")
+                   or (isinstance(node, ast.Constant) and node.value == "_memo"))
+
+
+def test_memo_only_in_derived():
+    # an operator's memo is read and written by operators.derived alone, so
+    # every kept fact goes through its one rule
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {scope}" for scope, node in _memo_uses(tree)
+                  if (path.name, scope) != ("operators.py", "derived")]
+    assert found == []
+    probe = ast.parse("a._memo\n"
+                      "class DomainOperator:\n"
+                      "    def _memo(self): return {}\n"
+                      "def derived(a): return a._memo\n"
+                      "def seed(a): vars(a)['_memo']; getattr(a, '_memo')")
+    assert [scope for scope, _ in _memo_uses(probe)] == ["", "derived", "seed", "seed"]
 
 
 def _literal_scaled_tolerances(tree):
