@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotInvertible, ParameterShapeViolation, RealPoint
 from .operators import (DomainOperator, LinearRelation, derived, is_isometric,
-                        is_symmetric, operator_from_generators)
+                        is_symmetric, scale_op)
 from .subspaces import TOL, Subspace, fix_phase, opnorm, orthonormalize, rank_split
 
 
@@ -26,17 +26,12 @@ def require_offaxis(z: complex) -> complex:
     return z
 
 
-def _require_symmetric(a: DomainOperator):
-    if not is_symmetric(a):
-        raise ValueError("operator must be symmetric")
-
-
 @dataclass(frozen=True, eq=False)
 class DefectData:
-    """Range and defect subspaces of a symmetric operator at z and zbar.
+    """Range and defect subspaces of a symmetric operator at z and zbar, and U_z.
 
-    Both points are computed from scratch; their symmetry is a theorem, not an
-    assumption of this record.
+    Both points are computed from scratch: their symmetry is a theorem, not an
+    assumption. ``u`` is None when the rank cut drops a generator of M_z.
     """
 
     z: complex
@@ -44,38 +39,45 @@ class DefectData:
     n_z: Subspace
     m_zbar: Subspace
     n_zbar: Subspace
-    defect_numbers: tuple
+    u: Optional[DomainOperator]
+
+    @property
+    def defect_numbers(self) -> tuple:
+        return (self.n_z.dim, self.n_zbar.dim)
 
     def of_inverse(self) -> "DefectData":
-        """A^{-1} at 1/z: (A^{-1} - 1/z)Af = -(A - z)f/z, so these spaces relabelled."""
-        return DefectData(1.0 / self.z, self.m_z, self.n_z, self.m_zbar, self.n_zbar,
-                          self.defect_numbers)
+        """A^{-1} at 1/z: A's spaces, as (A^{-1} - 1/z)Af = -(A - z)f/z, and (z/zbar) U_z."""
+        u = None if self.u is None else scale_op(self.u, self.z / np.conj(self.z))
+        return DefectData(1.0 / self.z, self.m_z, self.n_z, self.m_zbar, self.n_zbar, u)
 
 
 def defect_data(a: DomainOperator, z: complex) -> DefectData:
-    """M and N spaces of A at z and zbar, computed once per operator and z."""
+    """M and N spaces of A at z and zbar, and U_z, once per operator and z: one thin
+    SVD A F - zF = U S Vh gives M_z = span U, and U_z sends U to (A F - zbar F) V S^{-1}."""
     z = require_offaxis(z)
 
     def build():
-        _require_symmetric(a)
-        f = a.domain.frame
-        m_z = orthonormalize(a.action - z * f, ambient_dim=a.ambient_dim, tol=a.tol)
-        m_zbar = orthonormalize(a.action - np.conj(z) * f, ambient_dim=a.ambient_dim, tol=a.tol)
-        n_z = m_z.complement()
-        n_zbar = m_zbar.complement()
-        return DefectData(z, m_z, n_z, m_zbar, n_zbar, (n_z.dim, n_zbar.dim))
+        if not is_symmetric(a):
+            raise ValueError("operator must be symmetric")
+        d, f = a.ambient_dim, a.domain.frame
+        gen, img = a.action - z * f, a.action - np.conj(z) * f
+        rank, s, (frame, vh) = rank_split(gen, a.tol, floor=0.0, part="svd")
+        m_z = Subspace(d, frame, a.tol)
+        u = DomainOperator(d, m_z, img @ (vh.conj().T / s)) if rank == gen.shape[1] else None
+        m_zbar = orthonormalize(img, ambient_dim=d, tol=a.tol)
+        return DefectData(z, m_z, m_z.complement(), m_zbar, m_zbar.complement(), u)
     return derived(a, ("defect_data", z), build)
 
 
-def cayley(a: DomainOperator, z: complex) -> DomainOperator:
-    """U_z with domain M_z: sends (A - z)f to (A - zbar)f; computed once per operator and z."""
-    z = require_offaxis(z)
+def _cayley_of(dd: DefectData) -> DomainOperator:
+    if dd.u is None:
+        raise ValueError("generators are linearly dependent; the map is ill-defined")
+    return dd.u
 
-    def build():
-        _require_symmetric(a)
-        f = a.domain.frame
-        return operator_from_generators(a.action - z * f, a.action - np.conj(z) * f, tol=a.tol)
-    return derived(a, ("cayley", z), build)
+
+def cayley(a: DomainOperator, z: complex) -> DomainOperator:
+    """U_z with domain M_z: sends (A - z)f to (A - zbar)f; read from ``defect_data``."""
+    return _cayley_of(defect_data(a, z))
 
 
 def inverse_cayley(w: DomainOperator, z: complex) -> LinearRelation:
@@ -165,15 +167,14 @@ def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
 
 
 def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
-                  dd: Optional[DefectData] = None,
-                  u: Optional[DomainOperator] = None) -> AdmissibilityResult:
+                  dd: Optional[DefectData] = None) -> AdmissibilityResult:
     """Fixed-point test for U_z (+) T on M_z (+) D(T).
 
     Admissible means (z/zbar)-scaled fixed vectors are absent, i.e.
     ker(W - E) = {0} for W = U_z (+) T; on failure the witness is a unit
-    kernel vector of W - E, phase-fixed for determinism. ``dd`` and ``u``
-    replace ``defect_data(a, z)`` and ``cayley(a, z)``: for A^{-1} callers
-    pass A's data relabelled at 1/z, which no memo of A^{-1} keeps.
+    kernel vector of W - E, phase-fixed for determinism. U_z is ``dd.u``;
+    ``dd`` replaces ``defect_data(a, z)``: for A^{-1} callers pass A's record
+    relabelled by ``DefectData.of_inverse()``, which no memo of A^{-1} keeps.
 
     The verdict and the margin come from the singular values alone; the
     vectors are computed only for a witness.
@@ -182,8 +183,7 @@ def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
     if dd is None:
         dd = defect_data(a, z)
     _check_parameter_shapes(dd, t)
-    if u is None:
-        u = cayley(a, z)
+    u = _cayley_of(dd)
     w_frame = np.hstack([u.domain.frame, t.domain.frame])
     shifted = np.hstack([u.action, t.action]) - w_frame
     rank, s, _ = rank_split(shifted, a.tol)

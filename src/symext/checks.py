@@ -8,9 +8,9 @@ the lam grid together (``check_inversion``): at each lam, L_lam and B_lam of
 the extension and L_{1/lam} and B_{1/lam} of its inverse pair are built once,
 by the stages that ``script_l``, ``frak_b`` and ``frak_f`` compose, and read
 by every check that needs them; they are dropped before the next lam. The
-checks on the base operator read A's defect data and Cayley transforms from
-A's memo (``operators.derived``). Each of the two A^{-1} checks builds A^{-1}
-itself, so A^{-1}'s facts are computed from A^{-1}, never relabelled from
+checks on the base operator read A's defect data, U_z among it, from A's
+memo (``operators.derived``). Each of the two A^{-1} checks builds A^{-1}
+itself, so A^{-1}'s record is computed from A^{-1}, never relabelled from
 A's. The oracles stay the definitions, never the spectral engine. Every
 check keeps its own guard, so one that raises turns red and the others run on.
 """

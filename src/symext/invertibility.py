@@ -29,8 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import (cayley, defect_data, forbidden_operator, is_admissible,
-                     require_offaxis)
+from .cayley import defect_data, forbidden_operator, is_admissible, require_offaxis
 from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
 from .neumann import ContractionParameter, extend
 from .operators import (DomainOperator, direct_sum_op, graph_contains,
@@ -63,9 +62,8 @@ def check_invertibility(a: DomainOperator, z: complex,
     report = extend(a, z, parameter, dd)
 
     a_inv, dd_inv = inverse_op(a), dd.of_inverse()
-    u_inv = scale_op(cayley(a, z), z / np.conj(z))
     scaled_t = scale_op(parameter.t, z / np.conj(z))
-    adm = is_admissible(a_inv, dd_inv.z, scaled_t, dd=dd_inv, u=u_inv)
+    adm = is_admissible(a_inv, dd_inv.z, scaled_t, dd=dd_inv)
 
     x = forbidden_operator(a_inv, dd_inv.z, dd=dd_inv)
     meet = parameter.t.domain.intersect(x.domain)

@@ -26,8 +26,8 @@ B_lam = lam + R_lam^{-1}, under the same guards.
 ``shtraus_resolvent`` writes B - lam = M P^H, P = [F_A, C] unitary (F_A the
 domain frame of A, C a frame of D(A)^perp), and pays per lam two values-only
 SVDs (admissibility and the ``ResolventSingular`` gate on M) and one LU.
-The defect data and the Cayley transform of A at the base point, and C, are
-computed once per operator and kept in its memo (``operators.derived``).
+The defect data of A at the base point, U_z among it, and C are computed
+once per operator and kept in its memo (``operators.derived``).
 ``construct_extension`` stays the general path and the tests' reference.
 """
 
@@ -117,10 +117,12 @@ class EmbeddedExtension:
     def _inverse_pair(self) -> "EmbeddedExtension":
         if not self._invertible:
             raise SpectrumHit("extension is not invertible")
-        return EmbeddedExtension(inverse_op(self.base),
-                                 operator_from_matrix(np.linalg.inv(self._matrix),
-                                                      tol=self.atilde.tol),
-                                 self.embed, self.exit_dim)
+        base_inv = inverse_op(self.base)
+        atilde_inv = operator_from_matrix(np.linalg.inv(self._matrix), tol=self.atilde.tol)
+        try:
+            return EmbeddedExtension(base_inv, atilde_inv, self.embed, self.exit_dim)
+        except ValueError as exc:
+            raise SpectrumHit(f"inverse pair fails its structure gates: {exc}") from exc
 
     @cached_property
     def _h_complement(self) -> np.ndarray:
@@ -356,8 +358,8 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
     B - lam = M P^H with M = [A F_A - lam F_A, B C - lam C]: the singular
     values of M are those of B - lam, and (B - lam)^{-1} = P M^{-1}.
     """
-    # C, like the defect data and the Cayley transform that admissibility
-    # reads, is computed once per operator and kept in its memo
+    # C, like the defect data (U_z with it) that admissibility reads, is
+    # computed once per operator and kept in its memo
     c = derived(a, "domain_complement", lambda: a.domain.complement().frame)
     fa, afa = a.domain.frame, a.action
     t_action = rng_frame @ matrix

@@ -7,8 +7,8 @@ import symext as sx
 from symext.cayley import (cayley, defect_data, forbidden_operator,
                            inverse_cayley, is_admissible, require_offaxis)
 from symext.errors import ParameterShapeViolation, RealPoint
-from symext.operators import (graph_distance, inverse_op, is_isometric,
-                              make_operator, operator_from_matrix, scale_op)
+from symext.operators import (graph_distance, inverse_op, is_isometric, make_operator,
+                              operator_from_generators, operator_from_matrix, scale_op)
 from symext.subspaces import Subspace
 
 from conftest import random_instance, worked_parameter
@@ -110,6 +110,46 @@ def test_cayley_inverse_scaling_identity():
             for got in (u_inv, scaled):
                 assert np.allclose(u.apply(v), (np.conj(z) / z) * got.apply(v), atol=1e-10)
             assert np.allclose(scaled.apply(v), u_inv.apply(v), atol=1e-10)
+
+
+def test_cayley_in_defect_data_matches_generators_oracle():
+    # U_z from the SVD that gives M_z, bit for bit the map operator_from_generators
+    # builds from scratch on (A F - zF, A F - zbar F), at z and at zbar
+    for seed in range(50):
+        a, z, _ = random_instance(seed)
+        for w in (z, np.conj(z)):
+            dd = defect_data(a, w)
+            f = a.domain.frame
+            oracle = operator_from_generators(a.action - w * f, a.action - np.conj(w) * f,
+                                              tol=a.tol)
+            assert cayley(a, w) is dd.u and dd.u.domain is dd.m_z
+            assert np.array_equal(dd.u.domain.frame, oracle.domain.frame), (seed, w)
+            assert np.array_equal(dd.u.action, oracle.action), (seed, w)
+
+
+def test_of_inverse_relabels_cayley():
+    # U_{1/z}(A^{-1}) = (z/zbar) U_z(A), bitwise the scaled record of A
+    for seed in range(8):
+        a, z, _ = random_instance(seed + 300)
+        dd = defect_data(a, z)
+        got, want = dd.of_inverse().u, scale_op(dd.u, z / np.conj(z))
+        assert got.domain is dd.m_z
+        assert np.array_equal(got.action, want.action)
+
+
+def test_rank_cut_dropping_a_generator_leaves_no_cayley():
+    # at tol 1e-2 the cut drops (A - z)e2 against (A - z)e1 ~ 1e3 e1: the
+    # spaces keep the cut rank, and U_z, which needs every generator, is absent
+    e = np.eye(3, dtype=complex)
+    a = make_operator(Subspace(3, e[:, :2], tol=1e-2), np.column_stack([1e3 * e[:, 0], e[:, 1]]))
+    dd = defect_data(a, 0.5j)
+    assert dd.m_z.dim == 1 and dd.defect_numbers == (2, 2) and dd.u is None
+    with pytest.raises(ValueError, match="linearly dependent"):
+        cayley(a, 0.5j)
+    t = make_operator(Subspace(3, dd.n_z.frame[:, :0], tol=1e-2), np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        is_admissible(a, 0.5j, t)
+    assert dd.of_inverse().u is None
 
 
 def test_inverse_cayley_roundtrip():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import symext as sx
 from symext import cli, serialize
-from symext.checks import _sample_z_values
+from symext.checks import INVERSION_CHECKS, _sample_z_values, check_inversion
 from symext.operators import DomainOperator
 from symext.resolvents import EmbeddedExtension, ParameterFunction
 from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace
@@ -363,6 +363,28 @@ def test_inverse_checks_derive_a_inverse_from_scratch():
     assert by_hand >= TOL.check_cayley and not got.passed
     assert got.max_error == by_hand
     assert relabelled < 1e-14
+
+
+def test_inverse_pair_gate_failure_is_a_spectrum_hit():
+    # s_min(A) = 1e-9: Atilde passes the rank cut, but the rounding of
+    # Atilde^{-1} and A^{-1} fails a structure gate of the inverse pair. The
+    # failure is typed, chained from the gate's ValueError, and the three
+    # inversion checks stay red with it as their note
+    for d in (4, 6, 8):
+        for n in (1, 2):
+            for seed in (0, 1):
+                for z in (1j, -1j):
+                    a, _ = small_eigenvalue_base(1e-9, d, n, seed)
+                    chain = sx.build_invertible_selfadjoint(a, z, double_first=True, seed=0)
+                    ext = EmbeddedExtension.from_chain(chain)
+                    with pytest.raises(sx.SpectrumHit) as hit:
+                        ext.inverse_pair()
+                    assert type(hit.value.__cause__) is ValueError, (d, n, seed, z)
+                    results = check_inversion(ext, sx.default_lambda_grid(z, ext.atilde_matrix()),
+                                              z)
+                    assert [r.name for r in results] == list(INVERSION_CHECKS)
+                    assert all(not r.passed and r.note.startswith("SpectrumHit: ")
+                               for r in results), (d, n, seed, z)
 
 
 def test_cli_answers_on_a_near_singular_base(tmp_path):
