@@ -158,12 +158,15 @@ class AdmissibilityResult:
 
 
 def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
-    if not dd.n_z.contains_subspace(t.domain, tol=TOL.shape):
+    # D(T) framed by N_z's own frame, as the Shtraus formula builds T, needs no SVD
+    if not (np.array_equal(t.domain.frame, dd.n_z.frame)
+            or dd.n_z.contains_subspace(t.domain, tol=TOL.shape)):
         raise ParameterShapeViolation("parameter domain is not inside the defect space at z")
-    if t.domain_dim:
-        resid = t.action - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ t.action)
-        if opnorm(resid) > TOL.shape * max(1.0, opnorm(t.action)):
-            raise ParameterShapeViolation("parameter range is not inside the defect space at zbar")
+    resid = t.action - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ t.action)
+    # ||resid|| <= ||resid||_F: no SVD when that clears the cut, at least TOL.shape
+    if not np.linalg.norm(resid) * (1 + TOL.cut_rounding) <= TOL.shape and (
+            opnorm(resid) > TOL.shape * max(1.0, opnorm(t.action))):
+        raise ParameterShapeViolation("parameter range is not inside the defect space at zbar")
 
 
 def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,

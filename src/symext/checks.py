@@ -9,10 +9,11 @@ the extension and L_{1/lam} and B_{1/lam} of its inverse pair are built once,
 by the stages that ``script_l``, ``frak_b`` and ``frak_f`` compose, and read
 by every check that needs them; they are dropped before the next lam. The
 checks on the base operator read A's defect data, U_z among it, from A's
-memo (``operators.derived``). Each of the two A^{-1} checks builds A^{-1}
-itself, so A^{-1}'s record is computed from A^{-1}, never relabelled from
-A's. The oracles stay the definitions, never the spectral engine. Every
-check keeps its own guard, so one that raises turns red and the others run on.
+memo (``operators.derived``). The two A^{-1} checks share one
+``inverse_op(a)``, so A^{-1}'s records are built once, in its own memo, from
+A^{-1} itself, never relabelled from A's. The oracles stay the definitions,
+never the spectral engine. Every check keeps its own guard, so one that raises
+turns red and the others run on.
 """
 
 from dataclasses import dataclass
@@ -47,9 +48,9 @@ def _sample_z_values():
                     rng.uniform(0.3, 1.5) * (1 if rng.uniform() < 0.5 else -1)) for _ in range(5)]
 
 
-def check_range_defect_inverse(a) -> CheckResult:
-    """M and N spaces of A at z match those of A^{-1} at 1/z."""
-    a_inv = inverse_op(a)
+def check_range_defect_inverse(a, a_inv=None) -> CheckResult:
+    """M and N spaces of A at z match those of A^{-1} (``inverse_op(a)`` unless given) at 1/z."""
+    a_inv = inverse_op(a) if a_inv is None else a_inv
     worst = 0.0
     for z in _sample_z_values():
         dd = defect_data(a, z)
@@ -59,9 +60,9 @@ def check_range_defect_inverse(a) -> CheckResult:
     return CheckResult("range_defect_inverse", worst < TOL.check_cayley, worst)
 
 
-def check_cayley_inverse_scaling(a) -> CheckResult:
-    """U_z(A) = (zbar/z) U_{1/z}(A^{-1}) as maps on M_z."""
-    a_inv = inverse_op(a)
+def check_cayley_inverse_scaling(a, a_inv=None) -> CheckResult:
+    """U_z(A) = (zbar/z) U_{1/z}(A^{-1}) as maps on M_z, A^{-1} as above."""
+    a_inv = inverse_op(a) if a_inv is None else a_inv
     worst = 0.0
     for z in _sample_z_values():
         u = cayley(a, z)
@@ -263,9 +264,14 @@ def _guarded(name, fn, *args, **kwargs) -> CheckResult:
 def run_suite(a, ext: Optional[EmbeddedExtension] = None, lambda0: complex = 1j,
               seed: int = 0) -> list:
     """All named checks; extension-dependent ones are skipped without an extension."""
-    results = [
-        _guarded("range_defect_inverse", check_range_defect_inverse, a),
-        _guarded("cayley_inverse_scaling", check_cayley_inverse_scaling, a),
+    pairs = (("range_defect_inverse", check_range_defect_inverse),
+             ("cayley_inverse_scaling", check_cayley_inverse_scaling))
+    try:  # the two share one A^{-1}, and its note when inverse_op raises
+        a_inv = inverse_op(a)
+        results = [_guarded(name, check, a, a_inv) for name, check in pairs]
+    except _GUARDED as exc:
+        results = [_red(name, exc) for name, _ in pairs]
+    results += [
         _guarded("cayley_roundtrip", check_cayley_roundtrip, a),
         _guarded("neumann_roundtrip", check_neumann_roundtrip, a, lambda0, seed=seed),
     ]

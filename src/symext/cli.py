@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 file or schema problems, 2 infeasible instance
 parameters, 3 parameter rejected as not admissible (a unit witness is printed
 to stderr as JSON), 4 the three invertibility tests disagree and no margin
-lies in the borderline band (tol/10, 10*tol) around the rank cut ``--tol``.
+lies in the borderline band (tol/10, 10*tol) around the rank cut ``--tol``, 5 a
+built operator fails its final extension gate (NotAnExtension; near-singular bases).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import checks, serialize
-from .errors import NotAdmissible, SpecInfeasible, SymextError
+from .errors import NotAdmissible, NotAnExtension, SpecInfeasible, SymextError
 from .instances import InstanceSpec, gen_symmetric, truncated_shift
 from .invertibility import build_invertible_selfadjoint, check_invertibility
 from .neumann import extend
@@ -27,6 +28,7 @@ EXIT_IO = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_ADMISSIBLE = 3
 EXIT_DISAGREEMENT = 4
+EXIT_NOT_EXTENSION = 5
 
 
 def _parse_complex(text: str) -> complex:
@@ -313,6 +315,9 @@ def main(argv=None) -> int:
                "witness": None if exc.witness is None else _encode_vector(exc.witness)}
         print(serialize.json_dump(doc), file=sys.stderr, end="")
         return EXIT_NOT_ADMISSIBLE
+    except NotAnExtension as exc:
+        print(f"not an extension: {exc}", file=sys.stderr)
+        return EXIT_NOT_EXTENSION
     except (OSError, json.JSONDecodeError, ValueError, KeyError, SymextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

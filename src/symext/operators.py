@@ -125,8 +125,6 @@ def derived(a: DomainOperator, key, build):
 def is_symmetric(a: DomainOperator) -> bool:
     """(Av, w) = (v, Aw) on the domain, i.e. the compression is Hermitian; decided once."""
     def gate():
-        if a.domain_dim == 0:
-            return True
         k = a.compression()
         scale = max(1.0, opnorm(a.action))
         return opnorm(k - k.conj().T) <= TOL.symmetry_factor * a.tol * scale
@@ -153,14 +151,10 @@ def inverse_op(a: DomainOperator) -> DomainOperator:
     """Inverse with domain R(A); requires ker A = {0}."""
     if not is_injective(a):
         raise NotInvertible("operator has a nontrivial kernel")
-    if a.domain_dim == 0:
-        return DomainOperator(a.ambient_dim, a.domain, a.action)
     return operator_from_generators(a.action, a.domain.frame, tol=a.tol)
 
 
 def is_isometric(a: DomainOperator) -> bool:
-    if a.domain_dim == 0:
-        return True
     gram = a.action.conj().T @ a.action
     return opnorm(gram - np.eye(a.domain_dim)) <= TOL.isometry_factor * a.tol
 
@@ -194,15 +188,11 @@ def compose(outer: DomainOperator, inner: DomainOperator) -> DomainOperator:
     """outer ∘ inner on {v in D(inner) : inner v in D(outer)}."""
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    d = inner.ambient_dim
     # domain coordinates c with (I - P_outer) inner.action c = 0
     resid = inner.action - outer.domain.frame @ (outer.domain.frame.conj().T @ inner.action)
     # ||resid|| <= ||inner.action||, so the cut scales with the inner action
     _, _, null = rank_split(resid, inner.tol, floor=max(1.0, opnorm(inner.action)),
                             part="null")
-    if null.shape[1] == 0:
-        empty = Subspace(d, np.zeros((d, 0), complex), inner.tol)
-        return DomainOperator(d, empty, np.zeros((d, 0), complex))
     gen = inner.domain.frame @ null
     mid = outer.domain.frame.conj().T @ (inner.action @ null)
     img = outer.action @ mid
@@ -272,9 +262,6 @@ class LinearRelation:
         if not self.is_operator():
             raise NotInvertible("relation is multivalued")
         top, bot = self._halves()
-        if self.dim == 0:
-            empty = Subspace(self.ambient_dim, np.zeros((self.ambient_dim, 0), complex), self.graph.tol)
-            return DomainOperator(self.ambient_dim, empty, np.zeros((self.ambient_dim, 0), complex))
         return operator_from_generators(top, bot, tol=self.graph.tol)
 
 
@@ -290,7 +277,5 @@ def graph_distance(a, b) -> float:
 def graph_contains(big, small) -> bool:
     """Whether graph(small) sits inside graph(big) within ``TOL.graph_inclusion``."""
     gb, gs = _relation(big), _relation(small)
-    if gs.dim == 0:
-        return True
     resid = gs.graph.frame - gb.graph.frame @ (gb.graph.frame.conj().T @ gs.graph.frame)
     return opnorm(resid) <= TOL.graph_inclusion

@@ -24,11 +24,12 @@ samples F from one Hermitian eigendecomposition of Atilde instead, through
 B_lam = lam + R_lam^{-1}, under the same guards.
 
 ``shtraus_resolvent`` writes B - lam = M P^H, P = [F_A, C] unitary (F_A the
-domain frame of A, C a frame of D(A)^perp), and pays per lam two values-only
-SVDs (admissibility and the ``ResolventSingular`` gate on M) and one LU.
-The defect data of A at the base point, U_z among it, and C are computed
-once per operator and kept in its memo (``operators.derived``).
-``construct_extension`` stays the general path and the tests' reference.
+domain frame of A, C a frame of D(A)^perp), and pays per lam one values-only
+SVD (admissibility) and one LU, M^{-1}. The defect data of A at the base point,
+U_z among it, and C are kept in A's memo (``operators.derived``); D(T), framed
+by that record's own N_z frame, needs no shape test. ``construct_extension``
+stays the general path and the tests' reference. Each per-lam full-rank gate is passed by ``clears_cut`` from
+bounds that data in hand proves, and by ``rank_split`` only where they fall short.
 """
 
 from dataclasses import dataclass
@@ -43,8 +44,8 @@ from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
 from .neumann import require_nonexpanding
 from .operators import (DomainOperator, derived, inverse_op, operator_from_generators,
                         operator_from_matrix)
-from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, fix_phase, near_identity,
-                        opnorm, rank_split)
+from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase,
+                        near_identity, opnorm, rank_split)
 
 
 def _half_plane(lam: complex, lambda0: complex) -> bool:
@@ -269,15 +270,17 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
         F(lam) = (I + (lam - lam0bar) R_lam)(I + (lam - lam0) R_lam)^{-1},
 
     two rational functions of R_lam, which therefore commute. The guards are
-    frak_f's: P_H injective on L_lam, then ``_checked_sample``.
+    frak_f's: P_H injective on L_lam, then ``_checked_sample``; the first is
+    certified in O(D) per lam by the bound in the loop, with no QR or SVD.
     """
     m = ext.atilde_matrix()
     m_h = (m + m.conj().T) / 2
-    mu, v, _ = ext._spectrum
+    mu, v, kappa = ext._spectrum
     y = v.conj().T @ ext.embed
     delta = v.conj().T @ (m - m_h) @ v
     n_frame, nbar_frame = frames
     eye = np.eye(y.shape[1])
+    eta = np.linalg.norm(y.conj().T @ y - eye)  # ||y u||^2 = (1 +- eta) ||u||^2
     samples = {}
     for lam in lams:
         lam = complex(lam)
@@ -285,8 +288,15 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
         d_lam = (1.0 / (mu - lam))[:, None]
         dy = d_lam * y
         x = dy - d_lam * (delta @ dy)
-        # V x spans L_lam; P_H must be injective on it, tested as in frak_b
-        if rank_split(y.conj().T @ np.linalg.qr(x)[0], TOL.projection)[0] < x.shape[1]:
+        # V x spans L_lam; P_H must be injective on it, tested as in frak_b. On the
+        # numerical range, with g, G the least and largest |mu - lam|, s_min(y^H Q) >=
+        # (|Im lam| (1 - eta)/G^2 - (1 + eta) kappa/g^2)/((1 + eta)(1/g + kappa/g^2))
+        gaps = np.abs(mu - lam)
+        g, big = gaps.min(), gaps.max()
+        lower = (abs(lam.imag) * (1 - eta) * (g / big) ** 2 - (1 + eta) * kappa) / (
+            (1 + eta) * (g + kappa))
+        if not clears_cut(lower, 1 + eta, TOL.projection) and (
+                rank_split(y.conj().T @ np.linalg.qr(x)[0], TOL.projection)[0] < x.shape[1]):
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
         r = y.conj().T @ x
@@ -384,9 +394,15 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
     if bc is None or not np.all(np.isfinite(bc)):
         raise ResolventSingular("extension is not total; Z = C^H X is singular")
     m = np.hstack([afa - lam * fa, bc - lam * c])
-    if rank_split(m, TOL.resolvent_singular)[0] < a.ambient_dim:
+    # the inverse certifies the gate: s_min(M) >= 1/||M^{-1}||_F, s0(M) <= ||M||_F
+    try:
+        m_inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # an exact zero pivot: M is singular
+        raise ResolventSingular(f"extension minus {lam} is singular") from None
+    if not clears_cut(1.0 / np.linalg.norm(m_inv), np.linalg.norm(m), TOL.resolvent_singular) and (
+            rank_split(m, TOL.resolvent_singular)[0] < a.ambient_dim):
         raise ResolventSingular(f"extension minus {lam} is singular")
-    return np.hstack([fa, c]) @ np.linalg.inv(m)
+    return np.hstack([fa, c]) @ m_inv
 
 
 def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,

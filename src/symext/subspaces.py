@@ -48,6 +48,7 @@ class Tolerances:
     embedding_diagonal: float = 1e-5  # EmbeddedExtension: extra slack on the embedding Gram diagonal
     spectrum_hit: float = 1e-10       # compressed_resolvent: lam on the spectrum (SpectrumHit)
     resolvent_singular: float = 1e-12  # shtraus_resolvent: M = (B - lam)P is singular
+    cut_rounding: float = 1e-12       # clears_cut: rounding may move a singular value by this * s0
     projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
     sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): residual, leakage
     sample_expansion: float = 1e-7    # sample of F (frak_f and the sampler): norm excess over 1
@@ -154,8 +155,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace", tol=None) -> bool:
         tol = self.tol if tol is None else tol
-        if other.dim == 0:
-            return True
         resid = other.frame - self.frame @ (self.frame.conj().T @ other.frame)
         return opnorm(resid) <= TOL.membership_factor * tol
 
@@ -225,6 +224,14 @@ def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
     if part == "svd":
         return rank, s, (u[:, :rank], vh[:rank])
     return rank, s, vh[rank:].conj().T
+
+
+def clears_cut(lower: float, upper: float, tol: float, floor: float = 1.0) -> bool:
+    """True proves ``rank_split(m, tol, floor)`` full for every m with s_min >= ``lower``
+    and s0 <= ``upper``, each moved by rounding up to ``TOL.cut_rounding * upper``.
+    False decides nothing: the caller runs ``rank_split``, which alone finds a deficit."""
+    slack = TOL.cut_rounding * upper
+    return bool(lower - slack > tol * max(floor, upper + slack))
 
 
 def orthonormalize(vectors, ambient_dim=None, tol=DEFAULT_TOL) -> Subspace:

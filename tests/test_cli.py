@@ -179,14 +179,15 @@ def test_check_invert_disagreement_exit_code(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_build_sa_final_oracle_failure_is_io_error(tmp_path, monkeypatch, capsys):
-    # a chain whose final operator fails graph(A) inside graph(B) exits 1 with a message
+def test_build_sa_final_oracle_failure_is_not_an_extension(tmp_path, monkeypatch, capsys):
+    # a chain whose final operator fails graph(A) inside graph(B) is no file
+    # problem: it exits with its own code and a message
     op_path = tmp_path / "op.json"
     write_worked_operator(op_path)
     monkeypatch.setattr(invertibility, "graph_contains", lambda *a, **k: False)
     code = cli.main(["build-sa", str(op_path), "--z", "0,1", "-o", str(tmp_path / "ext.json")])
-    assert code == 1
-    assert "error: chain lost the base operator" in capsys.readouterr().err
+    assert code == cli.EXIT_NOT_EXTENSION != cli.EXIT_IO
+    assert "not an extension: chain lost the base operator" in capsys.readouterr().err
     assert not (tmp_path / "ext.json").exists()
 
 

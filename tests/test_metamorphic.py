@@ -24,11 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symext as sx
-from symext import cli, serialize
+from symext import cli, resolvents, serialize
 from symext.checks import INVERSION_CHECKS, _sample_z_values, check_inversion
 from symext.operators import DomainOperator
 from symext.resolvents import EmbeddedExtension, ParameterFunction
-from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace
+from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, rank_split
 
 
 def conjugate(q, a: DomainOperator) -> DomainOperator:
@@ -387,6 +387,19 @@ def test_inverse_pair_gate_failure_is_a_spectrum_hit():
                                for r in results), (d, n, seed, z)
 
 
+def test_build_sa_on_a_near_singular_base_exits_not_an_extension(tmp_path, capsys):
+    # s_min(A) = 3e-10: the valid base loads, and the doubled chain's final
+    # operator falls at the injectivity cut. That is not a file problem
+    a, _ = small_eigenvalue_base(3e-10, 6, 2, seed=8)
+    op = tmp_path / "op.json"
+    op.write_text(serialize.json_dump(serialize.operator_file(a)))
+    code = cli.main(["build-sa", str(op), "--z", "0,-1", "--double", "--seed", "0",
+                     "-o", str(tmp_path / "ext.json")])
+    assert code == cli.EXIT_NOT_EXTENSION
+    assert "not an extension: chain lost injectivity" in capsys.readouterr().err
+    assert not (tmp_path / "ext.json").exists()
+
+
 def test_cli_answers_on_a_near_singular_base(tmp_path):
     a, rng = small_eigenvalue_base(1e-9, 6, 2, seed=0)
     op, par, ext = (tmp_path / name for name in ("op.json", "p.json", "ext.json"))
@@ -400,3 +413,63 @@ def test_cli_answers_on_a_near_singular_base(tmp_path):
     assert cli.main(["verify", str(op), str(ext), "-o", str(ver)]) == 0
     checks = {c["name"]: c for c in json.loads(ver.read_text(encoding="utf-8"))["checks"]}
     assert checks["i_admissibility"]["passed"], checks["i_admissibility"]
+
+
+def gate_bounds(monkeypatch, a, z):
+    """``(lower, upper, s)`` for each per-lam full-rank gate of the resolvents on a
+    doubled chain of A at z: the bounds handed to clears_cut, which is then
+    refused, and the singular values rank_split finds for the same gate."""
+    try:
+        chain = sx.build_invertible_selfadjoint(a, z, double_first=True)
+    except (sx.NotAnExtension, sx.ChoiceExhausted):
+        return []
+    gates, bounds = [], []
+
+    def refused(lower, upper, tol, floor=1.0):
+        assert floor == 1.0
+        bounds.append((lower, upper))
+        return False
+
+    def cut(m, *args, **kwargs):
+        result = rank_split(m, *args, **kwargs)
+        if bounds:
+            gates.append((*bounds.pop(), result[1]))
+        return result
+
+    monkeypatch.setattr(resolvents, "clears_cut", refused)
+    monkeypatch.setattr(resolvents, "rank_split", cut)
+    ext = EmbeddedExtension.from_chain(chain)
+    grid = sx.default_lambda_grid(z, ext.atilde_matrix())
+    sector = [lam for pts in SectorSpec.default_for(z).sample_points().values() for lam in pts]
+    try:
+        f = ParameterFunction.from_extension(ext, z, grid + tuple(sector))
+        for lam in grid:
+            sx.shtraus_resolvent(a, z, f, lam)
+    except sx.SymextError:
+        pass
+    monkeypatch.undo()
+    return gates
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(instances(), st.floats(0.5, 2.0))
+def test_certificate_never_passes_a_failing_cut(case, c):
+    # over the conjugated and scaled members of a family, and a near-singular
+    # base, the certificate holds only where rank_split passes, at every cut
+    # swept across each gate's own s_min/s0 and across its bounds
+    a, z, _, q = case
+    gates = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for b, w in ((a, z), (conjugate(q, a), z), (sx.scale_op(a, c), c * z),
+                     (small_eigenvalue_base(c * 1e-9, a.ambient_dim, 1, a.ambient_dim)[0], z)):
+            gates += gate_bounds(monkeypatch, b, w)
+    assert gates
+    failing = 0
+    for lower, upper, s in gates:
+        ratio = s[-1] / max(1.0, s[0])
+        for tol in np.concatenate([ratio * np.geomspace(0.25, 4.0, 9),
+                                   lower / max(1.0, upper) * np.geomspace(0.5, 2.0, 5)]):
+            passes = s[-1] > tol * max(1.0, s[0])
+            failing += not passes
+            assert passes or not clears_cut(lower, upper, tol), (lower, upper, s[[0, -1]], tol)
+    assert failing

@@ -390,30 +390,83 @@ def test_shtraus_expanding_sample_is_typed(worked_a):
         ContractionParameter.from_matrix(defect_data(worked_a, 1j), matrix)
 
 
-def test_shtraus_per_lambda_cost(monkeypatch):
-    # once the base point is cached, a lam costs two values-only d x d SVDs
-    # (admissibility and the ResolventSingular gate), one inverse, no QR
-    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=5))
-    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, 1j, seed=0))
-    grid = default_lambda_grid(1j, ext.atilde_matrix())
-    f = ParameterFunction.from_extension(ext, 1j, grid)
-    shtraus_resolvent(a, 1j, f, grid[0])
-    shtraus_resolvent(a, 1j, f, np.conj(grid[0]))
-    calls = {"svd": [], "qr": [], "inv": []}
-    for name in calls:
+def count_linalg(monkeypatch, names):
+    """Record ``(shape, compute_uv)`` of every call to the named ``np.linalg`` functions."""
+    calls = {name: [] for name in names}
+    for name in names:
         def counted(m, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls[_name].append((m.shape, kwargs.get("compute_uv", True)))
             return _fn(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def cost_case():
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=5))
+    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, 1j, seed=0))
+    return a, ext, default_lambda_grid(1j, ext.atilde_matrix())
+
+
+def test_shtraus_per_lambda_cost(monkeypatch):
+    # once the base point is cached, a lam costs one values-only d x d SVD
+    # (admissibility), one inverse and no QR: the inverse certifies the
+    # ResolventSingular gate, and D(T), framed by N_z's own frame, needs no test
+    a, ext, grid = cost_case()
+    f = ParameterFunction.from_extension(ext, 1j, grid)
+    shtraus_resolvent(a, 1j, f, grid[0])
+    shtraus_resolvent(a, 1j, f, np.conj(grid[0]))
+    calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
+    # besides the admissibility SVD, only the n x n norm of the sample (n = 2 here),
+    # on the adjoint branch too
     for lam in (grid[1], np.conj(grid[1])):
         for name in calls:
             calls[name].clear()
         shtraus_resolvent(a, 1j, f, lam)
-        square = [call for call in calls["svd"] if call[0] == (8, 8)]
-        assert square == [((8, 8), False)] * 2
-        # the others are norms of d x n and n x n parameter matrices (n = 2 here)
-        assert all(shape[1] < 8 for shape, _ in calls["svd"] if shape != (8, 8))
+        assert calls["svd"] == [((2, 2), False), ((8, 8), False)]
         assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
+
+
+def test_spectral_sampler_per_lambda_cost(monkeypatch):
+    # a certified lam takes no QR and no SVD but the n x n norm of its sample
+    a, ext, grid = cost_case()
+    ParameterFunction.from_extension(ext, 1j, grid[:1])
+    calls = count_linalg(monkeypatch, ("svd", "qr"))
+    ParameterFunction.from_extension(ext, 1j, grid)
+    assert calls["qr"] == [] and calls["svd"] == [((2, 2), False)] * len(grid)
+
+
+def counted_rank_split(monkeypatch, certify=True):
+    """Shapes of the rank_split calls of ``resolvents``; with ``certify`` False every
+    clears_cut certificate is refused, so each gate takes the exact path."""
+    cut = []
+    if not certify:
+        monkeypatch.setattr(resolvents, "clears_cut", lambda *args, **kwargs: False)
+    monkeypatch.setattr(resolvents, "rank_split",
+                        lambda m, *args, **kwargs: cut.append(m.shape) or rank_split(
+                            m, *args, **kwargs))
+    return cut
+
+
+def test_uncertified_lambda_takes_the_exact_path(monkeypatch):
+    # eigenvalues up to 2e6: kappa (eigh rounding) and |Im lam| = 2e-8 put the
+    # sampler's bound on s_min below the cut, so rank_split decides every gate,
+    # and samples and resolvents have the bits of a run with no certificate
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=6, defect=1, spectrum_window=(0.5, 2e6),
+                                         seed=1))
+    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, 1j, seed=0))
+    lams = (0.3 + 2e-8j, -0.7 + 3e-8j, 0.2 + 0.4j)
+    runs = []
+    for certify in (True, False):
+        cut = counted_rank_split(monkeypatch, certify)
+        f = ParameterFunction.from_extension(ext, 1j, lams)
+        assert cut == [(6, 6)] * len(lams)
+        values = [f.sample_at(lam) for lam in lams]
+        values += [shtraus_resolvent(a, 1j, f, lam) for lam in lams]
+        # M's gate is certified by its inverse here, unless the certificate is refused
+        assert len(cut) == len(lams) * (1 if certify else 2)
+        runs.append([m.tobytes() for m in values])
+        monkeypatch.undo()
+    assert runs[0] == runs[1]
 
 
 def test_parameter_function_sampling(worked_a):

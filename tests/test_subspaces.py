@@ -378,3 +378,21 @@ def test_rank_split_matches_the_inline_cuts_it_replaced():
         # inverse_pair, check_i_admissibility: values, relative to s[0]
         r, _, _ = rank_split(m, tol, floor=0.0)
         assert (r < min(rows, cols)) == bool(s[-1] <= tol * s[0])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_clears_cut_is_a_proof_next_to_the_cut(seed):
+    # s_min = ratio * tol * s0 with the ratio on both sides of 1: where the
+    # bounds from the inverse certify the cut, rank_split passes it
+    rng = np.random.default_rng(seed)
+    tol = TOL.resolvent_singular
+    for d in (2, 5, 9):
+        for ratio in np.geomspace(0.3, 30.0, 25):
+            u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            s = np.sort(rng.uniform(0.1, 1.0, d))[::-1]
+            s[-1] = ratio * tol * s[0]
+            m = rng.uniform(0.1, 10.0) * (u * s) @ v
+            inv = np.linalg.inv(m)
+            if sx.subspaces.clears_cut(1.0 / np.linalg.norm(inv), np.linalg.norm(m), tol):
+                assert rank_split(m, tol)[0] == d, (d, ratio)
