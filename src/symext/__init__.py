@@ -24,10 +24,9 @@ from .invertibility import (ExtensionChain, InvertibilityVerdict,
                             double)
 from .neumann import (ContractionParameter, ExtensionReport, extend,
                       recover_parameter)
-from .operators import (DomainOperator, LinearRelation, compose,
-                        direct_sum_op, graph_contains, graph_distance,
-                        identity_operator, inverse_op, is_injective,
-                        is_isometric, is_nonexpanding, is_symmetric,
+from .operators import (DomainOperator, LinearRelation, direct_sum_op,
+                        graph_contains, graph_distance, identity_operator,
+                        inverse_op, is_injective, is_isometric, is_symmetric,
                         make_operator, operator_from_generators,
                         operator_from_matrix, scale_op)
 from .resolvents import (EmbeddedExtension, IAdmissibilityVerdict,
@@ -49,12 +48,12 @@ __all__ = [
     "ParameterFunction", "ParameterShapeViolation", "ProjectionDegenerate",
     "RealPoint", "ResolventSingular", "SectorSpec", "SpecInfeasible",
     "SpectrumHit", "Subspace", "SymextError", "build_invertible_selfadjoint",
-    "cayley", "check_invertibility", "compose", "compressed_resolvent",
+    "cayley", "check_invertibility", "compressed_resolvent",
     "default_lambda_grid", "defect_data", "direct_sum_op", "double", "extend",
     "forbidden_operator", "frak_b", "frak_f", "gen_symmetric",
     "graph_contains", "graph_distance", "i_admissibility_test",
     "identity_operator", "inverse_cayley", "inverse_op", "is_admissible",
-    "is_injective", "is_isometric", "is_nonexpanding", "is_symmetric",
+    "is_injective", "is_isometric", "is_symmetric",
     "make_operator", "operator_from_generators", "operator_from_matrix",
     "orthonormalize", "recover_parameter", "run_suite", "scale_op",
     "script_l", "shtraus_resolvent", "truncated_shift",

@@ -51,16 +51,17 @@ class DefectData:
         return DefectData(1.0 / self.z, self.m_z, self.n_z, self.m_zbar, self.n_zbar, u)
 
 
-def defect_data(a: DomainOperator, z: complex) -> DefectData:
-    """M and N spaces of A at z and zbar, and U_z, once per operator and z: one thin
-    SVD A F - zF = U S Vh gives M_z = span U, and U_z sends U to (A F - zbar F) V S^{-1}."""
+def defect_data(a, z: complex) -> DefectData:
+    """M and N spaces of A at z and zbar, and U_z, once per operator or relation and z:
+    for graph halves (G1, G2) (``halves()``), one thin SVD G2 - zG1 = U S Vh gives
+    M_z = span U, and U_z sends U to (G2 - zbar G1) V S^{-1}."""
     z = require_offaxis(z)
 
     def build():
         if not is_symmetric(a):
             raise ValueError("operator must be symmetric")
-        d, f = a.ambient_dim, a.domain.frame
-        gen, img = a.action - z * f, a.action - np.conj(z) * f
+        d, (g1, g2) = a.ambient_dim, a.halves()
+        gen, img = g2 - z * g1, g2 - np.conj(z) * g1
         rank, s, (frame, vh) = rank_split(gen, a.tol, floor=0.0, part="svd")
         m_z = Subspace(d, frame, a.tol)
         u = DomainOperator(d, m_z, img @ (vh.conj().T / s)) if rank == gen.shape[1] else None
@@ -75,7 +76,7 @@ def _cayley_of(dd: DefectData) -> DomainOperator:
     return dd.u
 
 
-def cayley(a: DomainOperator, z: complex) -> DomainOperator:
+def cayley(a, z: complex) -> DomainOperator:
     """U_z with domain M_z: sends (A - z)f to (A - zbar)f; read from ``defect_data``."""
     return _cayley_of(defect_data(a, z))
 

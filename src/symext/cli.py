@@ -89,12 +89,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _base_point(args, parameter) -> complex:
+    """The parameter file's base point; ``--z``, if given, must match it."""
+    if args.z is not None and abs(parameter.z - args.z) > TOL.base_point_match:
+        raise ValueError("--z disagrees with the parameter file base point")
+    return parameter.z
+
+
 def cmd_extend(args) -> int:
     op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
     parameter = serialize.decode_parameter(_read_json(args.param), tol=args.tol)
-    z = args.z if args.z is not None else parameter.z
-    if args.z is not None and abs(parameter.z - args.z) > TOL.base_point_match:
-        raise ValueError("--z disagrees with the parameter file base point")
+    z = _base_point(args, parameter)
     report = extend(op, z, parameter)
     doc = {
         "schema": serialize.SCHEMA_VERSION,
@@ -114,7 +119,7 @@ def cmd_extend(args) -> int:
 def cmd_check_invert(args) -> int:
     op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
     parameter = serialize.decode_parameter(_read_json(args.param), tol=args.tol)
-    z = args.z if args.z is not None else parameter.z
+    z = _base_point(args, parameter)
     verdict = check_invertibility(op, z, parameter)
     # margins strictly inside this band around the rank cut are borderline
     band = (args.tol / TOL.borderline_factor, args.tol * TOL.borderline_factor)

@@ -17,11 +17,11 @@ one per step while preserving symmetry, injectivity, and invertibility, until
 a self-adjoint invertible operator remains.
 
 A rank-one step changes each object of the chain by one vector, so the builder
-carries N_z, N_zbar, D(B), B, R(B) and B^{-1} from step to step and updates
+carries N_z, N_zbar, D(B), B and a frame of R(B) from step to step and updates
 them in closed form. Only the base (symmetric, injective) and the final
 operator (symmetric, injective, extending the start) are checked from scratch;
-``extend``, ``forbidden_operator``, ``defect_data`` and ``inverse_op`` stay
-the independent constructions a step is checked against.
+``extend``, ``forbidden_operator`` and ``defect_data`` stay the independent
+constructions a step is checked against.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ from .neumann import ContractionParameter, extend
 from .operators import (DomainOperator, direct_sum_op, graph_contains,
                         inverse_op, is_injective, is_symmetric, make_operator,
                         negate, scale_op)
-from .subspaces import TOL, Subspace, rank_split
+from .subspaces import TOL, Subspace, orthonormalize, rank_split
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +108,7 @@ class ExtensionChain:
     """Audit trail of the constructive self-adjoint invertible extension.
 
     A step appends one domain column, so B_k, the operator after step k, is the
-    leading dim D(B_k) columns of ``final`` (``operator(k)``), and B_k^{-1} those
-    of ``final_inverse``, the inverse of ``final`` as the builder carried it.
+    leading dim D(B_k) columns of ``final`` (``operator(k)``).
     """
 
     base: DomainOperator
@@ -119,7 +118,6 @@ class ExtensionChain:
     steps: tuple
     final: DomainOperator
     exit_dim: int
-    final_inverse: DomainOperator
 
     def operator(self, k: int) -> DomainOperator:
         """B_k, the operator after step k (0-based), from ``final``."""
@@ -179,16 +177,15 @@ def _pick_direction(n_zbar: Subspace, forbidden_images, rng) -> np.ndarray:
     return n_zbar.frame @ coords[best]
 
 
-def _forbidden_images(f1, n_zbar: Subspace, c: DomainOperator, c_inv: DomainOperator,
-                      z: complex):
+def _forbidden_images(f1, n_zbar: Subspace, c: DomainOperator, range_frame, z: complex):
     """(zbar/z) X_{1/z}(C^{-1}) f1 and X_z(C) f1, each from one least-squares solve.
 
-    Each image is the psi in N_zbar(C) with f1 - psi in R(C), respectively
-    D(C). An image is left out when the residual fails the
+    Each image is the psi in N_zbar(C) with f1 - psi in R(C) = span ``range_frame``,
+    respectively D(C). An image is left out when the residual fails the
     ``Subspace.contains`` cut: f1 is then outside that operator's domain.
     """
     images = []
-    for frame, scale in ((c_inv.domain.frame, np.conj(z) / z), (c.domain.frame, 1.0)):
+    for frame, scale in ((range_frame, np.conj(z) / z), (c.domain.frame, 1.0)):
         system = np.hstack([n_zbar.frame, frame])
         coef = np.linalg.lstsq(system, f1, rcond=None)[0]
         resid = np.linalg.norm(system @ coef - f1)
@@ -243,8 +240,8 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
 
     - N_z(B) = N_z(C) minus the column f1, N_zbar(B) = N_zbar(C) minus h;
     - D(B) = D(C) (+) span(h - f1) with B(h - f1) = zh - zbar f1, and
-      R(B) = R(C) (+) span(zh - zbar f1) with B^{-1} mapping back; each gains
-      one twice-Gram-Schmidt column.
+      R(B) = R(C) (+) span(zh - zbar f1); each gains one twice-Gram-Schmidt
+      column.
 
     A candidate whose h - f1 falls in D(C) (inadmissible) or whose
     zh - zbar f1 falls in R(C) (B has a kernel) costs one unit of a
@@ -261,7 +258,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
     if not is_injective(a):
         raise NotInvertibleBase("base operator has a nontrivial kernel")
     start = double(a) if double_first else a
-    current, current_inv = start, inverse_op(start)
+    current, ran = start, orthonormalize(start.action, tol=start.tol).frame  # R(start)
     dd = defect_data(start, z)
     n_z, n_zbar = dd.n_z, dd.n_zbar
     tol = start.tol
@@ -272,7 +269,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
         placed = False
         for attempt in range(n_z.dim):
             f1 = n_z.frame[:, attempt]
-            images = _forbidden_images(f1, n_zbar, current, current_inv, z)
+            images = _forbidden_images(f1, n_zbar, current, ran, z)
             h = _pick_direction(n_zbar, images, rng)
             if h is None:
                 budget -= 1
@@ -281,7 +278,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
                 continue
             v, w = h - f1, z * h - zbar * f1
             dom_col = _new_column(current.domain.frame, v, tol)
-            ran_col = None if dom_col is None else _new_column(current_inv.domain.frame, w, tol)
+            ran_col = None if dom_col is None else _new_column(ran, w, tol)
             if ran_col is None:
                 budget -= 1
                 if budget <= 0:
@@ -291,7 +288,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
             dom = Subspace(start.ambient_dim, f1.reshape(-1, 1), tol)
             t = DomainOperator(start.ambient_dim, dom, h.reshape(-1, 1))
             current = _extend_by(current, dom_col, w)
-            current_inv = _extend_by(current_inv, ran_col, v)
+            ran = np.hstack([ran, ran_col[0].reshape(-1, 1)])
             n_z = Subspace(start.ambient_dim, np.delete(n_z.frame, attempt, axis=1), tol)
             n_zbar = _drop(n_zbar, h)
             steps.append(ChainStep(ContractionParameter.from_operator(z, t),
@@ -307,5 +304,4 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
     if not graph_contains(current, start):
         raise NotAnExtension("chain lost the base operator")
     exit_dim = a.ambient_dim if double_first else 0
-    return ExtensionChain(a, z, seed, double_first, tuple(steps), current, exit_dim,
-                          current_inv)
+    return ExtensionChain(a, z, seed, double_first, tuple(steps), current, exit_dim)

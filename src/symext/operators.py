@@ -3,6 +3,7 @@
 An operator is a pair (domain frame, action matrix): the j-th action column is
 the image of the j-th frame column. Everything an operator does is expressed in
 these domain coordinates, so non-dense domains need no special casing.
+Relations share with operators their graph halves (``halves()``) and memo.
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,10 @@ class DomainOperator:
     def is_total(self) -> bool:
         return self.domain.dim == self.ambient_dim
 
+    def halves(self) -> tuple:
+        """``(F, AF)``: graph(A) is the column span of ``[F; AF]``."""
+        return self.domain.frame, self.action
+
     def compression(self) -> np.ndarray:
         """F^H (action): the operator seen in domain coordinates (k x k)."""
         return self.domain.frame.conj().T @ self.action
@@ -108,13 +113,13 @@ def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOpera
     return DomainOperator(d, Subspace(d, u, tol), img @ (vh.conj().T / s))
 
 
-def derived(a: DomainOperator, key, build):
-    """``build()``, run once per operator and key and kept on the operator.
+def derived(a, key, build):
+    """``build()``, run once per operator or relation and key, and kept on ``a``.
 
     The rule: ``build`` computes its value from ``a`` and what ``key`` names
-    alone, never from another operator's data, so a kept value has the bits
-    a recomputation would give. A build that raises keeps nothing. The
-    operator and its arrays are read-only, and the memo goes with it.
+    alone, never from another object's data, so a kept value has the bits
+    a recomputation would give. A build that raises keeps nothing. ``a`` and
+    its arrays are read-only, and the memo goes with it.
     """
     memo = a._memo
     if key not in memo:
@@ -122,11 +127,13 @@ def derived(a: DomainOperator, key, build):
     return memo[key]
 
 
-def is_symmetric(a: DomainOperator) -> bool:
-    """(Av, w) = (v, Aw) on the domain, i.e. the compression is Hermitian; decided once."""
+def is_symmetric(a) -> bool:
+    """G1^H G2 is Hermitian for the graph halves: (F, AF) of an operator, whose
+    compression it is, or a relation's frame halves; decided once."""
     def gate():
-        k = a.compression()
-        scale = max(1.0, opnorm(a.action))
+        g1, g2 = a.halves()
+        k = g1.conj().T @ g2
+        scale = max(1.0, opnorm(g2))
         return opnorm(k - k.conj().T) <= TOL.symmetry_factor * a.tol * scale
     return derived(a, "symmetric", gate)
 
@@ -159,10 +166,6 @@ def is_isometric(a: DomainOperator) -> bool:
     return opnorm(gram - np.eye(a.domain_dim)) <= TOL.isometry_factor * a.tol
 
 
-def is_nonexpanding(a: DomainOperator) -> bool:
-    return opnorm(a.action) <= 1.0 + TOL.isometry_factor * a.tol
-
-
 def negate(a: DomainOperator) -> DomainOperator:
     return DomainOperator(a.ambient_dim, a.domain, -a.action)
 
@@ -182,21 +185,6 @@ def direct_sum_op(a: DomainOperator, b: DomainOperator) -> DomainOperator:
     action[:da, :ka] = a.action
     action[da:, ka:] = b.action
     return DomainOperator(da + db, Subspace(da + db, frame, a.tol), action)
-
-
-def compose(outer: DomainOperator, inner: DomainOperator) -> DomainOperator:
-    """outer ∘ inner on {v in D(inner) : inner v in D(outer)}."""
-    if outer.ambient_dim != inner.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    # domain coordinates c with (I - P_outer) inner.action c = 0
-    resid = inner.action - outer.domain.frame @ (outer.domain.frame.conj().T @ inner.action)
-    # ||resid|| <= ||inner.action||, so the cut scales with the inner action
-    _, _, null = rank_split(resid, inner.tol, floor=max(1.0, opnorm(inner.action)),
-                            part="null")
-    gen = inner.domain.frame @ null
-    mid = outer.domain.frame.conj().T @ (inner.action @ null)
-    img = outer.action @ mid
-    return operator_from_generators(gen, img, tol=inner.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +215,18 @@ class LinearRelation:
         return cls(ambient_dim, orthonormalize(np.vstack([top, bot]),
                                                ambient_dim=2 * ambient_dim, tol=tol))
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Facts computed from this relation, by key; read and written only by ``derived``."""
+        return {}
+
     @property
     def dim(self) -> int:
         return self.graph.dim
+
+    @property
+    def tol(self) -> float:
+        return self.graph.tol
 
     def inverse(self) -> "LinearRelation":
         """The inverse relation {(y, x) : (x, y) in the graph}: the halves swapped.
@@ -238,21 +235,22 @@ class LinearRelation:
         """
         d = self.ambient_dim
         frame = np.vstack([self.graph.frame[d:], self.graph.frame[:d]])
-        return LinearRelation(d, Subspace(2 * d, frame, self.graph.tol))
+        return LinearRelation(d, Subspace(2 * d, frame, self.tol))
 
-    def _halves(self):
+    def halves(self) -> tuple:
+        """``(G1, G2)``: the top and bottom halves of the orthonormal graph frame."""
         d = self.ambient_dim
         return self.graph.frame[:d, :], self.graph.frame[d:, :]
 
     def domain_space(self) -> Subspace:
-        top, _ = self._halves()
-        return orthonormalize(top, ambient_dim=self.ambient_dim, tol=self.graph.tol)
+        top, _ = self.halves()
+        return orthonormalize(top, ambient_dim=self.ambient_dim, tol=self.tol)
 
     def multivalued_part(self) -> Subspace:
         """Images paired with 0: the vertical component of the graph."""
-        top, bot = self._halves()
-        _, _, null = rank_split(top, self.graph.tol, part="null")
-        return orthonormalize(bot @ null, ambient_dim=self.ambient_dim, tol=self.graph.tol)
+        top, bot = self.halves()
+        _, _, null = rank_split(top, self.tol, part="null")
+        return orthonormalize(bot @ null, ambient_dim=self.ambient_dim, tol=self.tol)
 
     def is_operator(self) -> bool:
         return self.multivalued_part().dim == 0
@@ -261,8 +259,8 @@ class LinearRelation:
         """Convert to a DomainOperator; requires a trivial multivalued part."""
         if not self.is_operator():
             raise NotInvertible("relation is multivalued")
-        top, bot = self._halves()
-        return operator_from_generators(top, bot, tol=self.graph.tol)
+        top, bot = self.halves()
+        return operator_from_generators(top, bot, tol=self.tol)
 
 
 def _relation(x) -> LinearRelation:

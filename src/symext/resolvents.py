@@ -74,7 +74,7 @@ class EmbeddedExtension:
         if not self.atilde.is_total() or self.atilde.ambient_dim != d + self.exit_dim:
             raise ValueError("extension must be total on C^{d+e}")
         m = self.atilde_matrix()
-        if opnorm(m - m.conj().T) > gate * max(1.0, opnorm(m)):
+        if self._skew > gate * max(1.0, opnorm(m)):
             raise ValueError("extension is not self-adjoint")
         lifted_domain = embed @ self.base.domain.frame
         if lifted_domain.shape[1] and opnorm(m @ lifted_domain - embed @ self.base.action) > (
@@ -94,6 +94,10 @@ class EmbeddedExtension:
         return m
 
     @cached_property
+    def _skew(self) -> float:  # ||M - M^H||: the self-adjoint gate and kappa read it
+        return opnorm(self._matrix - self._matrix.conj().T)
+
+    @cached_property
     def _spectrum(self) -> tuple:
         """``(mu, v, kappa)``: eigh of the Hermitian part H = (M + M^H)/2, and a slack.
 
@@ -107,7 +111,7 @@ class EmbeddedExtension:
         rounding = m.shape[0] * np.finfo(float).eps * float(np.max(np.abs(mu), initial=0.0))
         mu.setflags(write=False)
         v.setflags(write=False)
-        return mu, v, opnorm(m - m.conj().T) / 2 + rounding
+        return mu, v, self._skew / 2 + rounding
 
     @cached_property
     def _invertible(self) -> bool:

@@ -28,7 +28,7 @@ class Tolerances:
     frame_diagonal: float = 1e-5      # frame gate: extra slack on the diagonal of the Gram matrix
     membership_factor: float = 10.0   # Subspace.contains and its kin: residual up to this * tol
     symmetry_factor: float = 10.0     # is_symmetric: ||K - K^H|| up to this * tol * max(1, ||A||)
-    isometry_factor: float = 100.0    # is_isometric, is_nonexpanding: slack of this * tol
+    isometry_factor: float = 100.0    # is_isometric: slack of this * tol
     shape: float = 1e-8               # parameter shape: domain inside N_z, range inside N_zbar
     graph_inclusion: float = 1e-8     # graph(A) inside graph(B), for an extension of A
     expanding: float = 1e-8           # a parameter of norm above 1 + this is rejected
@@ -63,7 +63,7 @@ class Tolerances:
     check_resolvent: float = 1e-8     # verify: the three inversion identities
     check_roundtrip: float = 1e-9     # verify: extend then recover_parameter
     resolvent_agreement: float = 1e-8  # resolvent command: compressed vs Shtraus deviation
-    base_point_match: float = 1e-12   # extend command: --z equals the parameter's base point
+    base_point_match: float = 1e-12   # extend, check-invert: --z equals the parameter's base point
     borderline_factor: float = 10.0   # check-invert: margins in (tol/this, tol*this) are borderline
 
 

@@ -14,7 +14,7 @@ from symext.invertibility import build_invertible_selfadjoint
 from symext.operators import DomainOperator, graph_distance, inverse_op, operator_from_matrix
 from symext.resolvents import (EmbeddedExtension, default_lambda_grid, frak_b,
                                frak_f, script_l)
-from symext.subspaces import TOL, orthonormalize
+from symext.subspaces import TOL, Subspace, orthonormalize
 
 from conftest import random_instance
 
@@ -84,6 +84,17 @@ def test_guard_turns_crash_into_red(worked_a):
     assert failed
     assert any(r.name in ("frak_f_inverse", "i_admissibility", "resolvent_symmetry",
                           "frak_b_inverse", "constrained_space_inverse") for r in failed)
+
+
+def test_inverse_checks_run_on_a_multivalued_inverse():
+    # A e1 = 0, A e2 = e2 on D(A) = span(e1, e2) in C^4: A^{-1} is a relation with
+    # the vertical pair (0, e1), and both identities hold for relations
+    eye = np.eye(4, dtype=complex)
+    a = DomainOperator(4, Subspace(4, eye[:, :2]), eye[:, :2] * [0.0, 1.0])
+    assert a.graph.inverse().multivalued_part().dim == 1
+    got = {r.name: r for r in run_suite(a)}
+    for name in ("range_defect_inverse", "cayley_inverse_scaling"):
+        assert got[name].passed and got[name].max_error < 1e-14, got[name]
 
 
 def test_i_admissibility_skips_singular_extension(worked_a):

@@ -114,6 +114,22 @@ def test_extend_z_mismatch_is_io_error(tmp_path):
     assert "disagrees" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["extend", "check-invert"])
+def test_z_within_base_point_match_runs_at_the_parameter_base_point(tmp_path, capsys, command):
+    # the parameter sits at z = i; --z within TOL.base_point_match of it writes
+    # the bytes of a run without --z, and one outside it is refused
+    op_path, par_path = tmp_path / "op.json", tmp_path / "p.json"
+    write_parameter(par_path, write_worked_operator(op_path), 0.5)
+    run = [command, str(op_path), "--param", str(par_path), "-o"]
+    plain, near = tmp_path / "plain.json", tmp_path / "near.json"
+    assert cli.main(run + [str(plain)]) == cli.EXIT_OK
+    assert cli.main(run + [str(near), "--z", "0,1.0000000000001"]) == cli.EXIT_OK
+    assert near.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    assert cli.main(run + [str(tmp_path / "far.json"), "--z", "0,1.001"]) == cli.EXIT_IO
+    assert "--z disagrees with the parameter file base point" in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(tmp_path):
     res = run_cli("extend", str(tmp_path / "nope.json"), "--param", str(tmp_path / "no.json"))
     assert res.returncode == 1

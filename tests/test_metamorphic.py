@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import symext as sx
 from symext import cli, resolvents, serialize
-from symext.checks import INVERSION_CHECKS, _sample_z_values, check_inversion
+from symext.checks import (INVERSION_CHECKS, _sample_z_values, check_cayley_inverse_scaling,
+                           check_inversion, check_range_defect_inverse)
 from symext.operators import DomainOperator
 from symext.resolvents import EmbeddedExtension, ParameterFunction
 from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, rank_split
@@ -341,10 +342,11 @@ def test_near_singular_base_boundary_test_answers(eps):
 
 
 def test_inverse_checks_derive_a_inverse_from_scratch():
-    # cond(A) = 1e7 shows in the rounding of A^{-1}, so range_defect_inverse is
-    # red here. It must report exactly the error of A^{-1} built by inverse_op
-    # and decomposed on its own: A's data relabelled by of_inverse(), if it
-    # were kept in A^{-1}'s memo, would compare A's spaces with themselves
+    # cond(A) = 1e7 shows in the rounding of an inverted operator, which turns
+    # range_defect_inverse red; the relation graph(A) with its halves swapped
+    # carries none of it. The check must report exactly the error of that
+    # relation decomposed on its own: A's data relabelled by of_inverse(), if
+    # it were kept in the relation's memo, would compare A's spaces with themselves
     a, _ = small_eigenvalue_base(1e-7, 6, 1, seed=1)
     zs = _sample_z_values()
 
@@ -357,12 +359,33 @@ def test_inverse_checks_derive_a_inverse_from_scratch():
         return worst
 
     a_inv = sx.inverse_op(a)
-    by_hand = error(lambda z: sx.defect_data(a_inv, 1.0 / z))
-    relabelled = error(lambda z: sx.defect_data(a, z).of_inverse())
-    got = {c.name: c for c in sx.run_suite(a)}["range_defect_inverse"]
-    assert by_hand >= TOL.check_cayley and not got.passed
-    assert got.max_error == by_hand
-    assert relabelled < 1e-14
+    assert error(lambda z: sx.defect_data(a_inv, 1.0 / z)) >= TOL.check_cayley
+    by_hand = error(lambda z: sx.defect_data(a.graph.inverse(), 1.0 / z))
+    rel = a.graph.inverse()
+    got = check_range_defect_inverse(a, rel)
+    assert got.passed and got.max_error == by_hand > 0.0
+    assert {c.name: c for c in sx.run_suite(a)}["range_defect_inverse"] == got
+
+    def objects(dd):
+        spaces = (dd.m_z, dd.n_z, dd.m_zbar, dd.n_zbar)
+        return {id(x) for x in (dd, dd.u, *spaces, *(sp.frame for sp in spaces))}
+
+    for z in zs:  # the records the check kept in the relation's memo
+        assert not objects(sx.defect_data(rel, 1.0 / z)) & objects(sx.defect_data(a, z))
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+def test_inverse_checks_green_on_near_singular_bases(eps):
+    # A^{-1} is read off graph(A) with its halves swapped, a frame of [AF; F]
+    # whose singular values are all at least 1, so cond(A) never enters
+    for d in (4, 6, 8):
+        for n in (1, 2):
+            for seed in range(4):
+                a, _ = small_eigenvalue_base(eps, d, n, seed)
+                rel = a.graph.inverse()
+                for check in (check_range_defect_inverse, check_cayley_inverse_scaling):
+                    result = check(a, rel)
+                    assert result.passed, (d, n, seed, result)
 
 
 def test_inverse_pair_gate_failure_is_a_spectrum_hit():

@@ -134,6 +134,24 @@ def test_spectrum_hit_gate_is_conservative_within_the_skew():
     assert all(hit == oracle for hit, oracle in outside)
 
 
+def test_skew_norm_is_taken_once_per_extension(monkeypatch):
+    # the self-adjoint gate and the slack kappa of the SpectrumHit gate read one
+    # ||M - M^H||: building an extension and its first resolvent take one SVD of it
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=8))
+    chain = build_invertible_selfadjoint(a, 1j, seed=3, double_first=True)
+    m = chain.final.to_matrix()
+    skew, svd = m - m.conj().T, np.linalg.svd
+    calls = []
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.shape == skew.shape and np.array_equal(x, skew))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    compressed_resolvent(EmbeddedExtension.from_chain(chain), 0.4 + 0.8j)
+    assert sum(calls) == 1
+
+
 def test_resolvent_symmetry(worked_a):
     ext = doubled_ext(worked_a)
     for lam in (0.4 + 0.8j, -1.2 + 0.3j, 2.0 - 0.6j):

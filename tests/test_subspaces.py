@@ -347,7 +347,7 @@ def test_rank_split_matches_the_inline_cuts_it_replaced():
         assert r == rank and np.array_equal(s_new, s)
         assert np.array_equal(null, vh[rank:].conj().T)
 
-        # multivalued_part, compose: null, floor 1 (compose: floor ||action|| >= s[0])
+        # multivalued_part: null, floor 1; a floor ||m|| >= s[0] cuts relative to it
         scale = max(1.0, s[0])
         rank = int(np.sum(s > tol * scale))
         r, _, null = rank_split(m, tol, part="null")

@@ -3,7 +3,10 @@
 Runs gen -> build-sa --chain -> resolvent --csv -> verify over the pipeline
 ladder (d = 16, 32 and 48 doubled, and 64; defect d/4; z = lambda0 = i) at
 seeds 0-3 in each checkout, which writes 6 files per rung and seed (96 in
-all), then lists every file whose bytes differ. Each checkout runs in its own
+all), then lists every file whose bytes differ. Under a differing JSON file it
+prints the first few values that moved, each as its path and old -> new; a
+check record is named with its verdict, so a moved ``max_error`` in
+``verify.json`` shows whether ``passed`` held. Each checkout runs in its own
 process, importing ``symext`` from its ``src/``, with BLAS pinned to one
 thread. Exit status 0 means every file is byte-identical.
 
@@ -13,6 +16,7 @@ thread. Exit status 0 means every file is byte-identical.
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +27,7 @@ LADDER = ((16, True), (32, True), (48, True), (64, False))
 SEEDS = (0, 1, 2, 3)
 FILES = ("op.json", "ext.json", "chain.json", "grid.csv", "res.json", "verify.json")
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SHOWN, WIDTH = 5, 200  # moved values printed per file, characters per value
 
 
 def rung_calls(out: Path, d: int, doubled: bool, seed: int):
@@ -70,6 +75,36 @@ def compare(base: Path, change: Path) -> tuple:
     return differ, len(names)
 
 
+def moved(old, new, path=""):
+    """``path: old -> new`` for each value that differs between two JSON documents.
+
+    List items are labelled by index, or a record with a ``name`` by that name
+    and its verdict ``passed`` in the base document.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from moved(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            named = isinstance(a, dict) and "name" in a
+            label = f"{a['name']}, passed {a.get('passed')}" if named else k
+            yield from moved(a, b, f"{path}[{label}]")
+    elif old != new:
+        yield f"{path}: {old!r} -> {new!r}"
+
+
+def report(base: Path, change: Path, name: str) -> None:
+    print(f"differs: {name}")
+    if not (name.endswith(".json") and (base / name).is_file() and (change / name).is_file()):
+        return
+    lines = list(moved(json.loads((base / name).read_text()),
+                       json.loads((change / name).read_text())))
+    for line in lines[:SHOWN]:
+        print(f"  {line[:WIDTH]}")
+    if len(lines) > SHOWN:
+        print(f"  ... and {len(lines) - SHOWN} more")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, help="checkout to compare against")
@@ -86,8 +121,8 @@ def main(argv=None) -> int:
         run_checkout(args.base, root / "base")
         run_checkout(Path(__file__).resolve().parents[1], root / "change")
         differ, total = compare(root / "base", root / "change")
-    for name in differ:
-        print(f"differs: {name}")
+        for name in differ:
+            report(root / "base", root / "change", name)
     print(f"{total - len(differ)} of {total} files byte-identical")
     return 1 if differ else 0
 
