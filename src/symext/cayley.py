@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotInvertible, ParameterShapeViolation, RealPoint
-from .operators import (DomainOperator, LinearRelation, derived, is_isometric,
+from .operators import (DomainOperator, LinearRelation, derived, inverse_op, is_isometric,
                         is_symmetric, scale_op)
-from .subspaces import TOL, Subspace, fix_phase, opnorm, orthonormalize, rank_split
+from .subspaces import TOL, Subspace, fix_phase, opnorm_le, orthonormalize, rank_split
 
 
 def require_offaxis(z: complex) -> complex:
@@ -151,6 +151,15 @@ def forbidden_operator(a: DomainOperator, z: complex,
     return ForbiddenOperator(z, relation, op is not None, op)
 
 
+def forbidden_of_inverse(a: DomainOperator, dd: DefectData) -> ForbiddenOperator:
+    """X_{1/z}(A^{-1}) for ``dd = defect_data(a, z)``, on ``dd.of_inverse()``: built
+    once per A and z and kept in A's memo; A^{-1} is formed only to build it."""
+    def build():
+        dd_inv = dd.of_inverse()
+        return forbidden_operator(inverse_op(a), dd_inv.z, dd=dd_inv)
+    return derived(a, ("forbidden_of_inverse", dd.z), build)
+
+
 @dataclass(frozen=True, eq=False)
 class AdmissibilityResult:
     admissible: bool
@@ -164,9 +173,7 @@ def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
             or dd.n_z.contains_subspace(t.domain, tol=TOL.shape)):
         raise ParameterShapeViolation("parameter domain is not inside the defect space at z")
     resid = t.action - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ t.action)
-    # ||resid|| <= ||resid||_F: no SVD when that clears the cut, at least TOL.shape
-    if not np.linalg.norm(resid) * (1 + TOL.cut_rounding) <= TOL.shape and (
-            opnorm(resid) > TOL.shape * max(1.0, opnorm(t.action))):
+    if not opnorm_le(resid, TOL.shape, relative_to=t.action):
         raise ParameterShapeViolation("parameter range is not inside the defect space at zbar")
 
 
@@ -177,7 +184,8 @@ def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
     Admissible means (z/zbar)-scaled fixed vectors are absent, i.e.
     ker(W - E) = {0} for W = U_z (+) T; on failure the witness is a unit
     kernel vector of W - E, phase-fixed for determinism. U_z is ``dd.u``;
-    ``dd`` replaces ``defect_data(a, z)``: for A^{-1} callers pass A's record
+    ``dd`` replaces ``defect_data(a, z)``, and then only ``a.tol`` is read of
+    ``a``: for A^{-1}, whose tolerance is A's, callers pass A and A's record
     relabelled by ``DefectData.of_inverse()``, which no memo of A^{-1} keeps.
 
     The verdict and the margin come from the singular values alone; the

@@ -8,6 +8,7 @@ built operator fails its final extension gate (NotAnExtension; near-singular bas
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -260,21 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, default=None,
                    help="emit the truncated-shift model of this size instead")
     add_common(p)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("extend", help="build the extension for a parameter file")
     p.add_argument("operator")
     p.add_argument("--z", type=_parse_complex, default=None)
     p.add_argument("--param", required=True)
     add_common(p)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("check-invert", help="run the three-way invertibility criterion")
     p.add_argument("operator")
     p.add_argument("--z", type=_parse_complex, default=None)
     p.add_argument("--param", required=True)
     add_common(p)
-    p.set_defaults(func=cmd_check_invert)
 
     p = sub.add_parser("build-sa", help="construct an invertible self-adjoint extension chain")
     p.add_argument("operator")
@@ -284,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start from A (+) (-A) on the doubled space")
     p.add_argument("--chain", default=None, help="write the step-by-step chain JSON here")
     add_common(p)
-    p.set_defaults(func=cmd_build_sa)
 
     p = sub.add_parser("resolvent", help="compare compressed and parameter-formula resolvents")
     p.add_argument("operator")
@@ -293,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="semicolon-separated 're,im' points")
     p.add_argument("--csv", default=None, help="write the resolvent grid as CSV here")
     add_common(p)
-    p.set_defaults(func=cmd_resolvent)
 
     p = sub.add_parser("verify", help="run the identity-check suite")
     p.add_argument("operator")
@@ -302,16 +298,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", default="all", choices=["all"])
     add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: a parse reads it and leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # subcommand "build-sa" runs cmd_build_sa, looked up at each call, so a
+    # rebinding of the name after the parser was built is what runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except SpecInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

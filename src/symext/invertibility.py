@@ -11,7 +11,9 @@ The extension B built from (A, z, T) is invertible exactly when
 where X is the forbidden operator. Tests (ii) and (iii) take A^{-1} at 1/z
 from A at z: (A^{-1} - 1/z)Af = -(A - z)f/z gives A's defect spaces and
 U_{1/z}(A^{-1}) = (z/zbar) U_z(A), and A^{-1}, whose rounding grows like
-cond(A), is never gated for symmetry. The chain builder applies rank-one
+cond(A), is never gated for symmetry. X_{1/z}(A^{-1}) depends on A and z
+alone, so it is built once and kept in A's memo (``forbidden_of_inverse``),
+and A^{-1} is formed only for that build. The chain builder applies rank-one
 isometric parameters that dodge both forbidden images, dropping the defect by
 one per step while preserving symmetry, injectivity, and invertibility, until
 a self-adjoint invertible operator remains.
@@ -29,12 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import defect_data, forbidden_operator, is_admissible, require_offaxis
+from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_offaxis
 from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
 from .neumann import ContractionParameter, extend
-from .operators import (DomainOperator, direct_sum_op, graph_contains,
-                        inverse_op, is_injective, is_symmetric, make_operator,
-                        negate, scale_op)
+from .operators import (DomainOperator, direct_sum_op, graph_contains, is_injective,
+                        is_symmetric, make_operator, negate, scale_op)
 from .subspaces import TOL, Subspace, orthonormalize, rank_split
 
 
@@ -61,11 +62,11 @@ def check_invertibility(a: DomainOperator, z: complex,
     dd = defect_data(a, z)
     report = extend(a, z, parameter, dd)
 
-    a_inv, dd_inv = inverse_op(a), dd.of_inverse()
+    dd_inv = dd.of_inverse()
     scaled_t = scale_op(parameter.t, z / np.conj(z))
-    adm = is_admissible(a_inv, dd_inv.z, scaled_t, dd=dd_inv)
+    adm = is_admissible(a, dd_inv.z, scaled_t, dd=dd_inv)
 
-    x = forbidden_operator(a_inv, dd_inv.z, dd=dd_inv)
+    x = forbidden_of_inverse(a, dd)
     meet = parameter.t.domain.intersect(x.domain)
     if meet.dim == 0:
         via_forbidden = True

@@ -20,7 +20,7 @@ from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import ExpandingParameter, NotAdmissible, NotAnExtension
 from .operators import (DomainOperator, graph_contains, is_symmetric, kernel_witness,
                         operator_from_generators)
-from .subspaces import TOL, Subspace, near_identity, opnorm, rank_split
+from .subspaces import TOL, Subspace, near_identity, opnorm, opnorm_le, rank_split
 
 SYMMETRIC = "symmetric"
 SELF_ADJOINT = "self-adjoint"
@@ -70,10 +70,9 @@ class ContractionParameter:
 
 def require_nonexpanding(matrix):
     """Raise ExpandingParameter when the spectral norm exceeds 1 + ``TOL.expanding``."""
-    top = opnorm(matrix)
-    if top > 1.0 + TOL.expanding:
+    if not opnorm_le(matrix, 1.0 + TOL.expanding):
         raise ExpandingParameter(
-            f"parameter is expanding: top singular value 1 + {top - 1.0:.3e}")
+            f"parameter is expanding: top singular value 1 + {opnorm(matrix) - 1.0:.3e}")
 
 
 def _parameter_kind(t: DomainOperator) -> str:
@@ -82,7 +81,8 @@ def _parameter_kind(t: DomainOperator) -> str:
     gram = t.action.conj().T @ t.action
     if near_identity(gram, TOL.isometric_kind):
         return ISOMETRIC
-    if opnorm(t.action) < 1.0 - TOL.contractive_kind:
+    # a norm below a float is a norm at most the float before it
+    if opnorm_le(t.action, np.nextafter(1.0 - TOL.contractive_kind, 0.0)):
         return STRICTLY_CONTRACTIVE
     return MIXED
 
@@ -180,12 +180,11 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
     if t_domain.dim == 0:
         return ContractionParameter.empty(z, a.ambient_dim)
     coeffs = vh.conj().T @ ((u.conj().T @ t_domain.frame) / s[:rank, None])
-    resid = opnorm(shifted @ coeffs - t_domain.frame)
-    if resid > TOL.recover_reach:
+    if not opnorm_le(shifted @ coeffs - t_domain.frame, TOL.recover_reach):
         raise NotAnExtension("defect directions are not reached by (B - z)")
     images = (b.action - np.conj(z) * b.domain.frame) @ coeffs
     out = images - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ images)
-    if opnorm(out) > TOL.recover_leak * max(1.0, opnorm(images)):
+    if not opnorm_le(out, TOL.recover_leak, relative_to=images):
         raise NotAnExtension("recovered images leave the defect space at zbar")
     t = DomainOperator(a.ambient_dim, t_domain, images)
     return ContractionParameter.from_operator(z, t)

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainViolation, NotInvertible
-from .subspaces import (DEFAULT_TOL, TOL, Subspace, fix_phase, opnorm, orthonormalize,
+from .subspaces import (DEFAULT_TOL, TOL, Subspace, fix_phase, opnorm_le, orthonormalize,
                         rank_split)
 
 
@@ -133,8 +133,7 @@ def is_symmetric(a) -> bool:
     def gate():
         g1, g2 = a.halves()
         k = g1.conj().T @ g2
-        scale = max(1.0, opnorm(g2))
-        return opnorm(k - k.conj().T) <= TOL.symmetry_factor * a.tol * scale
+        return opnorm_le(k - k.conj().T, TOL.symmetry_factor * a.tol, relative_to=g2)
     return derived(a, "symmetric", gate)
 
 
@@ -163,7 +162,7 @@ def inverse_op(a: DomainOperator) -> DomainOperator:
 
 def is_isometric(a: DomainOperator) -> bool:
     gram = a.action.conj().T @ a.action
-    return opnorm(gram - np.eye(a.domain_dim)) <= TOL.isometry_factor * a.tol
+    return opnorm_le(gram - np.eye(a.domain_dim), TOL.isometry_factor * a.tol)
 
 
 def negate(a: DomainOperator) -> DomainOperator:
@@ -276,4 +275,4 @@ def graph_contains(big, small) -> bool:
     """Whether graph(small) sits inside graph(big) within ``TOL.graph_inclusion``."""
     gb, gs = _relation(big), _relation(small)
     resid = gs.graph.frame - gb.graph.frame @ (gb.graph.frame.conj().T @ gs.graph.frame)
-    return opnorm(resid) <= TOL.graph_inclusion
+    return opnorm_le(resid, TOL.graph_inclusion)

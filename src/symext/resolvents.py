@@ -38,14 +38,14 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import defect_data, forbidden_operator, is_admissible, require_offaxis
+from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_offaxis
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
 from .operators import (DomainOperator, derived, inverse_op, operator_from_generators,
                         operator_from_matrix)
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase,
-                        near_identity, opnorm, rank_split)
+                        near_identity, opnorm, opnorm_le, rank_split)
 
 
 def _half_plane(lam: complex, lambda0: complex) -> bool:
@@ -74,11 +74,12 @@ class EmbeddedExtension:
         if not self.atilde.is_total() or self.atilde.ambient_dim != d + self.exit_dim:
             raise ValueError("extension must be total on C^{d+e}")
         m = self.atilde_matrix()
-        if self._skew > gate * max(1.0, opnorm(m)):
+        # the scale is at least 1, so a skew within the gate passes without ||M||
+        if self._skew > gate and self._skew > gate * max(1.0, opnorm(m)):
             raise ValueError("extension is not self-adjoint")
         lifted_domain = embed @ self.base.domain.frame
-        if lifted_domain.shape[1] and opnorm(m @ lifted_domain - embed @ self.base.action) > (
-                gate * max(1.0, opnorm(self.base.action))):
+        if lifted_domain.shape[1] and not opnorm_le(
+                m @ lifted_domain - embed @ self.base.action, gate, relative_to=self.base.action):
             raise ValueError("extension does not extend the embedded base operator")
         embed.setflags(write=False)
         object.__setattr__(self, "embed", embed)
@@ -254,9 +255,8 @@ def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
     leak = np.linalg.norm(img - nbar_frame @ coords, axis=0)
     if np.any(leak > TOL.sample_residual * np.maximum(1.0, np.linalg.norm(img, axis=0))):
         raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
-    top = opnorm(coords)
-    if top > 1.0 + TOL.sample_expansion:
-        raise ProjectionDegenerate(f"quotient is expanding (norm {top:.6f}) at {lam}")
+    if not opnorm_le(coords, 1.0 + TOL.sample_expansion):
+        raise ProjectionDegenerate(f"quotient is expanding (norm {opnorm(coords):.6f}) at {lam}")
     return coords
 
 
@@ -497,8 +497,7 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     tolerances = {"rate_bound": TOL.rate_bound, "limit_tol": TOL.limit, "kernel_tol": TOL.kernel}
     if len(sector.radii) < 4:
         raise InsufficientSamples("need at least four radii for the limit estimate")
-    x = forbidden_operator(inverse_op(a), 1.0 / lambda0,
-                           dd=defect_data(a, lambda0).of_inverse())
+    x = forbidden_of_inverse(a, defect_data(a, lambda0))
     if x.domain.dim == 0:
         return IAdmissibilityVerdict(True, None, None, {}, 0.0, float("inf"),
                                      None, None, tolerances)

@@ -5,7 +5,9 @@ invertibility, is made by ``rank_split``: one SVD, cut at singular values
 above ``tol * max(floor, s[0])``. Floor 0 makes the cut relative to the
 largest singular value (spans of frames, whose scale means nothing); floor 1
 makes it absolute for matrices of norm below 1 (actions and shifted matrices,
-where a small operator must not count as full rank). ``DEFAULT_TOL`` is the
+where a small operator must not count as full rank). Every spectral-norm
+gate, a norm compared with a bound, is decided by ``opnorm_le``, which
+takes the SVD only where the Frobenius norm leaves it open. ``DEFAULT_TOL`` is the
 tolerance operators and subspaces carry unless given another; every fixed
 threshold of the toolkit is a field of ``TOL``.
 """
@@ -48,7 +50,7 @@ class Tolerances:
     embedding_diagonal: float = 1e-5  # EmbeddedExtension: extra slack on the embedding Gram diagonal
     spectrum_hit: float = 1e-10       # compressed_resolvent: lam on the spectrum (SpectrumHit)
     resolvent_singular: float = 1e-12  # shtraus_resolvent: M = (B - lam)P is singular
-    cut_rounding: float = 1e-12       # clears_cut: rounding may move a singular value by this * s0
+    cut_rounding: float = 1e-12       # clears_cut, opnorm_le: rounding may move a value by this * s0
     projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
     sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): residual, leakage
     sample_expansion: float = 1e-7    # sample of F (frak_f and the sampler): norm excess over 1
@@ -104,6 +106,38 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+# A Frobenius norm above this lost nothing that matters to squares that underflowed
+_FRO_FLOOR = np.finfo(float).tiny ** 0.25
+
+
+def _opnorm_le(m: np.ndarray, bound: float) -> bool:
+    fro = float(np.linalg.norm(m))
+    if _FRO_FLOOR < fro < np.inf:
+        if fro * (1 + TOL.cut_rounding) <= bound:
+            return True
+        if fro / np.sqrt(min(m.shape)) * (1 - TOL.cut_rounding) > bound:
+            return False
+    return opnorm(m) <= bound
+
+
+def opnorm_le(m: np.ndarray, bound: float, relative_to=None) -> bool:
+    """``opnorm(m) <= bound``, or ``<= bound * max(1, opnorm(relative_to))`` when given.
+
+    ||m||_F / sqrt(min(m.shape)) <= ||m||_2 <= ||m||_F decides every bound
+    outside that band, each side moved by ``TOL.cut_rounding`` for rounding,
+    without an SVD: a single row or column leaves only the rounding band.
+    Inside it, and when ||m||_F is not finite or so small that squares may
+    have underflowed in it, ``opnorm`` decides, so NaN and inf entries act
+    as in ``opnorm(m) <= bound``. ``opnorm(relative_to)`` is taken only when
+    ``bound`` itself does not pass: the scale is at least 1.
+    """
+    passed = _opnorm_le(m, bound)
+    if passed or relative_to is None:
+        return passed
+    scaled = bound * max(1.0, opnorm(relative_to))
+    return scaled != bound and _opnorm_le(m, scaled)  # an unchanged bound has failed
+
+
 def fix_phase(v):
     """Rotate a vector so its first non-negligible coordinate is real positive."""
     v = np.asarray(v, dtype=complex)
@@ -156,7 +190,7 @@ class Subspace:
     def contains_subspace(self, other: "Subspace", tol=None) -> bool:
         tol = self.tol if tol is None else tol
         resid = other.frame - self.frame @ (self.frame.conj().T @ other.frame)
-        return opnorm(resid) <= TOL.membership_factor * tol
+        return opnorm_le(resid, TOL.membership_factor * tol)
 
     def complement(self) -> "Subspace":
         """Orthogonal complement in the same ambient space."""

@@ -449,3 +449,30 @@ def test_console_script_entry_point():
     if installed is not None:
         res = subprocess.run([installed, "--help"], capture_output=True, text=True)
         assert_help_lists_subcommands(res)
+
+
+def test_main_builds_its_parser_once_and_defaults_do_not_leak(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda _fn=cli.build_parser: built.append(1) or _fn())
+
+    def spec(*argv):
+        out = tmp_path / "op.json"
+        assert cli.main(["gen", *argv, "-o", str(out)]) == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        return {**doc["instance_spec"], **doc["tolerances"]}
+
+    cli._parser.cache_clear()
+    try:
+        first = spec()
+        assert spec("--dim", "5", "--defect", "2", "--no-dense-range", "--window", "1,3",
+                    "--seed", "7", "--tol", "1e-8") == {
+            "ambient_dim": 5, "defect": 2, "dense_range": False,
+            "spectrum_window": [1.0, 3.0], "seed": 7, "rank_tol": 1e-8}
+        assert spec() == first and (first["ambient_dim"], first["rank_tol"]) == (2, DEFAULT_TOL)
+        # a handler rebound after the parser was built is the one that runs
+        monkeypatch.setattr(cli, "cmd_gen", lambda args: 99)
+        assert cli.main(["gen"]) == 99
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

@@ -57,35 +57,80 @@ def test_inverse_defect_data_built_once(monkeypatch):
 
 
 def test_one_cayley_transform_per_check(monkeypatch):
-    # counts the factorizations run on A where they run, not the calls that
-    # may reach them: a check on a fresh A runs one symmetry gate (the SVD of
-    # K - K^H, K its compression), one injectivity cut (the values-only SVD of
-    # its action) and one SVD of the generators A F - z F, which gives both
-    # M_z and the Cayley transform; a second check on the same A reads all
-    # three from its memo
+    # counts the decisions made on A where they are made, not the calls that
+    # may reach them: a check on a fresh A decides one symmetry gate (the norm
+    # gate on K - K^H, K its compression, which its Frobenius norm settles
+    # without an SVD), one injectivity cut (the values-only SVD of its action)
+    # and one SVD of the generators A F - z F, which gives both M_z and the
+    # Cayley transform; a second check on the same A reads all three from its memo
     operators = importlib.import_module("symext.operators")
     a, z, _ = random_instance(7, max_dim=6)
     parameter = random_contraction(np.random.default_rng(7), defect_data(a, z))
     fresh = sx.DomainOperator(a.ambient_dim, a.domain, a.action)
     k = fresh.compression()
     skew, generators = k - k.conj().T, fresh.action - z * fresh.domain.frame
-    runs = dict.fromkeys(("symmetry gate", "injectivity cut", "SVD of A F - z F"), 0)
+    runs = dict.fromkeys(("symmetry gate", "injectivity cut", "SVD of A F - z F",
+                          "SVD of K - K^H"), 0)
     for mod, fname, label, on_a in (
-            (operators, "opnorm", "symmetry gate", lambda m, kw: np.array_equal(m, skew)),
+            (operators, "opnorm_le", "symmetry gate", lambda m, kw: np.array_equal(m, skew)),
             (operators, "rank_split", "injectivity cut",
              lambda m, kw: m is fresh.action and kw.get("part") is None),
             (np.linalg, "svd", "SVD of A F - z F",
-             lambda m, kw: np.array_equal(m, generators))):
+             lambda m, kw: np.array_equal(m, generators)),
+            (np.linalg, "svd", "SVD of K - K^H", lambda m, kw: np.array_equal(m, skew))):
         def counted(m, *args, _fn=getattr(mod, fname), _label=label, _on_a=on_a, **kwargs):
             runs[_label] += bool(_on_a(m, kwargs))
             return _fn(m, *args, **kwargs)
         monkeypatch.setattr(mod, fname, counted)
+    once = {**dict.fromkeys(runs, 1), "SVD of K - K^H": 0}
     first = check_invertibility(fresh, z, parameter)
-    assert runs == dict.fromkeys(runs, 1)
+    assert runs == once
     second = check_invertibility(fresh, z, parameter)
-    assert runs == dict.fromkeys(runs, 1)
+    assert runs == once
     assert (first.direct, first.via_admissibility, first.via_forbidden, first.margins) == (
         second.direct, second.via_admissibility, second.via_forbidden, second.margins)
+
+
+def _verdict_bits(v):
+    witness = None if v.witness is None else v.witness.tolist()
+    return (v.direct, v.via_admissibility, v.via_forbidden, v.agree, witness, v.margins)
+
+
+def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(monkeypatch):
+    # X_{1/z}(A^{-1}) depends on (A, z) alone: a check with a new parameter on
+    # the same (A, z) builds neither it nor A^{-1}, and decides as on a fresh A
+    modules = [importlib.import_module(f"symext.{name}")
+               for name in ("cayley", "invertibility", "operators")]
+    rng = np.random.default_rng(17)
+    seen = {"invertible": 0, "singular": 0}
+    for seed in range(12):
+        a, z, _ = random_instance(seed, max_dim=6)
+        dd = defect_data(a, z)
+        check_invertibility(a, z, random_contraction(rng, dd))
+        x = forbidden_operator(inverse_op(a), 1.0 / z, dd=dd.of_inverse())
+        if seed % 2 and x.domain.dim:
+            # T on the forbidden image: B has a kernel and every test says so
+            g = x.domain.frame[:, 0]
+            t = _rank_one_onto(a, g, (np.conj(z) / z) * x.apply(g))
+            parameter = ContractionParameter.from_operator(z, t)
+        else:
+            parameter = random_contraction(rng, dd)
+        want = check_invertibility(sx.DomainOperator(a.ambient_dim, a.domain, a.action),
+                                   z, parameter)
+        built = []
+        with monkeypatch.context() as patch:
+            for mod in modules:
+                for fname in ("forbidden_operator", "inverse_op"):
+                    if hasattr(mod, fname):
+                        def counted(*args, _fn=getattr(mod, fname), _name=fname, **kwargs):
+                            built.append(_name)
+                            return _fn(*args, **kwargs)
+                        patch.setattr(mod, fname, counted)
+            got = check_invertibility(a, z, parameter)
+        assert built == [], seed
+        assert _verdict_bits(got) == _verdict_bits(want), seed
+        seen["invertible" if got.direct else "singular"] += 1
+    assert min(seen.values()) > 0
 
 
 def _full_svd_admissibility(a, t, u):

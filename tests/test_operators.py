@@ -107,6 +107,10 @@ def test_isometric_and_nonexpanding():
     require_nonexpanding(half.action)
     with pytest.raises(ExpandingParameter):
         require_nonexpanding(big.action)
+    # a non-finite entry fails the gate: its SVD gives NaN, which no bound admits
+    for bad in (np.inf, complex(1.0, np.inf)):
+        with pytest.raises(ExpandingParameter):
+            require_nonexpanding(np.array([[0.0], [bad]], dtype=complex))
 
 
 def test_direct_sum_negate_scale():

@@ -9,13 +9,14 @@ import pytest
 
 import symext as sx
 from symext import resolvents
-from symext.cayley import AdmissibilityResult, DefectData, defect_data
+from symext.cayley import (AdmissibilityResult, DefectData, ForbiddenOperator, defect_data,
+                           forbidden_operator)
 from symext.errors import (ExpandingParameter, InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
-from symext.invertibility import build_invertible_selfadjoint, double
+from symext.invertibility import build_invertible_selfadjoint, check_invertibility, double
 from symext.neumann import ContractionParameter, construct_extension, recover_parameter
 from symext.operators import (DomainOperator, graph_contains, graph_distance, inverse_op,
-                              is_symmetric, operator_from_matrix)
+                              is_injective, is_symmetric, operator_from_matrix)
 from symext.resolvents import (EmbeddedExtension, ParameterFunction,
                                compressed_resolvent, default_lambda_grid,
                                frak_b, frak_f, i_admissibility_test,
@@ -23,7 +24,7 @@ from symext.resolvents import (EmbeddedExtension, ParameterFunction,
 from symext.serialize import decode_operator, encode_operator, json_dump
 from symext.subspaces import TOL, SectorSpec, opnorm, rank_split
 
-from conftest import random_instance
+from conftest import random_contraction, random_instance
 
 
 def canonical_diag(worked_a, b):
@@ -636,18 +637,16 @@ def _bits(fact) -> list:
         return [fact.z, fact.defect_numbers] + [
             space.frame for space in (fact.m_z, fact.n_z, fact.m_zbar, fact.n_zbar)
         ] + _bits(fact.u)
+    if isinstance(fact, ForbiddenOperator):
+        return [fact.z, fact.single_valued, fact.relation.graph.frame] + _bits(fact.operator)
     if isinstance(fact, DomainOperator):
         return [fact.domain.frame, fact.action]
     return [fact]
 
 
-def _memo_matches_scratch(op, a, z):
-    """Each fact in op's memo has the bits of its computation on a fresh copy of a."""
-    scratch = {"symmetric": is_symmetric,
-               "domain_complement": lambda fresh: fresh.domain.complement().frame,
-               ("defect_data", z): lambda fresh: defect_data(fresh, z),
-               ("defect_data", np.conj(z)): lambda fresh: defect_data(fresh, np.conj(z))}
-    # the Shtraus formula reads these on both branches, and nothing else
+def _memo_matches_scratch(op, a, scratch):
+    """Each fact in op's memo has the bits of its computation on a fresh copy of a,
+    and ``scratch`` names every key the memo holds, with that computation."""
     assert set(op._memo) == set(scratch)
     for key, kept in op._memo.items():
         fresh = decode_operator(json.loads(json_dump(encode_operator(a))))
@@ -670,7 +669,12 @@ def test_operator_memo_sound_and_weak():
         # its chain build computed and misses the Shtraus entries once
         assert np.array_equal(shtraus_resolvent(copy, z, f, lam),
                               shtraus_resolvent(a, z, f, lam))
-    held = _memo_matches_scratch(copy, a, z)
+    # the Shtraus formula reads these on both branches, and nothing else
+    held = _memo_matches_scratch(copy, a, {
+        "symmetric": is_symmetric,
+        "domain_complement": lambda fresh: fresh.domain.complement().frame,
+        ("defect_data", z): lambda fresh: defect_data(fresh, z),
+        ("defect_data", np.conj(z)): lambda fresh: defect_data(fresh, np.conj(z))})
     assert len(held) == 2
     # C completes the domain frame to a unitary
     p = np.hstack([copy.domain.frame, copy._memo["domain_complement"]])
@@ -681,3 +685,19 @@ def test_operator_memo_sound_and_weak():
     gc.collect()
     assert gone() is None and all(fact() is None for fact in held)
     assert ("defect_data", complex(z)) in a._memo
+
+
+def test_invertibility_memo_sound():
+    # check_invertibility keeps A's verdicts, its record at z and X_{1/z}(A^{-1}),
+    # that record relabelled, each with the bits a fresh copy of A computes
+    for seed in range(6):
+        a, z, _ = random_instance(seed, max_dim=6)
+        copy = decode_operator(json.loads(json_dump(encode_operator(a))))
+        parameter = random_contraction(np.random.default_rng(seed), defect_data(copy, z))
+        check_invertibility(copy, z, parameter)
+        _memo_matches_scratch(copy, a, {
+            "symmetric": is_symmetric,
+            "injective": is_injective,
+            ("defect_data", z): lambda fresh: defect_data(fresh, z),
+            ("forbidden_of_inverse", z): lambda fresh: forbidden_operator(
+                inverse_op(fresh), 1.0 / z, dd=defect_data(fresh, z).of_inverse())})

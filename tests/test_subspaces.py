@@ -6,7 +6,8 @@ import scipy.linalg
 
 import symext as sx
 from symext.subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace,
-                              fix_phase, near_identity, opnorm, orthonormalize, rank_split)
+                              fix_phase, near_identity, opnorm, opnorm_le, orthonormalize,
+                              rank_split)
 
 SEEDS = range(20)
 
@@ -396,3 +397,77 @@ def test_clears_cut_is_a_proof_next_to_the_cut(seed):
             inv = np.linalg.inv(m)
             if sx.subspaces.clears_cut(1.0 / np.linalg.norm(inv), np.linalg.norm(m), tol):
                 assert rank_split(m, tol)[0] == d, (d, ratio)
+
+
+def _svd_counter(monkeypatch):
+    calls = []
+
+    def counted(m, *args, _fn=np.linalg.svd, **kwargs):
+        calls.append(m.shape)
+        return _fn(m, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_opnorm_le_decides_as_opnorm(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cases = {"square": cplx(5, 5), "tall": cplx(7, 3), "rank-one": np.outer(cplx(6), cplx(4)),
+             "single-column": cplx(6, 1), "single-row": cplx(1, 5)}
+    for name, m in cases.items():
+        s0 = opnorm(m)
+        # at rank one ||m||_F is the spectral norm, so a bound above it needs
+        # no SVD; a single row or column also has sqrt(min(m.shape)) = 1, so
+        # every bound outside the rounding band is decided without one
+        for rel, in_band in ((1e-6, False), (1e-14, True)):
+            for bound, settled in ((s0 * (1 - rel), min(m.shape) == 1),
+                                   (s0 * (1 + rel), min(m.shape) == 1 or name == "rank-one")):
+                calls = _svd_counter(monkeypatch)
+                assert opnorm_le(m, bound) == (s0 <= bound), (name, bound)
+                if in_band or settled:
+                    assert len(calls) == int(in_band), (name, rel)
+                monkeypatch.undo()
+        # far from s0 either way, the Frobenius bounds decide alone
+        calls = _svd_counter(monkeypatch)
+        assert opnorm_le(m, 2 * np.linalg.norm(m)) and not opnorm_le(m, s0 / 2 / np.sqrt(6))
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_opnorm_le_relative_to_takes_the_scale_only_when_needed(monkeypatch):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    s0 = opnorm(m)
+    for scale in (0.5, 3.0):
+        y = scale * np.eye(3)
+        for bound in np.geomspace(s0 / 10, s0 * 10, 41):
+            want = s0 <= bound * max(1.0, opnorm(y))
+            assert opnorm_le(m, bound, relative_to=y) == want, (scale, bound)
+    # the scale is at least 1: a bound that passes alone never looks at it
+    seen = []
+    monkeypatch.setattr(sx.subspaces, "opnorm",
+                        lambda x, _fn=opnorm: seen.append(x.shape) or _fn(x))
+    assert opnorm_le(m, 2 * np.linalg.norm(m), relative_to=np.eye(2))
+    assert seen == []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_opnorm_le_empty_and_non_finite():
+    for shape in ((0, 0), (3, 0), (0, 2)):
+        m = np.zeros(shape, dtype=complex)
+        assert opnorm_le(m, 0.0) and not opnorm_le(m, -1.0)
+    for bad in (np.inf, -np.inf, complex(np.inf, 1.0)):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        # the SVD of an infinite entry gives NaN, which no bound admits
+        for bound in (0.0, 1.0, np.inf):
+            assert not opnorm(m) <= bound and not opnorm_le(m, bound)
+    m = np.eye(3, dtype=complex)
+    m[0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        opnorm(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        opnorm_le(m, 1.0)

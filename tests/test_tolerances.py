@@ -117,6 +117,38 @@ def test_svd_only_in_the_rank_primitive():
         "", "Subspace.intersect", "Subspace.complement", "rank_split"]
 
 
+def _opnorm_comparisons(tree):
+    """``(enclosing qualified name, node)`` for each ``opnorm(...)`` call that is an
+    operand of ``<``, ``<=``, ``>`` or ``>=``."""
+    def gates(node):
+        if not isinstance(node, ast.Compare):
+            return []
+        operands = [node.left, *node.comparators]
+        return [x for i, op in enumerate(node.ops)
+                if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                for x in operands[i:i + 2]
+                if isinstance(x, ast.Call) and ast.unparse(x.func).split(".")[-1] == "opnorm"]
+    return ((scope, call) for scope, node in _scoped(tree, gates) for call in gates(node))
+
+
+def test_norm_gates_only_through_opnorm_le():
+    # a spectral norm compared with a bound is a gate, and subspaces.opnorm_le
+    # decides it, from ||m||_F where that settles it; values that are
+    # reported (checks, deviations, slacks) call opnorm outside a comparison
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {scope}"
+                  for scope, node in _opnorm_comparisons(tree)
+                  if (path.name, scope) != ("subspaces.py", "_opnorm_le")]
+    assert found == []
+    probe = ast.parse("opnorm(m) <= b; b > sx.opnorm(m); 0 < opnorm(m) < b\n"
+                      "opnorm(m) == b; x = opnorm(m); b <= 2 * opnorm(m); opnorm_le(m, b)\n"
+                      "def _opnorm_le(m, b): return opnorm(m) <= b")
+    assert [scope for scope, _ in _opnorm_comparisons(probe)] == [
+        "", "", "", "", "_opnorm_le"]
+
+
 def _memo_uses(tree):
     """``(enclosing qualified name, node)`` for each attribute or string named ``_memo``."""
     return _scoped(tree, lambda node: (isinstance(node, ast.Attribute) and node.attr == "_memo")
