@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
     doc = {
         "schema": serialize.SCHEMA_VERSION,
         "kind": "verification_report",
-        "suite": args.suite,
+        "suite": "all",
         "checks": [
             {"name": r.name, "passed": r.passed, "max_error": r.max_error,
              "note": r.note, "skipped": r.skipped}
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("extension", nargs="?", default=None)
     p.add_argument("--lambda0", type=_parse_complex, default=1j)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suite", default="all", choices=["all"])
     add_common(p)
 
     return parser

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_offaxis
 from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
-from .neumann import ContractionParameter, extend
+from .neumann import ContractionParameter, construct_extension, injectivity
 from .operators import (DomainOperator, direct_sum_op, graph_contains, is_injective,
                         is_symmetric, make_operator, negate, scale_op)
 from .subspaces import TOL, Subspace, orthonormalize, rank_split
@@ -53,6 +53,7 @@ def check_invertibility(a: DomainOperator, z: complex,
                         parameter: ContractionParameter) -> InvertibilityVerdict:
     """Run all three invertibility tests and report their agreement.
 
+    The direct test is ``injectivity`` of B, the cut that ``extend`` reports.
     ``margins`` holds the smallest singular value each test decided on; the
     borderline filter for equivalence sweeps lives with the caller.
     """
@@ -60,7 +61,7 @@ def check_invertibility(a: DomainOperator, z: complex,
     if not is_injective(a):
         raise NotInvertibleBase("base operator has a nontrivial kernel")
     dd = defect_data(a, z)
-    report = extend(a, z, parameter, dd)
+    direct, witness, margin_direct = injectivity(construct_extension(a, z, parameter, dd))
 
     dd_inv = dd.of_inverse()
     scaled_t = scale_op(parameter.t, z / np.conj(z))
@@ -79,10 +80,9 @@ def check_invertibility(a: DomainOperator, z: complex,
         margin_forbidden = float(s[-1])
         via_forbidden = rank == meet.dim
 
-    agree = report.invertible == adm.admissible == via_forbidden
-    return InvertibilityVerdict(report.invertible, adm.admissible, via_forbidden, agree,
-                                report.witnesses.get("kernel"),
-                                {"direct": report.injectivity_margin,
+    agree = direct == adm.admissible == via_forbidden
+    return InvertibilityVerdict(direct, adm.admissible, via_forbidden, agree, witness,
+                                {"direct": margin_direct,
                                  "via_admissibility": adm.margin,
                                  "via_forbidden": margin_forbidden})
 

@@ -151,17 +151,23 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
     smallest singular value it was decided on) and defect numbers.
     """
     b = construct_extension(a, z, parameter, dd)
-    rank, s, _ = rank_split(b.action, b.tol)
-    invertible = rank == b.domain_dim
-    witnesses = {}
-    if not invertible:
-        witnesses["kernel"] = kernel_witness(b)
+    invertible, witness, margin = injectivity(b)
+    witnesses = {} if witness is None else {"kernel": witness}
     # B need not be symmetric, so count codimensions of the shifted ranges directly
     defects = tuple(
         b.ambient_dim - rank_split(b.action - w * b.domain.frame, b.tol, floor=0.0)[0]
         for w in (z, np.conj(z)))
     return ExtensionReport(b, parameter, classify_operator(b), invertible,
-                           defects, witnesses, float(s[-1]) if s.size else float("inf"))
+                           defects, witnesses, margin)
+
+
+def injectivity(b: DomainOperator) -> tuple:
+    """``(injective, kernel witness or None, margin)`` from one cut of B's action; the
+    margin is the smallest singular value the cut saw, inf when D(B) = {0}."""
+    rank, s, _ = rank_split(b.action, b.tol)
+    injective = rank == b.domain_dim
+    return (injective, None if injective else kernel_witness(b),
+            float(s[-1]) if s.size else float("inf"))
 
 
 def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> ContractionParameter:

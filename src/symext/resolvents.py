@@ -23,13 +23,14 @@ check at lam. ``ParameterFunction.from_extension``
 samples F from one Hermitian eigendecomposition of Atilde instead, through
 B_lam = lam + R_lam^{-1}, under the same guards.
 
-``shtraus_resolvent`` writes B - lam = M P^H, P = [F_A, C] unitary (F_A the
-domain frame of A, C a frame of D(A)^perp), and pays per lam one values-only
-SVD (admissibility) and one LU, M^{-1}. The defect data of A at the base point,
-U_z among it, and C are kept in A's memo (``operators.derived``); D(T), framed
-by that record's own N_z frame, needs no shape test. ``construct_extension``
-stays the general path and the tests' reference. Each per-lam full-rank gate is passed by ``clears_cut`` from
-bounds that data in hand proves, and by ``rank_split`` only where they fall short.
+``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
+with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
+factors, and B - lam = G (V - Q)^{-1} with G = (z - lam)V - (zbar - lam)Q. Per
+lam it pays one values-only SVD (admissibility) and one inverse, G^{-1}; U_z
+and N_z come from A's memoized defect data, so D(T) needs no shape test.
+``construct_extension`` stays the general path and the tests' reference. Each
+per-lam full-rank gate is passed by ``clears_cut`` from bounds that data in
+hand proves, and by ``rank_split`` only where they fall short.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_of
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
-from .operators import (DomainOperator, derived, inverse_op, operator_from_generators,
+from .operators import (DomainOperator, inverse_op, operator_from_generators,
                         operator_from_matrix)
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase,
                         near_identity, opnorm, opnorm_le, rank_split)
@@ -327,7 +328,6 @@ class ParameterFunction:
     domain_frame: np.ndarray
     range_frame: np.ndarray
     samples: dict
-    provenance: str = "user"
     constant_matrix: Optional[np.ndarray] = None
 
     def sample_at(self, lam: complex) -> np.ndarray:
@@ -344,8 +344,7 @@ class ParameterFunction:
     @classmethod
     def constant(cls, a: DomainOperator, lambda0: complex, matrix) -> "ParameterFunction":
         dd = defect_data(a, lambda0)
-        matrix = np.asarray(matrix, dtype=complex)
-        return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, {}, "constant", matrix)
+        return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, {}, np.asarray(matrix, complex))
 
     @classmethod
     def from_extension(cls, ext: EmbeddedExtension, lambda0: complex, lams) -> "ParameterFunction":
@@ -353,60 +352,51 @@ class ParameterFunction:
         dd = defect_data(ext.base, lambda0)
         frames = (dd.n_z.frame, dd.n_zbar.frame)
         samples = _spectral_samples(ext, dd.z, frames, lams)
-        return cls(lambda0, *frames, samples, "from-extension")
+        return cls(lambda0, *frames, samples)
 
     @classmethod
     def from_samples(cls, a: DomainOperator, lambda0: complex, samples: dict) -> "ParameterFunction":
         dd = defect_data(a, lambda0)
         clean = {complex(k): np.asarray(v, dtype=complex) for k, v in samples.items()}
-        return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean, "user")
+        return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean)
 
 
 def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_frame,
                          matrix, lam: complex) -> np.ndarray:
-    """(B - lam)^{-1}, B the extension of A at the base point from a frame-coded parameter.
+    """(B - lam)^{-1}, B the extension of A at the base point z from a frame-coded parameter.
 
-    With N = ``dom_frame``, T = ``rng_frame @ matrix``, X = T - N and
-    Y = z T - zbar N, B sends F_A to A F_A and X to Y. Writing X = F_A W + C Z
-    (W = F_A^H X, Z = C^H X) gives B C = (Y - A F_A W) Z^{-1}, so
-    B - lam = M P^H with M = [A F_A - lam F_A, B C - lam C]: the singular
-    values of M are those of B - lam, and (B - lam)^{-1} = P M^{-1}.
+    With N = ``dom_frame``, T N = ``rng_frame @ matrix``, Q = [M_z frame, N] and
+    V = [U_z M_z, T N], B sends (V - Q)c to (zV - zbar Q)c, so B - lam = G (V - Q)^{-1}
+    with G = (z - lam)V - (zbar - lam)Q, and (B - lam)^{-1} = (V - Q) G^{-1}.
     """
-    # C, like the defect data (U_z with it) that admissibility reads, is
-    # computed once per operator and kept in its memo
-    c = derived(a, "domain_complement", lambda: a.domain.complement().frame)
-    fa, afa = a.domain.frame, a.action
     t_action = rng_frame @ matrix
-    x = t_action - dom_frame
-    z_block = c.conj().T @ x
-    if not np.all(np.isfinite(z_block)):
+    if not np.all(np.isfinite(t_action)):
         raise ResolventSingular(f"parameter sample at {lam} is not finite")
     # the gate ContractionParameter applies, on the coordinates of the sample
     require_nonexpanding(matrix)
+    dd = defect_data(a, base_point)
     t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom_frame, a.tol), t_action)
-    adm = is_admissible(a, base_point, t)
+    adm = is_admissible(a, base_point, t, dd=dd)  # its margin is s_min(V - Q)
     if not adm.admissible:
         raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
-    if z_block.shape[0] != z_block.shape[1]:
+    q = np.hstack([dd.u.domain.frame, t.domain.frame])
+    v = np.hstack([dd.u.action, t.action])
+    if q.shape[0] != q.shape[1]:
         raise ResolventSingular("extension is not total; resolvent formula needs a full domain")
-    y = base_point * t_action - np.conj(base_point) * dom_frame
+    g = (base_point - lam) * v - (np.conj(base_point) - lam) * q
     try:
-        # (Y - A F_A W) Z^{-1}, as the solve Z^T V = (Y - A F_A W)^T
-        bc = np.linalg.solve(z_block.T, (y - afa @ (fa.conj().T @ x)).T).T
-    except np.linalg.LinAlgError:  # Z exactly singular: B is not total
-        bc = None
-    if bc is None or not np.all(np.isfinite(bc)):
-        raise ResolventSingular("extension is not total; Z = C^H X is singular")
-    m = np.hstack([afa - lam * fa, bc - lam * c])
-    # the inverse certifies the gate: s_min(M) >= 1/||M^{-1}||_F, s0(M) <= ||M||_F
-    try:
-        m_inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:  # an exact zero pivot: M is singular
-        raise ResolventSingular(f"extension minus {lam} is singular") from None
-    if not clears_cut(1.0 / np.linalg.norm(m_inv), np.linalg.norm(m), TOL.resolvent_singular) and (
-            rank_split(m, TOL.resolvent_singular)[0] < a.ambient_dim):
-        raise ResolventSingular(f"extension minus {lam} is singular")
-    return np.hstack([fa, c]) @ m_inv
+        resolvent = (v - q) @ np.linalg.inv(g)
+        # s_min(B - lam) >= 1/||R||_F and s0(B - lam) <= ||G||_F / margin certify the
+        # gate; where they fall short, or the margin is 0, B - lam itself is cut
+        certified = 0 < adm.margin < np.inf and clears_cut(
+            1.0 / np.linalg.norm(resolvent), float(np.linalg.norm(g)) / adm.margin,
+            TOL.resolvent_singular)
+        if certified or rank_split(g @ np.linalg.inv(v - q),
+                                   TOL.resolvent_singular)[0] == a.ambient_dim:
+            return resolvent
+    except np.linalg.LinAlgError:  # an exact zero pivot: G or V - Q is singular
+        pass
+    raise ResolventSingular(f"extension minus {lam} is singular")
 
 
 def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,

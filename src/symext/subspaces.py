@@ -49,7 +49,7 @@ class Tolerances:
     embedding_isometry: float = 1e-10  # EmbeddedExtension: floor of the embedding isometry gate
     embedding_diagonal: float = 1e-5  # EmbeddedExtension: extra slack on the embedding Gram diagonal
     spectrum_hit: float = 1e-10       # compressed_resolvent: lam on the spectrum (SpectrumHit)
-    resolvent_singular: float = 1e-12  # shtraus_resolvent: M = (B - lam)P is singular
+    resolvent_singular: float = 1e-12  # shtraus_resolvent: B - lam = G (V - Q)^{-1} is singular
     cut_rounding: float = 1e-12       # clears_cut, opnorm_le: rounding may move a value by this * s0
     projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
     sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): residual, leakage
@@ -128,12 +128,16 @@ def opnorm_le(m: np.ndarray, bound: float, relative_to=None) -> bool:
     without an SVD: a single row or column leaves only the rounding band.
     Inside it, and when ||m||_F is not finite or so small that squares may
     have underflowed in it, ``opnorm`` decides, so NaN and inf entries act
-    as in ``opnorm(m) <= bound``. ``opnorm(relative_to)`` is taken only when
-    ``bound`` itself does not pass: the scale is at least 1.
+    as in ``opnorm(m) <= bound``. ``opnorm(relative_to)`` is taken only where the
+    scale's bounds, 1 and the Frobenius norm of ``relative_to``, leave it open.
     """
     passed = _opnorm_le(m, bound)
     if passed or relative_to is None:
         return passed
+    fro = float(np.linalg.norm(m))  # ||y||_F >= ||y||_2 caps the scale, y = relative_to
+    cap = bound * max(1.0, float(np.linalg.norm(relative_to)) * (1 + TOL.cut_rounding))
+    if _FRO_FLOOR < fro < np.inf and fro / np.sqrt(min(m.shape)) * (1 - TOL.cut_rounding) > cap:
+        return False
     scaled = bound * max(1.0, opnorm(relative_to))
     return scaled != bound and _opnorm_le(m, scaled)  # an unchanged bound has failed
 

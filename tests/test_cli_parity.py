@@ -1,0 +1,45 @@
+"""The value diff of ``tools/cli_parity.py``, on small in-memory JSON documents."""
+
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "cli_parity", Path(__file__).resolve().parents[1] / "tools" / "cli_parity.py")
+cli_parity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cli_parity)
+
+
+def res_doc(deviations, agree=True):
+    return {"points": [{"lambda": [0.0, k + 1.0], "deviation": dev}
+                       for k, dev in enumerate(deviations)],
+            "max_deviation": max(deviations), "agree": agree, "kind": "resolvent_comparison"}
+
+
+def test_moved_lists_each_changed_value_by_path():
+    old = {**res_doc([1e-14, 3e-14]),
+           "checks": [{"name": "cayley", "passed": True, "max_error": 2e-15}]}
+    new = {**res_doc([1e-14, 2e-14], agree=False),
+           "checks": [{"name": "cayley", "passed": True, "max_error": 4e-15}]}
+    assert list(cli_parity.moved(old, new)) == [
+        ("agree", True, False),
+        ("checks[cayley, passed True].max_error", 2e-15, 4e-15),
+        ("max_deviation", 3e-14, 2e-14),
+        ("points[1].deviation", 3e-14, 2e-14)]
+    # with every, the values held alike come too, in the same order
+    every = list(cli_parity.moved(old, new, every=True))
+    assert ("points[0].deviation", 1e-14, 1e-14) in every and len(every) == 12
+
+
+def test_worst_moved_takes_each_fields_largest_value_over_every_file():
+    docs = [("s0-d16x2-res.json", res_doc([1e-14, 5e-14]), res_doc([1e-14, 4e-14])),
+            # unmoved here, yet its 4.5e-14 is the new side's largest deviation
+            ("s1-d16x2-res.json", res_doc([4.5e-14]), res_doc([4.5e-14])),
+            ("s0-d16x2-verify.json",
+             {"checks": [{"name": "cayley", "passed": True, "max_error": 1e-15}]},
+             {"checks": [{"name": "cayley", "passed": True, "max_error": 3e-15}]}),
+            # a moved verdict is not a number, and a value that held is not reported
+            ("s0-d16x2-ext.json", {"ok": True, "dim": 4}, {"ok": False, "dim": 4})]
+    assert cli_parity.worst_moved(docs) == {
+        ("res.json", "max_deviation"): (5e-14, 4.5e-14),
+        ("res.json", "points[].deviation"): (5e-14, 4.5e-14),
+        ("verify.json", "checks[cayley, passed True].max_error"): (1e-15, 3e-15)}

@@ -133,6 +133,42 @@ def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(
     assert min(seen.values()) > 0
 
 
+def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
+    # check_invertibility reads only B's injectivity of extend's report, so it
+    # classifies no B and cuts no (B - w)F_B for the defect numbers; its direct
+    # verdict, witness and margin have the bits of extend's report
+    neumann = importlib.import_module("symext.neumann")
+    rng = np.random.default_rng(23)
+    seen = {"invertible": 0, "singular": 0}
+    for seed in range(12):
+        a, z, _ = random_instance(seed, max_dim=6)
+        dd = defect_data(a, z)
+        x = forbidden_operator(inverse_op(a), 1.0 / z, dd=dd.of_inverse())
+        if seed % 2 and x.domain.dim:
+            g = x.domain.frame[:, 0]
+            parameter = ContractionParameter.from_operator(
+                z, _rank_one_onto(a, g, (np.conj(z) / z) * x.apply(g)))
+        else:
+            parameter = random_contraction(rng, dd)
+        report = extend(a, z, parameter, dd)
+        shifted = [report.b.action - w * report.b.domain.frame for w in (z, np.conj(z))]
+        classified, cuts = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(neumann, "classify_operator",
+                          lambda b, _fn=neumann.classify_operator: classified.append(b) or _fn(b))
+            patch.setattr(neumann, "rank_split", lambda m, *args, _fn=neumann.rank_split,
+                          **kwargs: cuts.append(m) or _fn(m, *args, **kwargs))
+            got = check_invertibility(a, z, parameter)
+        assert classified == [] and len(cuts) == 1, seed
+        assert not any(np.array_equal(m, s) for m in cuts for s in shifted), seed
+        witness = report.witnesses.get("kernel")
+        assert (got.direct, got.margins["direct"]) == (
+            report.invertible, report.injectivity_margin), seed
+        assert (got.witness is witness is None) or got.witness.tobytes() == witness.tobytes(), seed
+        seen["invertible" if got.direct else "singular"] += 1
+    assert min(seen.values()) > 0
+
+
 def _full_svd_admissibility(a, t, u):
     """is_admissible's verdict, witness and margin from one full SVD, kept as the oracle."""
     w_frame = np.hstack([u.domain.frame, t.domain.frame])

@@ -338,7 +338,7 @@ def shtraus_oracle(a, lambda0, f, lam):
 
 
 @pytest.mark.parametrize("doubled", [False, True])
-def test_shtraus_block_form_matches_construct_extension(doubled):
+def test_shtraus_cayley_form_matches_construct_extension(doubled):
     # bases: the instance itself and, for a partial chain, its operator after
     # the first step, a symmetric extension with the defect one lower
     cases = partial = 0
@@ -357,7 +357,7 @@ def test_shtraus_block_form_matches_construct_extension(doubled):
                 want = shtraus_oracle(base, z, f, lam)
                 scale = max(1.0, opnorm(want))
                 assert opnorm(got - want) <= 1e-12 * scale, (seed, lam)
-                # the block-form extension B = lam + R^{-1} extends the base
+                # the Cayley-form extension B = lam + R^{-1} extends the base
                 b = lam * np.eye(base.ambient_dim) + np.linalg.inv(got)
                 assert graph_contains(operator_from_matrix(b), base), (seed, lam)
                 cases += 1
@@ -366,16 +366,22 @@ def test_shtraus_block_form_matches_construct_extension(doubled):
 
 
 def test_shtraus_singular_z_is_typed(worked_a, monkeypatch):
-    # F = 1 makes T = N, so X = T - N and Z = C^H X are exactly 0. Admissibility
-    # rejects that first; with it forced to pass, the solve through Z must still
-    # end in ResolventSingular, not in numpy's LinAlgError
+    # F = 1 makes T N = N, so V - Q = [U_z M_z - M_z, T N - N] has an exact zero
+    # column and admissibility a margin of 0. Admissibility rejects that first;
+    # with its verdict forced to pass (its margin kept), the formula must still
+    # end in ResolventSingular, not in numpy's LinAlgError or a RuntimeWarning
     f = ParameterFunction.constant(worked_a, 1j, np.array([[1.0]], dtype=complex))
-    c = worked_a.domain.complement().frame
-    assert not np.any(c.conj().T @ (f.range_frame @ f.sample_at(0.5j) - f.domain_frame))
-    monkeypatch.setattr(resolvents, "is_admissible",
-                        lambda *args, **kwargs: AdmissibilityResult(True, None, 1.0))
-    with pytest.raises(ResolventSingular):
-        shtraus_resolvent(worked_a, 1j, f, 0.5j)
+    assert np.array_equal(f.range_frame @ f.sample_at(0.5j), f.domain_frame)
+    margins = []
+
+    def forced(*args, _fn=resolvents.is_admissible, **kwargs):
+        margins.append(_fn(*args, **kwargs).margin)
+        return AdmissibilityResult(True, None, margins[-1])
+    monkeypatch.setattr(resolvents, "is_admissible", forced)
+    for lam in (0.5j, -0.5j):
+        with pytest.raises(ResolventSingular):
+            shtraus_resolvent(worked_a, 1j, f, lam)
+    assert margins == [0.0, 0.0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -428,11 +434,19 @@ def cost_case():
 
 def test_shtraus_per_lambda_cost(monkeypatch):
     # once the base point is cached, a lam costs one values-only d x d SVD
-    # (admissibility), one inverse and no QR: the inverse certifies the
-    # ResolventSingular gate, and D(T), framed by N_z's own frame, needs no test
+    # (admissibility), one inverse (of G) and no QR: the inverse and the
+    # admissibility margin certify the ResolventSingular gate, and D(T), framed
+    # by N_z's own frame, needs no test
     a, ext, grid = cost_case()
     f = ParameterFunction.from_extension(ext, 1j, grid)
+    # the sampler filled A's defect data at lam0: the formula needs no frame of
+    # D(A)^perp, so even the first call takes no complement
+    complements, complement = [], sx.Subspace.complement
+    monkeypatch.setattr(sx.Subspace, "complement",
+                        lambda self: complements.append(self) or complement(self))
     shtraus_resolvent(a, 1j, f, grid[0])
+    assert complements == []
+    monkeypatch.undo()
     shtraus_resolvent(a, 1j, f, np.conj(grid[0]))
     calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
     # besides the admissibility SVD, only the n x n norm of the sample (n = 2 here),
@@ -672,16 +686,11 @@ def test_operator_memo_sound_and_weak():
     # the Shtraus formula reads these on both branches, and nothing else
     held = _memo_matches_scratch(copy, a, {
         "symmetric": is_symmetric,
-        "domain_complement": lambda fresh: fresh.domain.complement().frame,
         ("defect_data", z): lambda fresh: defect_data(fresh, z),
         ("defect_data", np.conj(z)): lambda fresh: defect_data(fresh, np.conj(z))})
     assert len(held) == 2
-    # C completes the domain frame to a unitary
-    p = np.hstack([copy.domain.frame, copy._memo["domain_complement"]])
-    assert p.shape == (copy.ambient_dim,) * 2
-    assert opnorm(p.conj().T @ p - np.eye(copy.ambient_dim)) < 1e-13
     gone = weakref.ref(copy)
-    del copy, p
+    del copy
     gc.collect()
     assert gone() is None and all(fact() is None for fact in held)
     assert ("defect_data", complex(z)) in a._memo

@@ -452,6 +452,12 @@ def test_opnorm_le_relative_to_takes_the_scale_only_when_needed(monkeypatch):
                         lambda x, _fn=opnorm: seen.append(x.shape) or _fn(x))
     assert opnorm_le(m, 2 * np.linalg.norm(m), relative_to=np.eye(2))
     assert seen == []
+    # ||y||_F caps the scale: a bound that fails against the cap takes no SVD at all
+    calls = _svd_counter(monkeypatch)
+    y = 3.0 * np.eye(3)
+    assert s0 / 100 * np.linalg.norm(y) < np.linalg.norm(m) / np.sqrt(3)
+    assert not opnorm_le(m, s0 / 100, relative_to=y)
+    assert seen == [] and calls == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -6,9 +6,13 @@ seeds 0-3 in each checkout, which writes 6 files per rung and seed (96 in
 all), then lists every file whose bytes differ. Under a differing JSON file it
 prints the first few values that moved, each as its path and old -> new; a
 check record is named with its verdict, so a moved ``max_error`` in
-``verify.json`` shows whether ``passed`` held. Each checkout runs in its own
-process, importing ``symext`` from its ``src/``, with BLAS pinned to one
-thread. Exit status 0 means every file is byte-identical.
+``verify.json`` shows whether ``passed`` held. After the files it prints, for
+each numeric field that moved anywhere, its largest value over every file of
+that kind on each side, as in ``res.json max_deviation 4.96e-14 -> 4.84e-14``
+(list positions read ``[]``, so ``points[].deviation`` covers every point).
+Each checkout runs in its own process, importing ``symext`` from its
+``src/``, with BLAS pinned to one thread. Exit status 0 means every file is
+byte-identical.
 
     python tools/cli_parity.py --base ../symext-parent
     python tools/cli_parity.py --base ../symext-parent --keep out/   # keep the files
@@ -18,6 +22,7 @@ import argparse
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -75,34 +80,64 @@ def compare(base: Path, change: Path) -> tuple:
     return differ, len(names)
 
 
-def moved(old, new, path=""):
-    """``path: old -> new`` for each value that differs between two JSON documents.
+def moved(old, new, path="", every=False):
+    """``(path, old, new)`` for each value that differs between two JSON documents,
+    and with ``every`` for each value the two hold alike too.
 
     List items are labelled by index, or a record with a ``name`` by that name
     and its verdict ``passed`` in the base document.
     """
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
-            yield from moved(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+            yield from moved(old.get(key), new.get(key), f"{path}.{key}" if path else key, every)
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for k, (a, b) in enumerate(zip(old, new)):
             named = isinstance(a, dict) and "name" in a
             label = f"{a['name']}, passed {a.get('passed')}" if named else k
-            yield from moved(a, b, f"{path}[{label}]")
-    elif old != new:
-        yield f"{path}: {old!r} -> {new!r}"
+            yield from moved(a, b, f"{path}[{label}]", every)
+    elif every or old != new:
+        yield path, old, new
+
+
+def worst_moved(docs) -> dict:
+    """``{(kind, field): (old, new)}``, the largest old and new value of each numeric
+    field that moved in some pair of ``docs``, over every pair of its kind.
+
+    ``docs`` yields ``(name, old document, new document)``; a name's kind is
+    what follows its last ``-`` (``s0-d16x2-res.json`` is a ``res.json``), and
+    a field is a path with its list positions read ``[]``.
+    """
+    values, moved_fields = {}, set()
+    for name, old_doc, new_doc in docs:
+        for path, old, new in moved(old_doc, new_doc, every=True):
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in (old, new)):
+                continue
+            key = (name.rsplit("-", 1)[-1], re.sub(r"\[\d+\]", "[]", path))
+            values.setdefault(key, []).append((old, new))
+            if old != new:
+                moved_fields.add(key)
+    return {key: tuple(max(side) for side in zip(*values[key])) for key in sorted(moved_fields)}
 
 
 def report(base: Path, change: Path, name: str) -> None:
     print(f"differs: {name}")
     if not (name.endswith(".json") and (base / name).is_file() and (change / name).is_file()):
         return
-    lines = list(moved(json.loads((base / name).read_text()),
-                       json.loads((change / name).read_text())))
+    lines = [f"{path}: {old!r} -> {new!r}" for path, old, new in moved(
+        json.loads((base / name).read_text()), json.loads((change / name).read_text()))]
     for line in lines[:SHOWN]:
         print(f"  {line[:WIDTH]}")
     if len(lines) > SHOWN:
         print(f"  ... and {len(lines) - SHOWN} more")
+
+
+def json_pairs(base: Path, change: Path):
+    """``(name, base document, change document)`` for each JSON file both directories hold."""
+    for path in sorted(base.glob("*.json")):
+        if (change / path.name).is_file():
+            yield path.name, json.loads(path.read_text()), json.loads(
+                (change / path.name).read_text())
 
 
 def main(argv=None) -> int:
@@ -123,6 +158,9 @@ def main(argv=None) -> int:
         differ, total = compare(root / "base", root / "change")
         for name in differ:
             report(root / "base", root / "change", name)
+        for (kind, field), (old, new) in worst_moved(json_pairs(root / "base",
+                                                                root / "change")).items():
+            print(f"{kind} {field} {old:.3g} -> {new:.3g}")
     print(f"{total - len(differ)} of {total} files byte-identical")
     return 1 if differ else 0
 
