@@ -8,15 +8,15 @@ The extension B built from (A, z, T) is invertible exactly when
         D(T) ∩ D(X), with an unconditional pass when
         that intersection is trivial                  (via_forbidden),
 
-where X is the forbidden operator. Tests (ii) and (iii) take A^{-1} at 1/z
-from A at z: (A^{-1} - 1/z)Af = -(A - z)f/z gives A's defect spaces and
-U_{1/z}(A^{-1}) = (z/zbar) U_z(A), and A^{-1}, whose rounding grows like
-cond(A), is never gated for symmetry. X_{1/z}(A^{-1}) depends on A and z
-alone, so it is built once and kept in A's memo (``forbidden_of_inverse``),
-and A^{-1} is formed only for that build. The chain builder applies rank-one
-isometric parameters that dodge both forbidden images, dropping the defect by
-one per step while preserving symmetry, injectivity, and invertibility, until
-a self-adjoint invertible operator remains.
+where X is the forbidden operator. Test (i) cuts B; B stays in T's memo and the cut in
+B's, where ``extend`` and ``recover_parameter`` find them. Tests (ii) and (iii) take
+A^{-1} at 1/z from A at z: (A^{-1} - 1/z)Af = -(A - z)f/z gives A's defect spaces and
+U_{1/z}(A^{-1}) = (z/zbar) U_z(A), and A^{-1}, whose rounding grows like cond(A), is
+never gated for symmetry. X_{1/z}(A^{-1}) depends on A and z alone, so it is kept in A's
+memo (``forbidden_of_inverse``), and A^{-1} is formed only for that build. The chain
+builder applies rank-one isometric parameters that dodge both forbidden images, dropping
+the defect by one per step while preserving symmetry, injectivity, and invertibility,
+until a self-adjoint invertible operator remains.
 
 A rank-one step changes each object of the chain by one vector, so the builder
 carries N_z, N_zbar, D(B), B and a frame of R(B) from step to step and updates
@@ -53,9 +53,9 @@ def check_invertibility(a: DomainOperator, z: complex,
                         parameter: ContractionParameter) -> InvertibilityVerdict:
     """Run all three invertibility tests and report their agreement.
 
-    The direct test is ``injectivity`` of B, the cut that ``extend`` reports.
-    ``margins`` holds the smallest singular value each test decided on; the
-    borderline filter for equivalence sweeps lives with the caller.
+    The direct test is ``injectivity`` of B, the cut that ``extend`` reports, read
+    from the memos of T and B. ``margins`` holds the smallest singular value each
+    test decided on; the borderline filter for equivalence sweeps lives with the caller.
     """
     z = require_offaxis(z)
     if not is_injective(a):

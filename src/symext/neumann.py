@@ -8,7 +8,9 @@ N_zbar, the extension is
 Isometric parameters give symmetric extensions; general non-expanding ones give
 dissipative extensions for z in the lower half-plane and accumulative ones for
 z in the upper half-plane. The inverse direction recovers T from B via
-D(T) = N_z ∩ R(B - z) and T subset (B - zbar)(B - z)^{-1}.
+D(T) = N_z ∩ R(B - z) and T subset (B - zbar)(B - z)^{-1}. T's memo keeps the one B
+that (A, z, T) defines, so B lives as long as T; B's memo keeps its injectivity cut,
+graph(A) ⊂ graph(B) and the SVD of (B - z)F_B that ``extend`` and ``recover_parameter`` share.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,8 @@ import numpy as np
 
 from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import ExpandingParameter, NotAdmissible, NotAnExtension
-from .operators import (DomainOperator, graph_contains, is_symmetric, kernel_witness,
-                        operator_from_generators)
+from .operators import (DomainOperator, derived, graph_contains, is_symmetric,
+                        kernel_witness, operator_from_generators)
 from .subspaces import TOL, Subspace, near_identity, opnorm, opnorm_le, rank_split
 
 SYMMETRIC = "symmetric"
@@ -94,10 +96,12 @@ def classify_operator(b: DomainOperator) -> str:
     k = b.compression()
     imag = (k - k.conj().T) / 2j
     eigs = np.linalg.eigvalsh(imag)
-    slack = TOL.dissipative_slack * max(1.0, opnorm(k))
-    if eigs.size == 0 or eigs[0] >= -slack:
+
+    def within_slack(e):  # e <= TOL.dissipative_slack * max(1, opnorm(k)), SVD only if needed
+        return e <= 0 or opnorm_le(np.array([[e]]), TOL.dissipative_slack, relative_to=k)
+    if eigs.size == 0 or within_slack(-eigs[0]):
         return DISSIPATIVE
-    if eigs[-1] <= slack:
+    if within_slack(eigs[-1]):
         return ACCUMULATIVE
     raise ValueError("operator is neither dissipative nor accumulative")
 
@@ -120,9 +124,9 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
                         dd: Optional[DefectData] = None) -> DomainOperator:
     """The operator B determined by the parameter at base point z, unreported.
 
-    ``dd`` is the defect data of A at z, when the caller already holds it.
-    Raises NotAdmissible (with the kernel witness) when the parameter admits a
-    fixed vector, in which case the formula would not define an operator.
+    ``dd`` is A's defect data at z, when the caller holds it; B is kept in T's memo
+    under A and ``dd``. Raises NotAdmissible (with the kernel witness), on every
+    call, when the parameter admits a fixed vector: the formula defines no operator.
     """
     z = require_offaxis(z)
     if parameter.z != z:
@@ -130,16 +134,30 @@ def construct_extension(a: DomainOperator, z: complex, parameter: ContractionPar
     if dd is None:
         dd = defect_data(a, z)
     t = parameter.t
-    adm = is_admissible(a, z, t, dd=dd)
-    if not adm.admissible:
-        raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
-    p, q = t.domain.frame, t.action
-    generators = np.hstack([a.domain.frame, q - p])
-    images = np.hstack([a.action, z * q - np.conj(z) * p])
-    b = operator_from_generators(generators, images, tol=a.tol)
-    if not graph_contains(b, a):
-        raise NotAnExtension("constructed operator does not extend the base")
-    return b
+
+    def build():
+        adm = is_admissible(a, z, t, dd=dd)
+        if not adm.admissible:
+            raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
+        p, q = t.domain.frame, t.action
+        generators = np.hstack([a.domain.frame, q - p])
+        images = np.hstack([a.action, z * q - np.conj(z) * p])
+        b = operator_from_generators(generators, images, tol=a.tol)
+        if not _extends(b, a):
+            raise NotAnExtension("constructed operator does not extend the base")
+        return b
+    return derived(t, ("extension", a, dd), build)
+
+
+def _extends(b: DomainOperator, a: DomainOperator) -> bool:
+    """graph(A) inside graph(B), decided once per B and A."""
+    return derived(b, ("extends", a), lambda: graph_contains(b, a))
+
+
+def _shifted_svd(b: DomainOperator, z: complex) -> tuple:
+    """``rank_split`` of (B - z)F_B as a thin SVD at floor 0, once per B and z."""
+    return derived(b, ("shifted", z), lambda: rank_split(
+        b.action - z * b.domain.frame, b.tol, floor=0.0, part="svd"))
 
 
 def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
@@ -154,20 +172,22 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
     invertible, witness, margin = injectivity(b)
     witnesses = {} if witness is None else {"kernel": witness}
     # B need not be symmetric, so count codimensions of the shifted ranges directly
-    defects = tuple(
-        b.ambient_dim - rank_split(b.action - w * b.domain.frame, b.tol, floor=0.0)[0]
-        for w in (z, np.conj(z)))
+    defects = (b.ambient_dim - _shifted_svd(b, z)[0], b.ambient_dim - rank_split(
+        b.action - np.conj(z) * b.domain.frame, b.tol, floor=0.0)[0])
     return ExtensionReport(b, parameter, classify_operator(b), invertible,
                            defects, witnesses, margin)
 
 
 def injectivity(b: DomainOperator) -> tuple:
-    """``(injective, kernel witness or None, margin)`` from one cut of B's action; the
-    margin is the smallest singular value the cut saw, inf when D(B) = {0}."""
-    rank, s, _ = rank_split(b.action, b.tol)
-    injective = rank == b.domain_dim
-    return (injective, None if injective else kernel_witness(b),
-            float(s[-1]) if s.size else float("inf"))
+    """``(injective, kernel witness or None, margin)`` from one cut of B's action, once
+    per B; the margin is the smallest singular value the cut saw, inf when D(B) = {0}."""
+    def cut():
+        rank, s, _ = rank_split(b.action, b.tol)
+        witness = None if rank == b.domain_dim else kernel_witness(b)
+        if witness is not None:
+            witness.setflags(write=False)  # every caller shares the kept witness
+        return witness is None, witness, float(s[-1]) if s.size else float("inf")
+    return derived(b, "injectivity", cut)
 
 
 def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> ContractionParameter:
@@ -177,11 +197,11 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
     (B - zbar). Requires graph(A) inside graph(B).
     """
     z = require_offaxis(z)
-    if not graph_contains(b, a):
+    if not _extends(b, a):
         raise NotAnExtension("operator does not extend the base")
     dd = defect_data(a, z)
     shifted = b.action - z * b.domain.frame
-    rank, s, (u, vh) = rank_split(shifted, b.tol, floor=0.0, part="svd")
+    rank, s, (u, vh) = _shifted_svd(b, z)
     t_domain = dd.n_z.intersect(Subspace(b.ambient_dim, u, b.tol))
     if t_domain.dim == 0:
         return ContractionParameter.empty(z, a.ambient_dim)

@@ -10,7 +10,7 @@ from symext.cayley import cayley, defect_data, forbidden_operator, is_admissible
 from symext.errors import NotAdmissible, NotInvertibleBase, SymextError
 from symext.invertibility import (_forbidden_images, build_invertible_selfadjoint,
                                   check_invertibility, double)
-from symext.neumann import ContractionParameter, extend
+from symext.neumann import ContractionParameter, extend, recover_parameter
 from symext.operators import (graph_contains, graph_distance, inverse_op,
                               is_injective, is_symmetric, make_operator, negate,
                               operator_from_matrix, scale_op)
@@ -136,7 +136,9 @@ def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(
 def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
     # check_invertibility reads only B's injectivity of extend's report, so it
     # classifies no B and cuts no (B - w)F_B for the defect numbers; its direct
-    # verdict, witness and margin have the bits of extend's report
+    # verdict, witness and margin have the bits of extend's report. The check
+    # runs on a fresh T with the same bits: on extend's own T it would read B
+    # and its cut from T's memo and make no cut at all
     neumann = importlib.import_module("symext.neumann")
     rng = np.random.default_rng(23)
     seen = {"invertible": 0, "singular": 0}
@@ -158,7 +160,9 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
                           lambda b, _fn=neumann.classify_operator: classified.append(b) or _fn(b))
             patch.setattr(neumann, "rank_split", lambda m, *args, _fn=neumann.rank_split,
                           **kwargs: cuts.append(m) or _fn(m, *args, **kwargs))
-            got = check_invertibility(a, z, parameter)
+            got = check_invertibility(a, z, ContractionParameter(
+                z, sx.DomainOperator(a.ambient_dim, parameter.t.domain, parameter.t.action),
+                parameter.kind))
         assert classified == [] and len(cuts) == 1, seed
         assert not any(np.array_equal(m, s) for m in cuts for s in shifted), seed
         witness = report.witnesses.get("kernel")
@@ -167,6 +171,87 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
         assert (got.witness is witness is None) or got.witness.tobytes() == witness.tobytes(), seed
         seen["invertible" if got.direct else "singular"] += 1
     assert min(seen.values()) > 0
+
+
+def _fresh(op):
+    """A new operator on the same domain and action: same bits, empty memo."""
+    return sx.DomainOperator(op.ambient_dim, op.domain, op.action)
+
+
+def _report_bits(r):
+    return (r.b.domain.frame.tobytes(), r.b.action.tobytes(), r.classification, r.invertible,
+            r.defect_numbers_of_b, {k: w.tobytes() for k, w in r.witnesses.items()},
+            r.injectivity_margin)
+
+
+def test_one_extension_per_triple(monkeypatch):
+    # check_invertibility -> extend -> recover_parameter on one (A, z, T), as the
+    # benchmark sweep runs them, builds B once: one operator_from_generators, one
+    # admissibility test of T at (A, z), one injectivity cut, one verdict that
+    # graph(A) sits in graph(B) and one SVD of (B - z)F_B. Each result has the
+    # bits of a run on fresh objects. An inadmissible T keeps nothing and raises
+    # on every call
+    mods = [importlib.import_module(f"symext.{name}")
+            for name in ("neumann", "invertibility", "cayley", "operators")]
+    rng = np.random.default_rng(43)
+    seen = {"invertible": 0, "singular": 0, "inadmissible": 0}
+    for seed in range(18):
+        a, z, _ = random_instance(seed, max_dim=6)
+        dd = defect_data(a, z)
+        check_invertibility(a, z, random_contraction(rng, dd))  # A's own memo is warm
+        x = (forbidden_operator(inverse_op(a), 1.0 / z, dd=dd.of_inverse()) if seed % 3 == 1
+             else forbidden_operator(a, z, dd=dd))
+        if seed % 3 and x.domain.dim:
+            # on X_{1/z}(A^{-1}), B has a kernel; on X_z(A), T is inadmissible
+            g = x.domain.frame[:, 0]
+            scale = np.conj(z) / z if seed % 3 == 1 else 1.0
+            parameter = ContractionParameter.from_operator(
+                z, _rank_one_onto(a, g, scale * x.apply(g)))
+        else:
+            parameter = random_contraction(rng, dd)
+        t = parameter.t
+        calls = {name: [] for name in ("operator_from_generators", "is_admissible",
+                                       "graph_contains", "rank_split")}
+        with monkeypatch.context() as patch:
+            for mod in mods:
+                for fname, log in calls.items():
+                    if hasattr(mod, fname):
+                        def counted(*args, _fn=getattr(mod, fname), _log=log, **kwargs):
+                            _log.append((args, kwargs))
+                            return _fn(*args, **kwargs)
+                        patch.setattr(mod, fname, counted)
+            try:
+                verdict = check_invertibility(a, z, parameter)
+            except NotAdmissible:
+                for run in range(2):
+                    with pytest.raises(NotAdmissible):
+                        extend(a, z, parameter, dd)
+                at_z = [args for args, _ in calls["is_admissible"] if args[1] == z]
+                assert len(at_z) == 3 and at_z[0][2] is t, seed
+                assert calls["operator_from_generators"] == [] and t._memo == {}, seed
+                seen["inadmissible"] += 1
+                continue
+            report = extend(a, z, parameter, dd)
+            recovered = recover_parameter(a, report.b, z)
+        b = report.b
+        assert len(calls["operator_from_generators"]) == 1, seed
+        assert len([args for args, _ in calls["is_admissible"] if args[1] == z]) == 1, seed
+        assert [args for args, _ in calls["graph_contains"]] == [(b, a)], seed
+        shifted = b.action - z * b.domain.frame
+        assert len([m for (m, *_), kw in calls["rank_split"]
+                    if m is b.action and kw.get("part") is None]) == 1, seed
+        assert len([m for (m, *_), kw in calls["rank_split"]
+                    if kw.get("part") == "svd" and np.array_equal(m, shifted)]) == 1, seed
+        fresh_t = ContractionParameter(z, _fresh(t), parameter.kind)
+        want = check_invertibility(_fresh(a), z, fresh_t)
+        assert _verdict_bits(verdict) == _verdict_bits(want), seed
+        want_report = extend(_fresh(a), z, ContractionParameter(z, _fresh(t), parameter.kind))
+        assert _report_bits(report) == _report_bits(want_report), seed
+        want_t = recover_parameter(_fresh(a), _fresh(b), z)
+        assert (recovered.kind, recovered.t.domain.frame.tobytes(), recovered.t.action.tobytes(
+        )) == (want_t.kind, want_t.t.domain.frame.tobytes(), want_t.t.action.tobytes()), seed
+        seen["invertible" if verdict.direct else "singular"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def _full_svd_admissibility(a, t, u):

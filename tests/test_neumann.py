@@ -12,7 +12,7 @@ from symext.neumann import (ACCUMULATIVE, DISSIPATIVE, ISOMETRIC, MIXED,
                             recover_parameter)
 from symext.operators import (graph_contains, graph_distance, is_symmetric,
                               make_operator, operator_from_matrix)
-from symext.subspaces import Subspace
+from symext.subspaces import TOL, Subspace, opnorm
 
 from conftest import random_contraction, random_instance, worked_parameter
 
@@ -171,6 +171,30 @@ def test_classify_total_hermitian():
             sx.operator_from_generators(np.array([[1.0], [0.0]], dtype=complex),
                                         np.array([[1.0], [0.0]], dtype=complex)), 1j), 1j))
     assert classify_operator(report_like.b) == SELF_ADJOINT
+
+
+@pytest.mark.parametrize("spread", [0.0, 30.0])
+@pytest.mark.parametrize("side, factor, kind", [
+    (1, 1 - 1e-6, ACCUMULATIVE), (1, 1 + 1e-6, None),
+    (-1, 1 - 1e-6, DISSIPATIVE), (-1, 1 + 1e-6, None)])
+def test_classify_sign_at_the_slack(monkeypatch, spread, side, factor, kind):
+    # Im K = diag(-side, side * slack * factor) with slack = TOL.dissipative_slack
+    # * ||K||_2: the class flips where the slack says. opnorm(K) is taken once,
+    # except where the eigenvalue clears the slack by more than ||K||_F - ||K||_2
+    # (spread 0, failing sign tests): then ||K||_F settles it with no SVD
+    top = 1000.0 - side * 1j
+    slack = TOL.dissipative_slack * abs(top)
+    b = operator_from_matrix(np.diag([top, spread + side * slack * factor * 1j]))
+    assert opnorm(b.compression()) == abs(top)
+    svds = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, _fn=np.linalg.svd, **kwargs:
+                        svds.append(args) or _fn(*args, **kwargs))
+    if kind is None:
+        with pytest.raises(ValueError):
+            classify_operator(b)
+    else:
+        assert classify_operator(b) == kind
+    assert len(svds) == (spread > 0 or kind is not None)
 
 
 def test_recover_parameter_worked_diagonal(worked_a):

@@ -14,7 +14,8 @@ from symext.cayley import (AdmissibilityResult, DefectData, ForbiddenOperator, d
 from symext.errors import (ExpandingParameter, InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
 from symext.invertibility import build_invertible_selfadjoint, check_invertibility, double
-from symext.neumann import ContractionParameter, construct_extension, recover_parameter
+from symext.neumann import (ContractionParameter, construct_extension, extend, injectivity,
+                            recover_parameter)
 from symext.operators import (DomainOperator, graph_contains, graph_distance, inverse_op,
                               is_injective, is_symmetric, operator_from_matrix)
 from symext.resolvents import (EmbeddedExtension, ParameterFunction,
@@ -655,6 +656,8 @@ def _bits(fact) -> list:
         return [fact.z, fact.single_valued, fact.relation.graph.frame] + _bits(fact.operator)
     if isinstance(fact, DomainOperator):
         return [fact.domain.frame, fact.action]
+    if isinstance(fact, tuple):
+        return [x for part in fact for x in _bits(part)]
     return [fact]
 
 
@@ -710,3 +713,40 @@ def test_invertibility_memo_sound():
             ("defect_data", z): lambda fresh: defect_data(fresh, z),
             ("forbidden_of_inverse", z): lambda fresh: forbidden_operator(
                 inverse_op(fresh), 1.0 / z, dd=defect_data(fresh, z).of_inverse())})
+
+
+def test_extension_memo_sound_and_weak():
+    # check_invertibility -> extend -> recover_parameter keeps B in T's memo, and
+    # B's verdicts and its SVD of (B - z)F_B in B's, each with the bits of its
+    # computation on fresh copies; A's memo keeps what the check alone keeps, and
+    # B is freed with its parameter and report
+    for seed in range(6):
+        a, z, _ = random_instance(seed, max_dim=6)
+        copy = decode_operator(json.loads(json_dump(encode_operator(a))))
+        dd = defect_data(copy, z)
+        parameter = random_contraction(np.random.default_rng(seed), dd)
+        check_invertibility(copy, z, parameter)
+        report = extend(copy, z, parameter, dd)
+        recover_parameter(copy, report.b, z)
+
+        def fresh_a():
+            return decode_operator(json.loads(json_dump(encode_operator(a))))
+        held = _memo_matches_scratch(parameter.t, parameter.t, {
+            ("extension", copy, dd): lambda fresh, kind=parameter.kind: construct_extension(
+                fresh_a(), z, ContractionParameter(z, fresh, kind))})
+        _memo_matches_scratch(report.b, report.b, {
+            "symmetric": is_symmetric,
+            "injectivity": injectivity,
+            ("extends", copy): lambda fresh: graph_contains(fresh, fresh_a()),
+            ("shifted", z): lambda fresh: rank_split(
+                fresh.action - z * fresh.domain.frame, fresh.tol, floor=0.0, part="svd")})
+        _memo_matches_scratch(copy, a, {
+            "symmetric": is_symmetric,
+            "injective": is_injective,
+            ("defect_data", z): lambda fresh: defect_data(fresh, z),
+            ("forbidden_of_inverse", z): lambda fresh: forbidden_operator(
+                inverse_op(fresh), 1.0 / z, dd=defect_data(fresh, z).of_inverse())})
+        assert len(held) == 1
+        del parameter, report
+        gc.collect()
+        assert held[0]() is None, seed
