@@ -12,8 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainViolation, NotInvertible
-from .subspaces import (DEFAULT_TOL, TOL, Subspace, fix_phase, opnorm_le, orthonormalize,
-                        rank_split)
+from .subspaces import (DEFAULT_TOL, TOL, Subspace, cut_rank, fix_phase, opnorm_le,
+                        orthonormalize, rank_split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +106,15 @@ def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOpera
     img = np.asarray(images, dtype=complex)
     if gen.shape != img.shape:
         raise ValueError("generators and images must have matching shapes")
-    d, k = gen.shape
-    rank, s, (u, vh) = rank_split(gen, tol, floor=0.0, part="svd")
-    if rank != k:
+    return _from_generator_svd(rank_split(gen, tol, floor=0.0, part="svd"), img, tol)
+
+
+def _from_generator_svd(split, images, tol) -> DomainOperator:
+    """The map above from a thin ``rank_split`` of the generators that kept every column."""
+    _, s, (u, vh) = split
+    if cut_rank(s, tol, floor=0.0) != images.shape[1]:
         raise ValueError("generators are linearly dependent; the map is ill-defined")
-    return DomainOperator(d, Subspace(d, u, tol), img @ (vh.conj().T / s))
+    return DomainOperator(len(u), Subspace(len(u), u, tol), images @ (vh.conj().T / s))
 
 
 def derived(a, key, build):

@@ -16,12 +16,13 @@ recovers R_lam as (A_{F(lam)} - lam)^{-1} in the half-plane of lam0, and as
 invertible extensions: F is rejected when some nonzero psi reaches the scaled
 forbidden-operator limit at 0 with a bounded norm-loss rate.
 
-``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written
-and used by the checks as references; the checks call the stages they
-compose (``_frak_b_from``, ``_frak_f_from``) so that one L_lam serves every
-check at lam. ``ParameterFunction.from_extension``
-samples F from one Hermitian eigendecomposition of Atilde instead, through
-B_lam = lam + R_lam^{-1}, under the same guards.
+``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written and used by
+the checks as references; the checks call the stages they compose (``_frak_b_from``,
+``_frak_f_from``) so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates
+and builds B_lam; F(lam) is an LU solve where the Shtraus bound s_min(B_lam - lam0) >=
+|Im lam0| is certified, lstsq elsewhere. ``ParameterFunction.from_extension`` samples F
+from one Hermitian eigendecomposition of Atilde instead, through B_lam = lam +
+R_lam^{-1}, under the same guards.
 
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
@@ -43,8 +44,7 @@ from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_of
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
-from .operators import (DomainOperator, inverse_op, operator_from_generators,
-                        operator_from_matrix)
+from .operators import DomainOperator, _from_generator_svd, inverse_op, operator_from_matrix
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase,
                         near_identity, opnorm, opnorm_le, rank_split)
 
@@ -198,12 +198,13 @@ def _frak_b_from(ext: EmbeddedExtension, lam: complex, l_space: Subspace) -> Dom
     """B_lam from L_lam = ``script_l(ext, lam)``: the second stage of ``frak_b``."""
     g = l_space.frame
     proj = ext.embed.conj().T @ g
-    # injective only if every column direction survives: full column rank
-    if rank_split(proj, TOL.projection)[0] < proj.shape[1]:
+    # injective only if every column direction survives; the same SVD builds B_lam
+    split = rank_split(proj, TOL.projection, part="svd")
+    if split[0] < proj.shape[1]:
         raise ProjectionDegenerate(
             f"projection onto H is not injective on the constrained space at {lam}")
     images = ext.embed.conj().T @ (ext.atilde_matrix() @ g)
-    return operator_from_generators(proj, images, tol=ext.base.tol)
+    return _from_generator_svd(split, images, ext.base.tol)
 
 
 def frak_f(ext: EmbeddedExtension, lam: complex, lambda0: complex,
@@ -233,14 +234,27 @@ def _frak_f_from(bop: DomainOperator, lam: complex, lambda0: complex,
                  frames: tuple) -> np.ndarray:
     """F(lam) from B_lam = ``frak_b(ext, lam)``: the last stage of ``frak_f``.
 
-    ``lambda0`` is the value ``_contractive_point`` returned for lam.
+    ``lambda0`` is the value ``_contractive_point`` returned for lam, in lam's half-plane.
+    For f = P_H h, (Atilde - lam)h in H: Im (B_lam f, f) = -Im lam |(I - P_H)h|^2, so
+    s_min(B_lam - lam0) >= |Im lam0|. For a total B_lam, a Cholesky factor of -sign(Im lam0)
+    Im K - m |Im lam0| (K = F_B^H (B_lam - lam0)F_B, m = ``TOL.f_certificate``) proves
+    s_min >= m |Im lam0|, above lstsq's cut eps d s0, and LU solves; else lstsq runs.
     """
     n_frame, nbar_frame = frames
     fb, act = bop.domain.frame, bop.action
     down = act - lambda0 * fb
-    up = act - np.conj(lambda0) * fb
-    c = np.linalg.lstsq(down, n_frame, rcond=None)[0]
-    return _checked_sample(down @ c - n_frame, up @ c, nbar_frame, lam)
+    bound = TOL.f_certificate * abs(lambda0.imag)
+    certified = bop.is_total() and np.finfo(float).eps * len(fb) * np.linalg.norm(down) < bound
+    if certified:
+        k = fb.conj().T @ down
+        try:
+            np.linalg.cholesky(np.sign(lambda0.imag) * (k - k.conj().T) / -2j
+                               - bound * np.eye(len(k)))
+        except np.linalg.LinAlgError:
+            certified = False
+    c = (np.linalg.solve(down, n_frame) if certified
+         else np.linalg.lstsq(down, n_frame, rcond=None)[0])
+    return _checked_sample(down @ c - n_frame, (act - np.conj(lambda0) * fb) @ c, nbar_frame, lam)
 
 
 def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:

@@ -63,6 +63,7 @@ class Tolerances:
     check_cayley: float = 1e-10       # verify: Cayley, defect-space and symmetry identities
     check_cayley_roundtrip: float = 1e-9  # verify: inverse Cayley transform recovers A
     check_resolvent: float = 1e-8     # verify: the three inversion identities
+    f_certificate: float = 0.5        # frak_f: LU where Im K certifies s_min >= this |Im lam0|
     check_roundtrip: float = 1e-9     # verify: extend then recover_parameter
     resolvent_agreement: float = 1e-8  # resolvent command: compressed vs Shtraus deviation
     base_point_match: float = 1e-12   # extend, check-invert: --z equals the parameter's base point
@@ -254,7 +255,7 @@ def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
         _, s, vh = np.linalg.svd(m, full_matrices=True)
     else:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol * max(floor, s[0]))) if s.size else 0
+    rank = cut_rank(s, tol, floor)
     if part is None:
         return rank, s, None
     if part == "range":
@@ -262,6 +263,11 @@ def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
     if part == "svd":
         return rank, s, (u[:, :rank], vh[:rank])
     return rank, s, vh[rank:].conj().T
+
+
+def cut_rank(s: np.ndarray, tol: float, floor: float = 1.0) -> int:
+    """``rank_split``'s cut on descending singular values ``s`` that are in hand."""
+    return int(np.sum(s > tol * max(floor, s[0]))) if s.size else 0
 
 
 def clears_cut(lower: float, upper: float, tol: float, floor: float = 1.0) -> bool:

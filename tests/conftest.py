@@ -1,9 +1,10 @@
-"""Shared fixtures: the worked 2x2 family and seeded random instances."""
+"""Shared fixtures: the worked 2x2 family, seeded random instances, a reference F sample."""
 
 import numpy as np
 import pytest
 
 import symext as sx
+from symext.resolvents import _checked_sample
 
 
 @pytest.fixture
@@ -40,3 +41,12 @@ def random_contraction(rng, dd, strict=True):
     s = np.linalg.svd(raw, compute_uv=False)
     denom = s[0] * rng.uniform(1.05, 2.5) if strict else max(s[0], 1e-12)
     return sx.ContractionParameter.from_matrix(dd, raw / denom)
+
+
+def lstsq_sample(bop, lam, lambda0, frames):
+    """F(lam) from B_lam by the least-squares solve alone: ``_frak_f_from`` uncertified."""
+    n_frame, nbar_frame = frames
+    down = bop.action - lambda0 * bop.domain.frame
+    c = np.linalg.lstsq(down, n_frame, rcond=None)[0]
+    up = bop.action - np.conj(lambda0) * bop.domain.frame
+    return _checked_sample(down @ c - n_frame, up @ c, nbar_frame, lam)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symext import checks
+from symext import checks, resolvents
 from symext.cayley import defect_data
 from symext.checks import (INVERSION_CHECKS, CheckResult, check_cayley_roundtrip,
                            check_i_admissibility, check_neumann_roundtrip,
@@ -16,7 +16,7 @@ from symext.resolvents import (EmbeddedExtension, default_lambda_grid, frak_b,
                                frak_f, script_l)
 from symext.subspaces import TOL, Subspace, orthonormalize
 
-from conftest import random_instance
+from conftest import lstsq_sample, random_instance
 
 SUITE_NAMES = ("range_defect_inverse", "cayley_inverse_scaling", "cayley_roundtrip",
                "neumann_roundtrip", "constrained_space_inverse", "frak_b_inverse",
@@ -156,6 +156,24 @@ def test_inversion_pass_equals_public_oracles(worked_a):
         for name in ("constrained_space_inverse", "frak_b_inverse"):
             assert abs(by_name[name].max_error - expected[name]) <= 1e-14, name
         assert by_name["frak_f_inverse"].max_error == expected["frak_f_inverse"]
+
+
+def test_certified_f_samples_equal_the_lstsq_samples(worked_a, monkeypatch):
+    # where Im K certifies s_min(B_lam - lam0), LU gives the lstsq solution to rounding
+    solves, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    for a, z, seed in inversion_cases(worked_a):
+        ext = full_ext(a, z, seed)
+        dd = defect_data(a, z)
+        frames = (dd.n_z.frame, dd.n_zbar.frame)
+        for lam in default_lambda_grid(z, ext.atilde_matrix()):
+            for e, at, at0 in ((ext, lam, z), (ext.inverse_pair(), 1.0 / lam, 1.0 / z)):
+                bop, at0 = frak_b(e, at), resolvents._contractive_point(at, at0)
+                del solves[:]
+                certified = resolvents._frak_f_from(bop, at, at0, frames)
+                assert solves == [1]
+                exact = lstsq_sample(bop, at, at0, frames)
+                assert np.linalg.norm(certified - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 @pytest.mark.parametrize("stage, red", [

@@ -1,6 +1,7 @@
 """The value diff of ``tools/cli_parity.py``, on small in-memory JSON documents."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -43,3 +44,30 @@ def test_worst_moved_takes_each_fields_largest_value_over_every_file():
         ("res.json", "max_deviation"): (5e-14, 4.5e-14),
         ("res.json", "points[].deviation"): (5e-14, 4.5e-14),
         ("verify.json", "checks[cayley, passed True].max_error"): (1e-15, 3e-15)}
+
+
+def chain_doc(*hs):
+    """A chain.json with one rank-one step per h, each sending f1 = e1 to h."""
+    return {"kind": "extension_chain", "steps": [
+        {"parameter": {"domain_frame": [[[1.0, 0.0]], [[0.0, 0.0]]],
+                       "action": [[[0.0, 0.0]], [[h, 0.0]]]},
+         "defect_numbers": [len(hs) - k - 1] * 2} for k, h in enumerate(hs)]}
+
+
+def test_first_moved_step_names_where_two_chains_part():
+    base = chain_doc(0.5, 0.25, 0.75)
+    # last-bit moves are not a re-chosen step
+    assert cli_parity.first_moved_step(base, chain_doc(0.5 + 1e-15, 0.25, 0.75 - 1e-12)) is None
+    assert cli_parity.first_moved_step(base, chain_doc(0.5, 0.25 + 1e-9, 0.75)) == 1
+    assert cli_parity.first_moved_step(base, chain_doc(0.5, 0.25)) == 2
+
+
+def test_report_prints_the_first_moved_step(tmp_path, capsys):
+    for side, hs in (("base", (0.5, 0.25)), ("change", (0.5, 0.3)), ("same", (0.5, 0.25 + 1e-14))):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "s0-d16x2-chain.json").write_text(json.dumps(chain_doc(*hs)))
+    cli_parity.report(tmp_path / "base", tmp_path / "change", "s0-d16x2-chain.json")
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  first step whose parameter moved by more than 1e-10: 1")
+    cli_parity.report(tmp_path / "base", tmp_path / "same", "s0-d16x2-chain.json")
+    assert capsys.readouterr().out.splitlines()[-1] == "  steps agree to 1e-10"

@@ -489,6 +489,50 @@ def test_chain_replay_matches_recomputation():
             assert np.array_equal(previous.action, chain.final.action)
 
 
+def full_forbidden_images(f1, n_zbar, c, range_frame, z):
+    """The images from the square solve [N_zbar(C), P] c = f1, P a frame of R(C) or D(C)."""
+    images = []
+    for frame, scale in ((range_frame, np.conj(z) / z), (c.domain.frame, 1.0)):
+        system = np.hstack([n_zbar.frame, frame])
+        coef = np.linalg.lstsq(system, f1, rcond=None)[0]
+        resid = np.linalg.norm(system @ coef - f1)
+        if resid <= TOL.membership_factor * c.tol * max(1.0, np.linalg.norm(f1)):
+            images.append(scale * (n_zbar.frame @ coef[:n_zbar.dim]))
+    return images
+
+
+def assert_same_images(thin, full):
+    assert len(thin) == len(full)
+    for t, f in zip(thin, full):
+        assert np.linalg.norm(t - f) <= 1e-13 * max(1.0, np.linalg.norm(f))
+
+
+def test_thin_forbidden_images_match_the_square_solve():
+    # projecting P off leaves the least residual and, as N_zbar(C) meets D(C) and
+    # R(C) in {0}, the same unique N_zbar coefficients: same images, same gate
+    rng = np.random.default_rng(0)
+    for seed in range(12):
+        a, z, _ = random_instance(seed + 400, max_dim=8)
+        for doubled in (False, True):
+            chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
+            c = double(a) if doubled else a
+            for k in range(len(chain.steps)):
+                dd = defect_data(c, z)
+                ran = sx.orthonormalize(c.action).frame
+                # defect vectors, and a random f1 outside N_z: D(C) + N_zbar(C) is everything
+                raw = rng.standard_normal(c.ambient_dim) + 1j * rng.standard_normal(c.ambient_dim)
+                for f1 in list(dd.n_z.frame.T) + [raw / np.linalg.norm(raw)]:
+                    thin = _forbidden_images(f1, dd.n_zbar, c, ran, z)
+                    assert len(thin) == 2
+                    assert_same_images(thin, full_forbidden_images(f1, dd.n_zbar, c, ran, z))
+                # without the column h of N_zbar, f1 = h is in neither span: both drop it
+                h = dd.n_zbar.frame[:, 0]
+                rest = Subspace(c.ambient_dim, dd.n_zbar.frame[:, 1:], c.tol)
+                assert _forbidden_images(h, rest, c, ran, z) == []
+                assert full_forbidden_images(h, rest, c, ran, z) == []
+                c = chain.operator(k)
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10])
 def test_chain_near_zero_spectrum_valid_or_typed(eps):
     # spectrum window (eps, 2): a chain ends in an invertible extension of the

@@ -25,7 +25,7 @@ from symext.resolvents import (EmbeddedExtension, ParameterFunction,
 from symext.serialize import decode_operator, encode_operator, json_dump
 from symext.subspaces import TOL, SectorSpec, opnorm, rank_split
 
-from conftest import random_contraction, random_instance
+from conftest import lstsq_sample, random_contraction, random_instance
 
 
 def canonical_diag(worked_a, b):
@@ -458,6 +458,54 @@ def test_shtraus_per_lambda_cost(monkeypatch):
         shtraus_resolvent(a, 1j, f, lam)
         assert calls["svd"] == [((2, 2), False), ((8, 8), False)]
         assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
+
+
+def test_check_inversion_per_lambda_cost(monkeypatch):
+    # F at lam and at 1/lam: each a certified LU (one Cholesky, one solve, no lstsq);
+    # B_lam and B_{1/lam}: each one thin SVD of P_H|L, which decides the projection
+    # gate and builds B; the rest are the values-only SVDs of the three errors
+    from symext.checks import check_inversion
+    a, ext, grid = cost_case()
+    check_inversion(ext, grid[:1], 1j)
+    calls = count_linalg(monkeypatch, ("svd", "lstsq", "solve", "cholesky"))
+    assert all(r.passed for r in check_inversion(ext, grid[1:2], 1j))
+    assert calls["lstsq"] == []
+    assert calls["solve"] == calls["cholesky"] == [((8, 8), True)] * 2
+    assert calls["svd"] == [((8, 8), False), ((8, 8), True), ((8, 8), True), ((16, 8), False),
+                            ((2, 2), False), ((2, 2), False), ((2, 2), False)]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ProjectionDegenerate as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("diagonal, column, raises", [
+    ((0.7, -0.4 + 1j, 1.3), 0, False),  # Im K = diag(-1, 0, -1): no margin, a sample
+    ((0.7, 2j, 1.3), 1, True),          # Im K = diag(-1, 1, -1): expanding
+    ((0.7, 1j, 1.3), 0, False),         # B - lam0 singular; n_frame inside its range
+    ((0.7, 1j + 1e-17, 1.3), 1, True),  # numerically singular; n_frame outside
+    ((0.7, 1e17, 1.3), 0, True),        # the margin 1/2 is below lstsq's cut eps d |B|
+])
+def test_uncertified_total_b_takes_the_lstsq_path(monkeypatch, diagonal, column, raises):
+    # a hand-built total B the certificate does not cover: the Cholesky factor fails,
+    # or is not tried where lstsq would cut below the margin, and the sample, or the
+    # exception text, is the lstsq solve's
+    bop = operator_from_matrix(np.diag(diagonal).astype(complex))
+    eye = np.eye(3, dtype=complex)
+    frames, lam = (eye[:, [column]], eye), 0.2 + 0.5j
+    expected = outcome(lstsq_sample, bop, lam, 1j, frames)
+    calls = count_linalg(monkeypatch, ("lstsq", "solve", "cholesky"))
+    got = outcome(resolvents._frak_f_from, bop, lam, 1j, frames)
+    factored = [((3, 3), True)] if abs(diagonal[1]) < 1e3 else []
+    assert calls == {"lstsq": [((3, 3), True)], "solve": [], "cholesky": factored}
+    assert isinstance(got, str) == raises
+    if raises:
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
 
 
 def test_spectral_sampler_per_lambda_cost(monkeypatch):

@@ -10,6 +10,9 @@ check record is named with its verdict, so a moved ``max_error`` in
 each numeric field that moved anywhere, its largest value over every file of
 that kind on each side, as in ``res.json max_deviation 4.96e-14 -> 4.84e-14``
 (list positions read ``[]``, so ``points[].deviation`` covers every point).
+Under a differing ``chain.json`` it names the first step whose parameter moved
+by more than 1e-10 in some entry, where the two chains part, or prints
+``steps agree to 1e-10``.
 Each checkout runs in its own process, importing ``symext`` from its
 ``src/``, with BLAS pinned to one thread. Exit status 0 means every file is
 byte-identical.
@@ -33,6 +36,7 @@ SEEDS = (0, 1, 2, 3)
 FILES = ("op.json", "ext.json", "chain.json", "grid.csv", "res.json", "verify.json")
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHOWN, WIDTH = 5, 200  # moved values printed per file, characters per value
+STEP_MOVE = 1e-10  # a chain step whose parameter entries move by more is chosen anew
 
 
 def rung_calls(out: Path, d: int, doubled: bool, seed: int):
@@ -99,6 +103,21 @@ def moved(old, new, path="", every=False):
         yield path, old, new
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def first_moved_step(old, new, tol=STEP_MOVE):
+    """The first step of two ``chain.json`` documents whose parameter differs by more
+    than ``tol`` in some entry, or that only one of them has; None if there is none."""
+    old_steps, new_steps = old.get("steps", []), new.get("steps", [])
+    for k, (a, b) in enumerate(zip(old_steps, new_steps)):
+        if any(not (_number(x) and _number(y)) or abs(x - y) > tol
+               for _, x, y in moved(a["parameter"], b["parameter"])):
+            return k
+    return None if len(old_steps) == len(new_steps) else min(len(old_steps), len(new_steps))
+
+
 def worst_moved(docs) -> dict:
     """``{(kind, field): (old, new)}``, the largest old and new value of each numeric
     field that moved in some pair of ``docs``, over every pair of its kind.
@@ -110,8 +129,7 @@ def worst_moved(docs) -> dict:
     values, moved_fields = {}, set()
     for name, old_doc, new_doc in docs:
         for path, old, new in moved(old_doc, new_doc, every=True):
-            if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in (old, new)):
+            if not (_number(old) and _number(new)):
                 continue
             key = (name.rsplit("-", 1)[-1], re.sub(r"\[\d+\]", "[]", path))
             values.setdefault(key, []).append((old, new))
@@ -124,12 +142,16 @@ def report(base: Path, change: Path, name: str) -> None:
     print(f"differs: {name}")
     if not (name.endswith(".json") and (base / name).is_file() and (change / name).is_file()):
         return
-    lines = [f"{path}: {old!r} -> {new!r}" for path, old, new in moved(
-        json.loads((base / name).read_text()), json.loads((change / name).read_text()))]
+    old_doc, new_doc = (json.loads((side / name).read_text()) for side in (base, change))
+    lines = [f"{path}: {old!r} -> {new!r}" for path, old, new in moved(old_doc, new_doc)]
     for line in lines[:SHOWN]:
         print(f"  {line[:WIDTH]}")
     if len(lines) > SHOWN:
         print(f"  ... and {len(lines) - SHOWN} more")
+    if name.endswith("chain.json"):
+        step = first_moved_step(old_doc, new_doc)
+        print(f"  steps agree to {STEP_MOVE:g}" if step is None else
+              f"  first step whose parameter moved by more than {STEP_MOVE:g}: {step}")
 
 
 def json_pairs(base: Path, change: Path):
