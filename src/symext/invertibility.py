@@ -181,19 +181,16 @@ def _pick_direction(n_zbar: Subspace, forbidden_images, rng) -> np.ndarray:
 def _forbidden_images(f1, n_zbar: Subspace, c: DomainOperator, range_frame, z: complex):
     """(zbar/z) X_{1/z}(C^{-1}) f1 and X_z(C) f1, each from one thin least-squares solve.
 
-    Each image is N a = psi in N_zbar(C) with f1 - psi in P = R(C) = span ``range_frame``,
-    respectively D(C): (N - P P^H N) a = f1 - P P^H f1 has the least residual of
-    [N, P] c = f1, and one solution a, as P meets N_zbar(C) in {0}. An image is
-    left out when the residual fails the ``Subspace.contains`` cut: f1 is then
-    outside that operator's domain.
+    Each image is psi = N a in N_zbar(C) with f1 - psi in P = R(C) = span ``range_frame``,
+    respectively D(C): (N - P P^H N) a = f1 - P P^H f1 has the least residual of [N, P] c = f1
+    and one solution a, as P meets N_zbar(C) in {0}. An image is left out when that residual
+    fails the ``Subspace.contains`` cut: f1 is then outside that operator's domain.
     """
-    images = []
+    images, cut = [], TOL.membership_factor * c.tol * max(1.0, np.linalg.norm(f1))
     for frame, scale in ((range_frame, np.conj(z) / z), (c.domain.frame, 1.0)):
-        thin = n_zbar.frame - frame @ (frame.conj().T @ n_zbar.frame)
-        rhs = f1 - frame @ (frame.conj().T @ f1)
+        thin, rhs = (m - frame @ (frame.conj().T @ m) for m in (n_zbar.frame, f1))
         coef = np.linalg.lstsq(thin, rhs, rcond=None)[0]
-        if np.linalg.norm(thin @ coef - rhs) <= (
-                TOL.membership_factor * c.tol * max(1.0, np.linalg.norm(f1))):
+        if np.linalg.norm(thin @ coef - rhs) <= cut:
             images.append(scale * (n_zbar.frame @ coef))
     return images
 
@@ -236,13 +233,12 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
     Each step sends a defect-frame vector f1 of N_z(C) to a unit h in
     N_zbar(C) chosen away from both forbidden images: (zbar/z) X_{1/z}(C^{-1}) f1
     (would kill invertibility) and X_z(C) f1 (would kill admissibility).
-    Each image is one thin least-squares solve at f1 for psi in N_zbar(C), with
-    D(C) or R(C) projected off: f1 = psi + (z - zbar) g with g in D(C) for X_z(C),
-    and f1 = psi + (1/z - 1/zbar) g with g in R(C) for X_{1/z}(C^{-1}), since
-    N_{1/z}(C^{-1}) = N_z(C) and N_{1/zbar}(C^{-1}) = N_zbar(C). psi is unique: x in
-    D(C) with Cx = zx (N_zbar(C) = ker(C^* - z)) has Im z |x|^2 = Im (Cx, x) = 0, and
-    C^{-1} at 1/z shows R(C) ∩ N_zbar(C) = {0}. The step B is then updated in closed
-    form, not rebuilt:
+    Each image is one thin least-squares solve at f1 for psi in N_zbar(C), D(C) or R(C)
+    projected off: f1 = psi + (z - zbar) g with g in D(C) for X_z(C), and f1 = psi +
+    (1/z - 1/zbar) g with g in R(C) for X_{1/z}(C^{-1}), since N_{1/z}(C^{-1}) = N_z(C)
+    and N_{1/zbar}(C^{-1}) = N_zbar(C). psi is unique: x in D(C) ∩ N_zbar(C) has Cx = zx,
+    so Im z |x|^2 = Im (Cx, x) = 0, and C^{-1} at 1/z gives R(C) ∩ N_zbar(C) = {0}.
+    The step B is then updated in closed form, not rebuilt:
 
     - N_z(B) = N_z(C) minus the column f1, N_zbar(B) = N_zbar(C) minus h;
     - D(B) = D(C) (+) span(h - f1) with B(h - f1) = zh - zbar f1, and

@@ -12,8 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainViolation, NotInvertible
-from .subspaces import (DEFAULT_TOL, TOL, Subspace, cut_rank, fix_phase, opnorm_le,
-                        orthonormalize, rank_split)
+from .subspaces import (DEFAULT_TOL, TOL, Subspace, fix_phase, opnorm_le, orthonormalize,
+                        rank_split)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +110,9 @@ def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOpera
 
 
 def _from_generator_svd(split, images, tol) -> DomainOperator:
-    """The map above from a thin ``rank_split`` of the generators that kept every column."""
+    """The map above from a thin ``rank_split`` of generators whose cut at floor 0 keeps all."""
     _, s, (u, vh) = split
-    if cut_rank(s, tol, floor=0.0) != images.shape[1]:
+    if np.sum(s > tol * s.max(initial=0.0)) != images.shape[1]:
         raise ValueError("generators are linearly dependent; the map is ill-defined")
     return DomainOperator(len(u), Subspace(len(u), u, tol), images @ (vh.conj().T / s))
 

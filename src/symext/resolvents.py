@@ -16,13 +16,12 @@ recovers R_lam as (A_{F(lam)} - lam)^{-1} in the half-plane of lam0, and as
 invertible extensions: F is rejected when some nonzero psi reaches the scaled
 forbidden-operator limit at 0 with a bounded norm-loss rate.
 
-``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written and used by
-the checks as references; the checks call the stages they compose (``_frak_b_from``,
-``_frak_f_from``) so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates
-and builds B_lam; F(lam) is an LU solve where the Shtraus bound s_min(B_lam - lam0) >=
-|Im lam0| is certified, lstsq elsewhere. ``ParameterFunction.from_extension`` samples F
-from one Hermitian eigendecomposition of Atilde instead, through B_lam = lam +
-R_lam^{-1}, under the same guards.
+``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written as the checks'
+references; the checks call the stages they compose (``_frak_b_from``, ``_frak_f_from``)
+so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates and builds B_lam;
+F(lam) is an LU solve where the Shtraus bound s_min(B_lam - lam0) >= |Im lam0| is certified,
+lstsq elsewhere. ``ParameterFunction.from_extension`` samples F from one Hermitian
+eigendecomposition of Atilde instead, through B_lam = lam + R_lam^{-1}, under the same guards.
 
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
@@ -246,10 +245,9 @@ def _frak_f_from(bop: DomainOperator, lam: complex, lambda0: complex,
     bound = TOL.f_certificate * abs(lambda0.imag)
     certified = bop.is_total() and np.finfo(float).eps * len(fb) * np.linalg.norm(down) < bound
     if certified:
-        k = fb.conj().T @ down
+        k = np.sign(lambda0.imag) * (fb.conj().T @ down)
         try:
-            np.linalg.cholesky(np.sign(lambda0.imag) * (k - k.conj().T) / -2j
-                               - bound * np.eye(len(k)))
+            np.linalg.cholesky((k.conj().T - k) / 2j - bound * np.eye(len(k)))
         except np.linalg.LinAlgError:
             certified = False
     c = (np.linalg.solve(down, n_frame) if certified

@@ -255,7 +255,7 @@ def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
         _, s, vh = np.linalg.svd(m, full_matrices=True)
     else:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-    rank = cut_rank(s, tol, floor)
+    rank = int(np.sum(s > tol * max(floor, s[0]))) if s.size else 0
     if part is None:
         return rank, s, None
     if part == "range":
@@ -263,11 +263,6 @@ def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
     if part == "svd":
         return rank, s, (u[:, :rank], vh[:rank])
     return rank, s, vh[rank:].conj().T
-
-
-def cut_rank(s: np.ndarray, tol: float, floor: float = 1.0) -> int:
-    """``rank_split``'s cut on descending singular values ``s`` that are in hand."""
-    return int(np.sum(s > tol * max(floor, s[0]))) if s.size else 0
 
 
 def clears_cut(lower: float, upper: float, tol: float, floor: float = 1.0) -> bool:

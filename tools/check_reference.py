@@ -19,12 +19,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def seed_list(text: str) -> list:
-    """``"0-3"`` or ``"0,5,7"`` (or both, comma-separated) as a list of seeds."""
-    seeds = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds += range(int(low), int(high or low) + 1)
-    return seeds
+    """``"LOW-HIGH"`` (or one seed) as the list of seeds from LOW to HIGH."""
+    low, _, high = text.partition("-")
+    return list(range(int(low), int(high or low) + 1))
 
 
 def differing(expected, actual):
@@ -44,7 +41,7 @@ def differing(expected, actual):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", nargs="+", required=True, help="workload names")
-    parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 0-3 or 0,5,7")
+    parser.add_argument("--seeds", type=seed_list, required=True, help="LOW-HIGH, e.g. 0-3")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(PERFBENCH))
     import make_reference  # pins BLAS to one thread before numpy loads

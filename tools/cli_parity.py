@@ -107,12 +107,12 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def first_moved_step(old, new, tol=STEP_MOVE):
+def first_moved_step(old, new):
     """The first step of two ``chain.json`` documents whose parameter differs by more
-    than ``tol`` in some entry, or that only one of them has; None if there is none."""
+    than ``STEP_MOVE`` in some entry, or that only one of them has; None if there is none."""
     old_steps, new_steps = old.get("steps", []), new.get("steps", [])
     for k, (a, b) in enumerate(zip(old_steps, new_steps)):
-        if any(not (_number(x) and _number(y)) or abs(x - y) > tol
+        if any(not (_number(x) and _number(y)) or abs(x - y) > STEP_MOVE
                for _, x, y in moved(a["parameter"], b["parameter"])):
             return k
     return None if len(old_steps) == len(new_steps) else min(len(old_steps), len(new_steps))
