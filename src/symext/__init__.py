@@ -10,8 +10,8 @@ the boundary condition singling out invertible generators (``resolvents``).
 formats, and ``cli`` wires everything into subcommands.
 """
 
-from .cayley import (DefectData, ForbiddenOperator, cayley, defect_data,
-                     forbidden_operator, inverse_cayley, is_admissible)
+from .cayley import (DefectData, cayley, defect_data, forbidden_operator, inverse_cayley,
+                     is_admissible)
 from .checks import CheckResult, run_suite
 from .errors import (ChoiceExhausted, DomainViolation, ExpandingParameter,
                      InsufficientSamples, NotAdmissible, NotAnExtension, NotInvertible,
@@ -40,8 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult", "ChoiceExhausted", "ContractionParameter", "DEFAULT_TOL",
     "DefectData", "DomainOperator", "DomainViolation", "EmbeddedExtension",
-    "ExpandingParameter",
-    "ExtensionChain", "ExtensionReport", "ForbiddenOperator",
+    "ExpandingParameter", "ExtensionChain", "ExtensionReport",
     "IAdmissibilityVerdict", "InstanceSpec", "InsufficientSamples",
     "InvertibilityVerdict", "LinearRelation", "NotAdmissible",
     "NotAnExtension", "NotInvertible", "NotInvertibleBase",

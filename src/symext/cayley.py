@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotInvertible, ParameterShapeViolation, RealPoint
-from .operators import (DomainOperator, LinearRelation, derived, inverse_op, is_isometric,
+from .operators import (DomainOperator, LinearRelation, derived, is_injective, is_isometric,
                         is_symmetric, scale_op)
 from .subspaces import TOL, Subspace, fix_phase, opnorm_le, orthonormalize, rank_split
 
@@ -96,67 +96,47 @@ def inverse_cayley(w: DomainOperator, z: complex) -> LinearRelation:
     return LinearRelation.from_pairs(dom_vecs, img_vecs, w.ambient_dim, tol=w.tol)
 
 
-@dataclass(frozen=True, eq=False)
-class ForbiddenOperator:
-    """The relation pairing f in N_z with psi in N_zbar whenever f - psi in D(A).
+def _forbidden_on(dd: DefectData, frame: np.ndarray, tol: float) -> DomainOperator:
+    """X on N_z: f in N_z to the psi in N_zbar with f - psi = (z - zbar)h, h in span ``frame``.
 
-    A parameter T that agrees with this relation somewhere on its domain is the
-    one choice the extension machinery must avoid, hence the name. At finite
-    dimension the relation is single-valued, but ``single_valued`` is checked,
-    not assumed.
+    The null space [a; b; c] of [N_z, -N_zbar, -(z - zbar) frame] pairs N_z a with
+    N_zbar b, so X N_z = N_zbar b a^{-1}, read off one SVD a = U S Vh. X is an
+    operator on all of N_z exactly when that null space has dimension n = dim N_z
+    and a has rank n; otherwise ``NotInvertible``.
     """
-
-    z: complex
-    relation: LinearRelation
-    single_valued: bool
-    operator: Optional[DomainOperator]
-
-    @property
-    def domain(self) -> Subspace:
-        if self.operator is not None:
-            return self.operator.domain
-        return self.relation.domain_space()
-
-    def apply(self, v):
-        if self.operator is None:
-            raise NotInvertible("forbidden relation is multivalued")
-        return self.operator.apply(v)
+    z, n, nb = dd.z, dd.n_z.dim, dd.n_zbar.dim
+    system = np.hstack([dd.n_z.frame, -dd.n_zbar.frame, -(z - np.conj(z)) * frame])
+    _, _, null = rank_split(system, tol, floor=0.0, part="null")
+    if null.shape[1] != n:
+        raise NotInvertible(f"forbidden relation pairs {null.shape[1]} vectors on N_z of dim {n}")
+    rank, s, (u, vh) = rank_split(null[:n], tol, part="svd")
+    if rank != n:
+        raise NotInvertible("forbidden relation is multivalued")
+    action = dd.n_zbar.frame @ null[n:n + nb] @ (vh.conj().T / s) @ u.conj().T
+    return DomainOperator(dd.n_z.ambient_dim, dd.n_z, action)
 
 
-def forbidden_operator(a: DomainOperator, z: complex,
-                       dd: Optional[DefectData] = None) -> ForbiddenOperator:
-    """Solve f - (z - zbar)h = psi over f in N_z, psi in N_zbar, h in D(A).
+def forbidden_operator(a: DomainOperator, z: complex) -> DomainOperator:
+    """X_z(A): f in N_z to the psi in N_zbar with f - psi in D(A), on D(X) = N_z.
 
-    ``dd`` replaces ``defect_data(a, z)``: for A^{-1} callers pass A's data
-    relabelled by ``DefectData.of_inverse()``, which no memo of A^{-1} keeps.
+    A parameter T that agrees with X somewhere on its domain is the one choice
+    the extension machinery must avoid, hence the name. For symmetric A, X is
+    single-valued on all of N_z: x in N_zbar ∩ D(A) has ((A - zbar)x, x) = 0,
+    so Im z |x|^2 = 0, and dim N_zbar + dim D(A) = d.
     """
     z = require_offaxis(z)
-    if dd is None:
-        dd = defect_data(a, z)
-    d = a.ambient_dim
-    n, nb = dd.n_z.dim, dd.n_zbar.dim
-    system = np.hstack([
-        dd.n_z.frame,
-        -dd.n_zbar.frame,
-        -(z - np.conj(z)) * a.domain.frame,
-    ])
-    _, _, null = rank_split(system, a.tol, floor=0.0, part="null")
-    f_part = dd.n_z.frame @ null[:n, :]
-    psi_part = dd.n_zbar.frame @ null[n:n + nb, :]
-    relation = LinearRelation.from_pairs(f_part, psi_part, d, tol=a.tol)
-    try:
-        op = relation.to_operator()
-    except NotInvertible:
-        op = None
-    return ForbiddenOperator(z, relation, op is not None, op)
+    return _forbidden_on(defect_data(a, z), a.domain.frame, a.tol)
 
 
-def forbidden_of_inverse(a: DomainOperator, dd: DefectData) -> ForbiddenOperator:
-    """X_{1/z}(A^{-1}) for ``dd = defect_data(a, z)``, on ``dd.of_inverse()``: built
-    once per A and z and kept in A's memo; A^{-1} is formed only to build it."""
+def forbidden_of_inverse(a: DomainOperator, dd: DefectData) -> DomainOperator:
+    """X_{1/z}(A^{-1}) for ``dd = defect_data(a, z)``, on ``dd.of_inverse()`` and a
+    frame of R(A) = D(A^{-1}); built once per A and z and kept in A's memo.
+    A^{-1} is never formed."""
     def build():
-        dd_inv = dd.of_inverse()
-        return forbidden_operator(inverse_op(a), dd_inv.z, dd=dd_inv)
+        if not is_injective(a):
+            raise NotInvertible("operator has a nontrivial kernel")
+        _, _, range_frame = rank_split(a.action, a.tol, floor=0.0, part="range")
+        return _forbidden_on(dd.of_inverse(), range_frame, a.tol)
     return derived(a, ("forbidden_of_inverse", dd.z), build)
 
 

@@ -5,18 +5,19 @@ The extension B built from (A, z, T) is invertible exactly when
   (i)   ker B = {0}                                   (direct),
   (ii)  (z/zbar) T is 1/z-admissible for A^{-1}       (via_admissibility),
   (iii) T - (zbar/z) X_{1/z}(A^{-1}) is injective on
-        D(T) ∩ D(X), with an unconditional pass when
-        that intersection is trivial                  (via_forbidden),
+        D(T), with an unconditional pass when
+        D(T) = {0}                                    (via_forbidden),
 
-where X is the forbidden operator. Test (i) cuts B; B stays in T's memo and the cut in
-B's, where ``extend`` and ``recover_parameter`` find them. Tests (ii) and (iii) take
-A^{-1} at 1/z from A at z: (A^{-1} - 1/z)Af = -(A - z)f/z gives A's defect spaces and
-U_{1/z}(A^{-1}) = (z/zbar) U_z(A), and A^{-1}, whose rounding grows like cond(A), is
-never gated for symmetry. X_{1/z}(A^{-1}) depends on A and z alone, so it is kept in A's
-memo (``forbidden_of_inverse``), and A^{-1} is formed only for that build. The chain
-builder applies rank-one isometric parameters that dodge both forbidden images, dropping
-the defect by one per step while preserving symmetry, injectivity, and invertibility,
-until a self-adjoint invertible operator remains.
+where X is the forbidden operator, an operator on all of N_z, so D(T) ⊂ N_z = D(X).
+Test (i) cuts B; B stays in T's memo and the cut in B's, where ``extend`` and
+``recover_parameter`` find them. Tests (ii) and (iii) take A^{-1} at 1/z from A at z:
+(A^{-1} - 1/z)Af = -(A - z)f/z gives A's defect spaces and U_{1/z}(A^{-1}) =
+(z/zbar) U_z(A), and A^{-1}, whose rounding grows like cond(A), is never gated for
+symmetry. X_{1/z}(A^{-1}) depends on A and z alone, so it is kept in A's memo
+(``forbidden_of_inverse``), read off A's record and a frame of R(A); A^{-1} is not
+formed. The chain builder applies rank-one isometric parameters that dodge both
+forbidden images, dropping the defect by one per step while preserving symmetry,
+injectivity, and invertibility, until a self-adjoint invertible operator remains.
 
 A rank-one step changes each object of the chain by one vector, so the builder
 carries N_z, N_zbar, D(B), B and a frame of R(B) from step to step and updates
@@ -67,18 +68,12 @@ def check_invertibility(a: DomainOperator, z: complex,
     scaled_t = scale_op(parameter.t, z / np.conj(z))
     adm = is_admissible(a, dd_inv.z, scaled_t, dd=dd_inv)
 
-    x = forbidden_of_inverse(a, dd)
-    meet = parameter.t.domain.intersect(x.domain)
-    if meet.dim == 0:
-        via_forbidden = True
-        margin_forbidden = float("inf")
-    else:
-        t_imgs = np.column_stack([parameter.t.apply(meet.frame[:, j]) for j in range(meet.dim)])
-        x_imgs = np.column_stack([x.apply(meet.frame[:, j]) for j in range(meet.dim)])
-        diff = t_imgs - (np.conj(z) / z) * x_imgs
-        rank, s, _ = rank_split(diff, a.tol)
-        margin_forbidden = float(s[-1])
-        via_forbidden = rank == meet.dim
+    # is_admissible's shape gate put D(T) inside N_z, which is D(X)
+    x, dom = forbidden_of_inverse(a, dd), parameter.t.domain.frame
+    diff = parameter.t.action - (np.conj(z) / z) * (x.action @ (x.domain.frame.conj().T @ dom))
+    rank, s, _ = rank_split(diff, a.tol)
+    via_forbidden = rank == dom.shape[1]
+    margin_forbidden = float(s[-1]) if s.size else float("inf")
 
     agree = direct == adm.admissible == via_forbidden
     return InvertibilityVerdict(direct, adm.admissible, via_forbidden, agree, witness,

@@ -245,10 +245,6 @@ class LinearRelation:
         d = self.ambient_dim
         return self.graph.frame[:d, :], self.graph.frame[d:, :]
 
-    def domain_space(self) -> Subspace:
-        top, _ = self.halves()
-        return orthonormalize(top, ambient_dim=self.ambient_dim, tol=self.tol)
-
     def multivalued_part(self) -> Subspace:
         """Images paired with 0: the vertical component of the graph."""
         top, bot = self.halves()

@@ -503,8 +503,6 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     if x.domain.dim == 0:
         return IAdmissibilityVerdict(True, None, None, {}, 0.0, float("inf"),
                                      None, None, tolerances)
-    if not x.single_valued:
-        raise ProjectionDegenerate("forbidden operator of the inverse is multivalued")
 
     n_frame, nbar_frame = f.domain_frame, f.range_frame
     rays = {}
@@ -523,8 +521,7 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     # scaled forbidden operator in the same frames, restricted to D(X)
     scale = np.conj(lambda0) / lambda0
     dom_coords = n_frame.conj().T @ x.domain.frame
-    x_imgs = np.column_stack([x.apply(x.domain.frame[:, j]) for j in range(x.domain.dim)])
-    img_coords = nbar_frame.conj().T @ x_imgs
+    img_coords = nbar_frame.conj().T @ x.action
     k_mat = f0 @ dom_coords - scale * img_coords
 
     _, s, kernel_dirs = rank_split(k_mat, TOL.kernel, part="null")

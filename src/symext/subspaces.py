@@ -309,7 +309,7 @@ class SectorSpec:
                 raise ValueError(f"ray angle {th} is in the wrong half-plane")
         if any(r <= 0 for r in self.radii):
             raise ValueError("radii must be positive")
-        if list(self.radii) != sorted(self.radii, reverse=True):
+        if any(r1 <= r2 for r1, r2 in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must strictly decrease")
 
     @classmethod

@@ -50,3 +50,17 @@ def lstsq_sample(bop, lam, lambda0, frames):
     c = np.linalg.lstsq(down, n_frame, rcond=None)[0]
     up = bop.action - np.conj(lambda0) * bop.domain.frame
     return _checked_sample(down @ c - n_frame, up @ c, nbar_frame, lam)
+
+
+def small_eigenvalue_base(eps, d, n, seed):
+    """(A, rng) with s_min(A) = eps exactly: the Hermitian H has the eigenvalue eps,
+    its eigenvector lies in D(A), and the other d - n - 1 directions of D(A) are
+    random. The rest of the spectrum of H lies in (0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    eigs = rng.uniform(0.5, 2.0, d)
+    eigs[0] = eps
+    h = (q * eigs) @ q.conj().T
+    rest = rng.standard_normal((d, d - n - 1)) + 1j * rng.standard_normal((d, d - n - 1))
+    frame, _ = np.linalg.qr(np.hstack([q[:, :1], rest]))
+    return sx.DomainOperator(d, sx.Subspace(d, frame), (h + h.conj().T) / 2 @ frame), rng

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import symext as sx
-from symext.cayley import (cayley, defect_data, forbidden_operator,
+from symext.cayley import (cayley, defect_data, forbidden_of_inverse, forbidden_operator,
                            inverse_cayley, is_admissible, require_offaxis)
-from symext.errors import ParameterShapeViolation, RealPoint
-from symext.operators import (graph_distance, inverse_op, is_isometric, make_operator,
-                              operator_from_generators, operator_from_matrix, scale_op)
-from symext.subspaces import Subspace
+from symext.errors import NotInvertible, ParameterShapeViolation, RealPoint
+from symext.invertibility import double
+from symext.operators import (LinearRelation, graph_distance, inverse_op, is_isometric,
+                              make_operator, operator_from_generators, operator_from_matrix,
+                              scale_op)
+from symext.subspaces import Subspace, orthonormalize, rank_split
 
-from conftest import random_instance, worked_parameter
+from conftest import random_instance, small_eigenvalue_base, worked_parameter
 
 
 def test_require_offaxis():
@@ -184,20 +186,19 @@ def test_inverse_cayley_requires_isometry():
 def test_forbidden_operator_worked_family(worked_a):
     for z in (1j, -1j):
         x = forbidden_operator(worked_a, z)
-        assert x.single_valued
+        assert x.domain is defect_data(worked_a, z).n_z
         assert x.domain.dim == 1
         got = x.apply(np.array([0.0, 1.0], dtype=complex))
         assert np.allclose(got, [0.0, 1.0])
 
 
 def test_forbidden_operator_single_valued_full_domain():
-    # for symmetric A with defect n >= 1: X_z single-valued, D(X) = N_z entirely
+    # for symmetric A with defect n >= 1: X_z is an operator on all of N_z
     for seed in range(12):
         a, z, _ = random_instance(seed + 400)
         dd = defect_data(a, z)
         x = forbidden_operator(a, z)
-        assert x.single_valued
-        assert x.domain.distance(dd.n_z) < 1e-9
+        assert x.domain is dd.n_z and x.domain.dim == dd.defect_numbers[0]
 
 
 def test_forbidden_operator_dense_range_empty_domain():
@@ -205,6 +206,55 @@ def test_forbidden_operator_dense_range_empty_domain():
     h = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=4, defect=0, seed=5))
     x = forbidden_operator(inverse_op(h), 1.0 / (0.4 + 0.9j))
     assert x.domain.dim == 0
+
+
+def _relation_route(dd, frame, tol):
+    """X read as a relation from the null space of its defining system, then converted."""
+    z, n, nb = dd.z, dd.n_z.dim, dd.n_zbar.dim
+    system = np.hstack([dd.n_z.frame, -dd.n_zbar.frame, -(z - np.conj(z)) * frame])
+    _, _, null = rank_split(system, tol, floor=0.0, part="null")
+    return LinearRelation.from_pairs(dd.n_z.frame @ null[:n], dd.n_zbar.frame @ null[n:n + nb],
+                                     dd.n_z.ambient_dim, tol=tol).to_operator()
+
+
+def _off(m, frame) -> float:
+    """Spectral norm of the part of m's columns outside span ``frame``."""
+    return float(np.linalg.norm(m - frame @ (frame.conj().T @ m), 2)) if m.size else 0.0
+
+
+def test_forbidden_operator_satisfies_its_definition():
+    # X_z(A) and X_{1/z}(A^{-1}) are operators on all of N_z with images in N_zbar,
+    # f - Xf lies in D(A) (in R(A) = D(A^{-1}) for the inverse), and X is the
+    # operator of the relation its null space pairs
+    cases = []
+    for seed in range(20):
+        a, z, _ = random_instance(seed)
+        cases += [(a, z), (double(a), z)]
+    cases += [(small_eigenvalue_base(1e-8, d, n, seed)[0], z)
+              for d in (4, 6, 8) for n in (1, 2) for seed in (0, 1) for z in (1j, -1j)]
+    for a, z in cases:
+        dd = defect_data(a, z)
+        range_frame = orthonormalize(a.action, tol=a.tol).frame
+        for x, frame, record in ((forbidden_operator(a, z), a.domain.frame, dd),
+                                 (forbidden_of_inverse(a, dd), range_frame, dd.of_inverse())):
+            assert x.domain is dd.n_z
+            assert _off(x.action, dd.n_zbar.frame) < 1e-12
+            assert _off(x.domain.frame - x.action, frame) < 1e-12
+            assert graph_distance(x, _relation_route(record, frame, a.tol)) < 1e-12
+
+
+def test_forbidden_operator_of_a_mismatched_input_is_not_invertible():
+    a, z, _ = random_instance(3)
+    # a record of an operator on a smaller domain pairs more vectors than dim N_z
+    smaller = make_operator(Subspace(a.ambient_dim, a.domain.frame[:, :1], a.tol),
+                            a.action[:, :1])
+    with pytest.raises(NotInvertible):
+        forbidden_of_inverse(a, defect_data(smaller, z))
+    # a kernel leaves no A^{-1}
+    e1 = np.array([[1.0], [0.0]], dtype=complex)
+    singular = operator_from_generators(e1, np.zeros_like(e1))
+    with pytest.raises(NotInvertible):
+        forbidden_of_inverse(singular, defect_data(singular, 1j))
 
 
 def test_is_admissible_worked_values(worked_a, worked_dd):
@@ -262,13 +312,13 @@ def test_admissibility_matches_forbidden_formulation():
 
 
 def test_forbidden_operator_precomputed_defect_data():
+    # X_{1/z}(A^{-1}) from A's record at z, relabelled, is the X of A^{-1} built
+    # from scratch; it is built once per (A, z), and X_z(A) reads A's memoized record
     for seed in range(6):
         a, z, _ = random_instance(seed + 30)
-        for point in (z, 1.0 / z):
-            base = a if point == z else inverse_op(a)
-            plain = forbidden_operator(base, point)
-            given = forbidden_operator(base, point, dd=defect_data(base, point))
-            assert plain.single_valued == given.single_valued
-            assert np.array_equal(plain.relation.graph.frame, given.relation.graph.frame)
-            assert np.array_equal(plain.domain.frame, given.domain.frame)
-            assert np.array_equal(plain.operator.action, given.operator.action)
+        dd = defect_data(a, z)
+        assert forbidden_operator(a, z).domain is dd.n_z
+        given = forbidden_of_inverse(a, dd)
+        assert given.domain is dd.n_z and forbidden_of_inverse(a, dd) is given
+        plain = forbidden_operator(inverse_op(a), 1.0 / z)
+        assert graph_distance(plain, given) < 1e-12

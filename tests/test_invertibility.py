@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import symext as sx
-from symext.cayley import cayley, defect_data, forbidden_operator, is_admissible
+from symext.cayley import (cayley, defect_data, forbidden_of_inverse, forbidden_operator,
+                           is_admissible)
 from symext.errors import NotAdmissible, NotInvertibleBase, SymextError
 from symext.invertibility import (_forbidden_images, build_invertible_selfadjoint,
                                   check_invertibility, double)
@@ -98,7 +99,8 @@ def _verdict_bits(v):
 
 def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(monkeypatch):
     # X_{1/z}(A^{-1}) depends on (A, z) alone: a check with a new parameter on
-    # the same (A, z) builds neither it nor A^{-1}, and decides as on a fresh A
+    # the same (A, z) builds neither it nor A^{-1}, cuts no D(T) ∩ D(X), as
+    # D(T) ⊂ N_z = D(X), and decides as on a fresh A
     modules = [importlib.import_module(f"symext.{name}")
                for name in ("cayley", "invertibility", "operators")]
     rng = np.random.default_rng(17)
@@ -107,7 +109,7 @@ def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(
         a, z, _ = random_instance(seed, max_dim=6)
         dd = defect_data(a, z)
         check_invertibility(a, z, random_contraction(rng, dd))
-        x = forbidden_operator(inverse_op(a), 1.0 / z, dd=dd.of_inverse())
+        x = forbidden_of_inverse(a, dd)
         if seed % 2 and x.domain.dim:
             # T on the forbidden image: B has a kernel and every test says so
             g = x.domain.frame[:, 0]
@@ -126,11 +128,34 @@ def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(
                             built.append(_name)
                             return _fn(*args, **kwargs)
                         patch.setattr(mod, fname, counted)
+            patch.setattr(Subspace, "intersect", lambda *args, _fn=Subspace.intersect:
+                          built.append("intersect") or _fn(*args))
             got = check_invertibility(a, z, parameter)
         assert built == [], seed
         assert _verdict_bits(got) == _verdict_bits(want), seed
         seen["invertible" if got.direct else "singular"] += 1
     assert min(seen.values()) > 0
+
+
+def test_forbidden_of_inverse_build_cost(monkeypatch):
+    # with A's injectivity in its memo, X_{1/z}(A^{-1}) takes three SVDs, of A's
+    # action for R(A), of the defining system for its null space and of the n x n
+    # block read off it, and no inverse or solve: A^{-1} is not formed
+    for seed in range(6):
+        a, z, n = random_instance(seed, max_dim=6)
+        dd = defect_data(a, z)
+        assert is_injective(a)
+        calls = {name: [] for name in ("svd", "inv", "solve", "lstsq")}
+        with monkeypatch.context() as patch:
+            for name, log in calls.items():
+                def counted(m, *args, _fn=getattr(np.linalg, name), _log=log, **kwargs):
+                    _log.append(m.shape)
+                    return _fn(m, *args, **kwargs)
+                patch.setattr(np.linalg, name, counted)
+            forbidden_of_inverse(a, dd)
+        d, k = a.ambient_dim, a.domain_dim
+        assert calls["svd"] == [(d, k), (d, 2 * n + k), (n, n)], seed
+        assert calls["inv"] == calls["solve"] == calls["lstsq"] == [], seed
 
 
 def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
@@ -145,7 +170,7 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
     for seed in range(12):
         a, z, _ = random_instance(seed, max_dim=6)
         dd = defect_data(a, z)
-        x = forbidden_operator(inverse_op(a), 1.0 / z, dd=dd.of_inverse())
+        x = forbidden_of_inverse(a, dd)
         if seed % 2 and x.domain.dim:
             g = x.domain.frame[:, 0]
             parameter = ContractionParameter.from_operator(
@@ -199,8 +224,7 @@ def test_one_extension_per_triple(monkeypatch):
         a, z, _ = random_instance(seed, max_dim=6)
         dd = defect_data(a, z)
         check_invertibility(a, z, random_contraction(rng, dd))  # A's own memo is warm
-        x = (forbidden_operator(inverse_op(a), 1.0 / z, dd=dd.of_inverse()) if seed % 3 == 1
-             else forbidden_operator(a, z, dd=dd))
+        x = forbidden_of_inverse(a, dd) if seed % 3 == 1 else forbidden_operator(a, z)
         if seed % 3 and x.domain.dim:
             # on X_{1/z}(A^{-1}), B has a kernel; on X_z(A), T is inadmissible
             g = x.domain.frame[:, 0]
@@ -281,8 +305,7 @@ def test_admissibility_from_values_matches_full_svd():
         u_inv = scale_op(u, z / np.conj(z))
         t = random_contraction(rng, dd, strict=bool(rng.uniform() < 0.7)).t
         if seed % 4 in (0, 2):
-            x = (forbidden_operator(a_inv, dd_inv.z, dd=dd_inv) if seed % 4 == 0
-                 else forbidden_operator(a, z, dd=dd))
+            x = forbidden_of_inverse(a, dd) if seed % 4 == 0 else forbidden_operator(a, z)
             if x.domain.dim:
                 g = x.domain.frame[:, 0]
                 scale = np.conj(z) / z if seed % 4 == 0 else 1.0
@@ -434,13 +457,13 @@ def test_chain_requires_symmetric_injective():
 
 
 def recomputed_forbidden_images(current, z, f1):
-    """(zbar/z) X_{1/z}(C^{-1}) f1 and X_z(C) f1, from full ForbiddenOperators."""
+    """(zbar/z) X_{1/z}(C^{-1}) f1 and X_z(C) f1, from forbidden operators built from scratch."""
     images = []
     x_inv = forbidden_operator(inverse_op(current), 1.0 / z)
-    if x_inv.single_valued and x_inv.domain.contains(f1):
+    if x_inv.domain.contains(f1):
         images.append((np.conj(z) / z) * x_inv.apply(f1))
     x_here = forbidden_operator(current, z)
-    if x_here.single_valued and x_here.domain.contains(f1):
+    if x_here.domain.contains(f1):
         images.append(x_here.apply(f1))
     return images
 

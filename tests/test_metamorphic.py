@@ -31,6 +31,8 @@ from symext.operators import DomainOperator
 from symext.resolvents import EmbeddedExtension, ParameterFunction
 from symext.subspaces import DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, rank_split
 
+from conftest import small_eigenvalue_base
+
 
 def conjugate(q, a: DomainOperator) -> DomainOperator:
     return DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, q @ a.domain.frame, a.tol),
@@ -79,8 +81,7 @@ def assert_same_verdicts(a, z, b, w, q, generic):
     """
     dd_a, dd_b = sx.defect_data(a, z), sx.defect_data(b, w)
     assert dd_a.defect_numbers == dd_b.defect_numbers
-    assert (sx.forbidden_operator(a, z, dd=dd_a).domain.dim
-            == sx.forbidden_operator(b, w, dd=dd_b).domain.dim)
+    assert sx.forbidden_operator(a, z).domain.dim == sx.forbidden_operator(b, w).domain.dim
 
     # a generic contraction, and one on the forbidden operator whose B has a kernel
     for matrix in (generic, on_forbidden_operator(a, z, dd_a)):
@@ -277,20 +278,6 @@ def test_distance_family_margins_scale_and_disagreements_stay_in_band(tmp_path):
                 code = cli.main(["check-invert", str(op), "--param", str(par),
                                  "-o", str(tmp_path / f"v{seed}.json")])
                 assert code != cli.EXIT_DISAGREEMENT, seed
-
-
-def small_eigenvalue_base(eps, d, n, seed):
-    """(A, rng) with s_min(A) = eps exactly: the Hermitian H has the eigenvalue eps,
-    its eigenvector lies in D(A), and the other d - n - 1 directions of D(A) are
-    random. The rest of the spectrum of H lies in (0.5, 2)."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    eigs = rng.uniform(0.5, 2.0, d)
-    eigs[0] = eps
-    h = (q * eigs) @ q.conj().T
-    rest = rng.standard_normal((d, d - n - 1)) + 1j * rng.standard_normal((d, d - n - 1))
-    frame, _ = np.linalg.qr(np.hstack([q[:, :1], rest]))
-    return DomainOperator(d, Subspace(d, frame), (h + h.conj().T) / 2 @ frame), rng
 
 
 def contraction_on(dd, rng):

@@ -9,8 +9,7 @@ import pytest
 
 import symext as sx
 from symext import resolvents
-from symext.cayley import (AdmissibilityResult, DefectData, ForbiddenOperator, defect_data,
-                           forbidden_operator)
+from symext.cayley import AdmissibilityResult, DefectData, defect_data, forbidden_of_inverse
 from symext.errors import (ExpandingParameter, InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
 from symext.invertibility import build_invertible_selfadjoint, check_invertibility, double
@@ -700,8 +699,6 @@ def _bits(fact) -> list:
         return [fact.z, fact.defect_numbers] + [
             space.frame for space in (fact.m_z, fact.n_z, fact.m_zbar, fact.n_zbar)
         ] + _bits(fact.u)
-    if isinstance(fact, ForbiddenOperator):
-        return [fact.z, fact.single_valued, fact.relation.graph.frame] + _bits(fact.operator)
     if isinstance(fact, DomainOperator):
         return [fact.domain.frame, fact.action]
     if isinstance(fact, tuple):
@@ -759,8 +756,8 @@ def test_invertibility_memo_sound():
             "symmetric": is_symmetric,
             "injective": is_injective,
             ("defect_data", z): lambda fresh: defect_data(fresh, z),
-            ("forbidden_of_inverse", z): lambda fresh: forbidden_operator(
-                inverse_op(fresh), 1.0 / z, dd=defect_data(fresh, z).of_inverse())})
+            ("forbidden_of_inverse", z): lambda fresh: forbidden_of_inverse(
+                fresh, defect_data(fresh, z))})
 
 
 def test_extension_memo_sound_and_weak():
@@ -792,8 +789,8 @@ def test_extension_memo_sound_and_weak():
             "symmetric": is_symmetric,
             "injective": is_injective,
             ("defect_data", z): lambda fresh: defect_data(fresh, z),
-            ("forbidden_of_inverse", z): lambda fresh: forbidden_operator(
-                inverse_op(fresh), 1.0 / z, dd=defect_data(fresh, z).of_inverse())})
+            ("forbidden_of_inverse", z): lambda fresh: forbidden_of_inverse(
+                fresh, defect_data(fresh, z))})
         assert len(held) == 1
         del parameter, report
         gc.collect()

@@ -257,6 +257,9 @@ def test_sector_spec_validation():
     with pytest.raises(ValueError):
         SectorSpec(half_plane_sign=1, epsilon=np.pi / 6, ray_angles=(np.pi / 2,),
                    radii=(0.25, 0.5))  # radii not decreasing
+    with pytest.raises(ValueError):
+        SectorSpec(half_plane_sign=1, ray_angles=(np.pi / 2,),
+                   radii=(1.0, 1.0, 0.5, 0.25))  # a repeated radius
 
 
 def test_sector_default_for():
