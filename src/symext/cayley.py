@@ -157,6 +157,31 @@ def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
         raise ParameterShapeViolation("parameter range is not inside the defect space at zbar")
 
 
+def _admissibility_bounds(a: DomainOperator, z: complex, dd: DefectData, t: DomainOperator):
+    """``(lower, upper)``: lower <= s_min(V - Q) and s0(V - Q) <= upper, from an n x n block.
+
+    V - Q = [P, C], P = U_z M - M fixed per A and z (one SVD, kept in A's memo) and
+    C = T N - N. P is injective, as (U_z - E)(A - z)f = (z - zbar)f. With W2 a frame of
+    R(P)^perp, V - Q is block upper-triangular in [W1, W2] with diagonal blocks W1^H P and
+    Y = W2^H C, so s_min >= s_P s_Y / (s_P + s_Y + |C|_F) and s0 <= |P|_2 + |C|_F. The
+    computed W2^H P is about eps d |P|, 1.4e-14 |P| at d = 64, inside the 1e-12 * upper
+    ``clears_cut`` allows. (0, inf) where U_z is missing, D(T) is not N_z, n = 0 or d.
+    """
+    def build():
+        u = defect_data(a, z).u
+        return rank_split((u.action - u.domain.frame).conj().T, a.tol, floor=0.0,
+                          part="null")[1:]
+    _check_parameter_shapes(dd, t)
+    c = t.action - t.domain.frame
+    if dd.u is None or not 0 < t.domain_dim == dd.n_z.dim < a.ambient_dim:
+        return 0.0, np.inf
+    s_p, w2 = derived(a, ("admissibility_block", complex(z)), build)
+    if w2.shape[1] != c.shape[1]:  # P is cut short
+        return 0.0, np.inf
+    s_y, norm_c = rank_split(w2.conj().T @ c, a.tol)[1], float(np.linalg.norm(c))
+    return float(s_p[-1] * s_y[-1] / (s_p[-1] + s_y[-1] + norm_c)), float(s_p[0]) + norm_c
+
+
 def is_admissible(a: DomainOperator, z: complex, t: DomainOperator,
                   dd: Optional[DefectData] = None) -> AdmissibilityResult:
     """Fixed-point test for U_z (+) T on M_z (+) D(T).

@@ -26,11 +26,11 @@ eigendecomposition of Atilde instead, through B_lam = lam + R_lam^{-1}, under th
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
 factors, and B - lam = G (V - Q)^{-1} with G = (z - lam)V - (zbar - lam)Q. Per
-lam it pays one values-only SVD (admissibility) and one inverse, G^{-1}; U_z
-and N_z come from A's memoized defect data, so D(T) needs no shape test.
-``construct_extension`` stays the general path and the tests' reference. Each
-per-lam full-rank gate is passed by ``clears_cut`` from bounds that data in
-hand proves, and by ``rank_split`` only where they fall short.
+lam it pays one values-only n x n SVD, whose bounds certify admissibility, and
+one inverse, G^{-1}; U_z and N_z come from A's memoized defect data, so D(T)
+needs no shape test. ``construct_extension`` stays the general path and the
+tests' reference. Each per-lam full-rank gate, admissibility's too, is passed by
+``clears_cut`` from proven bounds, and by the exact SVD only where they fall short.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_offaxis
+from .cayley import (_admissibility_bounds, defect_data, forbidden_of_inverse, is_admissible,
+                     require_offaxis)
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
@@ -379,7 +380,8 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
 
     With N = ``dom_frame``, T N = ``rng_frame @ matrix``, Q = [M_z frame, N] and
     V = [U_z M_z, T N], B sends (V - Q)c to (zV - zbar Q)c, so B - lam = G (V - Q)^{-1}
-    with G = (z - lam)V - (zbar - lam)Q, and (B - lam)^{-1} = (V - Q) G^{-1}.
+    with G = (z - lam)V - (zbar - lam)Q, and (B - lam)^{-1} = (V - Q) G^{-1}. Where the
+    bounds on V - Q do not clear the cut, ``is_admissible`` decides, with its witness.
     """
     t_action = rng_frame @ matrix
     if not np.all(np.isfinite(t_action)):
@@ -388,9 +390,12 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
     require_nonexpanding(matrix)
     dd = defect_data(a, base_point)
     t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom_frame, a.tol), t_action)
-    adm = is_admissible(a, base_point, t, dd=dd)  # its margin is s_min(V - Q)
-    if not adm.admissible:
-        raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
+    margin, upper = _admissibility_bounds(a, base_point, dd, t)
+    if not clears_cut(margin, upper, a.tol):
+        adm = is_admissible(a, base_point, t, dd=dd)  # its margin is s_min(V - Q)
+        if not adm.admissible:
+            raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
+        margin = adm.margin
     q = np.hstack([dd.u.domain.frame, t.domain.frame])
     v = np.hstack([dd.u.action, t.action])
     if q.shape[0] != q.shape[1]:
@@ -400,8 +405,8 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
         resolvent = (v - q) @ np.linalg.inv(g)
         # s_min(B - lam) >= 1/||R||_F and s0(B - lam) <= ||G||_F / margin certify the
         # gate; where they fall short, or the margin is 0, B - lam itself is cut
-        certified = 0 < adm.margin < np.inf and clears_cut(
-            1.0 / np.linalg.norm(resolvent), float(np.linalg.norm(g)) / adm.margin,
+        certified = 0 < margin < np.inf and clears_cut(
+            1.0 / np.linalg.norm(resolvent), float(np.linalg.norm(g)) / margin,
             TOL.resolvent_singular)
         if certified or rank_split(g @ np.linalg.inv(v - q),
                                    TOL.resolvent_singular)[0] == a.ambient_dim:

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 import weakref
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import symext as sx
 from symext import resolvents
-from symext.cayley import AdmissibilityResult, DefectData, defect_data, forbidden_of_inverse
+from symext.cayley import (AdmissibilityResult, DefectData, _admissibility_bounds, defect_data,
+                           forbidden_of_inverse, forbidden_operator, is_admissible)
 from symext.errors import (ExpandingParameter, InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
 from symext.invertibility import build_invertible_selfadjoint, check_invertibility, double
@@ -22,9 +24,9 @@ from symext.resolvents import (EmbeddedExtension, ParameterFunction,
                                frak_b, frak_f, i_admissibility_test,
                                script_l, shtraus_resolvent)
 from symext.serialize import decode_operator, encode_operator, json_dump
-from symext.subspaces import TOL, SectorSpec, opnorm, rank_split
+from symext.subspaces import TOL, SectorSpec, Subspace, clears_cut, opnorm, rank_split
 
-from conftest import lstsq_sample, random_contraction, random_instance
+from conftest import lstsq_sample, random_contraction, random_instance, worked_parameter
 
 
 def canonical_diag(worked_a, b):
@@ -433,10 +435,11 @@ def cost_case():
 
 
 def test_shtraus_per_lambda_cost(monkeypatch):
-    # once the base point is cached, a lam costs one values-only d x d SVD
-    # (admissibility), one inverse (of G) and no QR: the inverse and the
-    # admissibility margin certify the ResolventSingular gate, and D(T), framed
-    # by N_z's own frame, needs no test
+    # once the base point's record is kept, a lam costs two values-only n x n SVDs
+    # (n = 2 here: the sample's norm, and Y = W2^H C, whose bounds certify
+    # admissibility), one inverse (of G), no d x d SVD and no QR: the inverse and
+    # the certified margin certify the ResolventSingular gate, and D(T), framed by
+    # N_z's own frame, needs no test
     a, ext, grid = cost_case()
     f = ParameterFunction.from_extension(ext, 1j, grid)
     # the sampler filled A's defect data at lam0: the formula needs no frame of
@@ -444,18 +447,21 @@ def test_shtraus_per_lambda_cost(monkeypatch):
     complements, complement = [], sx.Subspace.complement
     monkeypatch.setattr(sx.Subspace, "complement",
                         lambda self: complements.append(self) or complement(self))
+    calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
     shtraus_resolvent(a, 1j, f, grid[0])
     assert complements == []
+    # the first lam at a base point adds the one full SVD of P^H, (d - n) x d
+    assert calls["svd"] == [((2, 2), False), ((6, 8), True), ((2, 2), False)]
+    assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
     monkeypatch.undo()
     shtraus_resolvent(a, 1j, f, np.conj(grid[0]))
     calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
-    # besides the admissibility SVD, only the n x n norm of the sample (n = 2 here),
     # on the adjoint branch too
     for lam in (grid[1], np.conj(grid[1])):
         for name in calls:
             calls[name].clear()
         shtraus_resolvent(a, 1j, f, lam)
-        assert calls["svd"] == [((2, 2), False), ((8, 8), False)]
+        assert calls["svd"] == [((2, 2), False)] * 2
         assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
 
 
@@ -517,14 +523,16 @@ def test_spectral_sampler_per_lambda_cost(monkeypatch):
 
 
 def counted_rank_split(monkeypatch, certify=True):
-    """Shapes of the rank_split calls of ``resolvents``; with ``certify`` False every
-    clears_cut certificate is refused, so each gate takes the exact path."""
+    """Shapes of the rank_split calls of ``resolvents`` and ``cayley``; with ``certify``
+    False every clears_cut certificate of ``resolvents`` is refused, so each gate
+    takes the exact path."""
     cut = []
     if not certify:
         monkeypatch.setattr(resolvents, "clears_cut", lambda *args, **kwargs: False)
-    monkeypatch.setattr(resolvents, "rank_split",
-                        lambda m, *args, **kwargs: cut.append(m.shape) or rank_split(
-                            m, *args, **kwargs))
+    for module in (resolvents, sys.modules["symext.cayley"]):  # not the function cayley
+        monkeypatch.setattr(module, "rank_split",
+                            lambda m, *args, **kwargs: cut.append(m.shape) or rank_split(
+                                m, *args, **kwargs))
     return cut
 
 
@@ -543,11 +551,120 @@ def test_uncertified_lambda_takes_the_exact_path(monkeypatch):
         assert cut == [(6, 6)] * len(lams)
         values = [f.sample_at(lam) for lam in lams]
         values += [shtraus_resolvent(a, 1j, f, lam) for lam in lams]
-        # M's gate is certified by its inverse here, unless the certificate is refused
-        assert len(cut) == len(lams) * (1 if certify else 2)
+        # the record's SVD of P^H, (d - n) x d, which A keeps from the first run on,
+        # then per lam the values of Y, n x n; the admissibility gate, and M's gate,
+        # are certified by the bounds and the inverse here, unless the certificates
+        # are refused and is_admissible and rank_split cut V - Q and M, d x d
+        record, exact = ([(5, 6)], []) if certify else ([], [(6, 6)] * 2)
+        assert cut[len(lams):] == record + ([(1, 1)] + exact) * len(lams)
         runs.append([m.tobytes() for m in values])
         monkeypatch.undo()
     assert runs[0] == runs[1]
+
+
+def certificate_cases():
+    """(A, z, F) with F a constant parameter in the defect frames at z: random_instance
+    seeds 0-19, undoubled and doubled, with a strict and a norm-1 random contraction
+    and (1 - eps) X_z(A) at eps = 1e-3, 1e-7, 0; X is unitary on N_z, and where T
+    agrees with X, U_z (+) T has a fixed vector."""
+    for seed in range(20):
+        base, z, _ = random_instance(seed)
+        for a in (base, double(base)):
+            rng = np.random.default_rng(seed)
+            dd = defect_data(a, z)
+            actions = [random_contraction(rng, dd, strict).t.action for strict in (True, False)]
+            x = forbidden_operator(a, z).action
+            for action in actions + [(1 - eps) * x for eps in (1e-3, 1e-7, 0)]:
+                yield a, z, dd.n_zbar.frame.conj().T @ action
+
+
+def branch_parameters(a, z, coords):
+    """(base point, T) of the constant F = ``coords`` on shtraus_resolvent's two branches."""
+    dd = defect_data(a, z)
+    for base, dom, rng, m in ((z, dd.n_z.frame, dd.n_zbar.frame, coords),
+                              (np.conj(z), dd.n_zbar.frame, dd.n_z.frame, coords.conj().T)):
+        yield base, DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom, a.tol), rng @ m)
+
+
+def outcome_bits(fn, *args):
+    """The bits of ``fn``'s value, or the type, text and witness bits of its error."""
+    try:
+        return fn(*args).tobytes()
+    except (NotAdmissible, ResolventSingular) as exc:
+        witness = getattr(exc, "witness", None)
+        return type(exc), str(exc), None if witness is None else witness.tobytes()
+
+
+def test_admissibility_certificate_implies_the_exact_verdict():
+    # where the n x n bounds clear the cut, is_admissible admits T and
+    # lower <= s_min(V - Q) <= upper; elsewhere is_admissible decides
+    tally = {True: 0, False: 0}
+    for a, z, coords in certificate_cases():
+        for base, t in branch_parameters(a, z, coords):
+            bounds = _admissibility_bounds(a, base, defect_data(a, base), t)
+            exact = is_admissible(a, base, t)
+            lower, upper = bounds
+            slack = TOL.cut_rounding * upper
+            assert lower <= exact.margin + slack and exact.margin <= upper + slack
+            certified = clears_cut(lower, upper, a.tol)
+            assert exact.admissible or not certified
+            tally[certified] += 1
+    # both paths ran: the certificate fails near X
+    assert tally[True] > 0 and tally[False] > 0
+
+
+def test_refused_admissibility_certificate_changes_no_output(monkeypatch):
+    # with every certificate refused, each resolvent, and each error with its
+    # witness, has the bits of the certified run, on both branches
+    runs = []
+    for certify in (True, False):
+        if not certify:
+            counted_rank_split(monkeypatch, certify=False)
+        run = []
+        for a, z, coords in certificate_cases():
+            f = ParameterFunction.constant(a, z, coords)
+            lam = complex(z.real + 0.3, 0.6 * z.imag)
+            run += [outcome_bits(shtraus_resolvent, a, z, f, point)
+                    for point in (lam, np.conj(lam))]
+        runs.append(run)
+        monkeypatch.undo()
+    assert runs[0] == runs[1]
+    assert any(isinstance(x, tuple) and x[0] is NotAdmissible for x in runs[0])
+
+
+def test_admissibility_fallthrough_keeps_the_exact_errors(worked_a, worked_dd):
+    # c = 1 fixes e2, so Y = 0: the exact test raises, with its witness
+    t = worked_parameter(worked_dd, 1.0).t
+    assert not clears_cut(*_admissibility_bounds(worked_a, 1j, worked_dd, t),
+                          worked_a.tol)
+    f = ParameterFunction.constant(worked_a, 1j, np.array([[1.0]], dtype=complex))
+    for lam in (0.5j, -0.5j):
+        with pytest.raises(NotAdmissible) as raised:
+            shtraus_resolvent(worked_a, 1j, f, lam)
+        assert np.array_equal(raised.value.witness, is_admissible(worked_a, 1j, t).witness)
+    # D(T) a proper subspace of N_z: the trivial bounds; the exact test admits T and the
+    # formula, which needs a total extension, refuses it
+    a, z, _ = random_instance(0)
+    dd = defect_data(a, z)
+    assert dd.n_z.dim == 2
+    t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dd.n_z.frame[:, :1], a.tol),
+                       np.zeros((a.ambient_dim, 1), complex))
+    assert _admissibility_bounds(a, z, dd, t) == (0.0, np.inf)
+    assert is_admissible(a, z, t, dd=dd).admissible
+    with pytest.raises(ResolventSingular, match="not total"):
+        resolvents._extension_resolvent(a, z, t.domain.frame, dd.n_zbar.frame,
+                                        np.zeros((2, 1), complex), 0.3 + 0.5 * z.imag * 1j)
+    # a record with no U_z: the trivial bounds, and is_admissible's error
+    e = np.eye(3, dtype=complex)
+    a = DomainOperator(3, Subspace(3, e[:, :2], tol=1e-2),
+                       np.column_stack([1e3 * e[:, 0], e[:, 1]]))
+    dd = defect_data(a, 0.5j)
+    assert dd.u is None
+    t = DomainOperator(3, Subspace(3, dd.n_z.frame, tol=1e-2), np.zeros((3, 2), complex))
+    assert _admissibility_bounds(a, 0.5j, dd, t) == (0.0, np.inf)
+    f = ParameterFunction.constant(a, 0.5j, np.zeros((2, 2), complex))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        shtraus_resolvent(a, 0.5j, f, 0.2j)
 
 
 def test_parameter_function_sampling(worked_a):
@@ -731,11 +848,18 @@ def test_operator_memo_sound_and_weak():
         # its chain build computed and misses the Shtraus entries once
         assert np.array_equal(shtraus_resolvent(copy, z, f, lam),
                               shtraus_resolvent(a, z, f, lam))
-    # the Shtraus formula reads these on both branches, and nothing else
+    # the Shtraus formula reads these on both branches, and nothing else: at each
+    # base point the record, and the SVD of P^H = (U_z M - M)^H for its certificate
+    def p_block(fresh, base):
+        u = defect_data(fresh, base).u
+        return rank_split((u.action - u.domain.frame).conj().T, fresh.tol, floor=0.0,
+                          part="null")[1:]
     held = _memo_matches_scratch(copy, a, {
         "symmetric": is_symmetric,
         ("defect_data", z): lambda fresh: defect_data(fresh, z),
-        ("defect_data", np.conj(z)): lambda fresh: defect_data(fresh, np.conj(z))})
+        ("defect_data", np.conj(z)): lambda fresh: defect_data(fresh, np.conj(z)),
+        ("admissibility_block", z): lambda fresh: p_block(fresh, z),
+        ("admissibility_block", np.conj(z)): lambda fresh: p_block(fresh, np.conj(z))})
     assert len(held) == 2
     gone = weakref.ref(copy)
     del copy
