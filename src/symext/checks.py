@@ -198,12 +198,11 @@ def check_inversion(ext: EmbeddedExtension, lams, lambda0) -> list:
     except _GUARDED as exc:
         frames = None
         decided["frak_f_inverse"] = _red("frak_f_inverse", exc)
-    for name in INVERSION_CHECKS:
-        if name not in decided:
-            try:
-                ext.inverse_pair()
-            except _GUARDED as exc:
-                decided[name] = _red(name, exc)
+    try:
+        ext.inverse_pair()
+    except _GUARDED as exc:  # a failed build is not kept, so it is tried once here
+        for name in INVERSION_CHECKS:
+            decided.setdefault(name, _red(name, exc))
     errors = dict(zip(INVERSION_CHECKS, (
         _constrained_space_error, _frak_b_error,
         partial(_frak_f_error, lambda0=lambda0, frames=frames))))

@@ -113,7 +113,10 @@ class ExtensionChain:
     doubled: bool
     steps: tuple
     final: DomainOperator
-    exit_dim: int
+
+    @property
+    def exit_dim(self) -> int:
+        return self.final.ambient_dim - self.base.ambient_dim
 
     def operator(self, k: int) -> DomainOperator:
         """B_k, the operator after step k (0-based), from ``final``."""
@@ -300,5 +303,4 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
         raise NotAnExtension("chain lost injectivity")
     if not graph_contains(current, start):
         raise NotAnExtension("chain lost the base operator")
-    exit_dim = a.ambient_dim if double_first else 0
-    return ExtensionChain(a, z, seed, double_first, tuple(steps), current, exit_dim)
+    return ExtensionChain(a, z, seed, double_first, tuple(steps), current)

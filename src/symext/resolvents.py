@@ -1,9 +1,9 @@
 """Compressed resolvents of exit-space extensions and their boundary conditions.
 
-An exit-space extension embeds the original space H = C^d isometrically into
-C^{d+e} where a self-adjoint total Atilde extends the base operator. Its
-compressed resolvent is R_lam = P_H (Atilde - lam)^{-1} |_H. The same data can
-be read through a lam-dependent contraction F(lam) from N_{lam0} to
+An exit-space extension is a self-adjoint total Atilde on C^{d+e} that extends
+the base operator, with H = C^d the first d coordinates, so P_H is a row slice.
+Its compressed resolvent is R_lam = P_H (Atilde - lam)^{-1} |_H. The same data
+can be read through a lam-dependent contraction F(lam) from N_{lam0} to
 N_{lam0 bar}: the chain
 
     L_lam = {h : (Atilde - lam) h in H}
@@ -45,8 +45,8 @@ from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
 from .operators import DomainOperator, _from_generator_svd, inverse_op, operator_from_matrix
-from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase,
-                        near_identity, opnorm, opnorm_le, rank_split)
+from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase, opnorm,
+                        opnorm_le, rank_split)
 
 
 def _half_plane(lam: complex, lambda0: complex) -> bool:
@@ -55,35 +55,34 @@ def _half_plane(lam: complex, lambda0: complex) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedExtension:
-    """Self-adjoint total extension on C^{d+e} with the embedding of H = C^d."""
+    """Self-adjoint total extension Atilde on C^{d+e}, with H = C^d its first d coordinates.
+
+    P_H is the slice ``[:d]``: a product with the 0/1 matrix ``np.eye(d + e, d)`` equals it
+    bit for bit up to the sign of an exact zero, and that matrix's SVD complement is [0; I].
+    """
 
     base: DomainOperator
     atilde: DomainOperator
-    embed: np.ndarray
-    exit_dim: int
 
     def __post_init__(self):
-        embed = np.array(self.embed, dtype=complex)
         d = self.base.ambient_dim
         # loosening atilde.tol loosens the structural gates in step
         gate = max(TOL.structure_gate, TOL.structure_factor * self.atilde.tol)
-        if embed.shape != (d + self.exit_dim, d):
-            raise ValueError("embedding has the wrong shape")
-        if not near_identity(embed.conj().T @ embed, max(TOL.embedding_isometry, self.atilde.tol),
-                             TOL.embedding_diagonal):
-            raise ValueError("embedding is not isometric")
-        if not self.atilde.is_total() or self.atilde.ambient_dim != d + self.exit_dim:
+        if not self.atilde.is_total() or self.atilde.ambient_dim < d:
             raise ValueError("extension must be total on C^{d+e}")
         m = self.atilde_matrix()
         # the scale is at least 1, so a skew within the gate passes without ||M||
         if self._skew > gate and self._skew > gate * max(1.0, opnorm(m)):
             raise ValueError("extension is not self-adjoint")
-        lifted_domain = embed @ self.base.domain.frame
-        if lifted_domain.shape[1] and not opnorm_le(
-                m @ lifted_domain - embed @ self.base.action, gate, relative_to=self.base.action):
-            raise ValueError("extension does not extend the embedded base operator")
-        embed.setflags(write=False)
-        object.__setattr__(self, "embed", embed)
+        if self.base.domain_dim:
+            lifted = m[:, :d] @ self.base.domain.frame  # Atilde F, against [A F; 0]
+            lifted[:d] -= self.base.action
+            if not opnorm_le(lifted, gate, relative_to=self.base.action):
+                raise ValueError("extension does not extend the embedded base operator")
+
+    @property
+    def exit_dim(self) -> int:
+        return self.atilde.ambient_dim - self.base.ambient_dim
 
     # The values below do not depend on lam. Each is computed on first use and
     # kept for the life of the extension; a failed computation is not kept and
@@ -127,27 +126,13 @@ class EmbeddedExtension:
         base_inv = inverse_op(self.base)
         atilde_inv = operator_from_matrix(np.linalg.inv(self._matrix), tol=self.atilde.tol)
         try:
-            return EmbeddedExtension(base_inv, atilde_inv, self.embed, self.exit_dim)
+            return EmbeddedExtension(base_inv, atilde_inv)
         except ValueError as exc:
             raise SpectrumHit(f"inverse pair fails its structure gates: {exc}") from exc
 
-    @cached_property
-    def _h_complement(self) -> np.ndarray:
-        """Frame of the orthogonal complement of embedded H, which L_lam is cut out by."""
-        total = self._matrix.shape[0]
-        return Subspace(total, self.embed, self.atilde.tol).complement().frame
-
-    @classmethod
-    def canonical(cls, base: DomainOperator, atilde: DomainOperator) -> "EmbeddedExtension":
-        return cls(base, atilde, np.eye(base.ambient_dim, dtype=complex), 0)
-
     @classmethod
     def from_chain(cls, chain) -> "EmbeddedExtension":
-        d = chain.base.ambient_dim
-        total = chain.final.ambient_dim
-        embed = np.zeros((total, d), dtype=complex)
-        embed[:d, :] = np.eye(d)
-        return cls(chain.base, chain.final, embed, chain.exit_dim)
+        return cls(chain.base, chain.final)
 
     def atilde_matrix(self) -> np.ndarray:
         """Standard-basis matrix of Atilde (read-only)."""
@@ -176,15 +161,15 @@ def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
     gaps = np.abs(mu - lam)
     if gaps.min() - kappa <= TOL.spectrum_hit * max(1.0, gaps.max() + kappa):
         raise SpectrumHit(f"{lam} is numerically an eigenvalue of the extension")
-    m = ext.atilde_matrix()
-    return ext.embed.conj().T @ np.linalg.solve(m - lam * np.eye(m.shape[0]), ext.embed)
+    m, d = ext.atilde_matrix(), ext.base.ambient_dim
+    return np.linalg.solve(m - lam * np.eye(len(m)), np.eye(len(m), d))[:d]
 
 
 def script_l(ext: EmbeddedExtension, lam: complex) -> Subspace:
-    """L_lam = {h in C^{d+e} : (Atilde - lam) h in embedded H}."""
+    """L_lam = {h in C^{d+e} : (Atilde - lam) h in H}: its last e coordinates vanish."""
     m = ext.atilde_matrix()
     total = m.shape[0]
-    constraint = ext._h_complement.conj().T @ (m - lam * np.eye(total))
+    constraint = (m - lam * np.eye(total))[ext.base.ambient_dim:]
     _, _, null = rank_split(constraint, ext.atilde.tol, floor=0.0, part="null")
     return Subspace(total, null, ext.atilde.tol)
 
@@ -197,13 +182,13 @@ def frak_b(ext: EmbeddedExtension, lam: complex) -> DomainOperator:
 def _frak_b_from(ext: EmbeddedExtension, lam: complex, l_space: Subspace) -> DomainOperator:
     """B_lam from L_lam = ``script_l(ext, lam)``: the second stage of ``frak_b``."""
     g = l_space.frame
-    proj = ext.embed.conj().T @ g
+    proj = g[:ext.base.ambient_dim]
     # injective only if every column direction survives; the same SVD builds B_lam
     split = rank_split(proj, TOL.projection, part="svd")
     if split[0] < proj.shape[1]:
         raise ProjectionDegenerate(
             f"projection onto H is not injective on the constrained space at {lam}")
-    images = ext.embed.conj().T @ (ext.atilde_matrix() @ g)
+    images = (ext.atilde_matrix() @ g)[:ext.base.ambient_dim]
     return _from_generator_svd(split, images, ext.base.tol)
 
 
@@ -294,11 +279,11 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
     m = ext.atilde_matrix()
     m_h = (m + m.conj().T) / 2
     mu, v, kappa = ext._spectrum
-    y = v.conj().T @ ext.embed
+    y = v[:ext.base.ambient_dim].conj().T
     delta = v.conj().T @ (m - m_h) @ v
     n_frame, nbar_frame = frames
     eye = np.eye(y.shape[1])
-    eta = np.linalg.norm(y.conj().T @ y - eye)  # ||y u||^2 = (1 +- eta) ||u||^2
+    eta = np.linalg.norm(y.conj().T @ y - eye)  # ||yu||^2 = (1 +- eta)||u||^2: eigh's rounding
     samples = {}
     for lam in lams:
         lam = complex(lam)
@@ -532,7 +517,6 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     _, s, kernel_dirs = rank_split(k_mat, TOL.kernel, part="null")
     kernel_margin = float(s[-1]) if s.size else float("inf")
 
-    two_smallest = sector.radii[-2:]
     witness = witness_resid = witness_proxy = None
     rate_estimates = {}
     for direction in kernel_dirs.T:
@@ -549,8 +533,7 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
             for lam, mat in zip(points, mats):
                 p = (1.0 - float(np.linalg.norm(mat @ psi_coords))) / abs(lam)
                 ray_proxies.append(p)
-                if abs(lam) <= max(two_smallest) * (1 + TOL.radius_match):
-                    min_proxy = min(min_proxy, p)
+            min_proxy = min(min_proxy, *ray_proxies[-2:])  # radii decrease: the two smallest
             proxies[theta] = tuple(ray_proxies)
         if limit_resid <= TOL.limit and min_proxy < TOL.rate_bound:
             witness = psi

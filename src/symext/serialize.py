@@ -105,7 +105,7 @@ def embedded_extension_file(ext: EmbeddedExtension, extra: dict | None = None) -
         "exit_dim": ext.exit_dim,
         "base": encode_operator(ext.base),
         "extension": encode_operator(ext.atilde),
-        "embedding": encode_matrix(ext.embed),
+        "embedding": encode_matrix(np.eye(ext.atilde.ambient_dim, ext.base.ambient_dim)),
     }
     if extra:
         doc.update(extra)
@@ -116,8 +116,11 @@ def decode_embedded_extension(data, tol=DEFAULT_TOL) -> EmbeddedExtension:
     _expect_kind(data, "embedded_extension")
     base = decode_operator(data["base"], tol)
     atilde = decode_operator(data["extension"], tol)
-    embed = decode_matrix(data["embedding"])
-    return EmbeddedExtension(base, atilde, embed, int(data["exit_dim"]))
+    total, d = atilde.ambient_dim, base.ambient_dim
+    if int(data["exit_dim"]) != total - d or not np.array_equal(
+            decode_matrix(data["embedding"]), np.eye(total, d)):
+        raise ValueError("H must be the first d coordinates: embedding np.eye(d+e, d), exit_dim e")
+    return EmbeddedExtension(base, atilde)
 
 
 def chain_file(chain) -> dict:

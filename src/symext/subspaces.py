@@ -46,8 +46,6 @@ class Tolerances:
     candidate_tie: float = 1e-12      # chain: a candidate must beat the best so far by more
     structure_gate: float = 1e-8      # EmbeddedExtension: floor of the self-adjoint/extends gates
     structure_factor: float = 10.0    # EmbeddedExtension: those gates loosen as this * tol above it
-    embedding_isometry: float = 1e-10  # EmbeddedExtension: floor of the embedding isometry gate
-    embedding_diagonal: float = 1e-5  # EmbeddedExtension: extra slack on the embedding Gram diagonal
     spectrum_hit: float = 1e-10       # compressed_resolvent: lam on the spectrum (SpectrumHit)
     resolvent_singular: float = 1e-12  # shtraus_resolvent: B - lam = G (V - Q)^{-1} is singular
     cut_rounding: float = 1e-12       # clears_cut, opnorm_le: rounding may move a value by this * s0
@@ -59,7 +57,6 @@ class Tolerances:
     rate_bound: float = 1e3           # i-admissibility: bound on the norm-loss rate proxy
     limit: float = 1e-8               # i-admissibility: limit residual of a witness
     kernel: float = 1e-8              # i-admissibility: kernel cut of F(0+) - (lam0bar/lam0) X
-    radius_match: float = 1e-12       # i-admissibility: relative slack picking the smallest radii
     check_cayley: float = 1e-10       # verify: Cayley, defect-space and symmetry identities
     check_cayley_roundtrip: float = 1e-9  # verify: inverse Cayley transform recovers A
     check_resolvent: float = 1e-8     # verify: the three inversion identities
@@ -265,12 +262,12 @@ def rank_split(m: np.ndarray, tol: float, floor: float = 1.0, part=None):
     return rank, s, vh[rank:].conj().T
 
 
-def clears_cut(lower: float, upper: float, tol: float, floor: float = 1.0) -> bool:
-    """True proves ``rank_split(m, tol, floor)`` full for every m with s_min >= ``lower``
+def clears_cut(lower: float, upper: float, tol: float) -> bool:
+    """True proves ``rank_split(m, tol)`` (floor 1) full for every m with s_min >= ``lower``
     and s0 <= ``upper``, each moved by rounding up to ``TOL.cut_rounding * upper``.
     False decides nothing: the caller runs ``rank_split``, which alone finds a deficit."""
     slack = TOL.cut_rounding * upper
-    return bool(lower - slack > tol * max(floor, upper + slack))
+    return bool(lower - slack > tol * max(1.0, upper + slack))
 
 
 def orthonormalize(vectors, ambient_dim=None, tol=DEFAULT_TOL) -> Subspace:

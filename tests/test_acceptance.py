@@ -174,7 +174,7 @@ def test_criterion_5_shtraus_correspondence():
     worked = _worked()
     worst_canonical = 0.0
     for b in (3.0, -1.0, 0.5, 7.0, -2.5, 1.0):
-        ext = EmbeddedExtension.canonical(
+        ext = EmbeddedExtension(
             worked, operator_from_matrix(np.diag([1.0, b]).astype(complex)))
         grid = default_lambda_grid(1j, ext.atilde_matrix())
         f = ParameterFunction.from_extension(ext, 1j, grid)

@@ -43,6 +43,26 @@ def test_suite_green_on_random_instances():
         assert not bad, [f"{r.name}: {r.max_error} {r.note}" for r in bad]
 
 
+def test_suite_takes_no_svd_of_the_embedding(monkeypatch):
+    # H is the first d coordinates of the doubled space: P_H and the complement
+    # of H are slices, so no SVD of np.eye(D, d) runs, for Atilde or its inverse
+    a, z, _ = random_instance(7, max_dim=6)
+    ext = full_ext(a, z, seed=7)
+    total, d = ext.atilde.ambient_dim, a.ambient_dim
+    assert total == 2 * d
+    seen = []
+
+    def counted(m, *args, _fn=np.linalg.svd, **kwargs):
+        seen.append(np.array(m, copy=True))
+        return _fn(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    results = run_suite(a, ext, lambda0=z, seed=7)
+    assert all(r.passed for r in results) and not any(r.skipped for r in results)
+    assert any(m.shape == (total, d) for m in seen)
+    assert not any(m.shape == (total, d) and np.array_equal(m, np.eye(total, d)) for m in seen)
+
+
 def test_suite_skips_without_extension(worked_a):
     results = run_suite(worked_a)
     by_name = {r.name: r for r in results}
@@ -55,7 +75,7 @@ def test_suite_skips_without_extension(worked_a):
 
 def test_suite_defect_zero_short_circuits():
     h = gen_symmetric(InstanceSpec(ambient_dim=4, defect=0, seed=2))
-    ext = EmbeddedExtension.canonical(h, h)
+    ext = EmbeddedExtension(h, h)
     results = run_suite(h, ext)
     by_name = {r.name: r for r in results}
     assert by_name["neumann_roundtrip"].skipped
@@ -74,8 +94,6 @@ def test_guard_turns_crash_into_red(worked_a):
     broken = object.__new__(EmbeddedExtension)
     object.__setattr__(broken, "base", ext.base)
     object.__setattr__(broken, "atilde", operator_from_matrix(broken_matrix))
-    object.__setattr__(broken, "embed", ext.embed)
-    object.__setattr__(broken, "exit_dim", ext.exit_dim)
     results = run_suite(worked_a, broken)
     by_name = {r.name: r for r in results}
     # base-only checks still pass; at least one extension identity goes red
@@ -99,7 +117,7 @@ def test_inverse_checks_run_on_a_multivalued_inverse():
 
 def test_i_admissibility_skips_singular_extension(worked_a):
     singular = operator_from_matrix(np.diag([1.0, 0.0]).astype(complex))
-    ext = EmbeddedExtension.canonical(worked_a, singular)
+    ext = EmbeddedExtension(worked_a, singular)
     res = check_i_admissibility(ext, 1j)
     assert res.skipped and res.passed and "not invertible" in res.note
 

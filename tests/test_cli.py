@@ -21,7 +21,7 @@ from symext.serialize import (decode_complex, decode_embedded_extension,
                               load_operator, operator_file, parameter_file)
 from symext.subspaces import DEFAULT_TOL
 
-from conftest import worked_parameter
+from conftest import EMBEDDING_CHANGES, changed_embedding, worked_parameter
 
 
 def run_cli(*argv, cwd=None):
@@ -345,6 +345,22 @@ def test_verify_without_extension_skips(tmp_path):
     assert skipped == ["constrained_space_inverse", "frak_b_inverse", "frak_f_inverse",
                        "resolvent_symmetry", "i_admissibility"]
     assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize("change", EMBEDDING_CHANGES)
+def test_verify_and_resolvent_refuse_an_embedding_of_another_h(tmp_path, capsys, change):
+    op_path, ext_path, out = tmp_path / "op.json", tmp_path / "ext.json", tmp_path / "out.json"
+    write_worked_operator(op_path)
+    assert cli.main(["build-sa", str(op_path), "--z", "0,1", "--double",
+                     "-o", str(ext_path)]) == cli.EXIT_OK
+    doc = changed_embedding(json.loads(ext_path.read_text(encoding="utf-8")), change)
+    ext_path.write_text(json_dump(doc))
+    capsys.readouterr()
+    for argv in (["verify", op_path, ext_path],
+                 ["resolvent", op_path, ext_path, "--lambda0", "0,1"]):
+        assert cli.main([str(a) for a in argv] + ["-o", str(out)]) == cli.EXIT_IO == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_resolvent_custom_grid_and_spectrum_hit(tmp_path):

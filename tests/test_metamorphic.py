@@ -188,7 +188,7 @@ def near_zero_verdicts(seed, d, eps):
     def extension_invertible():
         # a unitary parameter: B is a self-adjoint extension inside C^d
         b = sx.extend(a, z, sx.ContractionParameter.from_matrix(dd, unitary), dd=dd).b
-        ext = EmbeddedExtension.canonical(a, b)
+        ext = EmbeddedExtension(a, b)
         s = np.linalg.svd(ext.atilde_matrix(), compute_uv=False)
         return ext.is_invertible(), (s[-1] / s[0],)
 
@@ -395,6 +395,26 @@ def test_inverse_pair_gate_failure_is_a_spectrum_hit():
                     assert [r.name for r in results] == list(INVERSION_CHECKS)
                     assert all(not r.passed and r.note.startswith("SpectrumHit: ")
                                for r in results), (d, n, seed, z)
+
+
+def test_a_failing_inverse_pair_is_built_once(monkeypatch):
+    # a build that raises is not kept, so the inversion checks try it once
+    # between them and all three turn red with its note
+    a, _ = small_eigenvalue_base(1e-9, 6, 2, 0)
+    ext = EmbeddedExtension.from_chain(
+        sx.build_invertible_selfadjoint(a, 1j, double_first=True, seed=0))
+    with pytest.raises(sx.SpectrumHit) as hit:
+        ext.inverse_pair()
+    calls = []
+
+    def counted(op, _fn=resolvents.inverse_op):
+        calls.append(op)
+        return _fn(op)
+
+    monkeypatch.setattr(resolvents, "inverse_op", counted)
+    results = check_inversion(ext, sx.default_lambda_grid(1j, ext.atilde_matrix()), 1j)
+    assert len(calls) == 1
+    assert [r.note for r in results] == [f"SpectrumHit: {hit.value}"] * 3
 
 
 def test_build_sa_on_a_near_singular_base_exits_not_an_extension(tmp_path, capsys):

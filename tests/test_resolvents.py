@@ -31,7 +31,7 @@ from conftest import lstsq_sample, random_contraction, random_instance, worked_p
 
 def canonical_diag(worked_a, b):
     atilde = operator_from_matrix(np.diag([1.0, b]).astype(complex))
-    return EmbeddedExtension.canonical(worked_a, atilde)
+    return EmbeddedExtension(worked_a, atilde)
 
 
 def doubled_ext(worked_a, seed=0):
@@ -41,19 +41,20 @@ def doubled_ext(worked_a, seed=0):
 
 def test_embedded_extension_validation(worked_a):
     good = operator_from_matrix(np.diag([1.0, 4.0]).astype(complex))
-    EmbeddedExtension.canonical(worked_a, good)
+    assert EmbeddedExtension(worked_a, good).exit_dim == 0
+    with pytest.raises(ValueError, match="total on"):
+        # on fewer coordinates than the base
+        EmbeddedExtension(worked_a, operator_from_matrix(np.array([[1.0]], dtype=complex)))
+    with pytest.raises(ValueError, match="total on"):
+        partial = DomainOperator(2, Subspace(2, np.array([[1.0], [0.0]], dtype=complex)),
+                                 np.array([[1.0], [0.0]], dtype=complex))
+        EmbeddedExtension(worked_a, partial)
     with pytest.raises(ValueError):
-        EmbeddedExtension(worked_a, good, np.eye(3, 2), 0)  # wrong shape
-    with pytest.raises(ValueError):
-        EmbeddedExtension(worked_a, good, 2.0 * np.eye(2), 0)  # not isometric
-    with pytest.raises(ValueError):
-        EmbeddedExtension.canonical(worked_a,
-                                    operator_from_matrix(np.array([[1.0, 1.0],
+        EmbeddedExtension(worked_a, operator_from_matrix(np.array([[1.0, 1.0],
                                                                    [0.0, 2.0]], dtype=complex)))
     with pytest.raises(ValueError):
         # Hermitian but does not extend A
-        EmbeddedExtension.canonical(worked_a,
-                                    operator_from_matrix(np.diag([5.0, 1.0]).astype(complex)))
+        EmbeddedExtension(worked_a, operator_from_matrix(np.diag([5.0, 1.0]).astype(complex)))
 
 
 def test_compressed_resolvent_diagonal(worked_a):
@@ -108,7 +109,7 @@ def skewed_extension(scale):
     k = (k - k.conj().T) / 2
     bump = np.zeros_like(m)
     bump[d:, d:] = scale * opnorm(m) * k / opnorm(k)
-    return EmbeddedExtension(a, operator_from_matrix(m + bump), np.eye(2 * d, d), d)
+    return EmbeddedExtension(a, operator_from_matrix(m + bump))
 
 
 @pytest.mark.parametrize("doubled", [True, False])
@@ -205,9 +206,7 @@ def test_frak_b_extends_base_and_inverts_resolvent(worked_a):
 def test_frak_b_projection_degenerate_at_exit_eigenvalue():
     # eigenvector of Atilde orthogonal to H blows up the constrained projection
     base = operator_from_matrix(np.array([[2.0]], dtype=complex))
-    embed = np.array([[1.0], [0.0]], dtype=complex)
-    ext = EmbeddedExtension(base, operator_from_matrix(np.diag([2.0, 3.0]).astype(complex)),
-                            embed, 1)
+    ext = EmbeddedExtension(base, operator_from_matrix(np.diag([2.0, 3.0]).astype(complex)))
     with pytest.raises(ProjectionDegenerate):
         frak_b(ext, 3.0)
 
@@ -251,7 +250,7 @@ def test_frak_f_halfplane_guard(worked_a):
 
 def test_frak_f_defect_zero_empty():
     h = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=3, defect=0, seed=4))
-    ext = EmbeddedExtension.canonical(h, h)
+    ext = EmbeddedExtension(h, h)
     mat = frak_f(ext, 0.4 + 0.6j, 1j)
     assert mat.shape == (0, 0)
 
@@ -349,7 +348,7 @@ def test_shtraus_cayley_form_matches_construct_extension(doubled):
         chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
         exts = [EmbeddedExtension.from_chain(chain)]
         if len(chain.steps) > 1:
-            exts.append(EmbeddedExtension.canonical(chain.operator(0), chain.final))
+            exts.append(EmbeddedExtension(chain.operator(0), chain.final))
         for ext in exts:
             base = ext.base
             grid = default_lambda_grid(z, ext.atilde_matrix())[::5]
@@ -731,7 +730,7 @@ def test_inverse_pair_requires_invertible(worked_a):
     pair = ext.inverse_pair()
     assert np.allclose(pair.atilde_matrix(), np.diag([1.0, 1.0 / 3.0]), atol=1e-12)
     singular = operator_from_matrix(np.diag([1.0, 0.0]).astype(complex))
-    bad = EmbeddedExtension.canonical(worked_a, singular)
+    bad = EmbeddedExtension(worked_a, singular)
     with pytest.raises(SpectrumHit):
         bad.inverse_pair()
 
@@ -776,7 +775,7 @@ def test_from_extension_matches_frak_f_canonical_family(worked_a):
 
 def test_from_extension_defect_zero_empty():
     h = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=3, defect=0, seed=4))
-    ext = EmbeddedExtension.canonical(h, h)
+    ext = EmbeddedExtension(h, h)
     f = ParameterFunction.from_extension(ext, 1j, (0.4 + 0.6j, -0.3 + 0.2j))
     assert all(f.sample_at(lam).shape == (0, 0) for lam in f.sampled_points())
 
@@ -799,7 +798,7 @@ def test_from_extension_non_hermitian_within_gate():
     k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     bump = np.zeros_like(m)
     bump[d:, d:] = 4e-9 * np.linalg.norm(m, 2) * k / np.linalg.norm(k, 2)
-    ext = EmbeddedExtension(a, operator_from_matrix(m + bump), np.eye(2 * d, d), d)
+    ext = EmbeddedExtension(a, operator_from_matrix(m + bump))
     skew = ext.atilde_matrix() - ext.atilde_matrix().conj().T
     assert np.linalg.norm(skew, 2) > 1e-9 * np.linalg.norm(m, 2)
     assert engine_vs_oracle(ext, z) <= 1e-12

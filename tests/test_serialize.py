@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symext import cli
 from symext.instances import InstanceSpec, gen_symmetric
 from symext.invertibility import build_invertible_selfadjoint
 from symext.neumann import ContractionParameter
@@ -18,7 +19,7 @@ from symext.serialize import (chain_file, decode_complex, decode_embedded_extens
                               encode_operator, json_dump, load_operator, operator_file,
                               parameter_file)
 
-from conftest import random_instance, worked_parameter
+from conftest import EMBEDDING_CHANGES, changed_embedding, random_instance, worked_parameter
 
 
 def test_complex_roundtrip():
@@ -74,12 +75,37 @@ def test_parameter_roundtrip(worked_dd):
 def test_embedded_extension_roundtrip(worked_a):
     chain = build_invertible_selfadjoint(worked_a, 1j, seed=0, double_first=True)
     ext = EmbeddedExtension.from_chain(chain)
-    back = decode_embedded_extension(embedded_extension_file(ext))
-    assert back.exit_dim == ext.exit_dim
-    assert np.array_equal(back.embed, ext.embed)
+    doc = embedded_extension_file(ext)
+    back = decode_embedded_extension(doc)
+    assert back.exit_dim == ext.exit_dim == doc["exit_dim"] == 2
+    assert np.array_equal(decode_matrix(doc["embedding"]), np.eye(4, 2))
     assert np.allclose(back.atilde_matrix(), ext.atilde_matrix(), atol=1e-14)
     with pytest.raises(ValueError):
         decode_embedded_extension(operator_file(worked_a))
+
+
+@pytest.mark.parametrize("change", EMBEDDING_CHANGES)
+def test_decode_takes_h_as_the_first_coordinates_only(worked_a, change):
+    # an ext.json whose H is not the first d coordinates, exactly, is refused,
+    # even where the stored embedding is isometric
+    chain = build_invertible_selfadjoint(worked_a, 1j, seed=0, double_first=True)
+    doc = embedded_extension_file(EmbeddedExtension.from_chain(chain))
+    decode_embedded_extension(doc)
+    with pytest.raises(ValueError, match="H must be the first d coordinates"):
+        decode_embedded_extension(changed_embedding(doc, change))
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_build_sa_file_round_trips_byte_for_byte(tmp_path, doubled):
+    op, ext = tmp_path / "op.json", tmp_path / "ext.json"
+    assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", "1", "-o", str(op)]) == 0
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "-o", str(ext)]
+                    + (["--double"] if doubled else [])) == 0
+    text = ext.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["exit_dim"] == (6 if doubled else 0)
+    back = decode_embedded_extension(doc)
+    assert json_dump(embedded_extension_file(back, {"tolerances": doc["tolerances"]})) == text
 
 
 def test_chain_file_structure(worked_a):
