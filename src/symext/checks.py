@@ -7,8 +7,9 @@ The suite computes each oracle object once. The three inversion checks walk
 the lam grid together (``check_inversion``): at each lam, L_lam and B_lam of
 the extension and L_{1/lam} and B_{1/lam} of its inverse pair are built once,
 by the stages that ``script_l``, ``frak_b`` and ``frak_f`` compose, and read
-by every check that needs them; they are dropped before the next lam. The
-checks on the base operator read A's defect data, U_z among it, from A's
+by every check that needs them; they are dropped before the next lam. At e = 0
+they and the errors are the same at every lam: only the first lam builds them.
+The checks on the base operator read A's defect data, U_z among it, from A's
 memo (``operators.derived``). The two A^{-1} checks share one relation,
 ``a.graph.inverse()``, whose records are built once, in its own memo, from
 its swapped graph halves, never relabelled from A's. The oracles stay the definitions,
@@ -186,6 +187,11 @@ def check_inversion(ext: EmbeddedExtension, lams, lambda0) -> list:
     keeps its own guard: an exception in its set-up or at some lam turns that
     check red with the exception as its note, and the others finish the grid.
     Results come in the order of ``INVERSION_CHECKS``.
+
+    At e = 0, ``script_l``'s constraint has no rows: L_lam is the identity frame,
+    B_lam is read off Atilde alone, and lam reaches F only through its half-plane
+    guards and error texts. So each later lam, whose stages and errors are the
+    first lam's bits, runs only those guards.
     """
     decided = {}
     try:
@@ -207,7 +213,9 @@ def check_inversion(ext: EmbeddedExtension, lams, lambda0) -> list:
         _constrained_space_error, _frak_b_error,
         partial(_frak_f_error, lambda0=lambda0, frames=frames))))
     worst = dict.fromkeys(INVERSION_CHECKS, 0.0)
-    for lam in lams:
+    lams = tuple(lams)
+    full = lams if ext.exit_dim else lams[:1]  # e = 0: the first lam builds every error
+    for lam in full:
         point = _GridPoint(ext, lam)
         for name in INVERSION_CHECKS:
             if name in decided:
@@ -216,6 +224,12 @@ def check_inversion(ext: EmbeddedExtension, lams, lambda0) -> list:
                 worst[name] = max(worst[name], errors[name](point))
             except _GUARDED as exc:
                 decided[name] = _red(name, exc)
+    for lam in lams[len(full):]:
+        try:  # the half-plane guards of _frak_f_error, its one step that reads lam
+            _contractive_point(1.0 / lam, 1.0 / lambda0)
+            _contractive_point(lam, lambda0)
+        except _GUARDED as exc:
+            decided.setdefault("frak_f_inverse", _red("frak_f_inverse", exc))
     return [decided.get(name) or CheckResult(name, worst[name] < TOL.check_resolvent, worst[name])
             for name in INVERSION_CHECKS]
 

@@ -50,13 +50,27 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _write_output(doc, path=None):
-    text = serialize.json_dump(doc)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_output(*pairs):
+    """Write each ``(doc, path)``, to stdout where the path is None, from one
+    ``json_dump_all``: a matrix that the documents share is formatted once."""
+    for (_, path), text in zip(pairs, serialize.json_dump_all(*(doc for doc, _ in pairs))):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+
+
+def _load_pair(args):
+    """The operator, and the extension (None without its file) whose stored base it must be."""
+    op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
+    if not args.extension:
+        return op, None
+    ext = serialize.decode_embedded_extension(_read_json(args.extension), tol=args.tol)
+    if not (np.array_equal(op.domain.frame, ext.base.domain.frame)
+            and np.array_equal(op.action, ext.base.action)):
+        raise ValueError(f"{args.operator} is not the base operator stored in {args.extension}")
+    return op, ext
 
 
 def _encode_vector(v):
@@ -86,21 +100,21 @@ def cmd_gen(args) -> int:
             }
         }
     extra["tolerances"] = {"rank_tol": args.tol}
-    _write_output(serialize.operator_file(op, extra), args.output)
+    _write_output((serialize.operator_file(op, extra), args.output))
     return EXIT_OK
 
 
-def _base_point(args, parameter) -> complex:
-    """The parameter file's base point; ``--z``, if given, must match it."""
+def _load_parameter(args):
+    """The operator, the parameter and its file's base point, which ``--z``, if given, must match."""
+    op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
+    parameter = serialize.decode_parameter(_read_json(args.param), tol=args.tol)
     if args.z is not None and abs(parameter.z - args.z) > TOL.base_point_match:
         raise ValueError("--z disagrees with the parameter file base point")
-    return parameter.z
+    return op, parameter, parameter.z
 
 
 def cmd_extend(args) -> int:
-    op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
-    parameter = serialize.decode_parameter(_read_json(args.param), tol=args.tol)
-    z = _base_point(args, parameter)
+    op, parameter, z = _load_parameter(args)
     report = extend(op, z, parameter)
     doc = {
         "schema": serialize.SCHEMA_VERSION,
@@ -113,14 +127,12 @@ def cmd_extend(args) -> int:
         "witnesses": {k: _encode_vector(v) for k, v in report.witnesses.items()},
         "tolerances": {"rank_tol": args.tol},
     }
-    _write_output(doc, args.output)
+    _write_output((doc, args.output))
     return EXIT_OK
 
 
 def cmd_check_invert(args) -> int:
-    op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
-    parameter = serialize.decode_parameter(_read_json(args.param), tol=args.tol)
-    z = _base_point(args, parameter)
+    op, parameter, z = _load_parameter(args)
     verdict = check_invertibility(op, z, parameter)
     # margins strictly inside this band around the rank cut are borderline
     band = (args.tol / TOL.borderline_factor, args.tol * TOL.borderline_factor)
@@ -136,7 +148,7 @@ def cmd_check_invert(args) -> int:
         "witness": None if verdict.witness is None else _encode_vector(verdict.witness),
         "tolerances": {"rank_tol": args.tol, "borderline_band": list(band)},
     }
-    _write_output(doc, args.output)
+    _write_output((doc, args.output))
     if not verdict.agree:
         finite = [v for v in verdict.margins.values() if not np.isinf(v)]
         if not any(band[0] < m < band[1] for m in finite):
@@ -148,13 +160,13 @@ def cmd_build_sa(args) -> int:
     op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
     chain = build_invertible_selfadjoint(op, args.z, seed=args.seed,
                                          double_first=args.double)
-    ext = EmbeddedExtension.from_chain(chain)
-    _write_output(serialize.embedded_extension_file(
-        ext, {"tolerances": {"rank_tol": args.tol}}), args.output)
-    if args.chain:
-        chain_doc = serialize.chain_file(chain)
-        chain_doc["tolerances"] = {"rank_tol": args.tol}
-        _write_output(chain_doc, args.chain)
+    extra = {"tolerances": {"rank_tol": args.tol}}
+    ext_doc = serialize.embedded_extension_file(EmbeddedExtension.from_chain(chain), extra)
+    outputs = [(ext_doc, args.output)]
+    if args.chain:  # B_0 and the final operator are the extension's base and Atilde
+        chain_doc = serialize._chain_doc(chain, ext_doc["base"], ext_doc["extension"])
+        outputs.append(({**chain_doc, **extra}, args.chain))
+    _write_output(*outputs)
     return EXIT_OK
 
 
@@ -165,14 +177,11 @@ def _grid_for(args, ext, lambda0):
 
 
 def cmd_resolvent(args) -> int:
-    op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
-    ext = serialize.decode_embedded_extension(_read_json(args.extension), tol=args.tol)
+    op, ext = _load_pair(args)
     lambda0 = args.lambda0
     grid = _grid_for(args, ext, lambda0)
     f = ParameterFunction.from_extension(ext, lambda0, grid)
-    rows = []
-    points = []
-    worst = 0.0
+    rows, points, worst = [], [], 0.0
     for lam in grid:
         entry = {"lambda": serialize.encode_complex(lam)}
         try:
@@ -194,9 +203,9 @@ def cmd_resolvent(args) -> int:
         "points": points,
         "max_deviation": worst,
         "tolerances": {"rank_tol": args.tol, "agreement_tol": TOL.resolvent_agreement},
-        "agree": worst < TOL.resolvent_agreement,
+        "agree": bool(rows) and worst < TOL.resolvent_agreement,  # no point compared: no
     }
-    _write_output(doc, args.output)
+    _write_output((doc, args.output))
     return EXIT_OK
 
 
@@ -215,10 +224,7 @@ def _write_resolvent_csv(path, rows, d):
 
 
 def cmd_verify(args) -> int:
-    op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
-    ext = None
-    if args.extension:
-        ext = serialize.decode_embedded_extension(_read_json(args.extension), tol=args.tol)
+    op, ext = _load_pair(args)
     results = checks.run_suite(op, ext, lambda0=args.lambda0, seed=args.seed)
     doc = {
         "schema": serialize.SCHEMA_VERSION,
@@ -233,7 +239,7 @@ def cmd_verify(args) -> int:
         "tolerances": {"rank_tol": args.tol, "cayley_tol": TOL.check_cayley,
                        "resolvent_tol": TOL.check_resolvent, "roundtrip_tol": TOL.check_roundtrip},
     }
-    _write_output(doc, args.output)
+    _write_output((doc, args.output))
     return EXIT_OK
 
 

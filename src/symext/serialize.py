@@ -13,7 +13,8 @@ leaves are finite and of exact type ``float``) with one ``%r`` template. The
 check runs on the list content at every call, so a document edited after
 encoding is written as edited. Everything else (ints, bools, ``None``,
 NaN/±inf, float subclasses, ragged rows, empty containers) is written by
-``json.dumps`` itself.
+``json.dumps`` itself. ``json_dump_all`` formats a list that its documents
+share (one object, at one depth) once; each text is still ``json_dump``'s.
 """
 
 import json
@@ -75,10 +76,7 @@ def decode_operator(data, tol=DEFAULT_TOL) -> DomainOperator:
 
 
 def operator_file(a: DomainOperator, extra: dict | None = None) -> dict:
-    doc = {"schema": SCHEMA_VERSION, "kind": "operator", **encode_operator(a)}
-    if extra:
-        doc.update(extra)
-    return doc
+    return {"schema": SCHEMA_VERSION, "kind": "operator", **encode_operator(a), **(extra or {})}
 
 
 def parameter_file(parameter) -> dict:
@@ -99,17 +97,15 @@ def decode_parameter(data, tol=DEFAULT_TOL):
 
 
 def embedded_extension_file(ext: EmbeddedExtension, extra: dict | None = None) -> dict:
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "embedded_extension",
         "exit_dim": ext.exit_dim,
         "base": encode_operator(ext.base),
         "extension": encode_operator(ext.atilde),
         "embedding": encode_matrix(np.eye(ext.atilde.ambient_dim, ext.base.ambient_dim)),
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def decode_embedded_extension(data, tol=DEFAULT_TOL) -> EmbeddedExtension:
@@ -124,6 +120,11 @@ def decode_embedded_extension(data, tol=DEFAULT_TOL) -> EmbeddedExtension:
 
 
 def chain_file(chain) -> dict:
+    return _chain_doc(chain, encode_operator(chain.base), encode_operator(chain.final))
+
+
+def _chain_doc(chain, base: dict, final: dict) -> dict:
+    """``chain_file(chain)`` with ``base`` and ``final`` the encoded B_0 and final operator."""
     return {
         "schema": CHAIN_SCHEMA_VERSION,
         "kind": "extension_chain",
@@ -131,8 +132,8 @@ def chain_file(chain) -> dict:
         "seed": chain.seed,
         "doubled": chain.doubled,
         "exit_dim": chain.exit_dim,
-        "base": encode_operator(chain.base),
-        "final": encode_operator(chain.final),
+        "base": base,
+        "final": final,
         "steps": [{"parameter": parameter_file(step.parameter),
                    "defect_numbers": list(step.defect_numbers)} for step in chain.steps],
     }
@@ -150,17 +151,26 @@ def load_operator(data, tol=DEFAULT_TOL) -> DomainOperator:
     return decode_operator(data, tol)
 
 
-def json_dump(doc) -> str:
+def json_dump(doc, *, _texts=None) -> str:
     out = []
-    _encode(doc, 0, out)
+    _encode(doc, 0, out, {} if _texts is None else _texts)
     out.append("\n")
     return "".join(out)
 
 
-def _encode(o, level, out):
-    """Append the indented text of ``o`` nested ``level`` deep to ``out``."""
+def json_dump_all(*docs) -> list:
+    """``[json_dump(doc) for doc in docs]``; a list object that several of the documents
+    hold at the same depth is formatted once, as it stands at this call."""
+    texts = {}
+    return [json_dump(doc, _texts=texts) for doc in docs]
+
+
+def _encode(o, level, out, texts):
+    """Append the indented text of ``o`` nested ``level`` deep to ``out``; ``texts`` holds the
+    matrix text (or None) of each list by ``(id, level)``: the call's documents hold it."""
     if isinstance(o, (list, tuple)) and o:
-        text = _matrix_text(o, level)
+        key = (id(o), level)
+        text = texts[key] if key in texts else texts.setdefault(key, _matrix_text(o, level))
         if text is not None:
             out.append(text)
             return
@@ -168,14 +178,14 @@ def _encode(o, level, out):
         out.append("[")
         for k, item in enumerate(o):
             out.append("," + inner if k else inner)
-            _encode(item, level + 1, out)
+            _encode(item, level + 1, out, texts)
         out.append("\n" + "  " * level + "]")
     elif isinstance(o, dict) and o and all(type(key) is str for key in o):
         inner = "\n" + "  " * (level + 1)
         out.append("{")
         for k, (key, value) in enumerate(sorted(o.items())):
             out.append(("," + inner if k else inner) + encode_basestring_ascii(key) + ": ")
-            _encode(value, level + 1, out)
+            _encode(value, level + 1, out, texts)
         out.append("\n" + "  " * level + "}")
     else:
         # JSON strings hold no raw newline, so shifting every line break

@@ -6,7 +6,7 @@ import pytest
 from symext import checks, resolvents
 from symext.cayley import defect_data
 from symext.checks import (INVERSION_CHECKS, CheckResult, check_cayley_roundtrip,
-                           check_i_admissibility, check_neumann_roundtrip,
+                           check_i_admissibility, check_inversion, check_neumann_roundtrip,
                            check_range_defect_inverse, run_suite)
 from symext.errors import ProjectionDegenerate
 from symext.instances import InstanceSpec, gen_symmetric
@@ -23,8 +23,8 @@ SUITE_NAMES = ("range_defect_inverse", "cayley_inverse_scaling", "cayley_roundtr
                "frak_f_inverse", "resolvent_symmetry", "i_admissibility")
 
 
-def full_ext(a, z, seed=0):
-    chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=True)
+def full_ext(a, z, seed=0, doubled=True):
+    chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
     return EmbeddedExtension.from_chain(chain)
 
 
@@ -157,20 +157,25 @@ def oracle_inversion_errors(ext, lambda0):
 
 
 def inversion_cases(worked_a):
-    yield worked_a, 1j, 0
-    for seed in (0, 7, 21):
-        a, z, _ = random_instance(seed, max_dim=6)
-        yield a, z, seed
+    """``(A, z, seed, doubled)``: doubled chains (e = d) and undoubled ones (e = 0)."""
+    for doubled in (True, False):
+        yield worked_a, 1j, 0, doubled
+        for seed in (0, 7, 21):
+            a, z, _ = random_instance(seed, max_dim=6)
+            yield a, z, seed, doubled
 
 
 def test_inversion_pass_equals_public_oracles(worked_a):
     # the one pass over the grid computes what the definitions give: F exactly;
     # the constrained spaces and B within rounding, since the pass orthonormalizes
-    # by QR and swaps the halves of graph(B_lam) where the oracle inverts B_lam
-    for a, z, seed in inversion_cases(worked_a):
-        by_name = {r.name: r for r in run_suite(a, full_ext(a, z, seed), lambda0=z, seed=seed)}
+    # by QR and swaps the halves of graph(B_lam) where the oracle inverts B_lam.
+    # At e = 0 the pass builds the first lam only; the oracles run at every lam
+    for a, z, seed, doubled in inversion_cases(worked_a):
+        ext = full_ext(a, z, seed, doubled)
+        assert ext.exit_dim == (a.ambient_dim if doubled else 0)
+        by_name = {r.name: r for r in run_suite(a, ext, lambda0=z, seed=seed)}
         # a second, separately built extension: nothing is shared with the suite's
-        expected = oracle_inversion_errors(full_ext(a, z, seed), z)
+        expected = oracle_inversion_errors(full_ext(a, z, seed, doubled), z)
         for name in ("constrained_space_inverse", "frak_b_inverse"):
             assert abs(by_name[name].max_error - expected[name]) <= 1e-14, name
         assert by_name["frak_f_inverse"].max_error == expected["frak_f_inverse"]
@@ -180,8 +185,8 @@ def test_certified_f_samples_equal_the_lstsq_samples(worked_a, monkeypatch):
     # where Im K certifies s_min(B_lam - lam0), LU gives the lstsq solution to rounding
     solves, solve = [], np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
-    for a, z, seed in inversion_cases(worked_a):
-        ext = full_ext(a, z, seed)
+    for a, z, seed, doubled in inversion_cases(worked_a):
+        ext = full_ext(a, z, seed, doubled)
         dd = defect_data(a, z)
         frames = (dd.n_z.frame, dd.n_zbar.frame)
         for lam in default_lambda_grid(z, ext.atilde_matrix()):
@@ -248,3 +253,50 @@ def test_frak_b_with_a_kernel_turns_frak_b_inverse_red(worked_a, monkeypatch):
     assert not by_name["frak_b_inverse"].passed
     assert by_name["frak_b_inverse"].max_error > 1e3 * TOL.check_resolvent
     assert by_name["constrained_space_inverse"] == clean["constrained_space_inverse"]
+
+
+def per_lambda_inversion(monkeypatch, ext, lams, lambda0):
+    """``check_inversion`` with every lam taking the full pass, as it does for e > 0."""
+    with monkeypatch.context() as m:
+        m.setattr(EmbeddedExtension, "exit_dim", property(lambda self: 1))
+        return check_inversion(ext, lams, lambda0)
+
+
+def undoubled_cases(worked_a):
+    for a, z, seed, doubled in inversion_cases(worked_a):
+        if not doubled:
+            ext = full_ext(a, z, seed, doubled=False)
+            yield ext, z, default_lambda_grid(z, ext.atilde_matrix())
+
+
+def test_e0_inversion_equals_the_per_lambda_pass(worked_a, monkeypatch):
+    # at e = 0 the first lam decides every error: the results are the full pass's bits
+    for ext, z, grid in undoubled_cases(worked_a):
+        assert ext.exit_dim == 0 and len(grid) == 24
+        results = check_inversion(ext, grid, z)
+        assert results == per_lambda_inversion(monkeypatch, ext, grid, z)
+        assert all(r.passed and not r.skipped for r in results)
+
+
+def test_e0_lambda_outside_the_half_plane_turns_frak_f_red(worked_a, monkeypatch):
+    # a lam of the other half-plane after the first: only its guards run, and they
+    # turn frak_f_inverse red with the note the full pass gives; the others stay green
+    for ext, z, grid in undoubled_cases(worked_a):
+        for at in (1, 5, len(grid)):
+            lams = grid[:at] + (np.conj(grid[at - 1]),) + grid[at:]
+            results = check_inversion(ext, lams, z)
+            assert results == per_lambda_inversion(monkeypatch, ext, lams, z)
+            by_name = {r.name: r for r in results}
+            red = by_name["frak_f_inverse"]
+            assert not red.passed and red.max_error == float("inf")
+            assert red.note.startswith("ValueError: frak_f is contractive only in the half-plane")
+            assert red.note.endswith(f"got {1.0 / np.conj(grid[at - 1])}")
+            assert by_name["constrained_space_inverse"].passed
+            assert by_name["frak_b_inverse"].passed
+
+
+def test_check_inversion_on_an_empty_grid_passes(worked_a):
+    for doubled in (True, False):
+        results = check_inversion(full_ext(worked_a, 1j, doubled=doubled), (), 1j)
+        assert [r.name for r in results] == list(INVERSION_CHECKS)
+        assert all(r.passed and r.max_error == 0.0 and not r.skipped for r in results)

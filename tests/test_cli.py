@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symext import cli, invertibility
+from symext import cli, invertibility, serialize
 from symext.cayley import defect_data
 from symext.neumann import ContractionParameter, extend
 from symext.operators import graph_distance, operator_from_generators
@@ -402,8 +402,62 @@ def test_resolvent_skips_an_expanding_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(ParameterFunction, "from_extension", classmethod(expanding))
     assert cli.main(["resolvent", str(op_path), str(ext_path), "--lambda0", "0,1",
                      "-o", str(out)]) == cli.EXIT_OK
-    points = json.loads(out.read_text(encoding="utf-8"))["points"]
-    assert points and all("ExpandingParameter" in p["skipped"] for p in points)
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["points"] and all("ExpandingParameter" in p["skipped"] for p in doc["points"])
+    # no point was compared, so nothing agrees
+    assert doc["max_deviation"] == 0.0 and doc["agree"] is False
+
+
+def test_verify_and_resolvent_refuse_an_operator_that_is_not_the_stored_base(tmp_path, capsys):
+    # ext.json is built from the seed-1 operator; b.json, of the same shape, is not it
+    op, other, ext, out = (tmp_path / name for name in ("a.json", "b.json", "ext.json", "out.json"))
+    for seed, path in ((1, op), (2, other)):
+        assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", str(seed),
+                         "-o", str(path)]) == cli.EXIT_OK
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "--double", "-o", str(ext)]) == 0
+    for argv in (["verify", other, ext], ["resolvent", other, ext, "--lambda0", "0,1"]):
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv] + ["-o", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {other} is not the base operator stored in {ext}\n")
+        assert not out.exists()
+    # the stored base itself passes the gate
+    for argv in (["verify", op, ext], ["resolvent", op, ext, "--lambda0", "0,1"]):
+        assert cli.main([str(a) for a in argv] + ["-o", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text()).get("all_passed", True)
+
+
+def test_build_sa_formats_each_matrix_once_into_stdlib_bytes(tmp_path, monkeypatch):
+    # chain.json's base and final are ext.json's base and extension dicts, and one
+    # json_dump_all writes both files: each distinct matrix is formatted once, and
+    # each file, undoubled (e = 0) or doubled, is still the stdlib's bytes
+    op, ext, chain = tmp_path / "op.json", tmp_path / "ext.json", tmp_path / "chain.json"
+    assert cli.main(["gen", "--dim", "12", "--defect", "3", "--seed", "3", "-o", str(op)]) == 0
+    formatted, matrix_text = [], serialize._matrix_text
+
+    def counted(rows, level):
+        text = matrix_text(rows, level)
+        if text is not None:
+            formatted.append(json.loads(text))
+        return text
+
+    monkeypatch.setattr(serialize, "_matrix_text", counted)
+    for doubled in (False, True):
+        formatted.clear()
+        assert cli.main(["build-sa", str(op), "--z", "0,1", "-o", str(ext), "--chain", str(chain)]
+                        + (["--double"] if doubled else [])) == 0
+        texts = [p.read_text(encoding="utf-8") for p in (ext, chain)]
+        ext_doc, chain_doc = map(json.loads, texts)
+        assert texts == [json.dumps(doc, sort_keys=True, indent=2) + "\n"
+                         for doc in (ext_doc, chain_doc)]
+        assert ext_doc["exit_dim"] == (12 if doubled else 0)
+        assert chain_doc["base"] == ext_doc["base"] and chain_doc["final"] == ext_doc["extension"]
+        steps = [step["parameter"] for step in chain_doc["steps"]]
+        expected = [ext_doc["base"]["action"], ext_doc["base"]["domain_frame"],
+                    ext_doc["embedding"], ext_doc["extension"]["action"],
+                    ext_doc["extension"]["domain_frame"]]
+        expected += [m for p in steps for m in (p["action"], p["domain_frame"])]
+        assert len(steps) > 0 and formatted == expected
 
 
 def test_tampered_extension_rejected_then_red(tmp_path):

@@ -479,6 +479,22 @@ def test_check_inversion_per_lambda_cost(monkeypatch):
                             ((2, 2), False), ((2, 2), False), ((2, 2), False)]
 
 
+def test_check_inversion_at_e0_takes_one_lambda(monkeypatch):
+    # with no exit space L_lam is C^d and B_lam is Atilde at every lam: the whole
+    # grid takes the factorizations of one lam: those pinned above, the QR of
+    # Atilde F_L and the QRs that frame graph(B_lam) and graph(B_{1/lam})
+    from symext.checks import check_inversion
+    a, ext, grid = cost_case()
+    assert ext.exit_dim == 0 and len(grid) == 24
+    check_inversion(ext, grid[:1], 1j)
+    calls = count_linalg(monkeypatch, ("svd", "qr", "lstsq", "solve", "cholesky"))
+    assert all(r.passed for r in check_inversion(ext, grid, 1j))
+    assert calls["lstsq"] == [] and calls["qr"] == [((8, 8), True)] + [((16, 8), True)] * 2
+    assert calls["solve"] == calls["cholesky"] == [((8, 8), True)] * 2
+    assert calls["svd"] == [((8, 8), False), ((8, 8), True), ((8, 8), True), ((16, 8), False),
+                            ((2, 2), False), ((2, 2), False), ((2, 2), False)]
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
