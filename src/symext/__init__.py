@@ -25,10 +25,10 @@ from .invertibility import (ExtensionChain, InvertibilityVerdict,
 from .neumann import (ContractionParameter, ExtensionReport, extend,
                       recover_parameter)
 from .operators import (DomainOperator, LinearRelation, direct_sum_op,
-                        graph_contains, graph_distance, identity_operator,
-                        inverse_op, is_injective, is_isometric, is_symmetric,
-                        make_operator, operator_from_generators,
-                        operator_from_matrix, scale_op)
+                        graph_contains, graph_distance, inverse_op,
+                        is_injective, is_isometric, is_symmetric,
+                        operator_from_generators, operator_from_matrix,
+                        scale_op)
 from .resolvents import (EmbeddedExtension, IAdmissibilityVerdict,
                          ParameterFunction, compressed_resolvent,
                          default_lambda_grid, frak_b, frak_f,
@@ -51,9 +51,9 @@ __all__ = [
     "default_lambda_grid", "defect_data", "direct_sum_op", "double", "extend",
     "forbidden_operator", "frak_b", "frak_f", "gen_symmetric",
     "graph_contains", "graph_distance", "i_admissibility_test",
-    "identity_operator", "inverse_cayley", "inverse_op", "is_admissible",
+    "inverse_cayley", "inverse_op", "is_admissible",
     "is_injective", "is_isometric", "is_symmetric",
-    "make_operator", "operator_from_generators", "operator_from_matrix",
+    "operator_from_generators", "operator_from_matrix",
     "orthonormalize", "recover_parameter", "run_suite", "scale_op",
     "script_l", "shtraus_resolvent", "truncated_shift",
 ]

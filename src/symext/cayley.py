@@ -63,9 +63,9 @@ def defect_data(a, z: complex) -> DefectData:
         d, (g1, g2) = a.ambient_dim, a.halves()
         gen, img = g2 - z * g1, g2 - np.conj(z) * g1
         rank, s, (frame, vh) = rank_split(gen, a.tol, floor=0.0, part="svd")
-        m_z = Subspace(d, frame, a.tol)
-        u = DomainOperator(d, m_z, img @ (vh.conj().T / s)) if rank == gen.shape[1] else None
-        m_zbar = orthonormalize(img, ambient_dim=d, tol=a.tol)
+        m_z = Subspace(frame, a.tol)
+        u = DomainOperator(m_z, img @ (vh.conj().T / s)) if rank == gen.shape[1] else None
+        m_zbar = orthonormalize(img, tol=a.tol)
         return DefectData(z, m_z, m_z.complement(), m_zbar, m_zbar.complement(), u)
     return derived(a, ("defect_data", z), build)
 
@@ -93,7 +93,7 @@ def inverse_cayley(w: DomainOperator, z: complex) -> LinearRelation:
         raise ValueError("operator must be isometric")
     dom_vecs = w.action - w.domain.frame
     img_vecs = z * w.action - np.conj(z) * w.domain.frame
-    return LinearRelation.from_pairs(dom_vecs, img_vecs, w.ambient_dim, tol=w.tol)
+    return LinearRelation.from_pairs(dom_vecs, img_vecs, tol=w.tol)
 
 
 def _forbidden_on(dd: DefectData, frame: np.ndarray, tol: float) -> DomainOperator:
@@ -113,7 +113,7 @@ def _forbidden_on(dd: DefectData, frame: np.ndarray, tol: float) -> DomainOperat
     if rank != n:
         raise NotInvertible("forbidden relation is multivalued")
     action = dd.n_zbar.frame @ null[n:n + nb] @ (vh.conj().T / s) @ u.conj().T
-    return DomainOperator(dd.n_z.ambient_dim, dd.n_z, action)
+    return DomainOperator(dd.n_z, action)
 
 
 def forbidden_operator(a: DomainOperator, z: complex) -> DomainOperator:

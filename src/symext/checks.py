@@ -155,7 +155,7 @@ def _constrained_space_error(point: _GridPoint) -> float:
     exists: Atilde F has full column rank, and a QR orthonormalizes it.
     """
     m = point.ext.atilde_matrix()
-    left = Subspace(m.shape[0], np.linalg.qr(m @ point.l_space.frame)[0])
+    left = Subspace(np.linalg.qr(m @ point.l_space.frame)[0])
     return left.distance(point.l_space_inv)
 
 

@@ -40,6 +40,10 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from exc
 
 
+def _parse_grid(text: str) -> tuple:
+    return tuple(_parse_complex(p) for p in text.split(";"))
+
+
 def _parse_window(text: str):
     lo, hi = (float(p) for p in text.split(","))
     return (lo, hi)
@@ -170,16 +174,10 @@ def cmd_build_sa(args) -> int:
     return EXIT_OK
 
 
-def _grid_for(args, ext, lambda0):
-    if args.grid:
-        return tuple(_parse_complex(p) for p in args.grid.split(";"))
-    return default_lambda_grid(lambda0, ext.atilde_matrix())
-
-
 def cmd_resolvent(args) -> int:
     op, ext = _load_pair(args)
     lambda0 = args.lambda0
-    grid = _grid_for(args, ext, lambda0)
+    grid = args.grid or default_lambda_grid(lambda0, ext.atilde_matrix())
     f = ParameterFunction.from_extension(ext, lambda0, grid)
     rows, points, worst = [], [], 0.0
     for lam in grid:
@@ -293,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operator")
     p.add_argument("extension")
     p.add_argument("--lambda0", type=_parse_complex, required=True)
-    p.add_argument("--grid", default=None, help="semicolon-separated 're,im' points")
+    p.add_argument("--grid", type=_parse_grid, default=None,
+                   help="semicolon-separated 're,im' points")
     p.add_argument("--csv", default=None, help="write the resolvent grid as CSV here")
     add_common(p)
 

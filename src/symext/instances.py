@@ -69,8 +69,8 @@ def gen_symmetric(spec: InstanceSpec, tol: float = DEFAULT_TOL) -> DomainOperato
     hermitian = (hermitian + hermitian.conj().T) / 2
     basis = _random_unitary(rng, d)
     frame = basis[:, :d - n]
-    domain = Subspace(d, frame, tol)
-    return DomainOperator(d, domain, hermitian @ frame)
+    domain = Subspace(frame, tol)
+    return DomainOperator(domain, hermitian @ frame)
 
 
 def truncated_shift(n: int, tol: float = DEFAULT_TOL) -> DomainOperator:
@@ -87,5 +87,5 @@ def truncated_shift(n: int, tol: float = DEFAULT_TOL) -> DomainOperator:
     frame = np.eye(d, dtype=complex)[:, :n]
     action = np.zeros((d, n), dtype=complex)
     action[1:, :] = np.eye(n)
-    shift = DomainOperator(d, Subspace(d, frame, tol), action)
+    shift = DomainOperator(Subspace(frame, tol), action)
     return inverse_cayley(shift, 1j).to_operator()

@@ -36,7 +36,7 @@ from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_of
 from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
 from .neumann import ContractionParameter, construct_extension, injectivity
 from .operators import (DomainOperator, direct_sum_op, graph_contains, is_injective,
-                        is_symmetric, make_operator, negate, scale_op)
+                        is_symmetric, negate, scale_op)
 from .subspaces import TOL, Subspace, orthonormalize, rank_split
 
 
@@ -95,8 +95,7 @@ class ChainStep:
 
 def _leading(op: DomainOperator, k: int) -> DomainOperator:
     """op on the span of its first k domain frame columns."""
-    return make_operator(Subspace(op.ambient_dim, op.domain.frame[:, :k], op.tol),
-                         op.action[:, :k])
+    return DomainOperator(Subspace(op.domain.frame[:, :k], op.tol), op.action[:, :k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,13 +214,13 @@ def _extend_by(op: DomainOperator, column, image) -> DomainOperator:
     u, c, norm = column
     frame = np.hstack([op.domain.frame, u.reshape(-1, 1)])
     action = np.hstack([op.action, ((image - op.action @ c) / norm).reshape(-1, 1)])
-    return DomainOperator(op.ambient_dim, Subspace(op.ambient_dim, frame, op.tol), action)
+    return DomainOperator(Subspace(frame, op.tol), action)
 
 
 def _drop(space: Subspace, v: np.ndarray) -> Subspace:
     """space minus the unit vector v in it, by a QR in frame coordinates."""
     q, _ = np.linalg.qr((space.frame.conj().T @ v).reshape(-1, 1), mode="complete")
-    return Subspace(space.ambient_dim, space.frame @ q[:, 1:], space.tol)
+    return Subspace(space.frame @ q[:, 1:], space.tol)
 
 
 def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
@@ -285,11 +284,11 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
                     raise ChoiceExhausted(
                         "candidate directions kept producing kernels or fixed vectors")
                 continue
-            dom = Subspace(start.ambient_dim, f1.reshape(-1, 1), tol)
-            t = DomainOperator(start.ambient_dim, dom, h.reshape(-1, 1))
+            dom = Subspace(f1.reshape(-1, 1), tol)
+            t = DomainOperator(dom, h.reshape(-1, 1))
             current = _extend_by(current, dom_col, w)
             ran = np.hstack([ran, ran_col[0].reshape(-1, 1)])
-            n_z = Subspace(start.ambient_dim, np.delete(n_z.frame, attempt, axis=1), tol)
+            n_z = Subspace(np.delete(n_z.frame, attempt, axis=1), tol)
             n_zbar = _drop(n_zbar, h)
             steps.append(ChainStep(ContractionParameter.from_operator(z, t),
                                    (n_z.dim, n_zbar.dim)))

@@ -59,14 +59,14 @@ class ContractionParameter:
         """
         matrix = np.asarray(matrix, dtype=complex)
         t_dim = matrix.shape[1]
-        dom = Subspace(dd.n_z.ambient_dim, dd.n_z.frame[:, :t_dim], dd.n_z.tol)
+        dom = Subspace(dd.n_z.frame[:, :t_dim], dd.n_z.tol)
         action = dd.n_zbar.frame @ matrix
-        return cls.from_operator(dd.z, DomainOperator(dd.n_z.ambient_dim, dom, action))
+        return cls.from_operator(dd.z, DomainOperator(dom, action))
 
     @classmethod
     def empty(cls, z: complex, ambient_dim: int) -> "ContractionParameter":
-        dom = Subspace(ambient_dim, np.zeros((ambient_dim, 0), complex))
-        return cls(z, DomainOperator(ambient_dim, dom, np.zeros((ambient_dim, 0), complex)),
+        dom = Subspace(np.zeros((ambient_dim, 0), complex))
+        return cls(z, DomainOperator(dom, np.zeros((ambient_dim, 0), complex)),
                    ISOMETRIC)
 
 
@@ -202,7 +202,7 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
     dd = defect_data(a, z)
     shifted = b.action - z * b.domain.frame
     rank, s, (u, vh) = _shifted_svd(b, z)
-    t_domain = dd.n_z.intersect(Subspace(b.ambient_dim, u, b.tol))
+    t_domain = dd.n_z.intersect(Subspace(u, b.tol))
     if t_domain.dim == 0:
         return ContractionParameter.empty(z, a.ambient_dim)
     coeffs = vh.conj().T @ ((u.conj().T @ t_domain.frame) / s[:rank, None])
@@ -212,5 +212,5 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
     out = images - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ images)
     if not opnorm_le(out, TOL.recover_leak, relative_to=images):
         raise NotAnExtension("recovered images leave the defect space at zbar")
-    t = DomainOperator(a.ambient_dim, t_domain, images)
+    t = DomainOperator(t_domain, images)
     return ContractionParameter.from_operator(z, t)

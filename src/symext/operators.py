@@ -23,16 +23,13 @@ class DomainOperator:
     ``action`` is d x dim D(A); column j is A applied to domain frame column j.
     """
 
-    ambient_dim: int
     domain: Subspace
     action: np.ndarray
 
     def __post_init__(self):
-        if self.domain.ambient_dim != self.ambient_dim:
-            raise ValueError("domain lives in a different ambient space")
         action = np.array(self.action, dtype=complex)
         if action.shape != (self.ambient_dim, self.domain.dim):
-            raise ValueError("action must be ambient_dim x dim(domain)")
+            raise ValueError("action must be d x dim(domain) for a domain in C^d")
         action.setflags(write=False)
         object.__setattr__(self, "action", action)
 
@@ -45,6 +42,10 @@ class DomainOperator:
     def _memo(self) -> dict:
         """Facts computed from this operator, by key; read and written only by ``derived``."""
         return {}
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.domain.ambient_dim
 
     @property
     def domain_dim(self) -> int:
@@ -78,20 +79,11 @@ class DomainOperator:
         return self.action @ (self.domain.frame.conj().T @ v)
 
 
-def make_operator(domain: Subspace, action) -> DomainOperator:
-    return DomainOperator(domain.ambient_dim, domain, np.asarray(action, dtype=complex))
-
-
-def identity_operator(d: int, tol=DEFAULT_TOL) -> DomainOperator:
-    eye = np.eye(d, dtype=complex)
-    return DomainOperator(d, Subspace(d, eye, tol), eye)
-
-
 def operator_from_matrix(m: np.ndarray, tol=DEFAULT_TOL) -> DomainOperator:
     """Total operator from a square matrix."""
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
-    return DomainOperator(d, Subspace(d, np.eye(d, dtype=complex), tol), m)
+    return DomainOperator(Subspace(np.eye(d, dtype=complex), tol), m)
 
 
 def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOperator:
@@ -114,7 +106,7 @@ def _from_generator_svd(split, images, tol) -> DomainOperator:
     _, s, (u, vh) = split
     if np.sum(s > tol * s.max(initial=0.0)) != images.shape[1]:
         raise ValueError("generators are linearly dependent; the map is ill-defined")
-    return DomainOperator(len(u), Subspace(len(u), u, tol), images @ (vh.conj().T / s))
+    return DomainOperator(Subspace(u, tol), images @ (vh.conj().T / s))
 
 
 def derived(a, key, build):
@@ -170,11 +162,11 @@ def is_isometric(a: DomainOperator) -> bool:
 
 
 def negate(a: DomainOperator) -> DomainOperator:
-    return DomainOperator(a.ambient_dim, a.domain, -a.action)
+    return DomainOperator(a.domain, -a.action)
 
 
 def scale_op(a: DomainOperator, alpha: complex) -> DomainOperator:
-    return DomainOperator(a.ambient_dim, a.domain, alpha * a.action)
+    return DomainOperator(a.domain, alpha * a.action)
 
 
 def direct_sum_op(a: DomainOperator, b: DomainOperator) -> DomainOperator:
@@ -187,19 +179,18 @@ def direct_sum_op(a: DomainOperator, b: DomainOperator) -> DomainOperator:
     action = np.zeros((da + db, ka + kb), dtype=complex)
     action[:da, :ka] = a.action
     action[da:, ka:] = b.action
-    return DomainOperator(da + db, Subspace(da + db, frame, a.tol), action)
+    return DomainOperator(Subspace(frame, a.tol), action)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearRelation:
     """Subspace of C^d x C^d, the graph-level generalization of an operator."""
 
-    ambient_dim: int
     graph: Subspace
 
     def __post_init__(self):
-        if self.graph.ambient_dim != 2 * self.ambient_dim:
-            raise ValueError("graph must live in C^{2d}")
+        if self.graph.ambient_dim % 2:
+            raise ValueError("graph must live in C^{2d}: it needs an even number of rows")
 
     @classmethod
     def from_operator(cls, a: DomainOperator) -> "LinearRelation":
@@ -209,19 +200,21 @@ class LinearRelation:
         value at least 1: its rank is full and there is no rank to decide.
         """
         q, _ = np.linalg.qr(np.vstack([a.domain.frame, a.action]))
-        return cls(a.ambient_dim, Subspace(2 * a.ambient_dim, q, a.tol))
+        return cls(Subspace(q, a.tol))
 
     @classmethod
-    def from_pairs(cls, domain_vectors, image_vectors, ambient_dim, tol=DEFAULT_TOL) -> "LinearRelation":
-        top = np.asarray(domain_vectors, dtype=complex).reshape(ambient_dim, -1)
-        bot = np.asarray(image_vectors, dtype=complex).reshape(ambient_dim, -1)
-        return cls(ambient_dim, orthonormalize(np.vstack([top, bot]),
-                                               ambient_dim=2 * ambient_dim, tol=tol))
+    def from_pairs(cls, domain_vectors, image_vectors, tol=DEFAULT_TOL) -> "LinearRelation":
+        """The span of the pairs (column j of ``domain_vectors``, column j of ``image_vectors``)."""
+        return cls(orthonormalize(np.vstack([domain_vectors, image_vectors]), tol=tol))
 
     @cached_property
     def _memo(self) -> dict:
         """Facts computed from this relation, by key; read and written only by ``derived``."""
         return {}
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.graph.ambient_dim // 2
 
     @property
     def dim(self) -> int:
@@ -238,7 +231,7 @@ class LinearRelation:
         """
         d = self.ambient_dim
         frame = np.vstack([self.graph.frame[d:], self.graph.frame[:d]])
-        return LinearRelation(d, Subspace(2 * d, frame, self.tol))
+        return LinearRelation(Subspace(frame, self.tol))
 
     def halves(self) -> tuple:
         """``(G1, G2)``: the top and bottom halves of the orthonormal graph frame."""
@@ -249,7 +242,7 @@ class LinearRelation:
         """Images paired with 0: the vertical component of the graph."""
         top, bot = self.halves()
         _, _, null = rank_split(top, self.tol, part="null")
-        return orthonormalize(bot @ null, ambient_dim=self.ambient_dim, tol=self.tol)
+        return orthonormalize(bot @ null, tol=self.tol)
 
     def is_operator(self) -> bool:
         return self.multivalued_part().dim == 0

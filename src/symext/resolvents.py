@@ -171,7 +171,7 @@ def script_l(ext: EmbeddedExtension, lam: complex) -> Subspace:
     total = m.shape[0]
     constraint = (m - lam * np.eye(total))[ext.base.ambient_dim:]
     _, _, null = rank_split(constraint, ext.atilde.tol, floor=0.0, part="null")
-    return Subspace(total, null, ext.atilde.tol)
+    return Subspace(null, ext.atilde.tol)
 
 
 def frak_b(ext: EmbeddedExtension, lam: complex) -> DomainOperator:
@@ -374,7 +374,7 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
     # the gate ContractionParameter applies, on the coordinates of the sample
     require_nonexpanding(matrix)
     dd = defect_data(a, base_point)
-    t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom_frame, a.tol), t_action)
+    t = DomainOperator(Subspace(dom_frame, a.tol), t_action)
     margin, upper = _admissibility_bounds(a, base_point, dd, t)
     if not clears_cut(margin, upper, a.tol):
         adm = is_admissible(a, base_point, t, dd=dd)  # its margin is s_min(V - Q)

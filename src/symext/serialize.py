@@ -38,8 +38,11 @@ def encode_complex(z) -> list:
 
 
 def decode_complex(data) -> complex:
-    re, im = data
-    return complex(re, im)
+    try:
+        re, im = data
+        return complex(re, im)
+    except TypeError as exc:
+        raise ValueError(f"expected a [re, im] pair of numbers, got {data!r:.40}") from exc
 
 
 def encode_matrix(m) -> list:
@@ -49,7 +52,10 @@ def encode_matrix(m) -> list:
 
 
 def decode_matrix(data) -> np.ndarray:
-    rows = [[decode_complex(v) for v in row] for row in data]
+    try:
+        rows = [[decode_complex(v) for v in row] for row in data]
+    except TypeError as exc:
+        raise ValueError("a matrix must be a list of rows of [re, im] pairs") from exc
     if not rows:
         return np.zeros((0, 0), dtype=complex)
     width = len(rows[0])
@@ -67,12 +73,14 @@ def encode_operator(a: DomainOperator) -> dict:
 
 
 def decode_operator(data, tol=DEFAULT_TOL) -> DomainOperator:
-    d = int(data["ambient_dim"])
+    if not isinstance(data, dict) or type(data.get("ambient_dim")) is not int:
+        raise ValueError("an operator must be an object with an integer ambient_dim")
+    d = data["ambient_dim"]
     frame = decode_matrix(data["domain_frame"])
     action = decode_matrix(data["action"])
     if frame.shape[0] != d or action.shape[0] != d:
         raise ValueError("matrix rows do not match the ambient dimension")
-    return DomainOperator(d, Subspace(d, frame, tol), action)
+    return DomainOperator(Subspace(frame, tol), action)
 
 
 def operator_file(a: DomainOperator, extra: dict | None = None) -> dict:
@@ -113,7 +121,7 @@ def decode_embedded_extension(data, tol=DEFAULT_TOL) -> EmbeddedExtension:
     base = decode_operator(data["base"], tol)
     atilde = decode_operator(data["extension"], tol)
     total, d = atilde.ambient_dim, base.ambient_dim
-    if int(data["exit_dim"]) != total - d or not np.array_equal(
+    if data["exit_dim"] != total - d or not np.array_equal(
             decode_matrix(data["embedding"]), np.eye(total, d)):
         raise ValueError("H must be the first d coordinates: embedding np.eye(d+e, d), exit_dim e")
     return EmbeddedExtension(base, atilde)
@@ -140,6 +148,8 @@ def _chain_doc(chain, base: dict, final: dict) -> dict:
 
 
 def _expect_kind(data, kind):
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a {kind} document, found a JSON {type(data).__name__}")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {data.get('schema')!r}")
     if data.get("kind") != kind:

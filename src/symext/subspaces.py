@@ -70,23 +70,6 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def _as_complex_matrix(vectors, ambient_dim=None):
-    """Coerce a matrix, a sequence of vectors, or an empty list to a d x k array."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        m = np.array(vectors, dtype=complex)
-    else:
-        cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if cols:
-            m = np.column_stack(cols)
-        else:
-            if ambient_dim is None:
-                raise ValueError("ambient_dim required for an empty vector list")
-            m = np.zeros((ambient_dim, 0), dtype=complex)
-    if ambient_dim is not None and m.shape[0] != ambient_dim:
-        raise ValueError(f"expected ambient dimension {ambient_dim}, got {m.shape[0]}")
-    return m
-
-
 def near_identity(gram: np.ndarray, atol: float, diagonal: float = 0.0) -> bool:
     """Whether ``|G - I| <= atol + diagonal * I`` entrywise; NaN and inf fail.
 
@@ -155,14 +138,13 @@ def fix_phase(v):
 class Subspace:
     """A subspace of C^d, stored as a d x k matrix with orthonormal columns."""
 
-    ambient_dim: int
     frame: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         frame = np.array(self.frame, dtype=complex)
-        if frame.ndim != 2 or frame.shape[0] != self.ambient_dim:
-            raise ValueError("frame must be ambient_dim x k")
+        if frame.ndim != 2:
+            raise ValueError("frame must be a d x k matrix")
         if not near_identity(frame.conj().T @ frame,
                              TOL.frame_factor * max(self.tol, TOL.frame_floor),
                              TOL.frame_diagonal):
@@ -171,11 +153,12 @@ class Subspace:
         object.__setattr__(self, "frame", frame)
 
     @property
+    def ambient_dim(self) -> int:
+        return self.frame.shape[0]
+
+    @property
     def dim(self) -> int:
         return self.frame.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
 
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex).reshape(-1)
@@ -197,9 +180,9 @@ class Subspace:
     def complement(self) -> "Subspace":
         """Orthogonal complement in the same ambient space."""
         if self.dim == 0:
-            return Subspace(self.ambient_dim, np.eye(self.ambient_dim, dtype=complex), self.tol)
+            return Subspace(np.eye(self.ambient_dim, dtype=complex), self.tol)
         u, _, _ = np.linalg.svd(self.frame, full_matrices=True)
-        return Subspace(self.ambient_dim, u[:, self.dim:], self.tol)
+        return Subspace(u[:, self.dim:], self.tol)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The directions of ``self`` that ``other.contains``: the kernel of
@@ -208,7 +191,7 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         resid = self.frame - other.frame @ (other.frame.conj().T @ self.frame)
         _, _, null = rank_split(resid, TOL.membership_factor * self.tol, part="null")
-        return Subspace(self.ambient_dim, self.frame @ null, self.tol)
+        return Subspace(self.frame @ null, self.tol)
 
     def distance(self, other: "Subspace") -> float:
         """Operator-norm gap ``||P_U - P_V||`` between the orthogonal projectors.
@@ -270,15 +253,17 @@ def clears_cut(lower: float, upper: float, tol: float) -> bool:
     return bool(lower - slack > tol * max(1.0, upper + slack))
 
 
-def orthonormalize(vectors, ambient_dim=None, tol=DEFAULT_TOL) -> Subspace:
-    """Orthonormal frame for the span of the given vectors.
+def orthonormalize(m, tol=DEFAULT_TOL) -> Subspace:
+    """Orthonormal frame for the span of the columns of a d x k array.
 
     Rank is decided by singular values exceeding ``tol`` times the largest
-    singular value. Dependent and zero vectors are dropped silently.
+    singular value. Dependent and zero columns are dropped silently.
     """
-    m = _as_complex_matrix(vectors, ambient_dim)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError("orthonormalize takes a d x k matrix")
     _, _, frame = rank_split(m, tol, floor=0.0, part="range")
-    return Subspace(m.shape[0], frame, tol)
+    return Subspace(frame, tol)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def small_eigenvalue_base(eps, d, n, seed):
     h = (q * eigs) @ q.conj().T
     rest = rng.standard_normal((d, d - n - 1)) + 1j * rng.standard_normal((d, d - n - 1))
     frame, _ = np.linalg.qr(np.hstack([q[:, :1], rest]))
-    return sx.DomainOperator(d, sx.Subspace(d, frame), (h + h.conj().T) / 2 @ frame), rng
+    return sx.DomainOperator(sx.Subspace(frame), (h + h.conj().T) / 2 @ frame), rng
 
 
 EMBEDDING_CHANGES = ("permuted", "rotated", "wrong shape", "exit_dim")

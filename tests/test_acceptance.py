@@ -145,8 +145,7 @@ def test_criterion_4_selfadjoint_chain_builder():
             lift = np.eye(big, a.ambient_dim, dtype=complex)
             base = start if doubled else a
             lifted = DomainOperator(
-                big, Subspace(big, np.eye(big, base.ambient_dim, dtype=complex)
-                              @ base.domain.frame),
+                Subspace(np.eye(big, base.ambient_dim, dtype=complex) @ base.domain.frame),
                 np.eye(big, base.ambient_dim, dtype=complex) @ base.action)
             contains_ok = graph_contains(chain.final, lifted)
             if not (steps_ok and inj_ok and herm_ok and eig_min > 1e-8 and contains_ok):
@@ -198,7 +197,7 @@ def test_criterion_6_constrained_space_identities():
         frames = (dd.n_z.frame, dd.n_zbar.frame)
         for lam in default_lambda_grid(z, m):
             try:
-                left = orthonormalize(m @ script_l(ext, lam).frame, ambient_dim=m.shape[0])
+                left = orthonormalize(m @ script_l(ext, lam).frame)
                 worst_space = max(worst_space, left.distance(script_l(ext_inv, 1.0 / lam)))
                 worst_graph = max(worst_graph, graph_distance(
                     inverse_op(frak_b(ext, lam)), frak_b(ext_inv, 1.0 / lam)))

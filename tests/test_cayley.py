@@ -8,8 +8,8 @@ from symext.cayley import (cayley, defect_data, forbidden_of_inverse, forbidden_
                            inverse_cayley, is_admissible, require_offaxis)
 from symext.errors import NotInvertible, ParameterShapeViolation, RealPoint
 from symext.invertibility import double
-from symext.operators import (LinearRelation, graph_distance, inverse_op, is_isometric,
-                              make_operator, operator_from_generators, operator_from_matrix,
+from symext.operators import (DomainOperator, LinearRelation, graph_distance, inverse_op,
+                              is_isometric, operator_from_generators, operator_from_matrix,
                               scale_op)
 from symext.subspaces import Subspace, orthonormalize, rank_split
 
@@ -143,12 +143,12 @@ def test_rank_cut_dropping_a_generator_leaves_no_cayley():
     # at tol 1e-2 the cut drops (A - z)e2 against (A - z)e1 ~ 1e3 e1: the
     # spaces keep the cut rank, and U_z, which needs every generator, is absent
     e = np.eye(3, dtype=complex)
-    a = make_operator(Subspace(3, e[:, :2], tol=1e-2), np.column_stack([1e3 * e[:, 0], e[:, 1]]))
+    a = DomainOperator(Subspace(e[:, :2], tol=1e-2), np.column_stack([1e3 * e[:, 0], e[:, 1]]))
     dd = defect_data(a, 0.5j)
     assert dd.m_z.dim == 1 and dd.defect_numbers == (2, 2) and dd.u is None
     with pytest.raises(ValueError, match="linearly dependent"):
         cayley(a, 0.5j)
-    t = make_operator(Subspace(3, dd.n_z.frame[:, :0], tol=1e-2), np.zeros((3, 0)))
+    t = DomainOperator(Subspace(dd.n_z.frame[:, :0], tol=1e-2), np.zeros((3, 0)))
     with pytest.raises(ValueError, match="linearly dependent"):
         is_admissible(a, 0.5j, t)
     assert dd.of_inverse().u is None
@@ -214,7 +214,7 @@ def _relation_route(dd, frame, tol):
     system = np.hstack([dd.n_z.frame, -dd.n_zbar.frame, -(z - np.conj(z)) * frame])
     _, _, null = rank_split(system, tol, floor=0.0, part="null")
     return LinearRelation.from_pairs(dd.n_z.frame @ null[:n], dd.n_zbar.frame @ null[n:n + nb],
-                                     dd.n_z.ambient_dim, tol=tol).to_operator()
+                                     tol=tol).to_operator()
 
 
 def _off(m, frame) -> float:
@@ -246,8 +246,7 @@ def test_forbidden_operator_satisfies_its_definition():
 def test_forbidden_operator_of_a_mismatched_input_is_not_invertible():
     a, z, _ = random_instance(3)
     # a record of an operator on a smaller domain pairs more vectors than dim N_z
-    smaller = make_operator(Subspace(a.ambient_dim, a.domain.frame[:, :1], a.tol),
-                            a.action[:, :1])
+    smaller = DomainOperator(Subspace(a.domain.frame[:, :1], a.tol), a.action[:, :1])
     with pytest.raises(NotInvertible):
         forbidden_of_inverse(a, defect_data(smaller, z))
     # a kernel leaves no A^{-1}
@@ -267,15 +266,15 @@ def test_is_admissible_worked_values(worked_a, worked_dd):
 
 
 def test_is_admissible_empty_parameter(worked_a):
-    empty = make_operator(Subspace(2, np.zeros((2, 0), dtype=complex)),
-                          np.zeros((2, 0), dtype=complex))
+    empty = DomainOperator(Subspace(np.zeros((2, 0), dtype=complex)),
+                           np.zeros((2, 0), dtype=complex))
     assert is_admissible(worked_a, 1j, empty).admissible
 
 
 def test_is_admissible_shape_violation(worked_a):
     # domain outside N_i: D(T) = span{e1} = D(A)
-    t = make_operator(Subspace(2, np.array([[1.0], [0.0]], dtype=complex)),
-                      np.array([[0.0], [1.0]], dtype=complex))
+    t = DomainOperator(Subspace(np.array([[1.0], [0.0]], dtype=complex)),
+                       np.array([[0.0], [1.0]], dtype=complex))
     with pytest.raises(ParameterShapeViolation):
         is_admissible(worked_a, 1j, t)
 
@@ -293,8 +292,7 @@ def test_admissibility_matches_forbidden_formulation():
             # agree with X on a random defect direction: must be inadmissible
             f = dd.n_z.frame @ (lambda v: v / np.linalg.norm(v))(
                 rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            t = make_operator(Subspace(a.ambient_dim, f.reshape(-1, 1)),
-                              x.apply(f).reshape(-1, 1))
+            t = DomainOperator(Subspace(f.reshape(-1, 1)), x.apply(f).reshape(-1, 1))
             verdict = is_admissible(a, z, t)
             assert not verdict.admissible
             hits += 1
@@ -302,7 +300,7 @@ def test_admissibility_matches_forbidden_formulation():
             raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             s = np.linalg.svd(raw, compute_uv=False)
             t_mat = raw / (s[0] * 1.7)
-            t = make_operator(dd.n_z, dd.n_zbar.frame @ t_mat)
+            t = DomainOperator(dd.n_z, dd.n_zbar.frame @ t_mat)
             verdict = is_admissible(a, z, t)
             xmat = np.column_stack([x.apply(dd.n_z.frame[:, j]) for j in range(n)])
             diff = dd.n_zbar.frame @ t_mat - xmat

@@ -108,7 +108,7 @@ def test_inverse_checks_run_on_a_multivalued_inverse():
     # A e1 = 0, A e2 = e2 on D(A) = span(e1, e2) in C^4: A^{-1} is a relation with
     # the vertical pair (0, e1), and both identities hold for relations
     eye = np.eye(4, dtype=complex)
-    a = DomainOperator(4, Subspace(4, eye[:, :2]), eye[:, :2] * [0.0, 1.0])
+    a = DomainOperator(Subspace(eye[:, :2]), eye[:, :2] * [0.0, 1.0])
     assert a.graph.inverse().multivalued_part().dim == 1
     got = {r.name: r for r in run_suite(a)}
     for name in ("range_defect_inverse", "cayley_inverse_scaling"):
@@ -145,7 +145,7 @@ def oracle_inversion_errors(ext, lambda0):
     frames = (dd.n_z.frame, dd.n_zbar.frame)
     worst = dict.fromkeys(INVERSION_CHECKS, 0.0)
     for lam in default_lambda_grid(lambda0, m):
-        left = orthonormalize(m @ script_l(ext, lam).frame, ambient_dim=m.shape[0])
+        left = orthonormalize(m @ script_l(ext, lam).frame)
         errors = (left.distance(script_l(ext_inv, 1.0 / lam)),
                   graph_distance(inverse_op(frak_b(ext, lam)), frak_b(ext_inv, 1.0 / lam)),
                   float(np.linalg.norm(
@@ -245,7 +245,7 @@ def test_frak_b_with_a_kernel_turns_frak_b_inverse_red(worked_a, monkeypatch):
             return b
         action = np.array(b.action)
         action[:, 0] = 0.0
-        return DomainOperator(b.ambient_dim, b.domain, action)
+        return DomainOperator(b.domain, action)
 
     monkeypatch.setattr(checks, "_frak_b_from", with_kernel)
     by_name = {r.name: r for r in run_suite(worked_a, ext)}

@@ -389,6 +389,52 @@ def test_resolvent_custom_grid_and_spectrum_hit(tmp_path):
     assert doc["agree"] is True
 
 
+def test_resolvent_bad_grid_point_is_a_usage_error(tmp_path, capsys):
+    op_path, ext_path, out = tmp_path / "op.json", tmp_path / "ext.json", tmp_path / "out.json"
+    write_worked_operator(op_path)
+    assert cli.main(["build-sa", str(op_path), "--z", "0,1", "-o", str(ext_path)]) == cli.EXIT_OK
+    run = ["resolvent", str(op_path), str(ext_path), "-o", str(out)]
+    errors = []
+    for option in (["--lambda0", "bad"], ["--lambda0", "0,1", "--grid", "1,2;bad"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(run + option)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    # the same usage error as a bad --lambda0, and nothing written
+    assert errors[1] == errors[0].replace("--lambda0", "--grid")
+    assert errors[1].endswith("argument --grid: expected 're,im', got 'bad'")
+    assert not out.exists()
+
+
+MALFORMED = {
+    "ambient_dim null": ("op", lambda doc: {**doc, "ambient_dim": None}),
+    "ambient_dim not an int": ("op", lambda doc: {**doc, "ambient_dim": 2.5}),
+    "number for a matrix": ("op", lambda doc: {**doc, "action": 5}),
+    "numbers for pairs": ("op", lambda doc: {**doc, "action": [[1], [0]]}),
+    "strings for a pair": ("op", lambda doc: {**doc, "action": [[["1", "0"]], [[0.0, 0.0]]]}),
+    "list for a document": ("op", lambda doc: [doc]),
+    "number for an operator": ("ext", lambda doc: {**doc, "extension": 5}),
+    "exit_dim null": ("ext", lambda doc: {**doc, "exit_dim": None}),
+}
+
+
+@pytest.mark.parametrize("which, change", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_file_is_one_error_line(tmp_path, capsys, which, change):
+    paths = {"op": tmp_path / "op.json", "ext": tmp_path / "ext.json"}
+    out = tmp_path / "out.json"
+    write_worked_operator(paths["op"])
+    assert cli.main(["build-sa", str(paths["op"]), "--z", "0,1", "--double",
+                     "-o", str(paths["ext"])]) == cli.EXIT_OK
+    doc = change(json.loads(paths[which].read_text(encoding="utf-8")))
+    paths[which].write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", str(paths["op"]), str(paths["ext"]), "-o", str(out)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_resolvent_skips_an_expanding_sample(tmp_path, monkeypatch):
     # F of norm 1 + 5e-8 passes the sample guard but not the Shtraus formula's
     # expanding gate: each point is skipped with the typed error, exit code 0

@@ -40,7 +40,7 @@ def test_gen_symmetric_properties():
         dd = defect_data(a, 1j)
         assert (dd.n_z.dim, dd.n_zbar.dim) == (n, n)
         # range codimension equals the defect for symmetric injective A
-        ran = orthonormalize(a.action, ambient_dim=d)
+        ran = orthonormalize(a.action)
         assert d - ran.dim == n
 
 
@@ -65,7 +65,7 @@ def test_gen_symmetric_negative_window():
 def test_gen_symmetric_dense_range():
     a = gen_symmetric(InstanceSpec(ambient_dim=4, defect=0, seed=1))
     assert a.domain.dim == 4
-    assert orthonormalize(a.action, ambient_dim=4).dim == 4
+    assert orthonormalize(a.action).dim == 4
 
 
 def test_gen_symmetric_smallest_case_matches_worked_shape(worked_a):
@@ -78,7 +78,7 @@ def test_gen_symmetric_smallest_case_matches_worked_shape(worked_a):
         for op, z in ((a, 1j), (worked_a, 1j)):
             dd = defect_data(op, z)
             assert (dd.n_z.dim, dd.n_zbar.dim) == (1, 1)
-        assert 2 - orthonormalize(a.action, ambient_dim=2).dim == 1
+        assert 2 - orthonormalize(a.action).dim == 1
         # the lone domain vector is an eigenvector-like direction only for
         # the worked operator; genericity keeps action and domain distinct
         assert np.linalg.norm(a.action) > 0.5
@@ -119,7 +119,7 @@ def test_truncated_shift_underlying_isometry_has_no_fixed_vectors():
     assert np.linalg.matrix_rank(shifted) == n
     # and the resulting operator is the inverse Cayley transform at i of V
     a = truncated_shift(n)
-    dom = orthonormalize(shifted, ambient_dim=d)
+    dom = orthonormalize(shifted)
     assert a.domain.distance(dom) < 1e-12
 
 

@@ -12,9 +12,9 @@ from symext.errors import NotAdmissible, NotInvertibleBase, SymextError
 from symext.invertibility import (_forbidden_images, build_invertible_selfadjoint,
                                   check_invertibility, double)
 from symext.neumann import ContractionParameter, extend, recover_parameter
-from symext.operators import (graph_contains, graph_distance, inverse_op,
-                              is_injective, is_symmetric, make_operator, negate,
-                              operator_from_matrix, scale_op)
+from symext.operators import (DomainOperator, graph_contains, graph_distance, inverse_op,
+                              is_injective, is_symmetric, negate, operator_from_matrix,
+                              scale_op)
 from symext.resolvents import EmbeddedExtension
 from symext.subspaces import DEFAULT_TOL, TOL, Subspace, fix_phase, rank_split
 
@@ -67,7 +67,7 @@ def test_one_cayley_transform_per_check(monkeypatch):
     operators = importlib.import_module("symext.operators")
     a, z, _ = random_instance(7, max_dim=6)
     parameter = random_contraction(np.random.default_rng(7), defect_data(a, z))
-    fresh = sx.DomainOperator(a.ambient_dim, a.domain, a.action)
+    fresh = sx.DomainOperator(a.domain, a.action)
     k = fresh.compression()
     skew, generators = k - k.conj().T, fresh.action - z * fresh.domain.frame
     runs = dict.fromkeys(("symmetry gate", "injectivity cut", "SVD of A F - z F",
@@ -117,7 +117,7 @@ def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(
             parameter = ContractionParameter.from_operator(z, t)
         else:
             parameter = random_contraction(rng, dd)
-        want = check_invertibility(sx.DomainOperator(a.ambient_dim, a.domain, a.action),
+        want = check_invertibility(sx.DomainOperator(a.domain, a.action),
                                    z, parameter)
         built = []
         with monkeypatch.context() as patch:
@@ -186,7 +186,7 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
             patch.setattr(neumann, "rank_split", lambda m, *args, _fn=neumann.rank_split,
                           **kwargs: cuts.append(m) or _fn(m, *args, **kwargs))
             got = check_invertibility(a, z, ContractionParameter(
-                z, sx.DomainOperator(a.ambient_dim, parameter.t.domain, parameter.t.action),
+                z, sx.DomainOperator(parameter.t.domain, parameter.t.action),
                 parameter.kind))
         assert classified == [] and len(cuts) == 1, seed
         assert not any(np.array_equal(m, s) for m in cuts for s in shifted), seed
@@ -200,7 +200,7 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
 
 def _fresh(op):
     """A new operator on the same domain and action: same bits, empty memo."""
-    return sx.DomainOperator(op.ambient_dim, op.domain, op.action)
+    return sx.DomainOperator(op.domain, op.action)
 
 
 def _report_bits(r):
@@ -289,7 +289,7 @@ def _full_svd_admissibility(a, t, u):
 
 def _rank_one_onto(a, g, image):
     """T sending the unit vector g to ``image``."""
-    return make_operator(Subspace(a.ambient_dim, g[:, None], a.tol), image[:, None])
+    return DomainOperator(Subspace(g[:, None], a.tol), image[:, None])
 
 
 def test_admissibility_from_values_matches_full_svd():
@@ -550,7 +550,7 @@ def test_thin_forbidden_images_match_the_square_solve():
                     assert_same_images(thin, full_forbidden_images(f1, dd.n_zbar, c, ran, z))
                 # without the column h of N_zbar, f1 = h is in neither span: both drop it
                 h = dd.n_zbar.frame[:, 0]
-                rest = Subspace(c.ambient_dim, dd.n_zbar.frame[:, 1:], c.tol)
+                rest = Subspace(dd.n_zbar.frame[:, 1:], c.tol)
                 assert _forbidden_images(h, rest, c, ran, z) == []
                 assert full_forbidden_images(h, rest, c, ran, z) == []
                 c = chain.operator(k)

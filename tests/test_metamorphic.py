@@ -35,8 +35,7 @@ from conftest import small_eigenvalue_base
 
 
 def conjugate(q, a: DomainOperator) -> DomainOperator:
-    return DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, q @ a.domain.frame, a.tol),
-                          q @ a.action)
+    return DomainOperator(Subspace(q @ a.domain.frame, a.tol), q @ a.action)
 
 
 def borderline(*margins) -> bool:
@@ -113,7 +112,7 @@ def test_verdicts_invariant_under_unitary_conjugation(case):
 @given(instances(), st.floats(0.5, 2.0))
 def test_verdicts_invariant_under_positive_scaling(case, c):
     a, z, generic, _ = case
-    scaled = DomainOperator(a.ambient_dim, a.domain, c * a.action)
+    scaled = DomainOperator(a.domain, c * a.action)
     assert_same_verdicts(a, z, scaled, c * z, np.eye(a.ambient_dim), generic)
 
 
@@ -150,7 +149,7 @@ def test_contraction_adjoint_at_zbar_is_formal_adjoint(case):
     zbar = np.conj(z)
     dd = sx.defect_data(a, z)
     t = sx.ContractionParameter.from_matrix(dd, generic).t
-    t_star = DomainOperator(a.ambient_dim, dd.n_zbar, t.domain.frame @ generic.conj().T)
+    t_star = DomainOperator(dd.n_zbar, t.domain.frame @ generic.conj().T)
     adm = sx.is_admissible(a, z, t, dd=dd)
     adm_bar = sx.is_admissible(a, zbar, t_star)
     if borderline(adm.margin, adm_bar.margin):

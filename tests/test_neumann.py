@@ -10,8 +10,8 @@ from symext.neumann import (ACCUMULATIVE, DISSIPATIVE, ISOMETRIC, MIXED,
                             SELF_ADJOINT, STRICTLY_CONTRACTIVE, SYMMETRIC,
                             ContractionParameter, classify_operator, extend,
                             recover_parameter)
-from symext.operators import (graph_contains, graph_distance, is_symmetric,
-                              make_operator, operator_from_matrix)
+from symext.operators import (DomainOperator, graph_contains, graph_distance, is_symmetric,
+                              operator_from_matrix)
 from symext.subspaces import TOL, Subspace, opnorm
 
 from conftest import random_contraction, random_instance, worked_parameter
@@ -94,8 +94,8 @@ def test_dissipative_quadratic_form_sign(worked_a):
 
 
 def test_extend_shape_violation(worked_a):
-    t = make_operator(Subspace(2, np.array([[1.0], [0.0]], dtype=complex)),
-                      np.array([[0.0], [0.5]], dtype=complex))
+    t = DomainOperator(Subspace(np.array([[1.0], [0.0]], dtype=complex)),
+                       np.array([[0.0], [0.5]], dtype=complex))
     with pytest.raises(ParameterShapeViolation):
         extend(worked_a, 1j, ContractionParameter(1j, t, MIXED))
 
@@ -151,7 +151,7 @@ def test_partial_isometric_stays_symmetric():
         f1 = dd.n_z.frame[:, :1]
         h = dd.n_zbar.frame @ (lambda v: v / np.linalg.norm(v))(
             rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        t = make_operator(Subspace(a.ambient_dim, f1), h.reshape(-1, 1))
+        t = DomainOperator(Subspace(f1), h.reshape(-1, 1))
         try:
             report = extend(a, z, ContractionParameter.from_operator(z, t))
         except NotAdmissible:

@@ -46,7 +46,7 @@ def test_embedded_extension_validation(worked_a):
         # on fewer coordinates than the base
         EmbeddedExtension(worked_a, operator_from_matrix(np.array([[1.0]], dtype=complex)))
     with pytest.raises(ValueError, match="total on"):
-        partial = DomainOperator(2, Subspace(2, np.array([[1.0], [0.0]], dtype=complex)),
+        partial = DomainOperator(Subspace(np.array([[1.0], [0.0]], dtype=complex)),
                                  np.array([[1.0], [0.0]], dtype=complex))
         EmbeddedExtension(worked_a, partial)
     with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ def test_script_l_constrained_space_inverse_identity(worked_a):
     ext_inv = ext.inverse_pair()
     m = ext.atilde_matrix()
     for lam in (0.5 + 0.5j, -0.8 + 0.2j, 1.1 - 0.7j):
-        left = sx.orthonormalize(m @ script_l(ext, lam).frame, ambient_dim=4)
+        left = sx.orthonormalize(m @ script_l(ext, lam).frame)
         right = script_l(ext_inv, 1.0 / lam)
         assert left.distance(right) < 1e-10
 
@@ -333,7 +333,7 @@ def shtraus_oracle(a, lambda0, f, lam):
     else:
         z, dom, rng = np.conj(lambda0), f.range_frame, f.domain_frame
         mat = f.sample_at(np.conj(lam)).conj().T
-    t = sx.DomainOperator(a.ambient_dim, sx.Subspace(a.ambient_dim, dom, a.tol), rng @ mat)
+    t = sx.DomainOperator(sx.Subspace(dom, a.tol), rng @ mat)
     b = construct_extension(a, z, ContractionParameter.from_operator(z, t))
     return np.linalg.inv(b.to_matrix() - lam * np.eye(a.ambient_dim))
 
@@ -598,7 +598,7 @@ def branch_parameters(a, z, coords):
     dd = defect_data(a, z)
     for base, dom, rng, m in ((z, dd.n_z.frame, dd.n_zbar.frame, coords),
                               (np.conj(z), dd.n_zbar.frame, dd.n_z.frame, coords.conj().T)):
-        yield base, DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dom, a.tol), rng @ m)
+        yield base, DomainOperator(Subspace(dom, a.tol), rng @ m)
 
 
 def outcome_bits(fn, *args):
@@ -662,8 +662,7 @@ def test_admissibility_fallthrough_keeps_the_exact_errors(worked_a, worked_dd):
     a, z, _ = random_instance(0)
     dd = defect_data(a, z)
     assert dd.n_z.dim == 2
-    t = DomainOperator(a.ambient_dim, Subspace(a.ambient_dim, dd.n_z.frame[:, :1], a.tol),
-                       np.zeros((a.ambient_dim, 1), complex))
+    t = DomainOperator(Subspace(dd.n_z.frame[:, :1], a.tol), np.zeros((a.ambient_dim, 1), complex))
     assert _admissibility_bounds(a, z, dd, t) == (0.0, np.inf)
     assert is_admissible(a, z, t, dd=dd).admissible
     with pytest.raises(ResolventSingular, match="not total"):
@@ -671,11 +670,10 @@ def test_admissibility_fallthrough_keeps_the_exact_errors(worked_a, worked_dd):
                                         np.zeros((2, 1), complex), 0.3 + 0.5 * z.imag * 1j)
     # a record with no U_z: the trivial bounds, and is_admissible's error
     e = np.eye(3, dtype=complex)
-    a = DomainOperator(3, Subspace(3, e[:, :2], tol=1e-2),
-                       np.column_stack([1e3 * e[:, 0], e[:, 1]]))
+    a = DomainOperator(Subspace(e[:, :2], tol=1e-2), np.column_stack([1e3 * e[:, 0], e[:, 1]]))
     dd = defect_data(a, 0.5j)
     assert dd.u is None
-    t = DomainOperator(3, Subspace(3, dd.n_z.frame, tol=1e-2), np.zeros((3, 2), complex))
+    t = DomainOperator(Subspace(dd.n_z.frame, tol=1e-2), np.zeros((3, 2), complex))
     assert _admissibility_bounds(a, 0.5j, dd, t) == (0.0, np.inf)
     f = ParameterFunction.constant(a, 0.5j, np.zeros((2, 2), complex))
     with pytest.raises(ValueError, match="linearly dependent"):

@@ -12,27 +12,51 @@ from symext.subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace,
 SEEDS = range(20)
 
 
+def projector(s):
+    return s.frame @ s.frame.conj().T
+
+
 def random_subspace(rng, d, k):
     raw = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    return orthonormalize(raw, ambient_dim=d)
+    return orthonormalize(raw)
 
 
 def test_orthonormalize_collinear():
-    s = orthonormalize(np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex), ambient_dim=2)
+    s = orthonormalize(np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex))
     assert s.dim == 1
     assert abs(abs(s.frame[0, 0]) - 1.0) < 1e-12
 
 
 def test_orthonormalize_empty():
-    s = orthonormalize(np.zeros((2, 0), dtype=complex), ambient_dim=2)
+    s = orthonormalize(np.zeros((2, 0), dtype=complex))
     assert s.dim == 0
     assert s.frame.shape == (2, 0)
 
 
 def test_orthonormalize_orthonormal_pair():
     pair = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
-    s = orthonormalize(pair, ambient_dim=2)
+    s = orthonormalize(pair)
     assert s.dim == 2
+
+
+def test_orthonormalize_refuses_a_one_dimensional_array():
+    with pytest.raises(ValueError, match="takes a d x k matrix"):
+        orthonormalize(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_ambient_dim_is_the_row_count_of_the_frame(d):
+    empty = Subspace(np.zeros((d, 0)))
+    assert empty.ambient_dim == d and empty.dim == 0
+    assert empty.complement().ambient_dim == d == empty.complement().dim
+    assert Subspace(np.eye(d + 1)[:, :1]).ambient_dim == d + 1
+
+
+def test_intersect_and_distance_refuse_other_ambient_dimensions():
+    small, big = Subspace(np.eye(2)[:, :1]), Subspace(np.eye(3)[:, :1])
+    for op in (Subspace.intersect, Subspace.distance):
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            op(small, big)
 
 
 def test_frame_orthonormality_random():
@@ -45,12 +69,12 @@ def test_frame_orthonormality_random():
 
 
 def test_project_hand_values():
-    s = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
+    s = Subspace(np.array([[1.0], [0.0]], dtype=complex))
     assert np.allclose(s.project(np.array([3.0, 4.0])), [3.0, 0.0])
-    full = Subspace(2, np.eye(2, dtype=complex))
+    full = Subspace(np.eye(2, dtype=complex))
     v = np.array([1.0 + 2j, -3.0])
     assert np.allclose(full.project(v), v)
-    zero = Subspace(2, np.zeros((2, 0), dtype=complex))
+    zero = Subspace(np.zeros((2, 0), dtype=complex))
     assert np.allclose(zero.project(v), 0.0)
 
 
@@ -59,7 +83,7 @@ def test_projector_idempotent_hermitian():
     for _ in range(10):
         d = int(rng.integers(1, 8))
         s = random_subspace(rng, d, int(rng.integers(0, d + 1)))
-        p = s.projector()
+        p = projector(s)
         assert np.allclose(p @ p, p, atol=1e-12)
         assert np.allclose(p, p.conj().T, atol=1e-12)
 
@@ -74,12 +98,12 @@ def test_projection_never_expands():
 
 
 def test_complement_hand_values():
-    s = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
+    s = Subspace(np.array([[1.0], [0.0]], dtype=complex))
     c = s.complement()
     assert c.dim == 1
     assert abs(abs(c.frame[1, 0]) - 1.0) < 1e-12
-    assert Subspace(2, np.eye(2, dtype=complex)).complement().dim == 0
-    assert Subspace(3, np.zeros((3, 0), dtype=complex)).complement().dim == 3
+    assert Subspace(np.eye(2, dtype=complex)).complement().dim == 0
+    assert Subspace(np.zeros((3, 0), dtype=complex)).complement().dim == 3
 
 
 def test_complement_involution():
@@ -94,13 +118,13 @@ def test_complement_involution():
 
 def test_intersect_hand_values():
     e = np.eye(3, dtype=complex)
-    s12 = Subspace(3, e[:, :2])
-    s23 = Subspace(3, e[:, 1:])
+    s12 = Subspace(e[:, :2])
+    s23 = Subspace(e[:, 1:])
     meet = s12.intersect(s23)
     assert meet.dim == 1
     assert abs(abs(meet.frame[1, 0]) - 1.0) < 1e-10
     assert s12.intersect(s12).distance(s12) < 1e-10
-    assert Subspace(3, e[:, :1]).intersect(Subspace(3, e[:, 1:2])).dim == 0
+    assert Subspace(e[:, :1]).intersect(Subspace(e[:, 1:2])).dim == 0
 
 
 def test_intersect_matches_scipy_principal_angles():
@@ -114,11 +138,11 @@ def test_intersect_matches_scipy_principal_angles():
         s1 = orthonormalize(
             np.hstack([shared.frame,
                        rng.standard_normal((d, k1 - shared.dim))
-                       + 1j * rng.standard_normal((d, k1 - shared.dim))]), ambient_dim=d)
+                       + 1j * rng.standard_normal((d, k1 - shared.dim))]))
         s2 = orthonormalize(
             np.hstack([shared.frame,
                        rng.standard_normal((d, k2 - shared.dim))
-                       + 1j * rng.standard_normal((d, k2 - shared.dim))]), ambient_dim=d)
+                       + 1j * rng.standard_normal((d, k2 - shared.dim))]))
         got = s1.intersect(s2).dim
         if s1.dim and s2.dim:
             angles = scipy.linalg.subspace_angles(s1.frame, s2.frame)
@@ -133,8 +157,8 @@ def test_intersect_cuts_where_contains_does(sine):
     # a meet direction is one the other space contains; a cosine cut of 1 - tol
     # kept sines up to sqrt(2 tol), and contains then rejected the meet
     e = np.eye(2, dtype=complex)
-    u = Subspace(2, e[:, :1])
-    v = Subspace(2, np.cos(sine) * e[:, :1] + np.sin(sine) * e[:, 1:])
+    u = Subspace(e[:, :1])
+    v = Subspace(np.cos(sine) * e[:, :1] + np.sin(sine) * e[:, 1:])
     for s1, s2 in ((u, v), (v, u)):
         meet = s1.intersect(s2)
         assert meet.dim == (sine <= TOL.membership_factor * DEFAULT_TOL)
@@ -148,7 +172,7 @@ def test_grassmann_identity():
         d = int(rng.integers(2, 9))
         s1 = random_subspace(rng, d, int(rng.integers(0, d + 1)))
         s2 = random_subspace(rng, d, int(rng.integers(0, d + 1)))
-        total = orthonormalize(np.hstack([s1.frame, s2.frame]), ambient_dim=d).dim
+        total = orthonormalize(np.hstack([s1.frame, s2.frame])).dim
         meet = s1.intersect(s2).dim
         assert total + meet == s1.dim + s2.dim
         assert total == np.linalg.matrix_rank(np.hstack([s1.frame, s2.frame]), tol=1e-10)
@@ -160,7 +184,7 @@ def test_distance_is_projector_gap():
         d = int(rng.integers(2, 8))
         s1 = random_subspace(rng, d, int(rng.integers(0, d + 1)))
         s2 = random_subspace(rng, d, int(rng.integers(0, d + 1)))
-        gap = np.linalg.norm(s1.projector() - s2.projector(), 2)
+        gap = np.linalg.norm(projector(s1) - projector(s2), 2)
         assert abs(s1.distance(s2) - gap) < 1e-12
         assert s1.distance(s1) < 1e-12
 
@@ -173,11 +197,10 @@ def test_distance_from_thin_frames():
         s1 = random_subspace(rng, d, k)
         noise = 10.0 ** rng.uniform(-12, 0)
         s2 = orthonormalize(s1.frame + noise * (rng.standard_normal((d, k))
-                                                + 1j * rng.standard_normal((d, k))),
-                            ambient_dim=d)
+                                                + 1j * rng.standard_normal((d, k))))
         if s2.dim != k:
             continue
-        gap = np.linalg.norm(s1.projector() - s2.projector(), 2)
+        gap = np.linalg.norm(projector(s1) - projector(s2), 2)
         assert abs(s1.distance(s2) - gap) <= 1e-14
         assert abs(s1.distance(s2) - s2.distance(s1)) <= 1e-14
         if k < d:
@@ -221,22 +244,22 @@ def test_frame_gate_decides_as_allclose():
     for rel, ok in ((1 - 1e-6, True), (1 + 1e-6, False)):
         frame = np.diag([np.sqrt(1.0 + rel * (atol + rtol)), 1.0]).astype(complex)
         if ok:
-            assert Subspace(2, frame).dim == 2
+            assert Subspace(frame).dim == 2
         else:
             with pytest.raises(ValueError, match="orthonormal"):
-                Subspace(2, frame)
+                Subspace(frame)
     with pytest.raises(ValueError, match="orthonormal"):
-        Subspace(2, np.array([[np.nan], [0.0]]))
+        Subspace(np.array([[np.nan], [0.0]]))
 
 
 def test_contains_and_contains_subspace():
     e = np.eye(3, dtype=complex)
-    s = Subspace(3, e[:, :2])
+    s = Subspace(e[:, :2])
     assert s.contains(np.array([1.0, 2.0, 0.0]))
     assert not s.contains(np.array([0.0, 0.0, 1.0]))
     assert s.contains(np.zeros(3))
-    assert s.contains_subspace(Subspace(3, e[:, :1]))
-    assert not s.contains_subspace(Subspace(3, e[:, 2:]))
+    assert s.contains_subspace(Subspace(e[:, :1]))
+    assert not s.contains_subspace(Subspace(e[:, 2:]))
 
 
 def test_fix_phase_first_nonzero_real_positive():

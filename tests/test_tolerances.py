@@ -172,6 +172,31 @@ def test_memo_only_in_derived():
     assert [scope for scope, _ in _memo_uses(probe)] == ["", "derived", "seed", "seed"]
 
 
+def _ambient_dim_keywords(tree):
+    """Calls that pass ``ambient_dim=``, other than to ``InstanceSpec``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] != "InstanceSpec"
+                and any(k.arg == "ambient_dim" for k in node.keywords)):
+            yield node
+
+
+def test_ambient_dim_is_read_off_the_frame():
+    # d is the row count of a frame: no type stores a copy of it, and no call passes one
+    fields = [tuple(f.name for f in dataclasses.fields(cls))
+              for cls in (sx.Subspace, sx.DomainOperator, sx.LinearRelation)]
+    assert fields == [("frame", "tol"), ("domain", "action"), ("graph",)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in _ambient_dim_keywords(tree)]
+    assert found == []
+    probe = ast.parse("orthonormalize(m, ambient_dim=d); sx.Subspace(frame=f, ambient_dim=d)\n"
+                      "InstanceSpec(ambient_dim=d); sx.InstanceSpec(ambient_dim=d, defect=n)\n"
+                      "Subspace(f, tol); g(ambient_dim); {'ambient_dim': d}")
+    assert len(list(_ambient_dim_keywords(probe))) == 2
+
+
 def _literal_scaled_tolerances(tree):
     """Products of a number literal and an expression that names a tolerance."""
     for node in ast.walk(tree):
