@@ -1,14 +1,17 @@
 """Command-line scenario runner.
 
-Exit codes: 0 success, 1 file or schema problems, 2 infeasible instance
-parameters, 3 parameter rejected as not admissible (a unit witness is printed
-to stderr as JSON), 4 the three invertibility tests disagree and no margin
-lies in the borderline band (tol/10, 10*tol) around the rank cut ``--tol``, 5 a
-built operator fails its final extension gate (NotAnExtension; near-singular bases).
+Exit codes: 0 success, 1 file or schema problems, 2 usage error (argparse;
+``--tol`` must be a finite number in (0, 1)), 3 parameter rejected as not
+admissible (a unit witness is printed to stderr as JSON), 4 the three
+invertibility tests disagree and no margin lies in the borderline band
+(tol/10, 10*tol) around the rank cut ``--tol``, 5 a built operator fails its
+final extension gate (NotAnExtension; near-singular bases), 6 infeasible
+instance parameters.
 """
 
 import argparse
 import functools
+import hashlib
 import json
 import sys
 
@@ -26,10 +29,10 @@ from .subspaces import DEFAULT_TOL, TOL, opnorm
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_INFEASIBLE = 2
 EXIT_NOT_ADMISSIBLE = 3
 EXIT_DISAGREEMENT = 4
 EXIT_NOT_EXTENSION = 5
+EXIT_INFEASIBLE = 6  # not 2: argparse exits 2 on every usage error
 
 
 def _parse_complex(text: str) -> complex:
@@ -44,6 +47,13 @@ def _parse_grid(text: str) -> tuple:
     return tuple(_parse_complex(p) for p in text.split(";"))
 
 
+def _parse_tol(text: str) -> float:
+    tol = float(text)
+    if not 0 < tol < 1:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance in (0, 1), got {text!r}")
+    return tol
+
+
 def _parse_window(text: str):
     lo, hi = (float(p) for p in text.split(","))
     return (lo, hi)
@@ -54,15 +64,15 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _write_output(*pairs):
-    """Write each ``(doc, path)``, to stdout where the path is None, from one
-    ``json_dump_all``: a matrix that the documents share is formatted once."""
-    for (_, path), text in zip(pairs, serialize.json_dump_all(*(doc for doc, _ in pairs))):
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+def _write_output(doc, path) -> str:
+    """Write ``doc``'s JSON text to ``path``, or to stdout where it is None; return the text."""
+    text = serialize.json_dump(doc)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return text
 
 
 def _load_pair(args):
@@ -104,7 +114,7 @@ def cmd_gen(args) -> int:
             }
         }
     extra["tolerances"] = {"rank_tol": args.tol}
-    _write_output((serialize.operator_file(op, extra), args.output))
+    _write_output(serialize.operator_file(op, extra), args.output)
     return EXIT_OK
 
 
@@ -131,7 +141,7 @@ def cmd_extend(args) -> int:
         "witnesses": {k: _encode_vector(v) for k, v in report.witnesses.items()},
         "tolerances": {"rank_tol": args.tol},
     }
-    _write_output((doc, args.output))
+    _write_output(doc, args.output)
     return EXIT_OK
 
 
@@ -152,7 +162,7 @@ def cmd_check_invert(args) -> int:
         "witness": None if verdict.witness is None else _encode_vector(verdict.witness),
         "tolerances": {"rank_tol": args.tol, "borderline_band": list(band)},
     }
-    _write_output((doc, args.output))
+    _write_output(doc, args.output)
     if not verdict.agree:
         finite = [v for v in verdict.margins.values() if not np.isinf(v)]
         if not any(band[0] < m < band[1] for m in finite):
@@ -165,12 +175,11 @@ def cmd_build_sa(args) -> int:
     chain = build_invertible_selfadjoint(op, args.z, seed=args.seed,
                                          double_first=args.double)
     extra = {"tolerances": {"rank_tol": args.tol}}
-    ext_doc = serialize.embedded_extension_file(EmbeddedExtension.from_chain(chain), extra)
-    outputs = [(ext_doc, args.output)]
-    if args.chain:  # B_0 and the final operator are the extension's base and Atilde
-        chain_doc = serialize._chain_doc(chain, ext_doc["base"], ext_doc["extension"])
-        outputs.append(({**chain_doc, **extra}, args.chain))
-    _write_output(*outputs)
+    ext_text = _write_output(
+        serialize.embedded_extension_file(EmbeddedExtension.from_chain(chain), extra), args.output)
+    if args.chain:  # B_0 and the final operator are in ext.json, which the digest names
+        digest = hashlib.sha256(ext_text.encode("utf-8")).hexdigest()
+        _write_output({**serialize.chain_file(chain, digest), **extra}, args.chain)
     return EXIT_OK
 
 
@@ -203,7 +212,7 @@ def cmd_resolvent(args) -> int:
         "tolerances": {"rank_tol": args.tol, "agreement_tol": TOL.resolvent_agreement},
         "agree": bool(rows) and worst < TOL.resolvent_agreement,  # no point compared: no
     }
-    _write_output((doc, args.output))
+    _write_output(doc, args.output)
     return EXIT_OK
 
 
@@ -237,7 +246,7 @@ def cmd_verify(args) -> int:
         "tolerances": {"rank_tol": args.tol, "cayley_tol": TOL.check_cayley,
                        "resolvent_tol": TOL.check_resolvent, "roundtrip_tol": TOL.check_roundtrip},
     }
-    _write_output((doc, args.output))
+    _write_output(doc, args.output)
     return EXIT_OK
 
 
@@ -248,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL,
                        help="relative rank tolerance, the centre of check-invert's borderline "
                             "band (tol/10, 10*tol) (default %(default)g)")
         p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")

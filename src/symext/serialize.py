@@ -1,4 +1,4 @@
-"""JSON encoding of the toolkit's value types (schema version 1; chains 2).
+"""JSON encoding of the toolkit's value types (schema version 1; chains 3).
 
 Complex scalars are [re, im] pairs; matrices are row-major nested lists with
 [re, im] leaves. Encoding is canonical (sorted keys, two-space indent), so the
@@ -13,8 +13,7 @@ leaves are finite and of exact type ``float``) with one ``%r`` template. The
 check runs on the list content at every call, so a document edited after
 encoding is written as edited. Everything else (ints, bools, ``None``,
 NaN/±inf, float subclasses, ragged rows, empty containers) is written by
-``json.dumps`` itself. ``json_dump_all`` formats a list that its documents
-share (one object, at one depth) once; each text is still ``json_dump``'s.
+``json.dumps`` itself.
 """
 
 import json
@@ -29,7 +28,7 @@ from .resolvents import EmbeddedExtension
 from .subspaces import DEFAULT_TOL, Subspace
 
 SCHEMA_VERSION = 1
-CHAIN_SCHEMA_VERSION = 2  # steps hold parameters; B_k is a prefix of "final"
+CHAIN_SCHEMA_VERSION = 3  # steps hold parameters; B_k is a prefix of ext.json's "extension"
 
 
 def encode_complex(z) -> list:
@@ -127,21 +126,16 @@ def decode_embedded_extension(data, tol=DEFAULT_TOL) -> EmbeddedExtension:
     return EmbeddedExtension(base, atilde)
 
 
-def chain_file(chain) -> dict:
-    return _chain_doc(chain, encode_operator(chain.base), encode_operator(chain.final))
-
-
-def _chain_doc(chain, base: dict, final: dict) -> dict:
-    """``chain_file(chain)`` with ``base`` and ``final`` the encoded B_0 and final operator."""
+def chain_file(chain, extension_sha256: str) -> dict:
+    """The chain's steps; B_0 and the final operator are in the ext.json whose
+    bytes have the SHA-256 hex digest ``extension_sha256``."""
     return {
         "schema": CHAIN_SCHEMA_VERSION,
         "kind": "extension_chain",
         "z": encode_complex(chain.z),
         "seed": chain.seed,
         "doubled": chain.doubled,
-        "exit_dim": chain.exit_dim,
-        "base": base,
-        "final": final,
+        "extension_sha256": extension_sha256,
         "steps": [{"parameter": parameter_file(step.parameter),
                    "defect_numbers": list(step.defect_numbers)} for step in chain.steps],
     }
@@ -161,26 +155,17 @@ def load_operator(data, tol=DEFAULT_TOL) -> DomainOperator:
     return decode_operator(data, tol)
 
 
-def json_dump(doc, *, _texts=None) -> str:
+def json_dump(doc) -> str:
     out = []
-    _encode(doc, 0, out, {} if _texts is None else _texts)
+    _encode(doc, 0, out)
     out.append("\n")
     return "".join(out)
 
 
-def json_dump_all(*docs) -> list:
-    """``[json_dump(doc) for doc in docs]``; a list object that several of the documents
-    hold at the same depth is formatted once, as it stands at this call."""
-    texts = {}
-    return [json_dump(doc, _texts=texts) for doc in docs]
-
-
-def _encode(o, level, out, texts):
-    """Append the indented text of ``o`` nested ``level`` deep to ``out``; ``texts`` holds the
-    matrix text (or None) of each list by ``(id, level)``: the call's documents hold it."""
+def _encode(o, level, out):
+    """Append the indented text of ``o`` nested ``level`` deep to ``out``."""
     if isinstance(o, (list, tuple)) and o:
-        key = (id(o), level)
-        text = texts[key] if key in texts else texts.setdefault(key, _matrix_text(o, level))
+        text = _matrix_text(o, level)
         if text is not None:
             out.append(text)
             return
@@ -188,14 +173,14 @@ def _encode(o, level, out, texts):
         out.append("[")
         for k, item in enumerate(o):
             out.append("," + inner if k else inner)
-            _encode(item, level + 1, out, texts)
+            _encode(item, level + 1, out)
         out.append("\n" + "  " * level + "]")
     elif isinstance(o, dict) and o and all(type(key) is str for key in o):
         inner = "\n" + "  " * (level + 1)
         out.append("{")
         for k, (key, value) in enumerate(sorted(o.items())):
             out.append(("," + inner if k else inner) + encode_basestring_ascii(key) + ": ")
-            _encode(value, level + 1, out, texts)
+            _encode(value, level + 1, out)
         out.append("\n" + "  " * level + "}")
     else:
         # JSON strings hold no raw newline, so shifting every line break

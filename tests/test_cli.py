@@ -1,6 +1,7 @@
 """End-to-end runs of the symext command-line interface."""
 
 import csv
+import hashlib
 import json
 import re
 import shutil
@@ -55,8 +56,26 @@ def test_gen_writes_operator_and_is_deterministic(tmp_path):
 
 def test_gen_infeasible_exit_code(tmp_path):
     res = run_cli("gen", "--dim", "3", "--defect", "2", "--dense-range")
-    assert res.returncode == 2
+    assert res.returncode == cli.EXIT_INFEASIBLE == 6
     assert "infeasible" in res.stderr
+    # argparse's usage errors keep exit 2 to themselves
+    assert run_cli("gen", "--dim", "x").returncode == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1", "1e300"])
+def test_tol_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, tol):
+    # --tol is outside input: only a finite 0 < tol < 1 runs, and nothing is written otherwise
+    op, out = tmp_path / "op.json", tmp_path / "out.json"
+    write_worked_operator(op)
+    for argv in (["gen", "--dim", "4", "--defect", "1"], ["build-sa", str(op), "--z", "0,1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", tol, "-o", str(out)])
+        assert exc.value.code == 2
+        assert f"expected a finite tolerance in (0, 1), got '{tol}'" in capsys.readouterr().err
+        assert not out.exists()
+    # the loosened tolerance of the tampered-file demo still loads
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "--tol", "1e-3", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerances"] == {"rank_tol": 1e-3}
 
 
 def test_gen_shift_note(tmp_path):
@@ -221,7 +240,7 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
     assert ext_doc["kind"] == "embedded_extension"
     chain_doc = json.loads(chain_path.read_text())
     assert chain_doc["kind"] == "extension_chain"
-    assert len(chain_doc["steps"]) == chain_doc["exit_dim"] == 4
+    assert len(chain_doc["steps"]) == ext_doc["exit_dim"] == 4
 
     res = run_cli("resolvent", str(op_path), str(ext_path), "--lambda0", "0,1",
                   "--csv", str(csv_path))
@@ -254,19 +273,23 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
 
 @pytest.mark.parametrize("doubled", [False, True])
 def test_chain_file_operators_are_leading_columns_of_final(tmp_path, doubled):
-    # the chain file stores each B_k once, as the leading columns of "final";
-    # each step's parameter replayed from the file rebuilds that prefix
-    op_path, chain_path = tmp_path / "op.json", tmp_path / "chain.json"
+    # the chain file names ext.json by the SHA-256 of its bytes; each B_k is the leading
+    # columns of ext.json's extension, and each step's parameter replayed from the
+    # chain file rebuilds that prefix
+    op_path, ext_path, chain_path = (tmp_path / name for name in
+                                     ("op.json", "ext.json", "chain.json"))
     assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", "4",
                      "-o", str(op_path)]) == cli.EXIT_OK
     assert cli.main(["build-sa", str(op_path), "--z", "0,1", "--seed", "4",
-                     "-o", str(tmp_path / "ext.json"), "--chain", str(chain_path)]
+                     "-o", str(ext_path), "--chain", str(chain_path)]
                     + (["--double"] if doubled else [])) == cli.EXIT_OK
     a = load_operator(json.loads(op_path.read_text()))
     chain = invertibility.build_invertible_selfadjoint(a, 1j, seed=4, double_first=doubled)
-    doc = json.loads(chain_path.read_text())
-    final, z = decode_operator(doc["final"]), decode_complex(doc["z"])
-    base = decode_operator(doc["base"])
+    doc, ext_bytes = json.loads(chain_path.read_text()), ext_path.read_bytes()
+    assert doc["extension_sha256"] == hashlib.sha256(ext_bytes).hexdigest()
+    ext_doc = json.loads(ext_bytes)
+    final, z = decode_operator(ext_doc["extension"]), decode_complex(doc["z"])
+    base = decode_operator(ext_doc["base"])
     previous = invertibility.double(base) if doc["doubled"] else base
     assert len(doc["steps"]) == len(chain.steps) == (4 if doubled else 2)
     for k, step_doc in enumerate(doc["steps"]):
@@ -278,6 +301,16 @@ def test_chain_file_operators_are_leading_columns_of_final(tmp_path, doubled):
         assert graph_distance(replayed, current) <= 1e-12
         previous = current
     assert previous.domain_dim == final.domain_dim
+
+
+def test_chain_file_digest_of_ext_json_on_stdout(tmp_path):
+    op, chain = tmp_path / "op.json", tmp_path / "chain.json"
+    write_worked_operator(op)
+    res = subprocess.run([sys.executable, "-m", "symext.cli", "build-sa", str(op), "--z", "0,1",
+                          "--chain", str(chain)], capture_output=True)
+    assert res.returncode == 0 and json.loads(res.stdout)["kind"] == "embedded_extension"
+    doc = json.loads(chain.read_text())
+    assert doc["extension_sha256"] == hashlib.sha256(res.stdout).hexdigest()
 
 
 def test_written_files_match_stdlib_encoding_and_old_csv_rows(tmp_path):
@@ -474,9 +507,8 @@ def test_verify_and_resolvent_refuse_an_operator_that_is_not_the_stored_base(tmp
 
 
 def test_build_sa_formats_each_matrix_once_into_stdlib_bytes(tmp_path, monkeypatch):
-    # chain.json's base and final are ext.json's base and extension dicts, and one
-    # json_dump_all writes both files: each distinct matrix is formatted once, and
-    # each file, undoubled (e = 0) or doubled, is still the stdlib's bytes
+    # chain.json holds only what ext.json does not: each matrix of the two files is
+    # formatted once, and each file, undoubled (e = 0) or doubled, is the stdlib's bytes
     op, ext, chain = tmp_path / "op.json", tmp_path / "ext.json", tmp_path / "chain.json"
     assert cli.main(["gen", "--dim", "12", "--defect", "3", "--seed", "3", "-o", str(op)]) == 0
     formatted, matrix_text = [], serialize._matrix_text
@@ -497,7 +529,8 @@ def test_build_sa_formats_each_matrix_once_into_stdlib_bytes(tmp_path, monkeypat
         assert texts == [json.dumps(doc, sort_keys=True, indent=2) + "\n"
                          for doc in (ext_doc, chain_doc)]
         assert ext_doc["exit_dim"] == (12 if doubled else 0)
-        assert chain_doc["base"] == ext_doc["base"] and chain_doc["final"] == ext_doc["extension"]
+        assert chain_doc["schema"] == 3 and set(chain_doc) == {
+            "schema", "kind", "z", "seed", "doubled", "steps", "tolerances", "extension_sha256"}
         steps = [step["parameter"] for step in chain_doc["steps"]]
         expected = [ext_doc["base"]["action"], ext_doc["base"]["domain_frame"],
                     ext_doc["embedding"], ext_doc["extension"]["action"],
