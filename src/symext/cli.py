@@ -1,18 +1,19 @@
 """Command-line scenario runner.
 
 Exit codes: 0 success, 1 file or schema problems, 2 usage error (argparse;
-``--tol`` must be a finite number in (0, 1)), 3 parameter rejected as not
-admissible (a unit witness is printed to stderr as JSON), 4 the three
-invertibility tests disagree and no margin lies in the borderline band
-(tol/10, 10*tol) around the rank cut ``--tol``, 5 a built operator fails its
-final extension gate (NotAnExtension; near-singular bases), 6 infeasible
-instance parameters.
+``--tol`` must be a finite number in (0, 1) and ``--window`` two finite
+numbers), 3 parameter rejected as not admissible (a unit witness is printed
+to stderr as JSON), 4 the three invertibility tests disagree and no margin
+lies in the borderline band (tol/10, 10*tol) around the rank cut ``--tol``,
+5 a built operator fails its final extension gate (NotAnExtension;
+near-singular bases), 6 infeasible instance parameters.
 """
 
 import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -55,8 +56,13 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_window(text: str):
-    lo, hi = (float(p) for p in text.split(","))
-    return (lo, hi)
+    try:
+        lo, hi = (float(p) for p in text.split(","))
+        if math.isfinite(lo) and math.isfinite(hi):
+            return (lo, hi)
+    except ValueError:  # not two numbers
+        pass
+    raise argparse.ArgumentTypeError(f"expected two finite numbers 'lo,hi', got {text!r}")
 
 
 def _read_json(path):

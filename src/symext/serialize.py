@@ -1,25 +1,12 @@
 """JSON encoding of the toolkit's value types (schema version 1; chains 3).
 
 Complex scalars are [re, im] pairs; matrices are row-major nested lists with
-[re, im] leaves. Encoding is canonical (sorted keys, two-space indent), so the
-same objects always produce the same bytes.
-
-Byte contract: ``json_dump(doc)`` is exactly
-``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` for every JSON-able
-``doc``. The standard library formats indented output one token at a time in
-Python, so ``json_dump`` walks dicts and lists itself and writes a matrix
-(a list of equal-length, non-empty rows of ``[float, float]`` pairs whose
-leaves are finite and of exact type ``float``) with one ``%r`` template. The
-check runs on the list content at every call, so a document edited after
-encoding is written as edited. Everything else (ints, bools, ``None``,
-NaN/±inf, float subclasses, ragged rows, empty containers) is written by
-``json.dumps`` itself.
+[re, im] leaves. ``json_dump`` writes the standard library's compact encoding
+with sorted keys and a trailing newline, so the same objects always produce
+the same bytes; ``python -m json.tool`` lays a file out for reading.
 """
 
 import json
-import math
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,9 +26,11 @@ def encode_complex(z) -> list:
 def decode_complex(data) -> complex:
     try:
         re, im = data
-        return complex(re, im)
-    except TypeError as exc:
-        raise ValueError(f"expected a [re, im] pair of numbers, got {data!r:.40}") from exc
+        if bool not in (type(re), type(im)):  # JSON true is not the number 1
+            return complex(re, im)
+    except (TypeError, ValueError):  # not a pair, or not numbers
+        pass
+    raise ValueError(f"expected a [re, im] pair of numbers, got {data!r:.40}")
 
 
 def encode_matrix(m) -> list:
@@ -156,49 +145,4 @@ def load_operator(data, tol=DEFAULT_TOL) -> DomainOperator:
 
 
 def json_dump(doc) -> str:
-    out = []
-    _encode(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(o, level, out):
-    """Append the indented text of ``o`` nested ``level`` deep to ``out``."""
-    if isinstance(o, (list, tuple)) and o:
-        text = _matrix_text(o, level)
-        if text is not None:
-            out.append(text)
-            return
-        inner = "\n" + "  " * (level + 1)
-        out.append("[")
-        for k, item in enumerate(o):
-            out.append("," + inner if k else inner)
-            _encode(item, level + 1, out)
-        out.append("\n" + "  " * level + "]")
-    elif isinstance(o, dict) and o and all(type(key) is str for key in o):
-        inner = "\n" + "  " * (level + 1)
-        out.append("{")
-        for k, (key, value) in enumerate(sorted(o.items())):
-            out.append(("," + inner if k else inner) + encode_basestring_ascii(key) + ": ")
-            _encode(value, level + 1, out)
-        out.append("\n" + "  " * level + "}")
-    else:
-        # JSON strings hold no raw newline, so shifting every line break
-        # indents the standalone text to this depth
-        out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level))
-
-
-def _matrix_text(rows, level):
-    """Indented text of a matrix of finite float [re, im] pairs, else None."""
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])} or not rows[0]:
-        return None
-    pairs = list(chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    values = tuple(chain.from_iterable(pairs))
-    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
-        return None
-    i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
-    pair = "[" + i3 + "%r," + i3 + "%r" + i2 + "]"
-    row = "[" + i2 + ("," + i2).join([pair] * len(rows[0])) + i1 + "]"
-    return ("[" + i1 + ("," + i1).join([row] * len(rows)) + i0 + "]") % values
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

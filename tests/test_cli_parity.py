@@ -71,3 +71,18 @@ def test_report_prints_the_first_moved_step(tmp_path, capsys):
         "  first step whose parameter moved by more than 1e-10: 1")
     cli_parity.report(tmp_path / "base", tmp_path / "same", "s0-d16x2-chain.json")
     assert capsys.readouterr().out.splitlines()[-1] == "  steps agree to 1e-10"
+
+
+def test_report_names_a_layout_only_difference(tmp_path, capsys):
+    doc = {**res_doc([1e-14, float("nan")]), "points": [{"lambda": [0.0, -0.0]}]}
+    texts = {"base": json.dumps(doc, indent=2), "layout": json.dumps(doc, separators=(",", ":")),
+             "moved": json.dumps({**doc, "points": [{"lambda": [0.0, 0.0]}]})}
+    for side, text in texts.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "s0-d16x2-res.json").write_text(text)
+    # a NaN holds its value, and a sign of zero that moved is a moved value
+    assert cli_parity.report(tmp_path / "base", tmp_path / "layout", "s0-d16x2-res.json")
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: s0-d16x2-res.json", "  same JSON values"]
+    assert not cli_parity.report(tmp_path / "base", tmp_path / "moved", "s0-d16x2-res.json")
+    assert "same JSON values" not in capsys.readouterr().out

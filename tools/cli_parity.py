@@ -12,7 +12,9 @@ that kind on each side, as in ``res.json max_deviation 4.96e-14 -> 4.84e-14``
 (list positions read ``[]``, so ``points[].deviation`` covers every point).
 Under a differing ``chain.json`` it names the first step whose parameter moved
 by more than 1e-10 in some entry, where the two chains part, or prints
-``steps agree to 1e-10``.
+``steps agree to 1e-10``. A JSON file whose bytes differ but whose values
+are the base's (a change of layout only) is marked ``same JSON values``, and
+the summary line counts such files.
 Each checkout runs in its own process, importing ``symext`` from its
 ``src/``, with BLAS pinned to one thread. Exit status 0 means every file is
 byte-identical.
@@ -138,11 +140,16 @@ def worst_moved(docs) -> dict:
     return {key: tuple(max(side) for side in zip(*values[key])) for key in sorted(moved_fields)}
 
 
-def report(base: Path, change: Path, name: str) -> None:
+def report(base: Path, change: Path, name: str) -> bool:
+    """Print how a differing file differs; True if it is JSON with the base's values."""
     print(f"differs: {name}")
     if not (name.endswith(".json") and (base / name).is_file() and (change / name).is_file()):
-        return
+        return False
     old_doc, new_doc = (json.loads((side / name).read_text()) for side in (base, change))
+    # compared as canonical text, so that a NaN equals a NaN
+    if json.dumps(old_doc, sort_keys=True) == json.dumps(new_doc, sort_keys=True):
+        print("  same JSON values")
+        return True
     lines = [f"{path}: {old!r} -> {new!r}" for path, old, new in moved(old_doc, new_doc)]
     for line in lines[:SHOWN]:
         print(f"  {line[:WIDTH]}")
@@ -152,6 +159,7 @@ def report(base: Path, change: Path, name: str) -> None:
         step = first_moved_step(old_doc, new_doc)
         print(f"  steps agree to {STEP_MOVE:g}" if step is None else
               f"  first step whose parameter moved by more than {STEP_MOVE:g}: {step}")
+    return False
 
 
 def json_pairs(base: Path, change: Path):
@@ -178,12 +186,12 @@ def main(argv=None) -> int:
         run_checkout(args.base, root / "base")
         run_checkout(Path(__file__).resolve().parents[1], root / "change")
         differ, total = compare(root / "base", root / "change")
-        for name in differ:
-            report(root / "base", root / "change", name)
+        same = sum(report(root / "base", root / "change", name) for name in differ)
         for (kind, field), (old, new) in worst_moved(json_pairs(root / "base",
                                                                 root / "change")).items():
             print(f"{kind} {field} {old:.3g} -> {new:.3g}")
-    print(f"{total - len(differ)} of {total} files byte-identical")
+    print(f"{total - len(differ)} of {total} files byte-identical, "
+          f"{same} more with the same JSON values")
     return 1 if differ else 0
 
 
