@@ -1,9 +1,9 @@
 """Command-line scenario runner.
 
 Exit codes: 0 success, 1 file or schema problems, 2 usage error (argparse;
-``--tol`` must be a finite number in (0, 1) and ``--window`` two finite
-numbers), 3 parameter rejected as not admissible (a unit witness is printed
-to stderr as JSON), 4 the three invertibility tests disagree and no margin
+``--tol`` must be a finite number in (0, 1), ``--window`` and each complex value
+two finite numbers), 3 parameter rejected as not admissible (a unit witness is
+printed to stderr as JSON), 4 the three invertibility tests disagree and no margin
 lies in the borderline band (tol/10, 10*tol) around the rank cut ``--tol``,
 5 a built operator fails its final extension gate (NotAnExtension;
 near-singular bases), 6 infeasible instance parameters.
@@ -36,12 +36,18 @@ EXIT_NOT_EXTENSION = 5
 EXIT_INFEASIBLE = 6  # not 2: argparse exits 2 on every usage error
 
 
-def _parse_complex(text: str) -> complex:
+def _finite_pair(text: str, form: str) -> tuple:
     try:
-        re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from exc
+        a, b = (float(p) for p in text.split(","))
+        if math.isfinite(a) and math.isfinite(b):
+            return a, b
+    except ValueError:  # not two numbers
+        pass
+    raise argparse.ArgumentTypeError(f"expected two finite numbers {form!r}, got {text!r}")
+
+
+def _parse_complex(text: str) -> complex:
+    return complex(*_finite_pair(text, "re,im"))
 
 
 def _parse_grid(text: str) -> tuple:
@@ -56,13 +62,7 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_window(text: str):
-    try:
-        lo, hi = (float(p) for p in text.split(","))
-        if math.isfinite(lo) and math.isfinite(hi):
-            return (lo, hi)
-    except ValueError:  # not two numbers
-        pass
-    raise argparse.ArgumentTypeError(f"expected two finite numbers 'lo,hi', got {text!r}")
+    return _finite_pair(text, "lo,hi")
 
 
 def _read_json(path):
@@ -82,15 +82,12 @@ def _write_output(doc, path) -> str:
 
 
 def _load_pair(args):
-    """The operator, and the extension (None without its file) whose stored base it must be."""
+    """The operator, read once, and the extension file's Atilde over it as base (None
+    without the file); an Atilde that does not extend it fails its gates (ValueError)."""
     op = serialize.load_operator(_read_json(args.operator), tol=args.tol)
     if not args.extension:
         return op, None
-    ext = serialize.decode_embedded_extension(_read_json(args.extension), tol=args.tol)
-    if not (np.array_equal(op.domain.frame, ext.base.domain.frame)
-            and np.array_equal(op.action, ext.base.action)):
-        raise ValueError(f"{args.operator} is not the base operator stored in {args.extension}")
-    return op, ext
+    return op, serialize.decode_embedded_extension(_read_json(args.extension), op, tol=args.tol)
 
 
 def _encode_vector(v):
@@ -183,7 +180,7 @@ def cmd_build_sa(args) -> int:
     extra = {"tolerances": {"rank_tol": args.tol}}
     ext_text = _write_output(
         serialize.embedded_extension_file(EmbeddedExtension.from_chain(chain), extra), args.output)
-    if args.chain:  # B_0 and the final operator are in ext.json, which the digest names
+    if args.chain:  # B_0 is op.json's operator (doubled); the digest names ext.json
         digest = hashlib.sha256(ext_text.encode("utf-8")).hexdigest()
         _write_output({**serialize.chain_file(chain, digest), **extra}, args.chain)
     return EXIT_OK

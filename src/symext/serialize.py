@@ -1,4 +1,4 @@
-"""JSON encoding of the toolkit's value types (schema version 1; chains 3).
+"""JSON encoding of the toolkit's value types (schema version 1; extensions 2; chains 3).
 
 Complex scalars are [re, im] pairs; matrices are row-major nested lists with
 [re, im] leaves. ``json_dump`` writes the standard library's compact encoding
@@ -15,6 +15,7 @@ from .resolvents import EmbeddedExtension
 from .subspaces import DEFAULT_TOL, Subspace
 
 SCHEMA_VERSION = 1
+EXTENSION_SCHEMA_VERSION = 2  # Atilde alone; its base is the operator file
 CHAIN_SCHEMA_VERSION = 3  # steps hold parameters; B_k is a prefix of ext.json's "extension"
 
 
@@ -94,30 +95,23 @@ def decode_parameter(data, tol=DEFAULT_TOL):
 
 def embedded_extension_file(ext: EmbeddedExtension, extra: dict | None = None) -> dict:
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": EXTENSION_SCHEMA_VERSION,
         "kind": "embedded_extension",
-        "exit_dim": ext.exit_dim,
-        "base": encode_operator(ext.base),
         "extension": encode_operator(ext.atilde),
-        "embedding": encode_matrix(np.eye(ext.atilde.ambient_dim, ext.base.ambient_dim)),
         **(extra or {}),
     }
 
 
-def decode_embedded_extension(data, tol=DEFAULT_TOL) -> EmbeddedExtension:
-    _expect_kind(data, "embedded_extension")
-    base = decode_operator(data["base"], tol)
-    atilde = decode_operator(data["extension"], tol)
-    total, d = atilde.ambient_dim, base.ambient_dim
-    if data["exit_dim"] != total - d or not np.array_equal(
-            decode_matrix(data["embedding"]), np.eye(total, d)):
-        raise ValueError("H must be the first d coordinates: embedding np.eye(d+e, d), exit_dim e")
-    return EmbeddedExtension(base, atilde)
+def decode_embedded_extension(data, base: DomainOperator, tol=DEFAULT_TOL) -> EmbeddedExtension:
+    """The stored Atilde over ``base``; EmbeddedExtension's gates decide that it extends it."""
+    _expect_kind(data, "embedded_extension", EXTENSION_SCHEMA_VERSION)
+    return EmbeddedExtension(base, decode_operator(data["extension"], tol))
 
 
 def chain_file(chain, extension_sha256: str) -> dict:
-    """The chain's steps; B_0 and the final operator are in the ext.json whose
-    bytes have the SHA-256 hex digest ``extension_sha256``."""
+    """The chain's steps. B_0 is the operator file's operator, or A (+) (-A) where
+    ``doubled``; the final operator is in the ext.json whose bytes have the
+    SHA-256 hex digest ``extension_sha256``."""
     return {
         "schema": CHAIN_SCHEMA_VERSION,
         "kind": "extension_chain",
@@ -130,10 +124,10 @@ def chain_file(chain, extension_sha256: str) -> dict:
     }
 
 
-def _expect_kind(data, kind):
+def _expect_kind(data, kind, schema=SCHEMA_VERSION):
     if not isinstance(data, dict):
         raise ValueError(f"expected a {kind} document, found a JSON {type(data).__name__}")
-    if data.get("schema") != SCHEMA_VERSION:
+    if data.get("schema") != schema:
         raise ValueError(f"unsupported schema version {data.get('schema')!r}")
     if data.get("kind") != kind:
         raise ValueError(f"expected a {kind} document, found {data.get('kind')!r}")

@@ -5,7 +5,6 @@ import pytest
 
 import symext as sx
 from symext.resolvents import _checked_sample
-from symext.serialize import encode_matrix
 
 
 @pytest.fixture
@@ -65,20 +64,3 @@ def small_eigenvalue_base(eps, d, n, seed):
     rest = rng.standard_normal((d, d - n - 1)) + 1j * rng.standard_normal((d, d - n - 1))
     frame, _ = np.linalg.qr(np.hstack([q[:, :1], rest]))
     return sx.DomainOperator(sx.Subspace(frame), (h + h.conj().T) / 2 @ frame), rng
-
-
-EMBEDDING_CHANGES = ("permuted", "rotated", "wrong shape", "exit_dim")
-
-
-def changed_embedding(doc, change):
-    """An ``embedded_extension`` document with its embedding or exit_dim changed as named
-    in ``EMBEDDING_CHANGES``. The permuted and rotated embeddings are isometric."""
-    if change == "exit_dim":
-        return {**doc, "exit_dim": doc["exit_dim"] + 1}
-    total, d = doc["extension"]["ambient_dim"], doc["base"]["ambient_dim"]
-    rot = np.eye(d)
-    rot[:2, :2] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
-    embed = {"permuted": np.roll(np.eye(total, d), 1, axis=0),  # H one coordinate down
-             "rotated": np.eye(total, d) @ rot,  # H itself, in a rotated basis
-             "wrong shape": np.eye(total + 1, d)}[change]
-    return {**doc, "embedding": encode_matrix(embed)}

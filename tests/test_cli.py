@@ -18,11 +18,12 @@ from symext.neumann import ContractionParameter, extend
 from symext.operators import graph_distance, operator_from_generators
 from symext.resolvents import ParameterFunction, compressed_resolvent
 from symext.serialize import (decode_complex, decode_embedded_extension,
-                              decode_operator, decode_parameter, json_dump,
-                              load_operator, operator_file, parameter_file)
+                              decode_operator, decode_parameter, encode_matrix,
+                              encode_operator, json_dump, load_operator, operator_file,
+                              parameter_file)
 from symext.subspaces import DEFAULT_TOL
 
-from conftest import EMBEDDING_CHANGES, changed_embedding, worked_parameter
+from conftest import worked_parameter
 
 
 def run_cli(*argv, cwd=None):
@@ -240,6 +241,16 @@ def test_build_sa_final_oracle_failure_is_not_an_extension(tmp_path, monkeypatch
     assert not (tmp_path / "ext.json").exists()
 
 
+def test_build_sa_choice_exhausted_is_one_error_line(tmp_path, monkeypatch, capsys):
+    op, ext = tmp_path / "op.json", tmp_path / "ext.json"
+    write_worked_operator(op)
+    monkeypatch.setattr(invertibility, "_pick_direction", lambda *args: None)
+    capsys.readouterr()
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "-o", str(ext)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "error: no defect direction could be extended\n"
+    assert not ext.exists()
+
+
 def test_pipeline_gen_build_resolvent_verify(tmp_path):
     op_path = tmp_path / "op.json"
     ext_path = tmp_path / "ext.json"
@@ -254,7 +265,7 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
     assert ext_doc["kind"] == "embedded_extension"
     chain_doc = json.loads(chain_path.read_text())
     assert chain_doc["kind"] == "extension_chain"
-    assert len(chain_doc["steps"]) == ext_doc["exit_dim"] == 4
+    assert len(chain_doc["steps"]) == 4  # doubled: e = d = 4, one step per exit dimension
 
     res = run_cli("resolvent", str(op_path), str(ext_path), "--lambda0", "0,1",
                   "--csv", str(csv_path))
@@ -272,7 +283,8 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
             expect_header.extend([f"R{i}_{j}_re", f"R{i}_{j}_im"])
     assert rows[0] == expect_header
     assert len(rows) - 1 == len(doc["points"])
-    ext = decode_embedded_extension(ext_doc)
+    ext = decode_embedded_extension(ext_doc, load_operator(json.loads(op_path.read_text())))
+    assert ext.exit_dim == 4
     lam = complex(float(rows[1][0]), float(rows[1][1]))
     r = compressed_resolvent(ext, lam)
     got = np.array([float(x) for x in rows[1][2:]]).reshape(d, d, 2)
@@ -287,9 +299,9 @@ def test_pipeline_gen_build_resolvent_verify(tmp_path):
 
 @pytest.mark.parametrize("doubled", [False, True])
 def test_chain_file_operators_are_leading_columns_of_final(tmp_path, doubled):
-    # the chain file names ext.json by the SHA-256 of its bytes; each B_k is the leading
-    # columns of ext.json's extension, and each step's parameter replayed from the
-    # chain file rebuilds that prefix
+    # the chain file names ext.json by the SHA-256 of its bytes; B_0 is op.json's operator
+    # (its double when doubled), each B_k is the leading columns of ext.json's extension,
+    # and each step's parameter replayed from the chain file rebuilds that prefix
     op_path, ext_path, chain_path = (tmp_path / name for name in
                                      ("op.json", "ext.json", "chain.json"))
     assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", "4",
@@ -303,8 +315,7 @@ def test_chain_file_operators_are_leading_columns_of_final(tmp_path, doubled):
     assert doc["extension_sha256"] == hashlib.sha256(ext_bytes).hexdigest()
     ext_doc = json.loads(ext_bytes)
     final, z = decode_operator(ext_doc["extension"]), decode_complex(doc["z"])
-    base = decode_operator(ext_doc["base"])
-    previous = invertibility.double(base) if doc["doubled"] else base
+    previous = invertibility.double(a) if doc["doubled"] else a
     assert len(doc["steps"]) == len(chain.steps) == (4 if doubled else 2)
     for k, step_doc in enumerate(doc["steps"]):
         width = previous.domain_dim + 1
@@ -349,7 +360,8 @@ def test_written_files_match_stdlib_encoding_and_old_csv_rows(tmp_path):
     names = header.split(",")
     assert len(names) == 2 + 2 * d * d == len(set(names))
     assert names[2:4] == ["R0_0_re", "R0_0_im"] and names[-1] == "R11_11_im"
-    decoded = decode_embedded_extension(json.loads(ext.read_text()))
+    decoded = decode_embedded_extension(json.loads(ext.read_text()),
+                                        load_operator(json.loads(op.read_text())))
     lams = [complex(*p["lambda"]) for p in json.loads(res.read_text())["points"]
             if "skipped" not in p]
     assert len(rows) == len(lams) > 0
@@ -396,36 +408,34 @@ def test_verify_without_extension_skips(tmp_path):
     assert report["all_passed"] is True
 
 
-@pytest.mark.parametrize("change", EMBEDDING_CHANGES)
-def test_verify_and_resolvent_refuse_an_embedding_of_another_h(tmp_path, capsys, change):
+def test_verify_and_resolvent_refuse_a_schema_1_extension_file(tmp_path, capsys):
+    # the old layout stored a copy of the base, the embedding and exit_dim beside Atilde
     op_path, ext_path, out = tmp_path / "op.json", tmp_path / "ext.json", tmp_path / "out.json"
-    write_worked_operator(op_path)
-    assert cli.main(["build-sa", str(op_path), "--z", "0,1", "--double",
-                     "-o", str(ext_path)]) == cli.EXIT_OK
-    doc = changed_embedding(json.loads(ext_path.read_text(encoding="utf-8")), change)
-    ext_path.write_text(json_dump(doc))
-    capsys.readouterr()
+    a = write_worked_operator(op_path)
+    assert cli.main(["build-sa", str(op_path), "--z", "0,1", "-o", str(ext_path)]) == 0
+    doc = json.loads(ext_path.read_text(encoding="utf-8"))
+    ext_path.write_text(json_dump({**doc, "schema": 1, "exit_dim": 0, "base": encode_operator(a),
+                                   "embedding": encode_matrix(np.eye(2))}))
     for argv in (["verify", op_path, ext_path],
                  ["resolvent", op_path, ext_path, "--lambda0", "0,1"]):
-        assert cli.main([str(a) for a in argv] + ["-o", str(out)]) == cli.EXIT_IO == 1
-        assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
+        capsys.readouterr()
+        assert cli.main([str(x) for x in argv] + ["-o", str(out)]) == cli.EXIT_IO == 1
+        assert capsys.readouterr().err == "error: unsupported schema version 1\n"
+        assert not out.exists()
 
 
 def test_resolvent_custom_grid_and_spectrum_hit(tmp_path):
     op_path, ext_path = tmp_path / "op.json", tmp_path / "ext.json"
-    a = write_worked_operator(op_path)
+    write_worked_operator(op_path)
     # huge second eigenvalue: lam = 1 + 1e-8j trips the relative spectrum gate
     big = np.diag([1.0, 2e6]).astype(complex)
     ext_doc = {
-        "schema": 1, "kind": "embedded_extension", "exit_dim": 0,
-        "base": operator_file(a), "extension": {
+        "schema": 2, "kind": "embedded_extension", "extension": {
             "ambient_dim": 2,
             "domain_frame": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
             "action": [[[float(big[0, 0].real), 0.0], [0.0, 0.0]],
                        [[0.0, 0.0], [float(big[1, 1].real), 0.0]]],
         },
-        "embedding": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
     }
     ext_path.write_text(json_dump(ext_doc))
     res = run_cli("resolvent", str(op_path), str(ext_path), "--lambda0", "0,1",
@@ -452,7 +462,40 @@ def test_resolvent_bad_grid_point_is_a_usage_error(tmp_path, capsys):
         errors.append(capsys.readouterr().err.splitlines()[-1])
     # the same usage error as a bad --lambda0, and nothing written
     assert errors[1] == errors[0].replace("--lambda0", "--grid")
-    assert errors[1].endswith("argument --grid: expected 're,im', got 'bad'")
+    assert errors[1].endswith("argument --grid: expected two finite numbers 're,im', got 'bad'")
+    assert not out.exists()
+
+
+NON_FINITE = {
+    "build-sa --z nan": ["build-sa", "OP", "--z", "nan,1"],
+    "verify --lambda0 nan": ["verify", "OP", "EXT", "--lambda0", "nan,1"],
+    "extend --z nan,1": ["extend", "OP", "--param", "PAR", "--z", "nan,1"],
+    "extend --z 0,nan": ["extend", "OP", "--param", "PAR", "--z", "0,nan"],
+    "check-invert --z nan,1": ["check-invert", "OP", "--param", "PAR", "--z", "nan,1"],
+    "check-invert --z 0,nan": ["check-invert", "OP", "--param", "PAR", "--z", "0,nan"],
+    "resolvent --grid nan": ["resolvent", "OP", "EXT", "--lambda0", "0,1", "--grid", "1,2;nan,1"],
+    "verify --lambda0 inf": ["verify", "OP", "EXT", "--lambda0", "0,inf"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE)
+def test_non_finite_complex_argument_is_a_usage_error(tmp_path, capsys, argv):
+    # a NaN part must not reach numpy: abs(z - nan) > tol is False, so the base-point
+    # match of extend and check-invert would pass it
+    files = {"OP": tmp_path / "op.json", "EXT": tmp_path / "ext.json", "PAR": tmp_path / "p.json"}
+    a = write_worked_operator(files["OP"])
+    write_parameter(files["PAR"], a, 0.5)
+    assert cli.main(["build-sa", str(files["OP"]), "--z", "0,1", "-o", str(files["EXT"])]) == 0
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(files.get(x, x)) for x in argv] + ["-o", str(out)])
+    assert exc.value.code == 2
+    assert "expected two finite numbers 're,im'" in capsys.readouterr().err
+    assert not out.exists()
+    # a finite --z that is not the parameter's base point is still refused as before
+    far = ["extend", files["OP"], "--param", files["PAR"], "--z", "5,1", "-o", out]
+    assert cli.main([str(x) for x in far]) == cli.EXIT_IO == 1
     assert not out.exists()
 
 
@@ -464,7 +507,6 @@ MALFORMED = {
     "strings for a pair": ("op", lambda doc: {**doc, "action": [[["1", "0"]], [[0.0, 0.0]]]}),
     "list for a document": ("op", lambda doc: [doc]),
     "number for an operator": ("ext", lambda doc: {**doc, "extension": 5}),
-    "exit_dim null": ("ext", lambda doc: {**doc, "exit_dim": None}),
 }
 
 
@@ -516,7 +558,8 @@ def test_resolvent_skips_an_expanding_sample(tmp_path, monkeypatch):
     assert doc["max_deviation"] == 0.0 and doc["agree"] is False
 
 
-def test_verify_and_resolvent_refuse_an_operator_that_is_not_the_stored_base(tmp_path, capsys):
+def test_verify_and_resolvent_refuse_an_operator_that_the_extension_does_not_extend(
+        tmp_path, capsys):
     # ext.json is built from the seed-1 operator; b.json, of the same shape, is not it
     op, other, ext, out = (tmp_path / name for name in ("a.json", "b.json", "ext.json", "out.json"))
     for seed, path in ((1, op), (2, other)):
@@ -527,12 +570,14 @@ def test_verify_and_resolvent_refuse_an_operator_that_is_not_the_stored_base(tmp
         capsys.readouterr()
         assert cli.main([str(a) for a in argv] + ["-o", str(out)]) == cli.EXIT_IO
         assert capsys.readouterr().err == (
-            f"error: {other} is not the base operator stored in {ext}\n")
+            "error: extension does not extend the embedded base operator\n")
         assert not out.exists()
-    # the stored base itself passes the gate
+    # the operator it was built from passes the gate, and is the extension's base
     for argv in (["verify", op, ext], ["resolvent", op, ext, "--lambda0", "0,1"]):
         assert cli.main([str(a) for a in argv] + ["-o", str(out)]) == cli.EXIT_OK
         assert json.loads(out.read_text()).get("all_passed", True)
+    a, extension = cli._load_pair(cli.build_parser().parse_args(["verify", str(op), str(ext)]))
+    assert extension.base is a and extension.exit_dim == 6
 
 
 def test_build_sa_formats_each_matrix_once_into_stdlib_bytes(tmp_path):
@@ -547,7 +592,9 @@ def test_build_sa_formats_each_matrix_once_into_stdlib_bytes(tmp_path):
         ext_doc, chain_doc = map(json.loads, texts)
         assert texts == [json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
                          for doc in (ext_doc, chain_doc)]
-        assert ext_doc["exit_dim"] == (12 if doubled else 0)
+        assert ext_doc["schema"] == 2 and set(ext_doc) == {
+            "schema", "kind", "extension", "tolerances"}
+        assert ext_doc["extension"]["ambient_dim"] == (24 if doubled else 12)
         assert chain_doc["schema"] == 3 and set(chain_doc) == {
             "schema", "kind", "z", "seed", "doubled", "steps", "tolerances", "extension_sha256"}
         assert len(chain_doc["steps"]) > 0

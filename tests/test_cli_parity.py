@@ -31,6 +31,15 @@ def test_moved_lists_each_changed_value_by_path():
     assert ("points[0].deviation", 1e-14, 1e-14) in every and len(every) == 12
 
 
+def test_moved_compares_values_as_json_text():
+    # a flipped sign of zero moved, though -0.0 == 0.0; a NaN that held did not,
+    # though nan != nan
+    nan = float("nan")
+    assert list(cli_parity.moved({"x": -0.0, "y": nan}, {"x": 0.0, "y": nan})) == [
+        ("x", -0.0, 0.0)]
+    docs = [("s0-d16x2-res.json", {"x": -0.0, "y": nan}, {"x": 0.0, "y": nan})]
+    assert list(cli_parity.worst_moved(docs)) == [("res.json", "x")]
+
 def test_worst_moved_takes_each_fields_largest_value_over_every_file():
     docs = [("s0-d16x2-res.json", res_doc([1e-14, 5e-14]), res_doc([1e-14, 4e-14])),
             # unmoved here, yet its 4.5e-14 is the new side's largest deviation

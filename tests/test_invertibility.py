@@ -1,5 +1,6 @@
 """Three-way invertibility criterion and the constructive self-adjoint chain."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import symext as sx
 from symext.cayley import (cayley, defect_data, forbidden_of_inverse, forbidden_operator,
                            is_admissible)
-from symext.errors import NotAdmissible, NotInvertibleBase, SymextError
+from symext import invertibility
+from symext.errors import ChoiceExhausted, NotAdmissible, NotInvertibleBase, SymextError
 from symext.invertibility import (_forbidden_images, build_invertible_selfadjoint,
                                   check_invertibility, double)
 from symext.neumann import ContractionParameter, extend, recover_parameter
@@ -454,6 +456,25 @@ def test_chain_requires_symmetric_injective():
     with pytest.raises(NotInvertibleBase):
         build_invertible_selfadjoint(operator_from_matrix(np.diag([1.0, 0.0]).astype(complex)),
                                      1j, seed=0)
+
+
+@pytest.mark.parametrize("no_direction, no_budget, no_column, message", [
+    (True, False, False, "no defect direction could be extended"),
+    (True, True, False, "no direction clears the forbidden images"),
+    (False, True, True, "candidate directions kept producing kernels or fixed vectors"),
+])
+def test_chain_exhaustion_is_choice_exhausted(worked_a, monkeypatch, no_direction, no_budget,
+                                              no_column, message):
+    # the retry budget counts failed attempts only, so an empty budget alone builds
+    # the chain; each message needs failing attempts too
+    if no_direction:
+        monkeypatch.setattr(invertibility, "_pick_direction", lambda *args: None)
+    if no_budget:
+        monkeypatch.setattr(invertibility, "TOL", dataclasses.replace(TOL, retries_per_dim=0))
+    if no_column:
+        monkeypatch.setattr(invertibility, "_new_column", lambda *args: None)
+    with pytest.raises(ChoiceExhausted, match=f"^{message}$"):
+        build_invertible_selfadjoint(worked_a, 1j, seed=0)
 
 
 def recomputed_forbidden_images(current, z, f1):

@@ -17,7 +17,7 @@ from symext.serialize import (chain_file, decode_complex, decode_embedded_extens
                               encode_operator, json_dump, load_operator,
                               operator_file, parameter_file)
 
-from conftest import EMBEDDING_CHANGES, changed_embedding, random_instance, worked_parameter
+from conftest import random_instance, worked_parameter
 
 
 def test_complex_roundtrip():
@@ -85,23 +85,14 @@ def test_embedded_extension_roundtrip(worked_a):
     chain = build_invertible_selfadjoint(worked_a, 1j, seed=0, double_first=True)
     ext = EmbeddedExtension.from_chain(chain)
     doc = embedded_extension_file(ext)
-    back = decode_embedded_extension(doc)
-    assert back.exit_dim == ext.exit_dim == doc["exit_dim"] == 2
-    assert np.array_equal(decode_matrix(doc["embedding"]), np.eye(4, 2))
+    assert doc["schema"] == 2 and set(doc) == {"schema", "kind", "extension"}
+    back = decode_embedded_extension(doc, worked_a)
+    assert back.base is worked_a and back.exit_dim == ext.exit_dim == 2
     assert np.allclose(back.atilde_matrix(), ext.atilde_matrix(), atol=1e-14)
     with pytest.raises(ValueError):
-        decode_embedded_extension(operator_file(worked_a))
-
-
-@pytest.mark.parametrize("change", EMBEDDING_CHANGES)
-def test_decode_takes_h_as_the_first_coordinates_only(worked_a, change):
-    # an ext.json whose H is not the first d coordinates, exactly, is refused,
-    # even where the stored embedding is isometric
-    chain = build_invertible_selfadjoint(worked_a, 1j, seed=0, double_first=True)
-    doc = embedded_extension_file(EmbeddedExtension.from_chain(chain))
-    decode_embedded_extension(doc)
-    with pytest.raises(ValueError, match="H must be the first d coordinates"):
-        decode_embedded_extension(changed_embedding(doc, change))
+        decode_embedded_extension(operator_file(worked_a), worked_a)
+    with pytest.raises(ValueError, match="unsupported schema version 1"):
+        decode_embedded_extension({**doc, "schema": 1}, worked_a)
 
 
 @pytest.mark.parametrize("doubled", [False, True])
@@ -112,8 +103,8 @@ def test_build_sa_file_round_trips_byte_for_byte(tmp_path, doubled):
                     + (["--double"] if doubled else [])) == 0
     text = ext.read_text(encoding="utf-8")
     doc = json.loads(text)
-    assert doc["exit_dim"] == (6 if doubled else 0)
-    back = decode_embedded_extension(doc)
+    back = decode_embedded_extension(doc, load_operator(json.loads(op.read_text())))
+    assert back.exit_dim == (6 if doubled else 0)
     assert json_dump(embedded_extension_file(back, {"tolerances": doc["tolerances"]})) == text
 
 

@@ -91,7 +91,8 @@ def moved(old, new, path="", every=False):
     and with ``every`` for each value the two hold alike too.
 
     List items are labelled by index, or a record with a ``name`` by that name
-    and its verdict ``passed`` in the base document.
+    and its verdict ``passed`` in the base document. Values are compared as JSON
+    text, so a NaN that held has not moved and a zero whose sign flipped has.
     """
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
@@ -101,8 +102,12 @@ def moved(old, new, path="", every=False):
             named = isinstance(a, dict) and "name" in a
             label = f"{a['name']}, passed {a.get('passed')}" if named else k
             yield from moved(a, b, f"{path}[{label}]", every)
-    elif every or old != new:
+    elif every or _text(old) != _text(new):
         yield path, old, new
+
+
+def _text(x) -> str:
+    return json.dumps(x, sort_keys=True)
 
 
 def _number(x) -> bool:
@@ -135,7 +140,7 @@ def worst_moved(docs) -> dict:
                 continue
             key = (name.rsplit("-", 1)[-1], re.sub(r"\[\d+\]", "[]", path))
             values.setdefault(key, []).append((old, new))
-            if old != new:
+            if _text(old) != _text(new):
                 moved_fields.add(key)
     return {key: tuple(max(side) for side in zip(*values[key])) for key in sorted(moved_fields)}
 
