@@ -34,9 +34,9 @@ import numpy as np
 
 from .cayley import defect_data, forbidden_of_inverse, is_admissible, require_offaxis
 from .errors import ChoiceExhausted, NotAnExtension, NotInvertibleBase
-from .neumann import ContractionParameter, construct_extension, injectivity
-from .operators import (DomainOperator, direct_sum_op, graph_contains, is_injective,
-                        is_symmetric, negate, scale_op)
+from .neumann import ContractionParameter, construct_extension
+from .operators import (DomainOperator, direct_sum_op, graph_contains, injectivity,
+                        is_injective, is_symmetric, negate, scale_op)
 from .subspaces import TOL, Subspace, orthonormalize, rank_split
 
 
@@ -290,8 +290,7 @@ def build_invertible_selfadjoint(a: DomainOperator, z: complex, seed: int = 0,
             ran = np.hstack([ran, ran_col[0].reshape(-1, 1)])
             n_z = Subspace(np.delete(n_z.frame, attempt, axis=1), tol)
             n_zbar = _drop(n_zbar, h)
-            steps.append(ChainStep(ContractionParameter.from_operator(z, t),
-                                   (n_z.dim, n_zbar.dim)))
+            steps.append(ChainStep(ContractionParameter(z, t), (n_z.dim, n_zbar.dim)))
             placed = True
             break
         if not placed:

@@ -5,12 +5,15 @@ N_zbar, the extension is
 
     D(B) = D(A) (+) (T - E) D(T),    B(f + T psi - psi) = A f + z T psi - zbar psi.
 
-Isometric parameters give symmetric extensions; general non-expanding ones give
-dissipative extensions for z in the lower half-plane and accumulative ones for
-z in the upper half-plane. The inverse direction recovers T from B via
+A parameter is the pair (z, T). Isometric parameters give symmetric extensions;
+general non-expanding ones give dissipative extensions for z in the lower
+half-plane and accumulative ones for z in the upper half-plane. Which one a T is
+shows only through B, so ``extend`` reports B's class (``classify_operator``) and
+T carries no label. The inverse direction recovers T from B via
 D(T) = N_z ∩ R(B - z) and T subset (B - zbar)(B - z)^{-1}. T's memo keeps the one B
-that (A, z, T) defines, so B lives as long as T; B's memo keeps its injectivity cut,
-graph(A) ⊂ graph(B) and the SVD of (B - z)F_B that ``extend`` and ``recover_parameter`` share.
+that (A, z, T) defines, so B lives as long as T; B's memo keeps its injectivity cut
+(``operators.injectivity``), graph(A) ⊂ graph(B) and the SVD of (B - z)F_B that
+``extend`` and ``recover_parameter`` share.
 """
 
 from dataclasses import dataclass
@@ -20,18 +23,14 @@ import numpy as np
 
 from .cayley import DefectData, defect_data, is_admissible, require_offaxis
 from .errors import ExpandingParameter, NotAdmissible, NotAnExtension
-from .operators import (DomainOperator, derived, graph_contains, is_symmetric,
-                        kernel_witness, operator_from_generators)
-from .subspaces import TOL, Subspace, near_identity, opnorm, opnorm_le, rank_split
+from .operators import (DomainOperator, derived, graph_contains, injectivity, is_symmetric,
+                        operator_from_generators)
+from .subspaces import TOL, Subspace, opnorm, opnorm_le, rank_split
 
 SYMMETRIC = "symmetric"
 SELF_ADJOINT = "self-adjoint"
 DISSIPATIVE = "dissipative"
 ACCUMULATIVE = "accumulative"
-
-ISOMETRIC = "isometric"
-STRICTLY_CONTRACTIVE = "strictly-contractive"
-MIXED = "mixed"
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,15 +39,10 @@ class ContractionParameter:
 
     z: complex
     t: DomainOperator
-    kind: str
 
     def __post_init__(self):
         require_offaxis(self.z)
         require_nonexpanding(self.t.action)
-
-    @classmethod
-    def from_operator(cls, z: complex, t: DomainOperator) -> "ContractionParameter":
-        return cls(z, t, _parameter_kind(t))
 
     @classmethod
     def from_matrix(cls, dd: DefectData, matrix) -> "ContractionParameter":
@@ -61,13 +55,12 @@ class ContractionParameter:
         t_dim = matrix.shape[1]
         dom = Subspace(dd.n_z.frame[:, :t_dim], dd.n_z.tol)
         action = dd.n_zbar.frame @ matrix
-        return cls.from_operator(dd.z, DomainOperator(dom, action))
+        return cls(dd.z, DomainOperator(dom, action))
 
     @classmethod
     def empty(cls, z: complex, ambient_dim: int) -> "ContractionParameter":
         dom = Subspace(np.zeros((ambient_dim, 0), complex))
-        return cls(z, DomainOperator(dom, np.zeros((ambient_dim, 0), complex)),
-                   ISOMETRIC)
+        return cls(z, DomainOperator(dom, np.zeros((ambient_dim, 0), complex)))
 
 
 def require_nonexpanding(matrix):
@@ -75,18 +68,6 @@ def require_nonexpanding(matrix):
     if not opnorm_le(matrix, 1.0 + TOL.expanding):
         raise ExpandingParameter(
             f"parameter is expanding: top singular value 1 + {opnorm(matrix) - 1.0:.3e}")
-
-
-def _parameter_kind(t: DomainOperator) -> str:
-    if t.domain_dim == 0:
-        return ISOMETRIC
-    gram = t.action.conj().T @ t.action
-    if near_identity(gram, TOL.isometric_kind):
-        return ISOMETRIC
-    # a norm below a float is a norm at most the float before it
-    if opnorm_le(t.action, np.nextafter(1.0 - TOL.contractive_kind, 0.0)):
-        return STRICTLY_CONTRACTIVE
-    return MIXED
 
 
 def classify_operator(b: DomainOperator) -> str:
@@ -111,7 +92,6 @@ class ExtensionReport:
     """Result of one extension step."""
 
     b: DomainOperator
-    parameter: ContractionParameter
     classification: str
     invertible: bool
     defect_numbers_of_b: tuple
@@ -174,20 +154,7 @@ def extend(a: DomainOperator, z: complex, parameter: ContractionParameter,
     # B need not be symmetric, so count codimensions of the shifted ranges directly
     defects = (b.ambient_dim - _shifted_svd(b, z)[0], b.ambient_dim - rank_split(
         b.action - np.conj(z) * b.domain.frame, b.tol, floor=0.0)[0])
-    return ExtensionReport(b, parameter, classify_operator(b), invertible,
-                           defects, witnesses, margin)
-
-
-def injectivity(b: DomainOperator) -> tuple:
-    """``(injective, kernel witness or None, margin)`` from one cut of B's action, once
-    per B; the margin is the smallest singular value the cut saw, inf when D(B) = {0}."""
-    def cut():
-        rank, s, _ = rank_split(b.action, b.tol)
-        witness = None if rank == b.domain_dim else kernel_witness(b)
-        if witness is not None:
-            witness.setflags(write=False)  # every caller shares the kept witness
-        return witness is None, witness, float(s[-1]) if s.size else float("inf")
-    return derived(b, "injectivity", cut)
+    return ExtensionReport(b, classify_operator(b), invertible, defects, witnesses, margin)
 
 
 def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> ContractionParameter:
@@ -213,4 +180,4 @@ def recover_parameter(a: DomainOperator, b: DomainOperator, z: complex) -> Contr
     if not opnorm_le(out, TOL.recover_leak, relative_to=images):
         raise NotAnExtension("recovered images leave the defect space at zbar")
     t = DomainOperator(t_domain, images)
-    return ContractionParameter.from_operator(z, t)
+    return ContractionParameter(z, t)

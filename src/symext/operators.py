@@ -133,20 +133,28 @@ def is_symmetric(a) -> bool:
     return derived(a, "symmetric", gate)
 
 
+def injectivity(a: DomainOperator) -> tuple:
+    """``(injective, kernel witness or None, margin)`` from one cut of A's action, once
+    per A. The witness is the unit, phase-fixed smallest right singular vector, from a
+    full SVD only where the cut fails; the margin is the smallest singular value the cut
+    saw, inf when D(A) = {0}."""
+    def cut():
+        rank, s, _ = rank_split(a.action, a.tol)
+        margin = float(s[-1]) if s.size else float("inf")
+        if rank == a.domain_dim:
+            return True, None, margin
+        _, _, null = rank_split(a.action, a.tol, part="null")
+        if null.shape[1] == 0:  # the full SVD's values cleared the cut after all
+            raise NotInvertible("operator is injective; there is no kernel direction")
+        witness = fix_phase(a.domain.frame @ null[:, -1])
+        witness.setflags(write=False)  # every caller shares the kept witness
+        return False, witness, margin
+    return derived(a, "injectivity", cut)
+
+
 def is_injective(a: DomainOperator) -> bool:
-    """ker A = {0} at the rank cut of A's action; decided once."""
-    return derived(a, "injective", lambda: rank_split(a.action, a.tol)[0] == a.domain_dim)
-
-
-def kernel_witness(a: DomainOperator) -> np.ndarray:
-    """Unit kernel direction, phase-fixed: the smallest right singular vector.
-
-    Raises NotInvertible when A is injective, so that no direction exists.
-    """
-    _, _, null = rank_split(a.action, a.tol, part="null")
-    if null.shape[1] == 0:
-        raise NotInvertible("operator is injective; there is no kernel direction")
-    return fix_phase(a.domain.frame @ null[:, -1])
+    """ker A = {0} at the rank cut of A's action: the first element of ``injectivity``."""
+    return injectivity(a)[0]
 
 
 def inverse_op(a: DomainOperator) -> DomainOperator:

@@ -449,7 +449,6 @@ class IAdmissibilityVerdict:
 
     admissible: bool
     witness: Optional[np.ndarray]
-    limit_estimate: Optional[np.ndarray]
     rate_estimates: dict
     ray_disagreement: float
     kernel_margin: float
@@ -491,7 +490,7 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
         raise InsufficientSamples("need at least four radii for the limit estimate")
     x = forbidden_of_inverse(a, defect_data(a, lambda0))
     if x.domain.dim == 0:
-        return IAdmissibilityVerdict(True, None, None, {}, 0.0, float("inf"),
+        return IAdmissibilityVerdict(True, None, {}, 0.0, float("inf"),
                                      None, None, tolerances)
 
     n_frame, nbar_frame = f.domain_frame, f.range_frame
@@ -541,6 +540,6 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
             witness_proxy = min_proxy
             rate_estimates = proxies
             break
-    return IAdmissibilityVerdict(witness is None, witness, f0, rate_estimates,
+    return IAdmissibilityVerdict(witness is None, witness, rate_estimates,
                                  disagreement, kernel_margin, witness_resid,
                                  witness_proxy, tolerances)

@@ -65,8 +65,8 @@ def decode_operator(data, tol=DEFAULT_TOL) -> DomainOperator:
     if not isinstance(data, dict) or type(data.get("ambient_dim")) is not int:
         raise ValueError("an operator must be an object with an integer ambient_dim")
     d = data["ambient_dim"]
-    frame = decode_matrix(data["domain_frame"])
-    action = decode_matrix(data["action"])
+    frame = decode_matrix(_field(data, "domain_frame"))
+    action = decode_matrix(_field(data, "action"))
     if frame.shape[0] != d or action.shape[0] != d:
         raise ValueError("matrix rows do not match the ambient dimension")
     return DomainOperator(Subspace(frame, tol), action)
@@ -81,7 +81,6 @@ def parameter_file(parameter) -> dict:
         "schema": SCHEMA_VERSION,
         "kind": "parameter",
         "base_point": encode_complex(parameter.z),
-        "parameter_kind": parameter.kind,
         **encode_operator(parameter.t),
     }
 
@@ -90,7 +89,7 @@ def decode_parameter(data, tol=DEFAULT_TOL):
     from .neumann import ContractionParameter
     _expect_kind(data, "parameter")
     t = decode_operator(data, tol)
-    return ContractionParameter.from_operator(decode_complex(data["base_point"]), t)
+    return ContractionParameter(decode_complex(_field(data, "base_point")), t)
 
 
 def embedded_extension_file(ext: EmbeddedExtension, extra: dict | None = None) -> dict:
@@ -105,7 +104,7 @@ def embedded_extension_file(ext: EmbeddedExtension, extra: dict | None = None) -
 def decode_embedded_extension(data, base: DomainOperator, tol=DEFAULT_TOL) -> EmbeddedExtension:
     """The stored Atilde over ``base``; EmbeddedExtension's gates decide that it extends it."""
     _expect_kind(data, "embedded_extension", EXTENSION_SCHEMA_VERSION)
-    return EmbeddedExtension(base, decode_operator(data["extension"], tol))
+    return EmbeddedExtension(base, decode_operator(_field(data, "extension"), tol))
 
 
 def chain_file(chain, extension_sha256: str) -> dict:
@@ -122,6 +121,13 @@ def chain_file(chain, extension_sha256: str) -> dict:
         "steps": [{"parameter": parameter_file(step.parameter),
                    "defect_numbers": list(step.defect_numbers)} for step in chain.steps],
     }
+
+
+def _field(data, key):
+    """``data[key]``, or a ValueError that names the key and the kind of document lacking it."""
+    if key not in data:
+        raise ValueError(f"{data.get('kind', 'operator')} document has no {key!r} key")
+    return data[key]
 
 
 def _expect_kind(data, kind, schema=SCHEMA_VERSION):

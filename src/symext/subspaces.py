@@ -34,8 +34,6 @@ class Tolerances:
     shape: float = 1e-8               # parameter shape: domain inside N_z, range inside N_zbar
     graph_inclusion: float = 1e-8     # graph(A) inside graph(B), for an extension of A
     expanding: float = 1e-8           # a parameter of norm above 1 + this is rejected
-    isometric_kind: float = 1e-10     # parameter kind "isometric": T^H T = I within this
-    contractive_kind: float = 1e-10   # parameter kind "strictly-contractive": norm below 1 - this
     dissipative_slack: float = 1e-10  # classify_operator: sign of the eigenvalues of Im B, relative
     recover_reach: float = 1e-8       # recover_parameter: D(T) is reached through B - z
     recover_leak: float = 1e-8        # recover_parameter: recovered images stay in N_zbar, relative

@@ -539,6 +539,36 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, which, change)
     assert not out.exists()
 
 
+MISSING_KEY = {
+    "ext.json without extension": ("verify", "ext", "extension", "embedded_extension"),
+    "op.json without action": ("build-sa", "op", "action", "operator"),
+    "op.json without domain_frame": ("verify", "op", "domain_frame", "operator"),
+    "parameter without base_point": ("extend", "param", "base_point", "parameter"),
+}
+
+
+@pytest.mark.parametrize("command, which, key, kind", MISSING_KEY.values(), ids=MISSING_KEY)
+def test_missing_key_is_named_in_one_error_line(tmp_path, capsys, command, which, key, kind):
+    paths = {name: tmp_path / f"{name}.json" for name in ("op", "ext", "param")}
+    out = tmp_path / "out.json"
+    a = write_worked_operator(paths["op"])
+    write_parameter(paths["param"], a, 0.5)
+    assert cli.main(["build-sa", str(paths["op"]), "--z", "0,1", "--double",
+                     "-o", str(paths["ext"])]) == cli.EXIT_OK
+    doc = json.loads(paths[which].read_text(encoding="utf-8"))
+    del doc[key]
+    paths[which].write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"verify": ["verify", str(paths["op"]), str(paths["ext"])],
+            "build-sa": ["build-sa", str(paths["op"]), "--z", "0,1", "--chain",
+                         str(tmp_path / "chain.json")],
+            "extend": ["extend", str(paths["op"]), "--param", str(paths["param"])]}[command]
+    capsys.readouterr()
+    assert cli.main([*argv, "-o", str(out)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"error: {kind} document has no {key!r} key\n"
+    assert not out.exists() and not (tmp_path / "chain.json").exists()
+
+
 def test_resolvent_skips_an_expanding_sample(tmp_path, monkeypatch):
     # F of norm 1 + 5e-8 passes the sample guard but not the Shtraus formula's
     # expanding gate: each point is skipped with the typed error, exit code 0

@@ -71,6 +71,18 @@ def test_first_moved_step_names_where_two_chains_part():
     assert cli_parity.first_moved_step(base, chain_doc(0.5, 0.25)) == 2
 
 
+def test_first_moved_step_counts_a_key_on_one_side_as_layout():
+    old = chain_doc(0.5, 0.25)
+    for step in old["steps"]:
+        step["parameter"]["parameter_kind"] = "isometric"
+    assert cli_parity.first_moved_step(old, chain_doc(0.5, 0.25)) is None
+    assert cli_parity.first_moved_step(chain_doc(0.5, 0.25), old) is None
+    # an array of another length is still a move
+    new = chain_doc(0.5, 0.25)
+    new["steps"][1]["parameter"]["action"].append([[0.0, 0.0]])
+    assert cli_parity.first_moved_step(old, new) == 1
+
+
 def test_report_prints_the_first_moved_step(tmp_path, capsys):
     for side, hs in (("base", (0.5, 0.25)), ("change", (0.5, 0.3)), ("same", (0.5, 0.25 + 1e-14))):
         (tmp_path / side).mkdir()

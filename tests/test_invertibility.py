@@ -116,7 +116,7 @@ def test_second_check_reads_the_forbidden_operator_of_the_inverse_from_the_memo(
             # T on the forbidden image: B has a kernel and every test says so
             g = x.domain.frame[:, 0]
             t = _rank_one_onto(a, g, (np.conj(z) / z) * x.apply(g))
-            parameter = ContractionParameter.from_operator(z, t)
+            parameter = ContractionParameter(z, t)
         else:
             parameter = random_contraction(rng, dd)
         want = check_invertibility(sx.DomainOperator(a.domain, a.action),
@@ -167,6 +167,7 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
     # runs on a fresh T with the same bits: on extend's own T it would read B
     # and its cut from T's memo and make no cut at all
     neumann = importlib.import_module("symext.neumann")
+    operators = importlib.import_module("symext.operators")
     rng = np.random.default_rng(23)
     seen = {"invertible": 0, "singular": 0}
     for seed in range(12):
@@ -175,7 +176,7 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
         x = forbidden_of_inverse(a, dd)
         if seed % 2 and x.domain.dim:
             g = x.domain.frame[:, 0]
-            parameter = ContractionParameter.from_operator(
+            parameter = ContractionParameter(
                 z, _rank_one_onto(a, g, (np.conj(z) / z) * x.apply(g)))
         else:
             parameter = random_contraction(rng, dd)
@@ -185,13 +186,16 @@ def test_direct_test_is_extends_injectivity_cut_alone(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(neumann, "classify_operator",
                           lambda b, _fn=neumann.classify_operator: classified.append(b) or _fn(b))
-            patch.setattr(neumann, "rank_split", lambda m, *args, _fn=neumann.rank_split,
-                          **kwargs: cuts.append(m) or _fn(m, *args, **kwargs))
+            for mod in (neumann, operators):
+                patch.setattr(mod, "rank_split", lambda m, *args, _fn=mod.rank_split,
+                              **kwargs: cuts.append((m, kwargs)) or _fn(m, *args, **kwargs))
             got = check_invertibility(a, z, ContractionParameter(
-                z, sx.DomainOperator(parameter.t.domain, parameter.t.action),
-                parameter.kind))
-        assert classified == [] and len(cuts) == 1, seed
-        assert not any(np.array_equal(m, s) for m in cuts for s in shifted), seed
+                z, sx.DomainOperator(parameter.t.domain, parameter.t.action)))
+        # the building of B cuts its generators; the one values-only cut is of B's action
+        values_cuts = [m for m, kwargs in cuts if kwargs.get("part") is None]
+        assert classified == [] and len(values_cuts) == 1, seed
+        assert np.array_equal(values_cuts[0], report.b.action), seed
+        assert not any(np.array_equal(m, s) for m, _ in cuts for s in shifted), seed
         witness = report.witnesses.get("kernel")
         assert (got.direct, got.margins["direct"]) == (
             report.invertible, report.injectivity_margin), seed
@@ -231,7 +235,7 @@ def test_one_extension_per_triple(monkeypatch):
             # on X_{1/z}(A^{-1}), B has a kernel; on X_z(A), T is inadmissible
             g = x.domain.frame[:, 0]
             scale = np.conj(z) / z if seed % 3 == 1 else 1.0
-            parameter = ContractionParameter.from_operator(
+            parameter = ContractionParameter(
                 z, _rank_one_onto(a, g, scale * x.apply(g)))
         else:
             parameter = random_contraction(rng, dd)
@@ -268,14 +272,14 @@ def test_one_extension_per_triple(monkeypatch):
                     if m is b.action and kw.get("part") is None]) == 1, seed
         assert len([m for (m, *_), kw in calls["rank_split"]
                     if kw.get("part") == "svd" and np.array_equal(m, shifted)]) == 1, seed
-        fresh_t = ContractionParameter(z, _fresh(t), parameter.kind)
+        fresh_t = ContractionParameter(z, _fresh(t))
         want = check_invertibility(_fresh(a), z, fresh_t)
         assert _verdict_bits(verdict) == _verdict_bits(want), seed
-        want_report = extend(_fresh(a), z, ContractionParameter(z, _fresh(t), parameter.kind))
+        want_report = extend(_fresh(a), z, ContractionParameter(z, _fresh(t)))
         assert _report_bits(report) == _report_bits(want_report), seed
         want_t = recover_parameter(_fresh(a), _fresh(b), z)
-        assert (recovered.kind, recovered.t.domain.frame.tobytes(), recovered.t.action.tobytes(
-        )) == (want_t.kind, want_t.t.domain.frame.tobytes(), want_t.t.action.tobytes()), seed
+        assert (recovered.t.domain.frame.tobytes(), recovered.t.action.tobytes()) == (
+            want_t.t.domain.frame.tobytes(), want_t.t.action.tobytes()), seed
         seen["invertible" if verdict.direct else "singular"] += 1
     assert min(seen.values()) > 0, seen
 
@@ -406,7 +410,8 @@ def test_chain_worked_family(worked_a):
     # the single step is a rank-one isometric parameter into N_{-i} = span{e2}
     step = chain.steps[0]
     assert step.parameter.t.domain_dim == 1
-    assert step.parameter.kind == "isometric"
+    f1 = step.parameter.t.domain.frame[:, 0]
+    assert abs(np.linalg.norm(step.parameter.t.apply(f1)) - 1.0) <= 1e-12
     with pytest.raises(IndexError):
         chain.operator(1)
 

@@ -91,8 +91,8 @@ def assert_same_verdicts(a, z, b, w, q, generic):
         if not borderline(adm_a.margin, adm_b.margin):
             assert adm_a.admissible == adm_b.admissible
 
-        v_a = sx.check_invertibility(a, z, sx.ContractionParameter.from_operator(z, t_a))
-        v_b = sx.check_invertibility(b, w, sx.ContractionParameter.from_operator(w, t_b))
+        v_a = sx.check_invertibility(a, z, sx.ContractionParameter(z, t_a))
+        v_b = sx.check_invertibility(b, w, sx.ContractionParameter(w, t_b))
         for name in ("direct", "via_admissibility", "via_forbidden"):
             if not borderline(v_a.margins[name], v_b.margins[name]):
                 assert getattr(v_a, name) == getattr(v_b, name), name
@@ -136,8 +136,8 @@ def test_isometric_parameter_inverse_at_zbar_gives_same_extension(case):
         return
     assert adm.admissible == adm_bar.admissible
     if adm.admissible:
-        b = sx.extend(a, z, sx.ContractionParameter.from_operator(z, t), dd=dd).b
-        b_bar = sx.extend(a, zbar, sx.ContractionParameter.from_operator(zbar, t_inv)).b
+        b = sx.extend(a, z, sx.ContractionParameter(z, t), dd=dd).b
+        b_bar = sx.extend(a, zbar, sx.ContractionParameter(zbar, t_inv)).b
         assert sx.graph_distance(b, b_bar) <= SWAP_TOL
 
 
@@ -156,8 +156,8 @@ def test_contraction_adjoint_at_zbar_is_formal_adjoint(case):
         return
     # a strict contraction has no fixed vector at either point
     assert adm.admissible and adm_bar.admissible
-    b = sx.extend(a, z, sx.ContractionParameter.from_operator(z, t), dd=dd).b
-    b_adj = sx.extend(a, zbar, sx.ContractionParameter.from_operator(zbar, t_star)).b
+    b = sx.extend(a, z, sx.ContractionParameter(z, t), dd=dd).b
+    b_adj = sx.extend(a, zbar, sx.ContractionParameter(zbar, t_star)).b
     gap = b_adj.domain.frame.conj().T @ b.action - b_adj.action.conj().T @ b.domain.frame
     scale = max(1.0, np.linalg.norm(b.action, 2), np.linalg.norm(b_adj.action, 2))
     assert np.linalg.norm(gap, 2) <= SWAP_TOL * scale

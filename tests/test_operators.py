@@ -10,9 +10,9 @@ import symext as sx
 from symext.errors import DomainViolation, ExpandingParameter, NotInvertible
 from symext.neumann import require_nonexpanding
 from symext.operators import (DomainOperator, LinearRelation, direct_sum_op,
-                              graph_contains, graph_distance, inverse_op,
+                              graph_contains, graph_distance, injectivity, inverse_op,
                               is_injective, is_isometric, is_symmetric,
-                              kernel_witness, negate, operator_from_generators,
+                              negate, operator_from_generators,
                               operator_from_matrix, scale_op)
 from symext.subspaces import Subspace, opnorm, orthonormalize
 
@@ -81,14 +81,14 @@ def test_is_injective_hand_values():
     assert is_injective(DomainOperator(zero_dom, np.zeros((2, 0), dtype=complex)))
 
 
-def test_kernel_witness_diag():
-    w = kernel_witness(operator_from_matrix(np.diag([1.0, 0.0])))
-    assert np.allclose(w, [0.0, 1.0], atol=1e-12)
+def test_injectivity_witness_diag():
+    injective, w, margin = injectivity(operator_from_matrix(np.diag([1.0, 0.0])))
+    assert not injective and margin == 0.0
+    assert np.allclose(w, [0.0, 1.0], atol=1e-12) and not w.flags.writeable
     # an injective operator, or an empty domain, has no kernel direction
-    with pytest.raises(NotInvertible):
-        kernel_witness(operator_from_matrix(np.diag([1.0, -0.3])))
-    with pytest.raises(NotInvertible):
-        kernel_witness(DomainOperator(Subspace(np.zeros((2, 0))), np.zeros((2, 0))))
+    assert injectivity(operator_from_matrix(np.diag([1.0, -0.3]))) == (True, None, 0.3)
+    empty = DomainOperator(Subspace(np.zeros((2, 0))), np.zeros((2, 0)))
+    assert injectivity(empty) == (True, None, float("inf"))
 
 
 def test_inverse_op_hand_values():

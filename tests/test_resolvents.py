@@ -15,10 +15,9 @@ from symext.cayley import (AdmissibilityResult, DefectData, _admissibility_bound
 from symext.errors import (ExpandingParameter, InsufficientSamples, NotAdmissible,
                            ProjectionDegenerate, ResolventSingular, SpectrumHit)
 from symext.invertibility import build_invertible_selfadjoint, check_invertibility, double
-from symext.neumann import (ContractionParameter, construct_extension, extend, injectivity,
-                            recover_parameter)
-from symext.operators import (DomainOperator, graph_contains, graph_distance, inverse_op,
-                              is_injective, is_symmetric, operator_from_matrix)
+from symext.neumann import ContractionParameter, construct_extension, extend, recover_parameter
+from symext.operators import (DomainOperator, graph_contains, graph_distance, injectivity,
+                              inverse_op, is_symmetric, operator_from_matrix)
 from symext.resolvents import (EmbeddedExtension, ParameterFunction,
                                compressed_resolvent, default_lambda_grid,
                                frak_b, frak_f, i_admissibility_test,
@@ -334,7 +333,7 @@ def shtraus_oracle(a, lambda0, f, lam):
         z, dom, rng = np.conj(lambda0), f.range_frame, f.domain_frame
         mat = f.sample_at(np.conj(lam)).conj().T
     t = sx.DomainOperator(sx.Subspace(dom, a.tol), rng @ mat)
-    b = construct_extension(a, z, ContractionParameter.from_operator(z, t))
+    b = construct_extension(a, z, ContractionParameter(z, t))
     return np.linalg.inv(b.to_matrix() - lam * np.eye(a.ambient_dim))
 
 
@@ -891,7 +890,7 @@ def test_invertibility_memo_sound():
         check_invertibility(copy, z, parameter)
         _memo_matches_scratch(copy, a, {
             "symmetric": is_symmetric,
-            "injective": is_injective,
+            "injectivity": injectivity,
             ("defect_data", z): lambda fresh: defect_data(fresh, z),
             ("forbidden_of_inverse", z): lambda fresh: forbidden_of_inverse(
                 fresh, defect_data(fresh, z))})
@@ -914,8 +913,8 @@ def test_extension_memo_sound_and_weak():
         def fresh_a():
             return decode_operator(json.loads(json_dump(encode_operator(a))))
         held = _memo_matches_scratch(parameter.t, parameter.t, {
-            ("extension", copy, dd): lambda fresh, kind=parameter.kind: construct_extension(
-                fresh_a(), z, ContractionParameter(z, fresh, kind))})
+            ("extension", copy, dd): lambda fresh: construct_extension(
+                fresh_a(), z, ContractionParameter(z, fresh))})
         _memo_matches_scratch(report.b, report.b, {
             "symmetric": is_symmetric,
             "injectivity": injectivity,
@@ -924,7 +923,7 @@ def test_extension_memo_sound_and_weak():
                 fresh.action - z * fresh.domain.frame, fresh.tol, floor=0.0, part="svd")})
         _memo_matches_scratch(copy, a, {
             "symmetric": is_symmetric,
-            "injective": is_injective,
+            "injectivity": injectivity,
             ("defect_data", z): lambda fresh: defect_data(fresh, z),
             ("forbidden_of_inverse", z): lambda fresh: forbidden_of_inverse(
                 fresh, defect_data(fresh, z))})

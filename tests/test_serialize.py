@@ -73,9 +73,15 @@ def test_operator_file_kind_and_schema(worked_a):
 
 def test_parameter_roundtrip(worked_dd):
     p = worked_parameter(worked_dd, 0.5j)
-    back = decode_parameter(parameter_file(p))
-    assert back.z == p.z and back.kind == p.kind
+    doc = parameter_file(p)
+    assert "parameter_kind" not in doc
+    back = decode_parameter(doc)
+    assert back.z == p.z
     assert graph_distance(back.t, p.t) < 1e-12
+    # a file written with the old "parameter_kind" label loads as before
+    old = decode_parameter({**doc, "parameter_kind": "isometric"})
+    assert old.z == p.z and np.array_equal(old.t.domain.frame, back.t.domain.frame)
+    assert np.array_equal(old.t.action, back.t.action)
     empty = ContractionParameter.empty(1j, 2)
     back = decode_parameter(parameter_file(empty))
     assert back.t.domain.dim == 0 and back.t.ambient_dim == 2

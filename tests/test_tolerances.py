@@ -172,6 +172,33 @@ def test_memo_only_in_derived():
     assert [scope for scope, _ in _memo_uses(probe)] == ["", "derived", "seed", "seed"]
 
 
+def _tol_reads(tree):
+    """Names of the ``TOL.<name>`` attributes that a module reads."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "TOL"}
+
+
+def _readme_tolerance_rows():
+    """``(field, value)`` of each row of README's table of the record."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| field | value | what it gates |", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table, flags=re.MULTILINE)
+
+
+def test_every_tolerance_is_read_and_documented_once():
+    # an orphaned field, or a README row that names no field or states another
+    # value, fails here
+    fields = [f.name for f in dataclasses.fields(TOL)]
+    read = set().union(*(_tol_reads(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in SRC.glob("*.py")))
+    assert [name for name in fields if name not in read] == []
+    rows = _readme_tolerance_rows()
+    assert sorted(name for name, _ in rows) == sorted(fields)
+    assert [name for name, value in rows if float(value) != getattr(TOL, name)] == []
+    assert _tol_reads(ast.parse("TOL.limit; tol.kernel; TOL.kernel(x); a.TOL.shape")) == {
+        "limit", "kernel"}
+
+
 def _ambient_dim_keywords(tree):
     """Calls that pass ``ambient_dim=``, other than to ``InstanceSpec``."""
     for node in ast.walk(tree):

@@ -12,7 +12,8 @@ that kind on each side, as in ``res.json max_deviation 4.96e-14 -> 4.84e-14``
 (list positions read ``[]``, so ``points[].deviation`` covers every point).
 Under a differing ``chain.json`` it names the first step whose parameter moved
 by more than 1e-10 in some entry, where the two chains part, or prints
-``steps agree to 1e-10``. A JSON file whose bytes differ but whose values
+``steps agree to 1e-10`` (a parameter key that only one side writes is not a
+move). A JSON file whose bytes differ but whose values
 are the base's (a change of layout only) is marked ``same JSON values``, and
 the summary line counts such files.
 Each checkout runs in its own process, importing ``symext`` from its
@@ -116,11 +117,14 @@ def _number(x) -> bool:
 
 def first_moved_step(old, new):
     """The first step of two ``chain.json`` documents whose parameter differs by more
-    than ``STEP_MOVE`` in some entry, or that only one of them has; None if there is none."""
+    than ``STEP_MOVE`` in some entry, or that only one of them has; None if there is none.
+    A parameter key that one side lacks is layout, not a move."""
     old_steps, new_steps = old.get("steps", []), new.get("steps", [])
     for k, (a, b) in enumerate(zip(old_steps, new_steps)):
+        shared = a["parameter"].keys() & b["parameter"].keys()
         if any(not (_number(x) and _number(y)) or abs(x - y) > STEP_MOVE
-               for _, x, y in moved(a["parameter"], b["parameter"])):
+               for _, x, y in moved({key: a["parameter"][key] for key in shared},
+                                    {key: b["parameter"][key] for key in shared})):
             return k
     return None if len(old_steps) == len(new_steps) else min(len(old_steps), len(new_steps))
 
