@@ -190,7 +190,10 @@ def cmd_resolvent(args) -> int:
     op, ext = _load_pair(args)
     lambda0 = args.lambda0
     grid = args.grid or default_lambda_grid(lambda0, ext.atilde_matrix())
-    f = ParameterFunction.from_extension(ext, lambda0, grid)
+    # F is sampled in lam0's half-plane: at lam, or at lam bar, which the Shtraus
+    # formula's adjoint branch reads; a real lam stays, and the sampler refuses it
+    images = (lam if lam.imag * lambda0.imag > 0 else lam.conjugate() for lam in grid)
+    f = ParameterFunction.from_extension(ext, lambda0, tuple(dict.fromkeys(images)))
     rows, points, worst = [], [], 0.0
     for lam in grid:
         entry = {"lambda": serialize.encode_complex(lam)}

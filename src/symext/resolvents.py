@@ -22,6 +22,8 @@ so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates and buil
 F(lam) is an LU solve where the Shtraus bound s_min(B_lam - lam0) >= |Im lam0| is certified,
 lstsq elsewhere. ``ParameterFunction.from_extension`` samples F from one Hermitian
 eigendecomposition of Atilde instead, through B_lam = lam + R_lam^{-1}, under the same guards.
+With no exit space (e = 0) B_lam is Atilde at every lam, so F is constant: it is frak_f at
+the first lam, stored at every lam that passes the half-plane guard.
 
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
@@ -275,7 +277,18 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
     two rational functions of R_lam, which therefore commute. The guards are
     frak_f's: P_H injective on L_lam, then ``_checked_sample``; the first is
     certified in O(D) per lam by the bound in the loop, with no QR or SVD.
+
+    With no exit space (e = 0) L_lam is C^d and B_lam is Atilde, bit for bit, at
+    every lam, so F does not depend on lam: it is frak_f at the first lam, one
+    read-only array stored at every lam once lam passes the half-plane guard.
     """
+    lams = [complex(lam) for lam in lams]
+    if not ext.exit_dim and lams:
+        value = frak_f(ext, lams[0], lambda0, frames)
+        value.setflags(write=False)
+        for lam in lams[1:]:
+            _contractive_point(lam, lambda0)
+        return dict.fromkeys(lams, value)
     m = ext.atilde_matrix()
     m_h = (m + m.conj().T) / 2
     mu, v, kappa = ext._spectrum
@@ -286,7 +299,6 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
     eta = np.linalg.norm(y.conj().T @ y - eye)  # ||yu||^2 = (1 +- eta)||u||^2: eigh's rounding
     samples = {}
     for lam in lams:
-        lam = complex(lam)
         _contractive_point(lam, lambda0)
         d_lam = (1.0 / (mu - lam))[:, None]
         dy = d_lam * y
@@ -346,7 +358,11 @@ class ParameterFunction:
 
     @classmethod
     def from_extension(cls, ext: EmbeddedExtension, lambda0: complex, lams) -> "ParameterFunction":
-        """F sampled at ``lams``: the values of frak_f, from one eigendecomposition."""
+        """F sampled at ``lams``: the values of frak_f, from one eigendecomposition.
+
+        With no exit space (e = 0) F is constant: every sample is frak_f's value at
+        the first lam, the same read-only array, and no eigendecomposition is taken.
+        """
         dd = defect_data(ext.base, lambda0)
         frames = (dd.n_z.frame, dd.n_zbar.frame)
         samples = _spectral_samples(ext, dd.z, frames, lams)

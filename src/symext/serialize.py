@@ -61,12 +61,12 @@ def encode_operator(a: DomainOperator) -> dict:
     }
 
 
-def decode_operator(data, tol=DEFAULT_TOL) -> DomainOperator:
+def decode_operator(data, tol=DEFAULT_TOL, kind=None) -> DomainOperator:
+    """The operator ``data`` encodes; errors name ``kind``, by default data's own kind."""
     if not isinstance(data, dict) or type(data.get("ambient_dim")) is not int:
         raise ValueError("an operator must be an object with an integer ambient_dim")
-    d = data["ambient_dim"]
-    frame = decode_matrix(_field(data, "domain_frame"))
-    action = decode_matrix(_field(data, "action"))
+    d, kind = data["ambient_dim"], kind or data.get("kind", "operator")
+    frame, action = (_finite_matrix(data, key, kind) for key in ("domain_frame", "action"))
     if frame.shape[0] != d or action.shape[0] != d:
         raise ValueError("matrix rows do not match the ambient dimension")
     return DomainOperator(Subspace(frame, tol), action)
@@ -89,7 +89,10 @@ def decode_parameter(data, tol=DEFAULT_TOL):
     from .neumann import ContractionParameter
     _expect_kind(data, "parameter")
     t = decode_operator(data, tol)
-    return ContractionParameter(decode_complex(_field(data, "base_point")), t)
+    z = decode_complex(_field(data, "base_point"))
+    if not np.isfinite(z):
+        raise ValueError("parameter document has a non-finite entry in 'base_point'")
+    return ContractionParameter(z, t)
 
 
 def embedded_extension_file(ext: EmbeddedExtension, extra: dict | None = None) -> dict:
@@ -104,7 +107,8 @@ def embedded_extension_file(ext: EmbeddedExtension, extra: dict | None = None) -
 def decode_embedded_extension(data, base: DomainOperator, tol=DEFAULT_TOL) -> EmbeddedExtension:
     """The stored Atilde over ``base``; EmbeddedExtension's gates decide that it extends it."""
     _expect_kind(data, "embedded_extension", EXTENSION_SCHEMA_VERSION)
-    return EmbeddedExtension(base, decode_operator(_field(data, "extension"), tol))
+    atilde = decode_operator(_field(data, "extension"), tol, kind="embedded_extension")
+    return EmbeddedExtension(base, atilde)
 
 
 def chain_file(chain, extension_sha256: str) -> dict:
@@ -123,11 +127,20 @@ def chain_file(chain, extension_sha256: str) -> dict:
     }
 
 
-def _field(data, key):
+def _field(data, key, kind=None):
     """``data[key]``, or a ValueError that names the key and the kind of document lacking it."""
     if key not in data:
-        raise ValueError(f"{data.get('kind', 'operator')} document has no {key!r} key")
+        raise ValueError(f"{kind or data.get('kind', 'operator')} document has no {key!r} key")
     return data[key]
+
+
+def _finite_matrix(data, key, kind) -> np.ndarray:
+    """``decode_matrix(data[key])``, refused with the key named if an entry is NaN or infinite
+    (``json.load`` reads ``NaN`` and ``Infinity``), before any factorization meets it."""
+    m = decode_matrix(_field(data, key, kind))
+    if not np.isfinite(m).all():
+        raise ValueError(f"{kind} document has a non-finite entry in {key!r}")
+    return m
 
 
 def _expect_kind(data, kind, schema=SCHEMA_VERSION):

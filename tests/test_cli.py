@@ -448,6 +448,33 @@ def test_resolvent_custom_grid_and_spectrum_hit(tmp_path):
     assert doc["agree"] is True
 
 
+@pytest.mark.parametrize("double", [False, True])
+def test_resolvent_grid_point_in_the_other_half_plane(tmp_path, capsys, double):
+    # F is sampled at lam bar for a point opposite lam0, and the Shtraus formula's
+    # adjoint branch reads it there: both points are compared, with or without an
+    # exit space, and R at lam bar is R at lam adjoint
+    op, ext, out, grid = (tmp_path / name for name in ("op.json", "ext.json", "res.json",
+                                                          "grid.csv"))
+    assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", "1", "-o", str(op)]) == 0
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "-o", str(ext)]
+                    + ["--double"] * double) == cli.EXIT_OK
+    assert cli.main(["resolvent", str(op), str(ext), "--lambda0", "0,1", "--grid",
+                     "0.3,0.5;0.3,-0.5", "--csv", str(grid), "-o", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["agree"] is True and all("deviation" in p for p in doc["points"])
+    with open(grid, newline="", encoding="utf-8") as fh:
+        rows = [[float(x) for x in row] for row in list(csv.reader(fh))[1:]]
+    assert [row[:2] for row in rows] == [[0.3, 0.5], [0.3, -0.5]]
+    upper, lower = (np.array(row[2:]).view(complex).reshape(6, 6) for row in rows)
+    assert np.allclose(lower, upper.conj().T, rtol=0, atol=1e-12)
+    # a point on the real axis is refused, as it always was
+    capsys.readouterr()
+    assert cli.main(["resolvent", str(op), str(ext), "--lambda0", "0,1", "--grid",
+                     "0.3,0.5;0.3,0", "-o", str(tmp_path / "real.json")]) == cli.EXIT_IO
+    assert "half-plane" in capsys.readouterr().err
+    assert not (tmp_path / "real.json").exists()
+
+
 def test_resolvent_bad_grid_point_is_a_usage_error(tmp_path, capsys):
     op_path, ext_path, out = tmp_path / "op.json", tmp_path / "ext.json", tmp_path / "out.json"
     write_worked_operator(op_path)
@@ -567,6 +594,52 @@ def test_missing_key_is_named_in_one_error_line(tmp_path, capsys, command, which
     err = capsys.readouterr().err
     assert err == f"error: {kind} document has no {key!r} key\n"
     assert not out.exists() and not (tmp_path / "chain.json").exists()
+
+
+NON_FINITE = {
+    "NaN in op.json under verify": ("verify", "op", float("nan"), "operator"),
+    "NaN in op.json under resolvent": ("resolvent", "op", float("nan"), "operator"),
+    "NaN in op.json under build-sa": ("build-sa", "op", float("nan"), "operator"),
+    "inf in ext.json under verify": ("verify", "ext", float("inf"), "embedded_extension"),
+    "-inf in ext.json under resolvent": ("resolvent", "ext", -float("inf"),
+                                         "embedded_extension"),
+}
+
+
+@pytest.mark.parametrize("command, which, value, kind", NON_FINITE.values(), ids=NON_FINITE)
+def test_non_finite_matrix_entry_is_one_error_line(tmp_path, capfd, command, which, value,
+                                                   kind):
+    # json.load reads NaN and Infinity; the loader refuses them before LAPACK, which
+    # writes to file descriptor 2 itself, so stderr is read at that level
+    op, ext, out = (tmp_path / name for name in ("op.json", "ext.json", "out.json"))
+    assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", "1", "-o", str(op)]) == 0
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "-o", str(ext)]) == cli.EXIT_OK
+    path = {"op": op, "ext": ext}[which]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    (doc["extension"] if which == "ext" else doc)["action"][0][0][0] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"verify": ["verify", op, ext],
+            "resolvent": ["resolvent", op, ext, "--lambda0", "0,1"],
+            "build-sa": ["build-sa", op, "--z", "0,1", "--chain", tmp_path / "chain.json"]}
+    capfd.readouterr()
+    assert cli.main([*map(str, argv[command]), "-o", str(out)]) == cli.EXIT_IO
+    err = capfd.readouterr().err
+    assert err == f"error: {kind} document has a non-finite entry in 'action'\n"
+    assert not out.exists() and not (tmp_path / "chain.json").exists()
+
+
+@pytest.mark.parametrize("command", ["extend", "check-invert"])
+def test_non_finite_base_point_is_one_error_line(tmp_path, capfd, command):
+    op, param, out = (tmp_path / name for name in ("op.json", "param.json", "out.json"))
+    write_parameter(param, write_worked_operator(op), 0.5)
+    doc = json.loads(param.read_text(encoding="utf-8"))
+    doc["base_point"][0] = float("nan")
+    param.write_text(json.dumps(doc), encoding="utf-8")
+    capfd.readouterr()
+    assert cli.main([command, str(op), "--param", str(param), "-o", str(out)]) == cli.EXIT_IO
+    err = capfd.readouterr().err
+    assert err == "error: parameter document has a non-finite entry in 'base_point'\n"
+    assert not out.exists()
 
 
 def test_resolvent_skips_an_expanding_sample(tmp_path, monkeypatch):

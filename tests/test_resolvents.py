@@ -528,12 +528,30 @@ def test_uncertified_total_b_takes_the_lstsq_path(monkeypatch, diagonal, column,
 
 
 def test_spectral_sampler_per_lambda_cost(monkeypatch):
-    # a certified lam takes no QR and no SVD but the n x n norm of its sample
-    a, ext, grid = cost_case()
+    # with an exit space (a doubled chain, e = 8), a certified lam takes no QR and
+    # no SVD but the n x n norm of its sample
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=5))
+    ext = EmbeddedExtension.from_chain(
+        build_invertible_selfadjoint(a, 1j, seed=1, double_first=True))
+    grid = default_lambda_grid(1j, ext.atilde_matrix())
+    assert ext.exit_dim == 8
     ParameterFunction.from_extension(ext, 1j, grid[:1])
     calls = count_linalg(monkeypatch, ("svd", "qr"))
     ParameterFunction.from_extension(ext, 1j, grid)
     assert calls["qr"] == [] and calls["svd"] == [((2, 2), False)] * len(grid)
+
+
+def test_sampler_at_e0_takes_one_lambda(monkeypatch):
+    # with no exit space F is frak_f at the first lam: the whole grid takes one
+    # d x d SVD (of P_H|L_lam, in frak_b), one certified LU, and the n x n norm
+    # of the one sample; no eigh, no QR and no lstsq
+    a, ext, grid = cost_case()
+    assert ext.exit_dim == 0 and len(grid) == 24
+    calls = count_linalg(monkeypatch, ("svd", "qr", "eigh", "solve", "lstsq", "cholesky"))
+    ParameterFunction.from_extension(ext, 1j, grid)
+    assert calls["svd"] == [((8, 8), True), ((2, 2), False)]
+    assert calls["solve"] == calls["cholesky"] == [((8, 8), True)]
+    assert calls["qr"] == calls["eigh"] == calls["lstsq"] == []
 
 
 def counted_rank_split(monkeypatch, certify=True):
@@ -553,10 +571,14 @@ def counted_rank_split(monkeypatch, certify=True):
 def test_uncertified_lambda_takes_the_exact_path(monkeypatch):
     # eigenvalues up to 2e6: kappa (eigh rounding) and |Im lam| = 2e-8 put the
     # sampler's bound on s_min below the cut, so rank_split decides every gate,
-    # and samples and resolvents have the bits of a run with no certificate
+    # and samples and resolvents have the bits of a run with no certificate; a
+    # doubled chain, as with no exit space the sampler takes no spectral bound
     a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=6, defect=1, spectrum_window=(0.5, 2e6),
                                          seed=1))
-    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, 1j, seed=0))
+    ext = EmbeddedExtension.from_chain(
+        build_invertible_selfadjoint(a, 1j, seed=1, double_first=True))
+    assert ext.exit_dim == 6
+    defect_data(a, 1j)  # the chain ran on A (+) (-A): A's own record is kept from here on
     lams = (0.3 + 2e-8j, -0.7 + 3e-8j, 0.2 + 0.4j)
     runs = []
     for certify in (True, False):
@@ -789,14 +811,43 @@ def test_from_extension_matches_frak_f_canonical_family(worked_a):
 def test_from_extension_defect_zero_empty():
     h = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=3, defect=0, seed=4))
     ext = EmbeddedExtension(h, h)
+    assert ext.exit_dim == 0
     f = ParameterFunction.from_extension(ext, 1j, (0.4 + 0.6j, -0.3 + 0.2j))
+    assert len(f.sampled_points()) == 2
     assert all(f.sample_at(lam).shape == (0, 0) for lam in f.sampled_points())
 
 
 def test_from_extension_halfplane_guard(worked_a):
-    ext = doubled_ext(worked_a)
-    with pytest.raises(ValueError, match="half-plane"):
-        ParameterFunction.from_extension(ext, 1j, (0.3 + 0.5j, 0.5 - 0.5j))
+    # with or without an exit space (at e = 0 F is computed at the first lam only),
+    # a lam in the other half-plane or on the real axis is refused, first or later
+    for ext in (doubled_ext(worked_a), canonical_diag(worked_a, 3.0)):
+        for bad in (0.5 - 0.5j, 0.5 + 0j):
+            for lams in ((0.3 + 0.5j, bad), (bad, 0.3 + 0.5j)):
+                with pytest.raises(ValueError, match="half-plane"):
+                    ParameterFunction.from_extension(ext, 1j, lams)
+
+
+def e0_cases(worked_a):
+    """(extension, lam0) with no exit space: undoubled chains and the canonical family."""
+    for seed in range(4):
+        a, z, _ = random_instance(seed + 40, max_dim=7)
+        yield EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, z, seed=seed)), z
+    for b in (3.0, -1.0, 0.5):
+        yield canonical_diag(worked_a, b), 1j
+
+
+def test_from_extension_at_e0_is_frak_f_bit_for_bit(worked_a):
+    # L_lam = C^d and B_lam = Atilde at every lam: each sample over grid and sector
+    # is frak_f's value at that lam, bit for bit, and one read-only array
+    for ext, z in e0_cases(worked_a):
+        assert ext.exit_dim == 0
+        points = grid_and_sector(z, ext)
+        f = ParameterFunction.from_extension(ext, z, points)
+        frames = (f.domain_frame, f.range_frame)
+        assert len({id(f.sample_at(lam)) for lam in points}) == 1
+        assert not f.sample_at(points[0]).flags.writeable
+        for lam in points:
+            assert np.array_equal(f.sample_at(lam), frak_f(ext, lam, z, frames))
 
 
 def test_from_extension_non_hermitian_within_gate():

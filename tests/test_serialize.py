@@ -9,7 +9,7 @@ from symext import cli
 from symext.instances import InstanceSpec, gen_symmetric
 from symext.invertibility import build_invertible_selfadjoint
 from symext.neumann import ContractionParameter
-from symext.operators import graph_distance
+from symext.operators import graph_distance, operator_from_matrix
 from symext.resolvents import EmbeddedExtension
 from symext.serialize import (chain_file, decode_complex, decode_embedded_extension,
                               decode_matrix, decode_operator, decode_parameter,
@@ -59,6 +59,20 @@ def test_operator_roundtrip(worked_a):
     bad["ambient_dim"] = a.ambient_dim + 1
     with pytest.raises(ValueError):
         decode_operator(bad)
+
+
+@pytest.mark.parametrize("key", ["domain_frame", "action"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entry_is_refused_with_its_key(worked_a, key, value):
+    doc = operator_file(worked_a)
+    doc[key][1][0][1] = value
+    with pytest.raises(ValueError, match=f"operator document has a non-finite entry in '{key}'"):
+        load_operator(json.loads(json.dumps(doc)))
+    atilde = operator_from_matrix(np.diag([1.0, 4.0]).astype(complex))
+    ext = embedded_extension_file(EmbeddedExtension(worked_a, atilde))
+    ext["extension"][key][1][0][1] = value
+    with pytest.raises(ValueError, match="embedded_extension document has a non-finite"):
+        decode_embedded_extension(json.loads(json.dumps(ext)), worked_a)
 
 
 def test_operator_file_kind_and_schema(worked_a):
