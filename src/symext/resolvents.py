@@ -20,10 +20,20 @@ forbidden-operator limit at 0 with a bounded norm-loss rate.
 references; the checks call the stages they compose (``_frak_b_from``, ``_frak_f_from``)
 so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates and builds B_lam;
 F(lam) is an LU solve where the Shtraus bound s_min(B_lam - lam0) >= |Im lam0| is certified,
-lstsq elsewhere. ``ParameterFunction.from_extension`` samples F from one Hermitian
-eigendecomposition of Atilde instead, through B_lam = lam + R_lam^{-1}, under the same guards.
-With no exit space (e = 0) B_lam is Atilde at every lam, so F is constant: it is frak_f at
-the first lam, stored at every lam that passes the half-plane guard.
+lstsq elsewhere.
+
+With E the last e coordinates, lam enters only through the e x e exit block:
+R_lam^{-1} is the Schur complement of Atilde_EE - lam in Atilde - lam, so
+
+    B_lam = lam + R_lam^{-1} = Atilde_HH - Atilde_HE (Atilde_EE - lam)^{-1} Atilde_EH.
+
+Atilde_EE's skew part is a compression of Atilde's, so by Weyl's inequality
+s_min(Atilde_EE - lam) >= |Im lam| - kappa, kappa the slack of the SpectrumHit gate.
+``compressed_resolvent`` inverts the d x d Schur complement wherever |Im lam| > kappa,
+and ``ParameterFunction.from_extension`` samples F from one Hermitian eigendecomposition
+of the exit block, under frak_f's guards. With no exit space (e = 0) B_lam is Atilde at
+every lam, so F is constant: it is frak_f at the first lam, stored at every lam that
+passes the half-plane guard.
 
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
@@ -53,6 +63,11 @@ from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_
 
 def _half_plane(lam: complex, lambda0: complex) -> bool:
     return np.sign(lam.imag) == np.sign(lambda0.imag)
+
+
+def _eigh_rounding(eigenvalues: np.ndarray) -> float:
+    """A bound on how far eigh moves the eigenvalues of a Hermitian matrix by rounding."""
+    return len(eigenvalues) * np.finfo(float).eps * float(np.max(np.abs(eigenvalues), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +117,35 @@ class EmbeddedExtension:
 
     @cached_property
     def _spectrum(self) -> tuple:
-        """``(mu, v, kappa)``: eigh of the Hermitian part H = (M + M^H)/2, and a slack.
+        """``(mu, kappa)``: the eigenvalues of the Hermitian part H = (M + M^H)/2, and a slack.
 
         kappa is ||M - M^H||/2, the skew the self-adjoint gate admitted, plus
-        the rounding of eigh. By Weyl's inequality every singular value of
+        the rounding of eigvalsh. By Weyl's inequality every singular value of
         M - lam lies within kappa of the matching one of H - lam, and those
         are the |mu - lam|.
         """
         m = self._matrix
-        mu, v = np.linalg.eigh((m + m.conj().T) / 2)
-        rounding = m.shape[0] * np.finfo(float).eps * float(np.max(np.abs(mu), initial=0.0))
+        mu = np.linalg.eigvalsh((m + m.conj().T) / 2)
         mu.setflags(write=False)
-        v.setflags(write=False)
-        return mu, v, self._skew / 2 + rounding
+        return mu, self._skew / 2 + _eigh_rounding(mu)
+
+    @cached_property
+    def _exit_block(self) -> tuple:
+        """``(nu, w, delta, a, b, kappa_e)`` of the exit block M_EE, the last e coordinates.
+
+        nu, w is the eigh of M_EE's Hermitian part H_E, delta = w^H (M_EE - H_E) w
+        its anti-Hermitian residue, a = M_HE w and b = w^H M_EH. kappa_e is
+        ||M_EE - M_EE^H||_F / 2 plus the rounding of eigh, so that by Weyl's
+        inequality s_min(M_EE - lam) >= min |nu - lam| - kappa_e.
+        """
+        m, d = self._matrix, self.base.ambient_dim
+        block = m[d:, d:]
+        herm = (block + block.conj().T) / 2
+        nu, w = np.linalg.eigh(herm)
+        parts = (nu, w, w.conj().T @ (block - herm) @ w, m[:d, d:] @ w, w.conj().T @ m[d:, :d])
+        for part in parts:
+            part.setflags(write=False)
+        return parts + (np.linalg.norm(block - herm) + _eigh_rounding(nu),)
 
     @cached_property
     def _invertible(self) -> bool:
@@ -158,12 +189,21 @@ def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
     G + kappa], so passing g - kappa > tol * max(1, G + kappa) implies passing
     the rank cut ``rank_split(Atilde - lam, tol)``. The gate is stricter than
     that cut only in a band of width kappa around it.
+
+    With an exit space and |Im lam| > kappa the value is the inverse of the
+    Schur complement Atilde_HH - lam - Atilde_HE (Atilde_EE - lam)^{-1} Atilde_EH:
+    Atilde_EE's skew part is a compression of Atilde's, so by Weyl's inequality
+    s_min(Atilde_EE - lam) >= |Im lam| - kappa > 0. Elsewhere, and with no exit
+    space, one solve on C^{d+e} gives it.
     """
-    mu, _, kappa = ext._spectrum
+    mu, kappa = ext._spectrum
     gaps = np.abs(mu - lam)
     if gaps.min() - kappa <= TOL.spectrum_hit * max(1.0, gaps.max() + kappa):
         raise SpectrumHit(f"{lam} is numerically an eigenvalue of the extension")
     m, d = ext.atilde_matrix(), ext.base.ambient_dim
+    if ext.exit_dim and abs(complex(lam).imag) > kappa:
+        exit_part = np.linalg.solve(m[d:, d:] - lam * np.eye(ext.exit_dim), m[d:, :d])
+        return np.linalg.inv(m[:d, :d] - lam * np.eye(d) - m[:d, d:] @ exit_part)
     return np.linalg.solve(m - lam * np.eye(len(m)), np.eye(len(m), d))[:d]
 
 
@@ -263,20 +303,20 @@ def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
 
 def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
                       lams) -> dict:
-    """F(lam) at every lam, as frak_f gives it, from one eigendecomposition.
+    """F(lam) at every lam, as frak_f gives it, from one eigendecomposition of the exit block.
 
-    Atilde = V (Lambda + Delta') V^H with V, Lambda the eigh of its Hermitian
-    part, which the extension keeps; Delta' is the anti-Hermitian residue the
-    EmbeddedExtension gate admits, and one correction step
-    (Lambda - lam + Delta')^{-1} ~ D - D Delta' D with D = (Lambda - lam)^{-1}
-    keeps R_lam as accurate as a direct solve.
-    From B_lam = lam + R_lam^{-1},
+    M_EE = w (nu + delta) w^H with nu, w the eigh of its Hermitian part, which
+    the extension keeps; delta is the anti-Hermitian residue the EmbeddedExtension
+    gate admits, and one correction step (nu - lam + delta)^{-1} ~ D - D delta D
+    with D = (nu - lam)^{-1} gives X = (M_EE - lam)^{-1} M_EH. Then
 
-        F(lam) = (I + (lam - lam0bar) R_lam)(I + (lam - lam0) R_lam)^{-1},
+        B_lam = M_HH - M_HE X,    F(lam) = (B_lam - lam0bar)(B_lam - lam0)^{-1} on N_{lam0},
 
-    two rational functions of R_lam, which therefore commute. The guards are
-    frak_f's: P_H injective on L_lam, then ``_checked_sample``; the first is
-    certified in O(D) per lam by the bound in the loop, with no QR or SVD.
+    by one LU per lam. The guards are frak_f's: P_H injective on L_lam, then
+    ``_checked_sample``. L_lam is the graph of -X over H, so s_min(P_H|L_lam) =
+    1/sqrt(1 + ||X||^2), and ||X|| <= ||M_EH||_F / (min |nu - lam| - kappa_e) by
+    Weyl's inequality certifies the first with no QR or SVD; where that bound
+    falls short, rank_split cuts P_H of an orthonormal frame of [I; -X].
 
     With no exit space (e = 0) L_lam is C^d and B_lam is Atilde, bit for bit, at
     every lam, so F does not depend on lam: it is frak_f at the first lam, one
@@ -289,39 +329,31 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
         for lam in lams[1:]:
             _contractive_point(lam, lambda0)
         return dict.fromkeys(lams, value)
-    m = ext.atilde_matrix()
-    m_h = (m + m.conj().T) / 2
-    mu, v, kappa = ext._spectrum
-    y = v[:ext.base.ambient_dim].conj().T
-    delta = v.conj().T @ (m - m_h) @ v
+    m, d = ext.atilde_matrix(), ext.base.ambient_dim
+    nu, w, delta, a, b, kappa_e = ext._exit_block
+    coupling = np.linalg.norm(m[d:, :d])  # ||M_EH||_F
     n_frame, nbar_frame = frames
-    eye = np.eye(y.shape[1])
-    eta = np.linalg.norm(y.conj().T @ y - eye)  # ||yu||^2 = (1 +- eta)||u||^2: eigh's rounding
+    eye = np.eye(d)
     samples = {}
     for lam in lams:
         _contractive_point(lam, lambda0)
-        d_lam = (1.0 / (mu - lam))[:, None]
-        dy = d_lam * y
-        x = dy - d_lam * (delta @ dy)
-        # V x spans L_lam; P_H must be injective on it, tested as in frak_b. On the
-        # numerical range, with g, G the least and largest |mu - lam|, s_min(y^H Q) >=
-        # (|Im lam| (1 - eta)/G^2 - (1 + eta) kappa/g^2)/((1 + eta)(1/g + kappa/g^2))
-        gaps = np.abs(mu - lam)
-        g, big = gaps.min(), gaps.max()
-        lower = (abs(lam.imag) * (1 - eta) * (g / big) ** 2 - (1 + eta) * kappa) / (
-            (1 + eta) * (g + kappa))
-        if not clears_cut(lower, 1 + eta, TOL.projection) and (
-                rank_split(y.conj().T @ np.linalg.qr(x)[0], TOL.projection)[0] < x.shape[1]):
+        d_lam = (1.0 / (nu - lam))[:, None]
+        db = d_lam * b
+        y = db - d_lam * (delta @ db)  # w^H X
+        gap = np.abs(nu - lam).min() - kappa_e  # <= s_min(M_EE - lam)
+        lower = gap / np.hypot(gap, coupling) if gap > 0 else 0.0
+        if not clears_cut(lower, 1.0, TOL.projection) and rank_split(
+                np.linalg.qr(np.vstack([eye, -(w @ y)]))[0][:d], TOL.projection)[0] < d:
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
-        r = y.conj().T @ x
-        down = eye + (lam - lambda0) * r
+        down = m[:d, :d] - a @ y - lambda0 * eye
         try:
-            w = np.linalg.solve(down, n_frame)
+            c = np.linalg.solve(down, n_frame)
         except np.linalg.LinAlgError:  # exactly singular: no defect vector is reached
-            w = np.full(n_frame.shape, np.nan, dtype=complex)
-        img = w + (lam - np.conj(lambda0)) * (r @ w)
-        samples[lam] = _checked_sample(down @ w - n_frame, img, nbar_frame, lam)
+            c = np.full(n_frame.shape, np.nan, dtype=complex)
+        reached = down @ c
+        img = reached + (lambda0 - np.conj(lambda0)) * c  # (B_lam - lam0bar) c
+        samples[lam] = _checked_sample(reached - n_frame, img, nbar_frame, lam)
     return samples
 
 
@@ -358,7 +390,8 @@ class ParameterFunction:
 
     @classmethod
     def from_extension(cls, ext: EmbeddedExtension, lambda0: complex, lams) -> "ParameterFunction":
-        """F sampled at ``lams``: the values of frak_f, from one eigendecomposition.
+        """F sampled at ``lams``: the values of frak_f, from one eigendecomposition of
+        the exit block.
 
         With no exit space (e = 0) F is constant: every sample is frak_f's value at
         the first lam, the same read-only array, and no eigendecomposition is taken.

@@ -78,7 +78,7 @@ def gate_decisions(ext):
     band of width kappa around that cut where the spectral bounds cannot tell)."""
     m = ext.atilde_matrix()
     size = m.shape[0]
-    mu, _, kappa = ext._spectrum
+    mu, kappa = ext._spectrum
     # kappa covers the skew the self-adjoint gate admitted (Weyl's inequality)
     assert kappa >= opnorm(m - m.conj().T) / 2
     cut = TOL.spectrum_hit
@@ -528,17 +528,20 @@ def test_uncertified_total_b_takes_the_lstsq_path(monkeypatch, diagonal, column,
 
 
 def test_spectral_sampler_per_lambda_cost(monkeypatch):
-    # with an exit space (a doubled chain, e = 8), a certified lam takes no QR and
-    # no SVD but the n x n norm of its sample
+    # with an exit space (a doubled chain, e = 8), the extension keeps the eigh of
+    # its 8 x 8 exit block, and no eigh of Atilde, 16 x 16; a certified lam then
+    # takes no eigh, no QR and no SVD but the n x n norm of its sample
     a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=5))
     ext = EmbeddedExtension.from_chain(
         build_invertible_selfadjoint(a, 1j, seed=1, double_first=True))
     grid = default_lambda_grid(1j, ext.atilde_matrix())
     assert ext.exit_dim == 8
+    calls = count_linalg(monkeypatch, ("eigh",))
     ParameterFunction.from_extension(ext, 1j, grid[:1])
-    calls = count_linalg(monkeypatch, ("svd", "qr"))
+    assert calls["eigh"] == [((8, 8), True)]
+    calls = count_linalg(monkeypatch, ("svd", "qr", "eigh"))
     ParameterFunction.from_extension(ext, 1j, grid)
-    assert calls["qr"] == [] and calls["svd"] == [((2, 2), False)] * len(grid)
+    assert calls["qr"] == calls["eigh"] == [] and calls["svd"] == [((2, 2), False)] * len(grid)
 
 
 def test_sampler_at_e0_takes_one_lambda(monkeypatch):
@@ -569,22 +572,27 @@ def counted_rank_split(monkeypatch, certify=True):
 
 
 def test_uncertified_lambda_takes_the_exact_path(monkeypatch):
-    # eigenvalues up to 2e6: kappa (eigh rounding) and |Im lam| = 2e-8 put the
-    # sampler's bound on s_min below the cut, so rank_split decides every gate,
-    # and samples and resolvents have the bits of a run with no certificate; a
-    # doubled chain, as with no exit space the sampler takes no spectral bound
-    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=6, defect=1, spectrum_window=(0.5, 2e6),
+    # eigenvalues up to 2e7: at lam = nu + 2e-8 i, nu an eigenvalue of the exit
+    # block's Hermitian part, eigh's rounding (3e-8 here) leaves the sampler no
+    # bound on ||X||, so rank_split decides that gate, as it decides every gate
+    # when the certificates are refused; samples and resolvents have the bits of a
+    # run with no certificate. A doubled chain, as with no exit space the sampler
+    # takes no bound
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=6, defect=1, spectrum_window=(0.5, 2e7),
                                          seed=1))
     ext = EmbeddedExtension.from_chain(
         build_invertible_selfadjoint(a, 1j, seed=1, double_first=True))
     assert ext.exit_dim == 6
+    block = ext.atilde_matrix()[6:, 6:]
+    nu = np.linalg.eigvalsh((block + block.conj().T) / 2)
     defect_data(a, 1j)  # the chain ran on A (+) (-A): A's own record is kept from here on
-    lams = (0.3 + 2e-8j, -0.7 + 3e-8j, 0.2 + 0.4j)
+    lams = (0.3 + 2e-8j, 0.2 + 0.4j, nu[np.argmin(np.abs(nu))] + 2e-8j)
     runs = []
     for certify in (True, False):
         cut = counted_rank_split(monkeypatch, certify)
         f = ParameterFunction.from_extension(ext, 1j, lams)
-        assert cut == [(6, 6)] * len(lams)
+        assert cut == [(6, 6)] * (1 if certify else len(lams))
+        del cut[:]
         values = [f.sample_at(lam) for lam in lams]
         values += [shtraus_resolvent(a, 1j, f, lam) for lam in lams]
         # the record's SVD of P^H, (d - n) x d, which A keeps from the first run on,
@@ -592,7 +600,7 @@ def test_uncertified_lambda_takes_the_exact_path(monkeypatch):
         # are certified by the bounds and the inverse here, unless the certificates
         # are refused and is_admissible and rank_split cut V - Q and M, d x d
         record, exact = ([(5, 6)], []) if certify else ([], [(6, 6)] * 2)
-        assert cut[len(lams):] == record + ([(1, 1)] + exact) * len(lams)
+        assert cut == record + ([(1, 1)] + exact) * len(lams)
         runs.append([m.tobytes() for m in values])
         monkeypatch.undo()
     assert runs[0] == runs[1]
@@ -798,6 +806,43 @@ def test_from_extension_matches_frak_f_on_chains(doubled):
         a, z, _ = random_instance(seed + 40, max_dim=7)
         chain = build_invertible_selfadjoint(a, z, seed=seed, double_first=doubled)
         assert engine_vs_oracle(EmbeddedExtension.from_chain(chain), z) <= 1e-12
+
+
+def block_extension(a, exit_dim, seed):
+    """A Hermitian Atilde on C^{d+e} that extends A, for any e: in an orthonormal basis
+    [F, G] of C^{d+e}, F the lifted frame of D(A), it has the blocks M = F^H A F,
+    B = (A F)^H G and K = B^H M^{-1} B + K1, with K1 random Hermitian and regular."""
+    d, k = a.ambient_dim, a.domain_dim
+    lifted = np.zeros((d + exit_dim, k), complex)
+    lifted[:d] = a.domain.frame
+    g = np.linalg.svd(lifted, full_matrices=True)[0][:, k:]  # the complement of F
+    images = np.zeros_like(lifted)
+    images[:d] = a.action
+    m = lifted.conj().T @ images
+    b = images.conj().T @ g
+    rng = np.random.default_rng(seed)
+    k1 = rng.standard_normal((g.shape[1],) * 2) + 1j * rng.standard_normal((g.shape[1],) * 2)
+    k_block = b.conj().T @ np.linalg.solve(m, b) + (k1 + k1.conj().T) / 2
+    q = np.hstack([lifted, g])
+    blocks = np.block([[m, b], [b.conj().T, k_block]])
+    return EmbeddedExtension(a, operator_from_matrix(q @ blocks @ q.conj().T))
+
+
+@pytest.mark.parametrize("exit_dim", [1, 2, 3])
+def test_exit_dimensions_other_than_d(exit_dim):
+    # d x e blocks that are not square: the sampler's samples are frak_f's, and the
+    # Schur form of compressed_resolvent is the direct solve on C^{d+e}
+    d = 8
+    for seed, z in enumerate((1j, 0.5 - 0.7j, -1.2 + 0.4j, 2j)):
+        a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=d, defect=2, seed=seed))
+        ext = block_extension(a, exit_dim, seed)
+        assert ext.exit_dim == exit_dim
+        assert engine_vs_oracle(ext, z) <= 1e-12
+        m = ext.atilde_matrix()
+        for lam in grid_and_sector(z, ext):
+            direct = np.linalg.solve(m - lam * np.eye(d + exit_dim), np.eye(d + exit_dim, d))[:d]
+            gap = np.linalg.norm(compressed_resolvent(ext, lam) - direct, 2)
+            assert gap <= 1e-13 * np.linalg.norm(direct, 2)
 
 
 def test_from_extension_matches_frak_f_canonical_family(worked_a):
