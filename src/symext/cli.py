@@ -1,6 +1,8 @@
 """Command-line scenario runner.
 
-Exit codes: 0 success, 1 file or schema problems, 2 usage error (argparse;
+Exit codes: 0 success, 1 file or schema problems, or a floating-point overflow,
+division by zero or invalid operation (numpy raises these here instead of
+warning; an input entry such as 1e308 overflows), 2 usage error (argparse;
 ``--tol`` must be a finite number in (0, 1), ``--window`` and each complex value
 two finite numbers), 3 parameter rejected as not admissible (a unit witness is
 printed to stderr as JSON), 4 the three invertibility tests disagree and no margin
@@ -333,7 +335,8 @@ def main(argv=None) -> int:
     # rebinding of the name after the parser was built is what runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        with np.errstate(all="raise", under="ignore"):  # an overflow is an error, not a warning
+            return command(args)
     except SpecInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -345,7 +348,8 @@ def main(argv=None) -> int:
     except NotAnExtension as exc:
         print(f"not an extension: {exc}", file=sys.stderr)
         return EXIT_NOT_EXTENSION
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, SymextError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, SymextError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

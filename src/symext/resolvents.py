@@ -32,19 +32,24 @@ s_min(Atilde_EE - lam) >= |Im lam| - kappa, kappa the slack of the SpectrumHit g
 ``compressed_resolvent`` inverts the d x d Schur complement wherever |Im lam| > kappa,
 and ``ParameterFunction.from_extension`` samples F from one Hermitian eigendecomposition
 of the exit block, under frak_f's guards. With no exit space (e = 0) B_lam is Atilde at
-every lam, so F is constant: it is frak_f at the first lam, stored at every lam that
-passes the half-plane guard.
+every lam, so F is constant: it is frak_f at the first lam, F's ``constant_matrix``,
+which answers ``sample_at`` at every lam.
 
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
-factors, and B - lam = G (V - Q)^{-1} with G = (z - lam)V - (zbar - lam)Q. Per
-lam it pays one values-only n x n SVD, whose bounds certify admissibility, and
-one inverse, G^{-1}; U_z and N_z come from A's memoized defect data, so D(T)
-needs no shape test. ``construct_extension`` stays the general path and the
-tests' reference. Each per-lam full-rank gate, admissibility's too, is passed by
-``clears_cut`` from proven bounds, and by the exact SVD only where they fall short.
+factors, and B - lam = G (V - Q)^{-1} with G = (z - lam)V - (zbar - lam)Q.
+``_parameter_stage`` depends on A, the base point and the sample alone: the
+sample's gates, one values-only n x n SVD, whose bounds certify admissibility, and
+Q, V and V - Q; U_z and N_z come from A's memoized defect data, so D(T) needs no
+shape test. ``_lambda_stage`` pays one inverse, G^{-1}. A constant F keeps its
+parameter stage (``shtraus_resolvent``), so on each branch every lam after the
+first pays the lam stage alone. ``construct_extension`` stays the general path
+and the tests' reference. Each per-lam full-rank gate, admissibility's too, is
+passed by ``clears_cut`` from proven bounds, and by the exact SVD only where they
+fall short.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -56,7 +61,8 @@ from .cayley import (_admissibility_bounds, defect_data, forbidden_of_inverse, i
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
-from .operators import DomainOperator, _from_generator_svd, inverse_op, operator_from_matrix
+from .operators import (DomainOperator, _from_generator_svd, derived, inverse_op,
+                        operator_from_matrix)
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase, opnorm,
                         opnorm_le, rank_split)
 
@@ -354,6 +360,7 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
         reached = down @ c
         img = reached + (lambda0 - np.conj(lambda0)) * c  # (B_lam - lam0bar) c
         samples[lam] = _checked_sample(reached - n_frame, img, nbar_frame, lam)
+        samples[lam].setflags(write=False)
     return samples
 
 
@@ -363,7 +370,10 @@ class ParameterFunction:
 
     Matrices are written in the defect frames carried here, so samples taken
     from an extension and samples fed back into the Shtraus formula agree on
-    their meaning.
+    their meaning. A constant F (``constant_matrix`` set) answers ``sample_at``
+    at every lam, and ``samples`` lists the points it was asked for, if any.
+    Every matrix is a read-only array of F's own, so a stage that
+    ``shtraus_resolvent`` keeps in F's memo stays what F defines.
     """
 
     lambda0: complex
@@ -371,6 +381,12 @@ class ParameterFunction:
     range_frame: np.ndarray
     samples: dict
     constant_matrix: Optional[np.ndarray] = None
+
+    @cached_property
+    def _memo(self) -> dict:
+        """The Shtraus formula's parameter stages of a constant F, per branch and base
+        operator; read and written only by ``operators.derived``."""
+        return {}
 
     def sample_at(self, lam: complex) -> np.ndarray:
         if self.constant_matrix is not None:
@@ -386,36 +402,48 @@ class ParameterFunction:
     @classmethod
     def constant(cls, a: DomainOperator, lambda0: complex, matrix) -> "ParameterFunction":
         dd = defect_data(a, lambda0)
-        return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, {}, np.asarray(matrix, complex))
+        return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, {}, _frozen_copy(matrix))
 
     @classmethod
     def from_extension(cls, ext: EmbeddedExtension, lambda0: complex, lams) -> "ParameterFunction":
         """F sampled at ``lams``: the values of frak_f, from one eigendecomposition of
         the exit block.
 
-        With no exit space (e = 0) F is constant: every sample is frak_f's value at
-        the first lam, the same read-only array, and no eigendecomposition is taken.
+        With no exit space (e = 0) F is constant: frak_f's value at the first lam,
+        taken with no eigendecomposition, is ``constant_matrix``, and ``samples``
+        lists it at every lam that passed the half-plane guard.
         """
         dd = defect_data(ext.base, lambda0)
         frames = (dd.n_z.frame, dd.n_zbar.frame)
         samples = _spectral_samples(ext, dd.z, frames, lams)
-        return cls(lambda0, *frames, samples)
+        constant = next(iter(samples.values())) if samples and not ext.exit_dim else None
+        return cls(lambda0, *frames, samples, constant)
 
     @classmethod
     def from_samples(cls, a: DomainOperator, lambda0: complex, samples: dict) -> "ParameterFunction":
         dd = defect_data(a, lambda0)
-        clean = {complex(k): np.asarray(v, dtype=complex) for k, v in samples.items()}
+        clean = {complex(k): _frozen_copy(v) for k, v in samples.items()}
         return cls(lambda0, dd.n_z.frame, dd.n_zbar.frame, clean)
 
 
-def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_frame,
-                         matrix, lam: complex) -> np.ndarray:
-    """(B - lam)^{-1}, B the extension of A at the base point z from a frame-coded parameter.
+def _frozen_copy(matrix) -> np.ndarray:
+    """A read-only complex copy of ``matrix``, which the caller may go on editing."""
+    m = np.array(matrix, dtype=complex)
+    m.setflags(write=False)
+    return m
 
-    With N = ``dom_frame``, T N = ``rng_frame @ matrix``, Q = [M_z frame, N] and
-    V = [U_z M_z, T N], B sends (V - Q)c to (zV - zbar Q)c, so B - lam = G (V - Q)^{-1}
-    with G = (z - lam)V - (zbar - lam)Q, and (B - lam)^{-1} = (V - Q) G^{-1}. Where the
-    bounds on V - Q do not clear the cut, ``is_admissible`` decides, with its witness.
+
+def _parameter_stage(a: DomainOperator, base_point: complex, dom_frame, rng_frame,
+                     matrix, lam: complex) -> tuple:
+    """``(Q, V, V - Q, margin)`` for the extension B of A at the base point z from a
+    frame-coded parameter: the part of (B - lam)^{-1} that lam does not enter, and
+    lam names the call in its errors only.
+
+    With N = ``dom_frame`` and T N = ``rng_frame @ matrix``, Q = [M_z frame, N] and
+    V = [U_z M_z, T N], and B sends (V - Q)c to (zV - zbar Q)c. The sample must be
+    finite and non-expanding; margin <= s_min(V - Q) is the admissibility certificate's
+    bound, and where the bounds on V - Q do not clear the cut, ``is_admissible``
+    decides, with its witness, and gives the margin.
     """
     t_action = rng_frame @ matrix
     if not np.all(np.isfinite(t_action)):
@@ -434,16 +462,23 @@ def _extension_resolvent(a: DomainOperator, base_point: complex, dom_frame, rng_
     v = np.hstack([dd.u.action, t.action])
     if q.shape[0] != q.shape[1]:
         raise ResolventSingular("extension is not total; resolvent formula needs a full domain")
+    return q, v, v - q, margin
+
+
+def _lambda_stage(base_point: complex, stage: tuple, lam: complex) -> np.ndarray:
+    """(B - lam)^{-1} from ``stage = _parameter_stage(...)``: B - lam = G (V - Q)^{-1}
+    with G = (z - lam)V - (zbar - lam)Q, so (B - lam)^{-1} = (V - Q) G^{-1}."""
+    q, v, v_q, margin = stage
     g = (base_point - lam) * v - (np.conj(base_point) - lam) * q
     try:
-        resolvent = (v - q) @ np.linalg.inv(g)
+        resolvent = v_q @ np.linalg.inv(g)
         # s_min(B - lam) >= 1/||R||_F and s0(B - lam) <= ||G||_F / margin certify the
         # gate; where they fall short, or the margin is 0, B - lam itself is cut
         certified = 0 < margin < np.inf and clears_cut(
             1.0 / np.linalg.norm(resolvent), float(np.linalg.norm(g)) / margin,
             TOL.resolvent_singular)
-        if certified or rank_split(g @ np.linalg.inv(v - q),
-                                   TOL.resolvent_singular)[0] == a.ambient_dim:
+        if certified or rank_split(g @ np.linalg.inv(v_q),
+                                   TOL.resolvent_singular)[0] == len(q):
             return resolvent
     except np.linalg.LinAlgError:  # an exact zero pivot: G or V - Q is singular
         pass
@@ -455,16 +490,27 @@ def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
     """(A_{F(lam)} - lam)^{-1} in the half-plane of lam0, adjoint branch opposite.
 
     For lam bar in the half-plane of lam0 the extension is built at base point
-    lam0 bar from the frame-adjoint of F(lam bar).
+    lam0 bar from the frame-adjoint of F(lam bar). Where F is constant its
+    ``_parameter_stage`` is kept in F's memo, per branch and A, which F holds
+    weakly, so a lam after the first on a branch pays ``_lambda_stage`` alone; a
+    sampled F (e > 0, or ``from_samples``) runs both stages at every lam and
+    keeps nothing, and a stage that raises keeps nothing either.
     """
     lambda0 = require_offaxis(lambda0)
     lam = require_offaxis(complex(lam))
-    if _half_plane(lam, lambda0):
-        return _extension_resolvent(a, lambda0, f.domain_frame, f.range_frame,
+    up = _half_plane(lam, lambda0)
+    base_point = lambda0 if up else np.conj(lambda0)
+
+    def stage():
+        if up:
+            return _parameter_stage(a, base_point, f.domain_frame, f.range_frame,
                                     f.sample_at(lam), lam)
-    # conj(lam) sits in the half-plane of lam0: adjoint branch
-    return _extension_resolvent(a, np.conj(lambda0), f.range_frame, f.domain_frame,
+        # conj(lam) sits in the half-plane of lam0: adjoint branch
+        return _parameter_stage(a, base_point, f.range_frame, f.domain_frame,
                                 f.sample_at(np.conj(lam)).conj().T, lam)
+    if f.constant_matrix is None:
+        return _lambda_stage(base_point, stage(), lam)
+    return _lambda_stage(base_point, derived(f, (lambda0, up, weakref.ref(a)), stage), lam)
 
 
 def default_lambda_grid(lambda0: complex, atilde_matrix: Optional[np.ndarray] = None):

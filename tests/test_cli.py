@@ -628,6 +628,25 @@ def test_non_finite_matrix_entry_is_one_error_line(tmp_path, capfd, command, whi
     assert not out.exists() and not (tmp_path / "chain.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "build-sa"])
+def test_an_overflowing_entry_is_one_error_line(tmp_path, capfd, command):
+    # 1e308 is finite, so the loader takes it; the first product that overflows
+    # raises, and the command exits 1 with one line, not with numpy's warning
+    op, ext, out = (tmp_path / name for name in ("op.json", "ext.json", "out.json"))
+    assert cli.main(["gen", "--dim", "6", "--defect", "2", "--seed", "1", "-o", str(op)]) == 0
+    assert cli.main(["build-sa", str(op), "--z", "0,1", "-o", str(ext)]) == cli.EXIT_OK
+    doc = json.loads(op.read_text(encoding="utf-8"))
+    doc["action"][0][0][0] = 1e308
+    op.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"verify": ["verify", op, ext],
+            "build-sa": ["build-sa", op, "--z", "0,1", "--chain", tmp_path / "chain.json"]}
+    capfd.readouterr()
+    assert cli.main([*map(str, argv[command]), "-o", str(out)]) == cli.EXIT_IO
+    err = capfd.readouterr().err
+    assert err.startswith("error: overflow encountered") and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "chain.json").exists()
+
+
 @pytest.mark.parametrize("command", ["extend", "check-invert"])
 def test_non_finite_base_point_is_one_error_line(tmp_path, capfd, command):
     op, param, out = (tmp_path / name for name in ("op.json", "param.json", "out.json"))

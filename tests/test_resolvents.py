@@ -426,19 +426,23 @@ def count_linalg(monkeypatch, names):
     return calls
 
 
-def cost_case():
+def cost_case(doubled=False):
+    # doubled, chain seed 1: samples of Frobenius norm above 1, whose norm takes an SVD
     a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=5))
-    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, 1j, seed=0))
+    ext = EmbeddedExtension.from_chain(
+        build_invertible_selfadjoint(a, 1j, seed=int(doubled), double_first=doubled))
     return a, ext, default_lambda_grid(1j, ext.atilde_matrix())
 
 
 def test_shtraus_per_lambda_cost(monkeypatch):
-    # once the base point's record is kept, a lam costs two values-only n x n SVDs
-    # (n = 2 here: the sample's norm, and Y = W2^H C, whose bounds certify
+    # F sampled from an exit space (a doubled chain, e = 8) runs both stages at
+    # every lam: once the base point's record is kept, a lam costs two values-only
+    # n x n SVDs (n = 2 here: the sample's norm, and Y = W2^H C, whose bounds certify
     # admissibility), one inverse (of G), no d x d SVD and no QR: the inverse and
     # the certified margin certify the ResolventSingular gate, and D(T), framed by
     # N_z's own frame, needs no test
-    a, ext, grid = cost_case()
+    a, ext, grid = cost_case(doubled=True)
+    assert ext.exit_dim == 8
     f = ParameterFunction.from_extension(ext, 1j, grid)
     # the sampler filled A's defect data at lam0: the formula needs no frame of
     # D(A)^perp, so even the first call takes no complement
@@ -461,6 +465,103 @@ def test_shtraus_per_lambda_cost(monkeypatch):
         shtraus_resolvent(a, 1j, f, lam)
         assert calls["svd"] == [((2, 2), False)] * 2
         assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
+    assert f._memo == {}
+
+
+def test_shtraus_at_e0_pays_the_parameter_stage_once_per_branch(monkeypatch):
+    # with no exit space F is constant, and F keeps the parameter stage per branch:
+    # the first lam of a branch pays it (the sample's norm, Y's values, and on the
+    # first branch the SVD of P^H), every later lam one inverse, of G, and no SVD or QR
+    a, ext, grid = cost_case()
+    assert ext.exit_dim == 0
+    f = ParameterFunction.from_extension(ext, 1j, grid)
+    calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
+    for branch in (grid, np.conj(grid)):
+        for name in calls:
+            calls[name].clear()
+        shtraus_resolvent(a, 1j, f, branch[0])
+        assert calls["svd"][0] == calls["svd"][-1] == ((2, 2), False)
+        for lam in branch[1:]:
+            for name in calls:
+                calls[name].clear()
+            shtraus_resolvent(a, 1j, f, lam)
+            assert calls["svd"] == calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
+    assert len(f._memo) == 2
+
+
+def fresh_constant(f):
+    """A new F with ``f``'s constant matrix and frames, and an empty memo."""
+    return ParameterFunction(f.lambda0, f.domain_frame, f.range_frame, dict(f.samples),
+                             f.constant_matrix)
+
+
+def test_kept_parameter_stage_changes_no_bit(worked_a):
+    # a resolvent read through F's kept stage has the bits of one from a fresh F,
+    # on every grid point and its conjugate: undoubled chains, whose F is constant,
+    # and constant parameters of the worked family
+    cases = [(ext.base, z, ParameterFunction.from_extension(
+        ext, z, default_lambda_grid(z, ext.atilde_matrix()))) for ext, z in e0_cases(worked_a)]
+    cases += [(worked_a, 1j, ParameterFunction.constant(worked_a, 1j, np.array([[c]], complex)))
+              for c in (0.3 - 0.4j, 1j, -0.5, 0.9)]
+    for a, z, f in cases:
+        assert f.constant_matrix is not None
+        grid = default_lambda_grid(z)
+        for lam in grid + tuple(np.conj(grid)):
+            kept = shtraus_resolvent(a, z, f, lam)
+            assert np.array_equal(kept, shtraus_resolvent(a, z, fresh_constant(f), lam))
+        assert len(f._memo) == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value, error, text", [
+    (1.0, NotAdmissible, "fixed vector"),
+    (1.0 + 1e-6, ExpandingParameter, "expanding"),
+    (np.nan, ResolventSingular, "not finite"),
+])
+def test_failed_parameter_stage_is_not_kept(worked_a, worked_dd, value, error, text):
+    # each call runs the stage anew and raises with its own lam; F's memo stays empty
+    f = ParameterFunction.constant(worked_a, 1j, np.array([[value]], dtype=complex))
+    witness = is_admissible(worked_a, 1j, worked_parameter(worked_dd, 1.0).t).witness
+    for lam in (0.5j, 0.3 + 0.7j, -0.5j, 0.3 - 0.7j):
+        with pytest.raises(error, match=text) as raised:
+            shtraus_resolvent(worked_a, 1j, f, lam)
+        if error is NotAdmissible:
+            assert np.array_equal(raised.value.witness, witness)
+        if error is ResolventSingular:
+            assert str(lam) in str(raised.value)
+        assert f._memo == {}
+
+
+def test_parameter_function_owns_read_only_samples(worked_a):
+    # constant and from_samples copy the caller's matrix: editing it moves nothing,
+    # and F's own arrays, an exit space's samples too, refuse a write
+    m = np.array([[0.3 - 0.4j]], dtype=complex)
+    f = ParameterFunction.constant(worked_a, 1j, m)
+    g = ParameterFunction.from_samples(worked_a, 1j, {0.5j: m})
+    before = [shtraus_resolvent(worked_a, 1j, h, 0.5j) for h in (f, g)]
+    assert f.sample_at(0.3j) is not m and g.sample_at(0.5j) is not m
+    m[0, 0] = 0.9
+    assert [shtraus_resolvent(worked_a, 1j, h, 0.5j).tobytes() for h in (f, g)] == [
+        x.tobytes() for x in before]
+    ext = doubled_ext(worked_a)
+    sampled = ParameterFunction.from_extension(ext, 1j, (0.5j, 0.3 + 0.7j))
+    for sample in (f.sample_at(0.3j), g.sample_at(0.5j), sampled.sample_at(0.5j),
+                   sampled.sample_at(0.3 + 0.7j)):
+        with pytest.raises(ValueError, match="read-only"):
+            sample[0, 0] = 0.9
+
+
+def test_sampled_parameter_keeps_no_stage():
+    # a doubled chain's F depends on lam: a grid over both branches leaves its memo empty
+    a, z, _ = random_instance(81, max_dim=6)
+    ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, z, seed=2,
+                                                                    double_first=True))
+    grid = default_lambda_grid(z, ext.atilde_matrix())
+    f = ParameterFunction.from_extension(ext, z, grid)
+    assert f.constant_matrix is None
+    for lam in grid + tuple(np.conj(grid)):
+        shtraus_resolvent(a, z, f, lam)
+    assert f._memo == {}
 
 
 def test_check_inversion_per_lambda_cost(monkeypatch):
@@ -695,8 +796,8 @@ def test_admissibility_fallthrough_keeps_the_exact_errors(worked_a, worked_dd):
     assert _admissibility_bounds(a, z, dd, t) == (0.0, np.inf)
     assert is_admissible(a, z, t, dd=dd).admissible
     with pytest.raises(ResolventSingular, match="not total"):
-        resolvents._extension_resolvent(a, z, t.domain.frame, dd.n_zbar.frame,
-                                        np.zeros((2, 1), complex), 0.3 + 0.5 * z.imag * 1j)
+        resolvents._parameter_stage(a, z, t.domain.frame, dd.n_zbar.frame,
+                                    np.zeros((2, 1), complex), 0.3 + 0.5 * z.imag * 1j)
     # a record with no U_z: the trivial bounds, and is_admissible's error
     e = np.eye(3, dtype=complex)
     a = DomainOperator(Subspace(e[:, :2], tol=1e-2), np.column_stack([1e3 * e[:, 0], e[:, 1]]))

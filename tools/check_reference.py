@@ -3,8 +3,10 @@
 For each named workload and seed it recomputes the token of every op with
 ``perfbench/make_reference.reference_tokens``, the function that wrote the
 file, and prints each op whose token differs as ``old -> new``, then one line
-per workload and seed. It writes nothing. Exit status 0 means every token set
-is equal to the file's, 1 that some op differs or a seed is not in the file.
+per workload and seed. It writes nothing. Exit status 0 means at least one
+token set was compared and every one is equal to the file's, 1 that some op
+differs or a seed is not in the file, 2 a usage error, such as a seed range
+LOW-HIGH with LOW > HIGH.
 
     python tools/check_reference.py --workload pipeline --seeds 0-3
     python tools/check_reference.py --workload pipeline resolvent-grid --seeds 0-19
@@ -19,9 +21,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def seed_list(text: str) -> list:
-    """``"LOW-HIGH"`` (or one seed) as the list of seeds from LOW to HIGH."""
+    """``"LOW-HIGH"`` (or one seed) as the list of seeds from LOW to HIGH; an empty
+    range (LOW > HIGH) is a usage error, as it would compare nothing."""
     low, _, high = text.partition("-")
-    return list(range(int(low), int(high or low) + 1))
+    seeds = list(range(int(low), int(high or low) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}: LOW exceeds HIGH")
+    return seeds
 
 
 def differing(expected, actual):
@@ -62,7 +68,7 @@ def main(argv=None) -> int:
                   flush=True)
             equal += not moved
     print(f"{equal} of {total} token sets equal")
-    return 0 if equal == total else 1
+    return 0 if 0 < equal == total else 1  # comparing nothing passes nothing
 
 
 if __name__ == "__main__":
