@@ -6,8 +6,8 @@ between defect subspaces (``neumann``), a three-way invertibility criterion and
 a constructive chain ending in an invertible self-adjoint extension
 (``invertibility``), and compressed resolvents of exit-space extensions with
 the boundary condition singling out invertible generators (``resolvents``).
-``instances`` draws seeded test operators, ``serialize`` fixes the JSON/CSV
-formats, and ``cli`` wires everything into subcommands.
+``instances`` draws seeded test operators, ``serialize`` fixes the JSON format,
+and ``cli`` wires everything into subcommands and writes the resolvent CSV.
 """
 
 from .cayley import (DefectData, cayley, defect_data, forbidden_operator, inverse_cayley,

@@ -18,9 +18,9 @@ forbidden-operator limit at 0 with a bounded norm-loss rate.
 
 ``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written as the checks'
 references; the checks call the stages they compose (``_frak_b_from``, ``_frak_f_from``)
-so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates and builds B_lam;
-F(lam) is an LU solve where the Shtraus bound s_min(B_lam - lam0) >= |Im lam0| is certified,
-lstsq elsewhere.
+so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates and builds B_lam.
+F(lam), in the oracle and in the sampler, is one LU of B_lam - lam0, unique by the Shtraus
+bound s_min(B_lam - lam0) >= |Im lam0|; an exact zero pivot reaches no defect vector.
 
 With E the last e coordinates, lam enters only through the e x e exit block:
 R_lam^{-1} is the Schur complement of Atilde_EE - lam in Atilde - lam, so
@@ -31,9 +31,9 @@ Atilde_EE's skew part is a compression of Atilde's, so by Weyl's inequality
 s_min(Atilde_EE - lam) >= |Im lam| - kappa, kappa the slack of the SpectrumHit gate.
 ``compressed_resolvent`` inverts the d x d Schur complement wherever |Im lam| > kappa,
 and ``ParameterFunction.from_extension`` samples F from one Hermitian eigendecomposition
-of the exit block, under frak_f's guards. With no exit space (e = 0) B_lam is Atilde at
-every lam, so F is constant: it is frak_f at the first lam, F's ``constant_matrix``,
-which answers ``sample_at`` at every lam.
+of the exit block, under frak_f's guards, and calls none of the oracles. With no exit space
+(e = 0) B_lam is Atilde at every lam, so F is constant: one sample, taken from Atilde, is
+F's ``constant_matrix``, which answers ``sample_at`` at every lam.
 
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
@@ -196,18 +196,17 @@ def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
     the rank cut ``rank_split(Atilde - lam, tol)``. The gate is stricter than
     that cut only in a band of width kappa around it.
 
-    With an exit space and |Im lam| > kappa the value is the inverse of the
-    Schur complement Atilde_HH - lam - Atilde_HE (Atilde_EE - lam)^{-1} Atilde_EH:
+    Where |Im lam| > kappa the value is the inverse of the Schur complement
+    Atilde_HH - lam - Atilde_HE (Atilde_EE - lam)^{-1} Atilde_EH (Atilde - lam at e = 0):
     Atilde_EE's skew part is a compression of Atilde's, so by Weyl's inequality
-    s_min(Atilde_EE - lam) >= |Im lam| - kappa > 0. Elsewhere, and with no exit
-    space, one solve on C^{d+e} gives it.
+    s_min(Atilde_EE - lam) >= |Im lam| - kappa > 0. Elsewhere one solve on C^{d+e} gives it.
     """
     mu, kappa = ext._spectrum
     gaps = np.abs(mu - lam)
     if gaps.min() - kappa <= TOL.spectrum_hit * max(1.0, gaps.max() + kappa):
         raise SpectrumHit(f"{lam} is numerically an eigenvalue of the extension")
     m, d = ext.atilde_matrix(), ext.base.ambient_dim
-    if ext.exit_dim and abs(complex(lam).imag) > kappa:
+    if abs(complex(lam).imag) > kappa:
         exit_part = np.linalg.solve(m[d:, d:] - lam * np.eye(ext.exit_dim), m[d:, :d])
         return np.linalg.inv(m[:d, :d] - lam * np.eye(d) - m[:d, d:] @ exit_part)
     return np.linalg.solve(m - lam * np.eye(len(m)), np.eye(len(m), d))[:d]
@@ -269,24 +268,34 @@ def _frak_f_from(bop: DomainOperator, lam: complex, lambda0: complex,
 
     ``lambda0`` is the value ``_contractive_point`` returned for lam, in lam's half-plane.
     For f = P_H h, (Atilde - lam)h in H: Im (B_lam f, f) = -Im lam |(I - P_H)h|^2, so
-    s_min(B_lam - lam0) >= |Im lam0|. For a total B_lam, a Cholesky factor of -sign(Im lam0)
-    Im K - m |Im lam0| (K = F_B^H (B_lam - lam0)F_B, m = ``TOL.f_certificate``) proves
-    s_min >= m |Im lam0|, above lstsq's cut eps d s0, and LU solves; else lstsq runs.
+    s_min(B_lam - lam0) >= |Im lam0|. B_lam is total (P_H is injective on L_lam, of dim >= d),
+    so one LU of the square (B_lam - lam0)F_B, F_B its domain frame, gives the one solution.
     """
     n_frame, nbar_frame = frames
     fb, act = bop.domain.frame, bop.action
     down = act - lambda0 * fb
-    bound = TOL.f_certificate * abs(lambda0.imag)
-    certified = bop.is_total() and np.finfo(float).eps * len(fb) * np.linalg.norm(down) < bound
-    if certified:
-        k = np.sign(lambda0.imag) * (fb.conj().T @ down)
-        try:
-            np.linalg.cholesky((k.conj().T - k) / 2j - bound * np.eye(len(k)))
-        except np.linalg.LinAlgError:
-            certified = False
-    c = (np.linalg.solve(down, n_frame) if certified
-         else np.linalg.lstsq(down, n_frame, rcond=None)[0])
+    c = _lu_solve(down, n_frame)
     return _checked_sample(down @ c - n_frame, (act - np.conj(lambda0) * fb) @ c, nbar_frame, lam)
+
+
+def _lu_solve(down: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LU's c with ``down @ c = rhs``; NaN at an exact zero pivot, which reaches no vector."""
+    try:
+        return np.linalg.solve(down, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(rhs.shape, np.nan, dtype=complex)
+
+
+def _sample_from(b_lam: np.ndarray, lambda0: complex, frames: tuple, lam) -> np.ndarray:
+    """F(lam), read-only, from the d x d matrix B_lam: ``_checked_sample`` of one LU."""
+    n_frame, nbar_frame = frames
+    down = b_lam - lambda0 * np.eye(len(b_lam))
+    c = _lu_solve(down, n_frame)
+    reached = down @ c
+    img = reached + (lambda0 - np.conj(lambda0)) * c  # (B_lam - lam0bar) c
+    sample = _checked_sample(reached - n_frame, img, nbar_frame, lam)
+    sample.setflags(write=False)
+    return sample
 
 
 def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
@@ -308,8 +317,9 @@ def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
 
 
 def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
-                      lams) -> dict:
-    """F(lam) at every lam, as frak_f gives it, from one eigendecomposition of the exit block.
+                      lams) -> tuple:
+    """``(samples, constant)``: F(lam) at every lam, as frak_f gives it, from one
+    eigendecomposition of the exit block, and F's constant value, or None.
 
     M_EE = w (nu + delta) w^H with nu, w the eigh of its Hermitian part, which
     the extension keeps; delta is the anti-Hermitian residue the EmbeddedExtension
@@ -318,50 +328,38 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
 
         B_lam = M_HH - M_HE X,    F(lam) = (B_lam - lam0bar)(B_lam - lam0)^{-1} on N_{lam0},
 
-    by one LU per lam. The guards are frak_f's: P_H injective on L_lam, then
-    ``_checked_sample``. L_lam is the graph of -X over H, so s_min(P_H|L_lam) =
-    1/sqrt(1 + ||X||^2), and ||X|| <= ||M_EH||_F / (min |nu - lam| - kappa_e) by
-    Weyl's inequality certifies the first with no QR or SVD; where that bound
-    falls short, rank_split cuts P_H of an orthonormal frame of [I; -X].
+    by ``_sample_from``, one LU per lam, under frak_f's guards: lam0's half-plane at every
+    lam before any sample, P_H injective on L_lam, then ``_checked_sample``. L_lam is the
+    graph of -X over H, so s_min(P_H|L_lam) = 1/sqrt(1 + ||X||^2), and the Weyl bound
+    ||X|| <= ||M_EH||_F / (min |nu - lam| - kappa_e) certifies the first with no QR or
+    SVD; where it falls short, rank_split cuts P_H of an orthonormal frame of [I; -X].
 
-    With no exit space (e = 0) L_lam is C^d and B_lam is Atilde, bit for bit, at
-    every lam, so F does not depend on lam: it is frak_f at the first lam, one
-    read-only array stored at every lam once lam passes the half-plane guard.
+    With no exit space (e = 0) L_lam is C^d and B_lam is Atilde at every lam, so F
+    does not depend on lam: this is where F is decided constant. ``_sample_from``
+    takes it once, from Atilde, and the one read-only array is stored at every lam.
     """
     lams = [complex(lam) for lam in lams]
-    if not ext.exit_dim and lams:
-        value = frak_f(ext, lams[0], lambda0, frames)
-        value.setflags(write=False)
-        for lam in lams[1:]:
-            _contractive_point(lam, lambda0)
-        return dict.fromkeys(lams, value)
-    m, d = ext.atilde_matrix(), ext.base.ambient_dim
-    nu, w, delta, a, b, kappa_e = ext._exit_block
-    coupling = np.linalg.norm(m[d:, :d])  # ||M_EH||_F
-    n_frame, nbar_frame = frames
-    eye = np.eye(d)
-    samples = {}
     for lam in lams:
         _contractive_point(lam, lambda0)
+    m, d = ext.atilde_matrix(), ext.base.ambient_dim
+    if not ext.exit_dim:
+        constant = _sample_from(m, lambda0, frames, lams[0]) if lams else None
+        return dict.fromkeys(lams, constant), constant
+    nu, w, delta, a, b, kappa_e = ext._exit_block
+    coupling = np.linalg.norm(m[d:, :d])  # ||M_EH||_F
+    samples = {}
+    for lam in lams:
         d_lam = (1.0 / (nu - lam))[:, None]
         db = d_lam * b
         y = db - d_lam * (delta @ db)  # w^H X
         gap = np.abs(nu - lam).min() - kappa_e  # <= s_min(M_EE - lam)
         lower = gap / np.hypot(gap, coupling) if gap > 0 else 0.0
         if not clears_cut(lower, 1.0, TOL.projection) and rank_split(
-                np.linalg.qr(np.vstack([eye, -(w @ y)]))[0][:d], TOL.projection)[0] < d:
+                np.linalg.qr(np.vstack([np.eye(d), -(w @ y)]))[0][:d], TOL.projection)[0] < d:
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
-        down = m[:d, :d] - a @ y - lambda0 * eye
-        try:
-            c = np.linalg.solve(down, n_frame)
-        except np.linalg.LinAlgError:  # exactly singular: no defect vector is reached
-            c = np.full(n_frame.shape, np.nan, dtype=complex)
-        reached = down @ c
-        img = reached + (lambda0 - np.conj(lambda0)) * c  # (B_lam - lam0bar) c
-        samples[lam] = _checked_sample(reached - n_frame, img, nbar_frame, lam)
-        samples[lam].setflags(write=False)
-    return samples
+        samples[lam] = _sample_from(m[:d, :d] - a @ y, lambda0, frames, lam)
+    return samples, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,17 +405,15 @@ class ParameterFunction:
     @classmethod
     def from_extension(cls, ext: EmbeddedExtension, lambda0: complex, lams) -> "ParameterFunction":
         """F sampled at ``lams``: the values of frak_f, from one eigendecomposition of
-        the exit block.
+        the exit block (``_spectral_samples``), with no call to frak_f.
 
-        With no exit space (e = 0) F is constant: frak_f's value at the first lam,
-        taken with no eigendecomposition, is ``constant_matrix``, and ``samples``
-        lists it at every lam that passed the half-plane guard.
+        With no exit space (e = 0) F is constant: its one sample, taken from Atilde
+        with no eigendecomposition, is ``constant_matrix``, and ``samples`` lists it
+        at every lam.
         """
         dd = defect_data(ext.base, lambda0)
         frames = (dd.n_z.frame, dd.n_zbar.frame)
-        samples = _spectral_samples(ext, dd.z, frames, lams)
-        constant = next(iter(samples.values())) if samples and not ext.exit_dim else None
-        return cls(lambda0, *frames, samples, constant)
+        return cls(lambda0, *frames, *_spectral_samples(ext, dd.z, frames, lams))
 
     @classmethod
     def from_samples(cls, a: DomainOperator, lambda0: complex, samples: dict) -> "ParameterFunction":
@@ -497,6 +493,8 @@ def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
     keeps nothing, and a stage that raises keeps nothing either.
     """
     lambda0 = require_offaxis(lambda0)
+    if complex(f.lambda0) != lambda0:  # F's frames are the defect spaces at its lam0
+        raise ValueError(f"F was sampled at lam0 = {f.lambda0}, not at {lambda0}")
     lam = require_offaxis(complex(lam))
     up = _half_plane(lam, lambda0)
     base_point = lambda0 if up else np.conj(lambda0)
@@ -578,6 +576,8 @@ def i_admissibility_test(a: DomainOperator, lambda0: complex, f: ParameterFuncti
     two smallest radii. When D(X) = {0} every parameter passes immediately.
     """
     lambda0 = require_offaxis(lambda0)
+    if complex(f.lambda0) != lambda0:  # F's frames are the defect spaces at its lam0
+        raise ValueError(f"F was sampled at lam0 = {f.lambda0}, not at {lambda0}")
     if sector is None:
         sector = SectorSpec.default_for(lambda0)
     tolerances = {"rate_bound": TOL.rate_bound, "limit_tol": TOL.limit, "kernel_tol": TOL.kernel}

@@ -58,7 +58,6 @@ class Tolerances:
     check_cayley: float = 1e-10       # verify: Cayley, defect-space and symmetry identities
     check_cayley_roundtrip: float = 1e-9  # verify: inverse Cayley transform recovers A
     check_resolvent: float = 1e-8     # verify: the three inversion identities
-    f_certificate: float = 0.5        # frak_f: LU where Im K certifies s_min >= this |Im lam0|
     check_roundtrip: float = 1e-9     # verify: extend then recover_parameter
     resolvent_agreement: float = 1e-8  # resolvent command: compressed vs Shtraus deviation
     base_point_match: float = 1e-12   # extend, check-invert: --z equals the parameter's base point

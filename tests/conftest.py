@@ -44,7 +44,7 @@ def random_contraction(rng, dd, strict=True):
 
 
 def lstsq_sample(bop, lam, lambda0, frames):
-    """F(lam) from B_lam by the least-squares solve alone: ``_frak_f_from`` uncertified."""
+    """F(lam) from B_lam by the least-squares solve: the reference of ``_frak_f_from``'s LU."""
     n_frame, nbar_frame = frames
     down = bop.action - lambda0 * bop.domain.frame
     c = np.linalg.lstsq(down, n_frame, rcond=None)[0]

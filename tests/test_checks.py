@@ -182,7 +182,8 @@ def test_inversion_pass_equals_public_oracles(worked_a):
 
 
 def test_certified_f_samples_equal_the_lstsq_samples(worked_a, monkeypatch):
-    # where Im K certifies s_min(B_lam - lam0), LU gives the lstsq solution to rounding
+    # every sample is one LU solve; the Shtraus bound s_min(B_lam - lam0) >= |Im lam0|
+    # makes its solution the lstsq one, to rounding
     solves, solve = [], np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
     for a, z, seed, doubled in inversion_cases(worked_a):

@@ -25,7 +25,7 @@ from symext.resolvents import (EmbeddedExtension, ParameterFunction,
 from symext.serialize import decode_operator, encode_operator, json_dump
 from symext.subspaces import TOL, SectorSpec, Subspace, clears_cut, opnorm, rank_split
 
-from conftest import lstsq_sample, random_contraction, random_instance, worked_parameter
+from conftest import random_contraction, random_instance, worked_parameter
 
 
 def canonical_diag(worked_a, b):
@@ -565,7 +565,7 @@ def test_sampled_parameter_keeps_no_stage():
 
 
 def test_check_inversion_per_lambda_cost(monkeypatch):
-    # F at lam and at 1/lam: each a certified LU (one Cholesky, one solve, no lstsq);
+    # F at lam and at 1/lam: each one LU solve (no Cholesky, no lstsq);
     # B_lam and B_{1/lam}: each one thin SVD of P_H|L, which decides the projection
     # gate and builds B; the rest are the values-only SVDs of the three errors
     from symext.checks import check_inversion
@@ -573,8 +573,8 @@ def test_check_inversion_per_lambda_cost(monkeypatch):
     check_inversion(ext, grid[:1], 1j)
     calls = count_linalg(monkeypatch, ("svd", "lstsq", "solve", "cholesky"))
     assert all(r.passed for r in check_inversion(ext, grid[1:2], 1j))
-    assert calls["lstsq"] == []
-    assert calls["solve"] == calls["cholesky"] == [((8, 8), True)] * 2
+    assert calls["lstsq"] == calls["cholesky"] == []
+    assert calls["solve"] == [((8, 8), True)] * 2
     assert calls["svd"] == [((8, 8), False), ((8, 8), True), ((8, 8), True), ((16, 8), False),
                             ((2, 2), False), ((2, 2), False), ((2, 2), False)]
 
@@ -589,8 +589,9 @@ def test_check_inversion_at_e0_takes_one_lambda(monkeypatch):
     check_inversion(ext, grid[:1], 1j)
     calls = count_linalg(monkeypatch, ("svd", "qr", "lstsq", "solve", "cholesky"))
     assert all(r.passed for r in check_inversion(ext, grid, 1j))
-    assert calls["lstsq"] == [] and calls["qr"] == [((8, 8), True)] + [((16, 8), True)] * 2
-    assert calls["solve"] == calls["cholesky"] == [((8, 8), True)] * 2
+    assert calls["lstsq"] == calls["cholesky"] == []
+    assert calls["qr"] == [((8, 8), True)] + [((16, 8), True)] * 2
+    assert calls["solve"] == [((8, 8), True)] * 2
     assert calls["svd"] == [((8, 8), False), ((8, 8), True), ((8, 8), True), ((16, 8), False),
                             ((2, 2), False), ((2, 2), False), ((2, 2), False)]
 
@@ -602,30 +603,29 @@ def outcome(fn, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("diagonal, column, raises", [
-    ((0.7, -0.4 + 1j, 1.3), 0, False),  # Im K = diag(-1, 0, -1): no margin, a sample
-    ((0.7, 2j, 1.3), 1, True),          # Im K = diag(-1, 1, -1): expanding
-    ((0.7, 1j, 1.3), 0, False),         # B - lam0 singular; n_frame inside its range
-    ((0.7, 1j + 1e-17, 1.3), 1, True),  # numerically singular; n_frame outside
-    ((0.7, 1e17, 1.3), 0, True),        # the margin 1/2 is below lstsq's cut eps d |B|
-])
-def test_uncertified_total_b_takes_the_lstsq_path(monkeypatch, diagonal, column, raises):
-    # a hand-built total B the certificate does not cover: the Cholesky factor fails,
-    # or is not tried where lstsq would cut below the margin, and the sample, or the
-    # exception text, is the lstsq solve's
+@pytest.mark.parametrize("diagonal, column, refusal", [
+    ((0.7, -0.4 + 1j, 1.3), 0, None),  # Im(B - lam0) = diag(-1, 0, -1): still a sample
+    ((0.7, 2j, 1.3), 1, "quotient is expanding"),  # Im(B - lam0) = diag(-1, 1, -1)
+    ((0.7, 1j, 1.3), 0, "outside the range"),  # B - lam0 singular: an exact zero pivot
+    ((0.7, 1j + 1e-17, 1.3), 1, "quotient is expanding"),  # numerically singular
+    ((0.7, 1e17, 1.3), 0, None),  # |B| = 1e17 leaves the diagonal solve exact
+], ids=["no-margin", "expanding", "singular", "numerically-singular", "large-norm"])
+def test_total_b_takes_one_lu_solve(monkeypatch, diagonal, column, refusal):
+    # a hand-built total B: F(lam) is one LU solve of B - lam0, with no lstsq and no
+    # Cholesky; it gives the sample (b - lam0bar)/(b - lam0) on the defect column, or
+    # the guards of _checked_sample refuse it
     bop = operator_from_matrix(np.diag(diagonal).astype(complex))
     eye = np.eye(3, dtype=complex)
     frames, lam = (eye[:, [column]], eye), 0.2 + 0.5j
-    expected = outcome(lstsq_sample, bop, lam, 1j, frames)
     calls = count_linalg(monkeypatch, ("lstsq", "solve", "cholesky"))
     got = outcome(resolvents._frak_f_from, bop, lam, 1j, frames)
-    factored = [((3, 3), True)] if abs(diagonal[1]) < 1e3 else []
-    assert calls == {"lstsq": [((3, 3), True)], "solve": [], "cholesky": factored}
-    assert isinstance(got, str) == raises
-    if raises:
-        assert got == expected
+    assert calls == {"lstsq": [], "solve": [((3, 3), True)], "cholesky": []}
+    if refusal:
+        assert refusal in got
     else:
-        assert np.array_equal(got, expected)
+        b = diagonal[column]
+        expected = eye[:, [column]] * (b + 1j) / (b - 1j)
+        assert np.allclose(got, expected, rtol=0, atol=4 * np.finfo(float).eps)
 
 
 def test_spectral_sampler_per_lambda_cost(monkeypatch):
@@ -646,16 +646,16 @@ def test_spectral_sampler_per_lambda_cost(monkeypatch):
 
 
 def test_sampler_at_e0_takes_one_lambda(monkeypatch):
-    # with no exit space F is frak_f at the first lam: the whole grid takes one
-    # d x d SVD (of P_H|L_lam, in frak_b), one certified LU, and the n x n norm
-    # of the one sample; no eigh, no QR and no lstsq
+    # with no exit space F is one sample taken from Atilde: the whole grid takes
+    # one LU of Atilde - lam0 and the n x n norm of the one sample; no d x d SVD,
+    # no eigh, no QR, no lstsq and no Cholesky
     a, ext, grid = cost_case()
     assert ext.exit_dim == 0 and len(grid) == 24
     calls = count_linalg(monkeypatch, ("svd", "qr", "eigh", "solve", "lstsq", "cholesky"))
     ParameterFunction.from_extension(ext, 1j, grid)
-    assert calls["svd"] == [((8, 8), True), ((2, 2), False)]
-    assert calls["solve"] == calls["cholesky"] == [((8, 8), True)]
-    assert calls["qr"] == calls["eigh"] == calls["lstsq"] == []
+    assert calls["svd"] == [((2, 2), False)]
+    assert calls["solve"] == [((8, 8), True)]
+    assert calls["qr"] == calls["eigh"] == calls["lstsq"] == calls["cholesky"] == []
 
 
 def counted_rank_split(monkeypatch, certify=True):
@@ -853,6 +853,24 @@ def test_i_admissibility_accepts_from_extension(worked_a):
     assert verdict.admissible
 
 
+def test_f_sampled_at_another_lambda0_is_refused():
+    # F's frames are the defect spaces at its own lam0: read at another lam0, the
+    # boundary test would judge F in the wrong frames and the Shtraus formula build
+    # from them; both refuse, naming the two points
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=6, defect=2, seed=3))
+    ext = EmbeddedExtension.from_chain(
+        build_invertible_selfadjoint(a, 1j, seed=0, double_first=True))
+    sector = SectorSpec.default_for(1j)
+    points = [lam for pts in sector.sample_points().values() for lam in pts]
+    f = ParameterFunction.from_extension(ext, 2j, points)
+    with pytest.raises(ValueError, match="sampled at lam0 = 2j, not at 1j"):
+        i_admissibility_test(a, 1j, f, sector)
+    with pytest.raises(ValueError, match="sampled at lam0 = 2j, not at 1j"):
+        shtraus_resolvent(a, 1j, f, points[0])
+    assert i_admissibility_test(a, 1j, ParameterFunction.from_extension(ext, 1j, points),
+                                sector).admissible
+
+
 def test_i_admissibility_dense_range_accepts_everything():
     # defect 0: D(X) = {0}, every parameter function passes immediately
     h = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=3, defect=0, seed=9))
@@ -982,18 +1000,19 @@ def e0_cases(worked_a):
         yield canonical_diag(worked_a, b), 1j
 
 
-def test_from_extension_at_e0_is_frak_f_bit_for_bit(worked_a):
-    # L_lam = C^d and B_lam = Atilde at every lam: each sample over grid and sector
-    # is frak_f's value at that lam, bit for bit, and one read-only array
+def test_from_extension_at_e0_calls_no_oracle(worked_a, monkeypatch):
+    # L_lam = C^d and B_lam = Atilde at every lam: over grid and sector F is one
+    # read-only array, taken without frak_f or its stages; engine_vs_oracle checks
+    # its closeness to frak_f
+    for name in ("script_l", "frak_b", "frak_f", "_frak_b_from", "_frak_f_from"):
+        monkeypatch.setattr(resolvents, name, lambda *args, _name=name: pytest.fail(_name))
     for ext, z in e0_cases(worked_a):
         assert ext.exit_dim == 0
         points = grid_and_sector(z, ext)
         f = ParameterFunction.from_extension(ext, z, points)
-        frames = (f.domain_frame, f.range_frame)
         assert len({id(f.sample_at(lam)) for lam in points}) == 1
-        assert not f.sample_at(points[0]).flags.writeable
-        for lam in points:
-            assert np.array_equal(f.sample_at(lam), frak_f(ext, lam, z, frames))
+        assert f.constant_matrix is f.sample_at(points[0])
+        assert not f.constant_matrix.flags.writeable
 
 
 def test_from_extension_non_hermitian_within_gate():

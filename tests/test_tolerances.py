@@ -172,6 +172,36 @@ def test_memo_only_in_derived():
     assert [scope for scope, _ in _memo_uses(probe)] == ["", "derived", "seed", "seed"]
 
 
+# the spectral sampler and the Shtraus formula are checked against the paper-level
+# constructions, so they never call them
+ENGINE = ("ParameterFunction.from_extension", "_spectral_samples", "_sample_from",
+          "compressed_resolvent", "shtraus_resolvent", "_parameter_stage", "_lambda_stage")
+ORACLES = {"script_l", "frak_b", "frak_f", "_frak_b_from", "_frak_f_from"}
+
+
+def _engine_oracle_calls(tree):
+    """``(enclosing qualified name, node)`` for each call to an oracle inside ``ENGINE``."""
+    return ((scope, node) for scope, node in _scoped(tree, lambda node: isinstance(
+        node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ORACLES)
+        if any(scope == name or scope.startswith(name + ".") for name in ENGINE))
+
+
+def test_engine_calls_no_oracle():
+    tree = ast.parse((SRC / "resolvents.py").read_text(encoding="utf-8"))
+    defined = {scope + "." + node.name if scope else node.name for scope, node in _scoped(
+        tree, lambda node: isinstance(node, ast.FunctionDef))}
+    assert set(ENGINE) <= defined
+    assert [f"{node.lineno}: {scope}" for scope, node in _engine_oracle_calls(tree)] == []
+    probe = ast.parse("def shtraus_resolvent():\n"
+                      "    def stage(): return frak_f(e)\n"
+                      "class ParameterFunction:\n"
+                      "    def from_extension(c): return resolvents._frak_f_from(b)\n"
+                      "def _spectral_samples_of(e): return script_l(e)\n"
+                      "def frak_f(e): return frak_b(e)")
+    assert [scope for scope, _ in _engine_oracle_calls(probe)] == [
+        "shtraus_resolvent.stage", "ParameterFunction.from_extension"]
+
+
 def _tol_reads(tree):
     """Names of the ``TOL.<name>`` attributes that a module reads."""
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
