@@ -148,17 +148,32 @@ class AdmissibilityResult:
 
 
 def _check_parameter_shapes(dd: DefectData, t: DomainOperator):
+    _check_domain_shape(dd, t.domain)
+    _check_range_shape(dd, t.action)
+
+
+def _check_domain_shape(dd: DefectData, domain: Subspace):
     # D(T) framed by N_z's own frame, as the Shtraus formula builds T, needs no SVD
-    if not (np.array_equal(t.domain.frame, dd.n_z.frame)
-            or dd.n_z.contains_subspace(t.domain, tol=TOL.shape)):
+    if not (np.array_equal(domain.frame, dd.n_z.frame)
+            or dd.n_z.contains_subspace(domain, tol=TOL.shape)):
         raise ParameterShapeViolation("parameter domain is not inside the defect space at z")
-    resid = t.action - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ t.action)
-    if not opnorm_le(resid, TOL.shape, relative_to=t.action):
+
+
+def _check_range_shape(dd: DefectData, action: np.ndarray):
+    resid = action - dd.n_zbar.frame @ (dd.n_zbar.frame.conj().T @ action)
+    if not opnorm_le(resid, TOL.shape, relative_to=action):
         raise ParameterShapeViolation("parameter range is not inside the defect space at zbar")
 
 
 def _admissibility_bounds(a: DomainOperator, z: complex, dd: DefectData, t: DomainOperator):
-    """``(lower, upper)``: lower <= s_min(V - Q) and s0(V - Q) <= upper, from an n x n block.
+    """``(lower, upper)``: lower <= s_min(V - Q) and s0(V - Q) <= upper, from an n x n block,
+    once T's shapes pass their gates (``_shaped_bounds``)."""
+    _check_parameter_shapes(dd, t)
+    return _shaped_bounds(a, z, dd, t)
+
+
+def _shaped_bounds(a: DomainOperator, z: complex, dd: DefectData, t: DomainOperator):
+    """``_admissibility_bounds`` of a T whose shapes have passed their gates.
 
     V - Q = [P, C], P = U_z M - M fixed per A and z (one SVD, kept in A's memo) and
     C = T N - N. P is injective, as (U_z - E)(A - z)f = (z - zbar)f. With W2 a frame of
@@ -171,7 +186,6 @@ def _admissibility_bounds(a: DomainOperator, z: complex, dd: DefectData, t: Doma
         u = defect_data(a, z).u
         return rank_split((u.action - u.domain.frame).conj().T, a.tol, floor=0.0,
                           part="null")[1:]
-    _check_parameter_shapes(dd, t)
     c = t.action - t.domain.frame
     if dd.u is None or not 0 < t.domain_dim == dd.n_z.dim < a.ambient_dim:
         return 0.0, np.inf

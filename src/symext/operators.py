@@ -111,7 +111,7 @@ def _from_generator_svd(split, images, tol) -> DomainOperator:
 
 def derived(a, key, build):
     """``build()``, run once per key on ``a``, and kept there: ``a`` is an operator, a
-    relation or a constant ``resolvents.ParameterFunction``, whose ``_memo`` it reads.
+    relation or a ``resolvents.ParameterFunction``, whose ``_memo`` it reads.
 
     The rule: ``build`` computes its value from ``a`` and what ``key`` names
     alone, never from another object's data, so a kept value has the bits

@@ -31,22 +31,26 @@ Atilde_EE's skew part is a compression of Atilde's, so by Weyl's inequality
 s_min(Atilde_EE - lam) >= |Im lam| - kappa, kappa the slack of the SpectrumHit gate.
 ``compressed_resolvent`` inverts the d x d Schur complement wherever |Im lam| > kappa,
 and ``ParameterFunction.from_extension`` samples F from one Hermitian eigendecomposition
-of the exit block, under frak_f's guards, and calls none of the oracles. With no exit space
+of the exit block, one LU per lam, under frak_f's guards, whose norms it takes over the
+whole grid at once, and calls none of the oracles. With no exit space
 (e = 0) B_lam is Atilde at every lam, so F is constant: one sample, taken from Atilde, is
 F's ``constant_matrix``, which answers ``sample_at`` at every lam.
 
 ``shtraus_resolvent`` reads B through its Cayley transform W = U_z (+) F(lam):
 with Q = [M_z frame, N_z frame] and V = WQ, V - Q is the matrix admissibility
 factors, and B - lam = G (V - Q)^{-1} with G = (z - lam)V - (zbar - lam)Q.
-``_parameter_stage`` depends on A, the base point and the sample alone: the
-sample's gates, one values-only n x n SVD, whose bounds certify admissibility, and
-Q, V and V - Q; U_z and N_z come from A's memoized defect data, so D(T) needs no
-shape test. ``_lambda_stage`` pays one inverse, G^{-1}. A constant F keeps its
-parameter stage (``shtraus_resolvent``), so on each branch every lam after the
-first pays the lam stage alone. ``construct_extension`` stays the general path
-and the tests' reference. Each per-lam full-rank gate, admissibility's too, is
-passed by ``clears_cut`` from proven bounds, and by the exact SVD only where they
-fall short.
+``_parameter_stage`` depends on A, the base point and the sample alone. Its
+``_frame_stage`` depends on A, the base point and F's frames alone: D(T)'s frame
+and shape decision, Q and U_z M_z, from A's memoized defect data, so D(T), framed
+by N_z's own frame, passes its shape test with no SVD. The sample adds its gates,
+one values-only n x n SVD, whose bounds certify admissibility, V and V - Q.
+``_lambda_stage`` pays one LU solve, of G^T.
+F keeps in its memo, per branch and A, what lam does not enter
+(``shtraus_resolvent``): a constant F its parameter stage, so on each branch every
+lam after the first pays the lam stage alone, and a sampled F its frame stage.
+``construct_extension`` stays the general path and the tests' reference. Each
+per-lam full-rank gate, admissibility's too, is passed by ``clears_cut`` from
+proven bounds, and by the exact SVD only where they fall short.
 """
 
 import weakref
@@ -56,8 +60,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import (_admissibility_bounds, defect_data, forbidden_of_inverse, is_admissible,
-                     require_offaxis)
+from .cayley import (_check_domain_shape, _check_range_shape, _shaped_bounds, defect_data,
+                     forbidden_of_inverse, is_admissible, require_offaxis)
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
@@ -304,16 +308,30 @@ def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
     Columns j of ``residual`` (the solve through B_lam - lam0) and of ``img``
     belong to defect column j and are guarded alone; the sample must not expand.
     """
-    if not np.all(np.linalg.norm(residual, axis=0) <= TOL.sample_residual):
-        raise ProjectionDegenerate(
-            f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
-    coords = nbar_frame.conj().T @ img
-    leak = np.linalg.norm(img - nbar_frame @ coords, axis=0)
-    if np.any(leak > TOL.sample_residual * np.maximum(1.0, np.linalg.norm(img, axis=0))):
-        raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
-    if not opnorm_le(coords, 1.0 + TOL.sample_expansion):
-        raise ProjectionDegenerate(f"quotient is expanding (norm {opnorm(coords):.6f}) at {lam}")
-    return coords
+    return next(_checked_samples(residual[None], img[None], nbar_frame, (lam,)))
+
+
+def _checked_samples(residuals, imgs, nbar_frame, lams):
+    """``_checked_sample`` at each lam in turn, on stacks of its arrays, one per lam.
+
+    The norms and coordinates of the whole stack take a few array calls; the
+    guards of lams[k] run when the k-th sample is asked for, so a caller that
+    gates each lam first keeps the order of its own gate and these.
+    """
+    res = np.linalg.norm(residuals, axis=1)
+    coords = nbar_frame.conj().T @ imgs
+    leak = np.linalg.norm(imgs - nbar_frame @ coords, axis=1)
+    scale = np.maximum(1.0, np.linalg.norm(imgs, axis=1))
+    for k, lam in enumerate(lams):
+        if not np.all(res[k] <= TOL.sample_residual):
+            raise ProjectionDegenerate(
+                f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
+        if np.any(leak[k] > TOL.sample_residual * scale[k]):
+            raise ProjectionDegenerate("quotient image leaves the defect space at lam0 bar")
+        if not opnorm_le(coords[k], 1.0 + TOL.sample_expansion):
+            raise ProjectionDegenerate(
+                f"quotient is expanding (norm {opnorm(coords[k]):.6f}) at {lam}")
+        yield coords[k]
 
 
 def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
@@ -328,9 +346,11 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
 
         B_lam = M_HH - M_HE X,    F(lam) = (B_lam - lam0bar)(B_lam - lam0)^{-1} on N_{lam0},
 
-    by ``_sample_from``, one LU per lam, under frak_f's guards: lam0's half-plane at every
-    lam before any sample, P_H injective on L_lam, then ``_checked_sample``. L_lam is the
-    graph of -X over H, so s_min(P_H|L_lam) = 1/sqrt(1 + ||X||^2), and the Weyl bound
+    by one LU of B_lam - lam0 per lam, as ``_sample_from`` takes it, under frak_f's
+    guards: lam0's half-plane at every lam before any sample, then at each lam in turn
+    P_H injective on L_lam and ``_checked_sample``'s guards, whose norms are taken over
+    the whole grid at once (``_checked_samples``). L_lam is the graph of -X over H, so
+    s_min(P_H|L_lam) = 1/sqrt(1 + ||X||^2), and the Weyl bound
     ||X|| <= ||M_EH||_F / (min |nu - lam| - kappa_e) certifies the first with no QR or
     SVD; where it falls short, rank_split cuts P_H of an orthonormal frame of [I; -X].
 
@@ -347,18 +367,32 @@ def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
         return dict.fromkeys(lams, constant), constant
     nu, w, delta, a, b, kappa_e = ext._exit_block
     coupling = np.linalg.norm(m[d:, :d])  # ||M_EH||_F
-    samples = {}
-    for lam in lams:
+    n_frame, nbar_frame = frames
+
+    def exit_solve(lam):  # w^H X
         d_lam = (1.0 / (nu - lam))[:, None]
         db = d_lam * b
-        y = db - d_lam * (delta @ db)  # w^H X
+        return db - d_lam * (delta @ db)
+    reached = np.empty((len(lams),) + n_frame.shape, complex)
+    imgs = np.empty_like(reached)
+    for k, lam in enumerate(lams):
+        down = m[:d, :d] - a @ exit_solve(lam)
+        down[np.diag_indices(d)] -= lambda0  # B_lam - lam0, as _sample_from forms it
+        c = _lu_solve(down, n_frame)
+        np.matmul(down, c, out=reached[k])
+        np.add(reached[k], (lambda0 - np.conj(lambda0)) * c, out=imgs[k])  # (B_lam - lam0bar) c
+    reached -= n_frame  # the residuals of the solves
+    checked = _checked_samples(reached, imgs, nbar_frame, lams)
+    samples = {}
+    for lam in lams:
         gap = np.abs(nu - lam).min() - kappa_e  # <= s_min(M_EE - lam)
         lower = gap / np.hypot(gap, coupling) if gap > 0 else 0.0
-        if not clears_cut(lower, 1.0, TOL.projection) and rank_split(
-                np.linalg.qr(np.vstack([np.eye(d), -(w @ y)]))[0][:d], TOL.projection)[0] < d:
+        if not clears_cut(lower, 1.0, TOL.projection) and rank_split(np.linalg.qr(
+                np.vstack([np.eye(d), -(w @ exit_solve(lam))]))[0][:d], TOL.projection)[0] < d:
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
-        samples[lam] = _sample_from(m[:d, :d] - a @ y, lambda0, frames, lam)
+        samples[lam] = next(checked)
+        samples[lam].setflags(write=False)
     return samples, None
 
 
@@ -382,8 +416,9 @@ class ParameterFunction:
 
     @cached_property
     def _memo(self) -> dict:
-        """The Shtraus formula's parameter stages of a constant F, per branch and base
-        operator; read and written only by ``operators.derived``."""
+        """What the Shtraus formula keeps of F per branch and base operator: the parameter
+        stage of a constant F, the frame stage of a sampled one; read and written only
+        by ``operators.derived``."""
         return {}
 
     def sample_at(self, lam: complex) -> np.ndarray:
@@ -436,38 +471,68 @@ def _parameter_stage(a: DomainOperator, base_point: complex, dom_frame, rng_fram
     lam names the call in its errors only.
 
     With N = ``dom_frame`` and T N = ``rng_frame @ matrix``, Q = [M_z frame, N] and
-    V = [U_z M_z, T N], and B sends (V - Q)c to (zV - zbar Q)c. The sample must be
-    finite and non-expanding; margin <= s_min(V - Q) is the admissibility certificate's
-    bound, and where the bounds on V - Q do not clear the cut, ``is_admissible``
-    decides, with its witness, and gives the margin.
+    V = [U_z M_z, T N], and B sends (V - Q)c to (zV - zbar Q)c. It is the sample's
+    gates, then ``_frame_stage``, which the sample does not enter, then ``_sample_stage``.
     """
+    t_action = _gated_action(rng_frame, matrix, lam)
+    return _sample_stage(a, base_point, _frame_stage(a, base_point, dom_frame), t_action)
+
+
+def _gated_action(rng_frame, matrix, lam: complex) -> np.ndarray:
+    """T N = ``rng_frame @ matrix``, once the sample is finite and non-expanding."""
     t_action = rng_frame @ matrix
     if not np.all(np.isfinite(t_action)):
         raise ResolventSingular(f"parameter sample at {lam} is not finite")
     # the gate ContractionParameter applies, on the coordinates of the sample
     require_nonexpanding(matrix)
+    return t_action
+
+
+def _frame_stage(a: DomainOperator, base_point: complex, dom_frame) -> tuple:
+    """``(record, D(T), Q, U_z M_z, P)``: what ``_parameter_stage`` reads of A, the base
+    point and N = ``dom_frame`` alone. D(T) = span N must lie in N_z; Q = [M_z frame, N]
+    and P = U_z M_z - M_z, the first block of V - Q, are None where the record has no
+    U_z, a record ``is_admissible`` refuses."""
     dd = defect_data(a, base_point)
-    t = DomainOperator(Subspace(dom_frame, a.tol), t_action)
-    margin, upper = _admissibility_bounds(a, base_point, dd, t)
+    dom = Subspace(dom_frame, a.tol)
+    _check_domain_shape(dd, dom)
+    if dd.u is None:
+        return dd, dom, None, None, None
+    m_frame, u_action = dd.u.domain.frame, dd.u.action
+    return dd, dom, np.hstack([m_frame, dom.frame]), u_action, u_action - m_frame
+
+
+def _sample_stage(a: DomainOperator, base_point: complex, frame: tuple,
+                  t_action: np.ndarray) -> tuple:
+    """``_parameter_stage`` from ``frame = _frame_stage(...)`` and the gated T N: the
+    range shape of T, the admissibility certificate, and V and V - Q.
+
+    margin <= s_min(V - Q) is the certificate's bound, and where the bounds on V - Q
+    do not clear the cut, ``is_admissible`` decides, with its witness, and gives the
+    margin.
+    """
+    dd, dom, q, u_action, p = frame
+    t = DomainOperator(dom, t_action)
+    _check_range_shape(dd, t.action)
+    margin, upper = _shaped_bounds(a, base_point, dd, t)
     if not clears_cut(margin, upper, a.tol):
         adm = is_admissible(a, base_point, t, dd=dd)  # its margin is s_min(V - Q)
         if not adm.admissible:
             raise NotAdmissible("parameter admits a fixed vector", witness=adm.witness)
         margin = adm.margin
-    q = np.hstack([dd.u.domain.frame, t.domain.frame])
-    v = np.hstack([dd.u.action, t.action])
     if q.shape[0] != q.shape[1]:
         raise ResolventSingular("extension is not total; resolvent formula needs a full domain")
-    return q, v, v - q, margin
+    return q, np.hstack([u_action, t.action]), np.hstack([p, t.action - dom.frame]), margin
 
 
 def _lambda_stage(base_point: complex, stage: tuple, lam: complex) -> np.ndarray:
     """(B - lam)^{-1} from ``stage = _parameter_stage(...)``: B - lam = G (V - Q)^{-1}
-    with G = (z - lam)V - (zbar - lam)Q, so (B - lam)^{-1} = (V - Q) G^{-1}."""
+    with G = (z - lam)V - (zbar - lam)Q, so (B - lam)^{-1} = (V - Q) G^{-1}, the
+    transpose of one LU solve of G^T against (V - Q)^T."""
     q, v, v_q, margin = stage
     g = (base_point - lam) * v - (np.conj(base_point) - lam) * q
     try:
-        resolvent = v_q @ np.linalg.inv(g)
+        resolvent = np.linalg.solve(g.T, v_q.T).T
         # s_min(B - lam) >= 1/||R||_F and s0(B - lam) <= ||G||_F / margin certify the
         # gate; where they fall short, or the margin is 0, B - lam itself is cut
         certified = 0 < margin < np.inf and clears_cut(
@@ -486,11 +551,12 @@ def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
     """(A_{F(lam)} - lam)^{-1} in the half-plane of lam0, adjoint branch opposite.
 
     For lam bar in the half-plane of lam0 the extension is built at base point
-    lam0 bar from the frame-adjoint of F(lam bar). Where F is constant its
-    ``_parameter_stage`` is kept in F's memo, per branch and A, which F holds
-    weakly, so a lam after the first on a branch pays ``_lambda_stage`` alone; a
-    sampled F (e > 0, or ``from_samples``) runs both stages at every lam and
-    keeps nothing, and a stage that raises keeps nothing either.
+    lam0 bar from the frame-adjoint of F(lam bar). F keeps in its memo, per
+    branch and A, which F holds weakly, what lam does not enter: where F is
+    constant its whole ``_parameter_stage``, so a lam after the first on a branch
+    pays ``_lambda_stage`` alone; where F is sampled (e > 0, or ``from_samples``)
+    its ``_frame_stage``, so each lam pays the sample's gates, ``_sample_stage`` and
+    ``_lambda_stage``. A stage that raises keeps nothing.
     """
     lambda0 = require_offaxis(lambda0)
     if complex(f.lambda0) != lambda0:  # F's frames are the defect spaces at its lam0
@@ -498,27 +564,31 @@ def shtraus_resolvent(a: DomainOperator, lambda0: complex, f: ParameterFunction,
     lam = require_offaxis(complex(lam))
     up = _half_plane(lam, lambda0)
     base_point = lambda0 if up else np.conj(lambda0)
+    # conj(lam) sits in the half-plane of lam0 on the adjoint branch
+    dom, rng = (f.domain_frame, f.range_frame) if up else (f.range_frame, f.domain_frame)
 
-    def stage():
-        if up:
-            return _parameter_stage(a, base_point, f.domain_frame, f.range_frame,
-                                    f.sample_at(lam), lam)
-        # conj(lam) sits in the half-plane of lam0: adjoint branch
-        return _parameter_stage(a, base_point, f.range_frame, f.domain_frame,
-                                f.sample_at(np.conj(lam)).conj().T, lam)
-    if f.constant_matrix is None:
-        return _lambda_stage(base_point, stage(), lam)
-    return _lambda_stage(base_point, derived(f, (lambda0, up, weakref.ref(a)), stage), lam)
+    def sample():
+        return f.sample_at(lam) if up else f.sample_at(np.conj(lam)).conj().T
+    key = (lambda0, up, weakref.ref(a))
+    if f.constant_matrix is not None:
+        stage = derived(f, key, lambda: _parameter_stage(a, base_point, dom, rng, sample(), lam))
+    else:
+        t_action = _gated_action(rng, sample(), lam)
+        frame = derived(f, key, lambda: _frame_stage(a, base_point, dom))
+        stage = _sample_stage(a, base_point, frame, t_action)
+    return _lambda_stage(base_point, stage, lam)
 
 
 def default_lambda_grid(lambda0: complex, atilde_matrix: Optional[np.ndarray] = None):
     """Twelve points on each of two circles around lam0, at radii 0.3 and 0.9 of
     |Im lam0|, inside its half-plane, less those within ``TOL.grid_clearance`` of
-    the real axis, of 0 or of an eigenvalue of the extension."""
+    the real axis, of 0 or of an eigenvalue of the extension: of its Hermitian part,
+    as the SpectrumHit gate reads it, since eigvalsh reads one triangle alone and
+    the matrix is self-adjoint only within the EmbeddedExtension gate."""
     lambda0 = require_offaxis(lambda0)
     eigs = np.array([])
     if atilde_matrix is not None:
-        eigs = np.linalg.eigvalsh(atilde_matrix)
+        eigs = np.linalg.eigvalsh((atilde_matrix + atilde_matrix.conj().T) / 2)
     grid = []
     for factor in (0.3, 0.9):
         r = factor * abs(lambda0.imag)

@@ -1,6 +1,8 @@
 """Exit-space extensions: compressed resolvents, the L/B/F chain, boundary test."""
 
+import dataclasses
 import gc
+import itertools
 import json
 import sys
 import weakref
@@ -435,12 +437,12 @@ def cost_case(doubled=False):
 
 
 def test_shtraus_per_lambda_cost(monkeypatch):
-    # F sampled from an exit space (a doubled chain, e = 8) runs both stages at
-    # every lam: once the base point's record is kept, a lam costs two values-only
-    # n x n SVDs (n = 2 here: the sample's norm, and Y = W2^H C, whose bounds certify
-    # admissibility), one inverse (of G), no d x d SVD and no QR: the inverse and
-    # the certified margin certify the ResolventSingular gate, and D(T), framed by
-    # N_z's own frame, needs no test
+    # F sampled from an exit space (a doubled chain, e = 8) keeps its frame stage per
+    # branch and runs the rest at every lam: once the base point's record is kept, a
+    # lam costs two values-only n x n SVDs (n = 2 here: the sample's norm, and
+    # Y = W2^H C, whose bounds certify admissibility), one LU solve (of G^T), no
+    # inverse, no d x d SVD and no QR: the solve and the certified margin certify the
+    # ResolventSingular gate, and D(T), framed by N_z's own frame, needs no test
     a, ext, grid = cost_case(doubled=True)
     assert ext.exit_dim == 8
     f = ParameterFunction.from_extension(ext, 1j, grid)
@@ -449,33 +451,34 @@ def test_shtraus_per_lambda_cost(monkeypatch):
     complements, complement = [], sx.Subspace.complement
     monkeypatch.setattr(sx.Subspace, "complement",
                         lambda self: complements.append(self) or complement(self))
-    calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
+    calls = count_linalg(monkeypatch, ("svd", "qr", "inv", "solve"))
     shtraus_resolvent(a, 1j, f, grid[0])
     assert complements == []
     # the first lam at a base point adds the one full SVD of P^H, (d - n) x d
     assert calls["svd"] == [((2, 2), False), ((6, 8), True), ((2, 2), False)]
-    assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
+    assert calls["qr"] == calls["inv"] == [] and calls["solve"] == [((8, 8), True)]
     monkeypatch.undo()
     shtraus_resolvent(a, 1j, f, np.conj(grid[0]))
-    calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
+    calls = count_linalg(monkeypatch, ("svd", "qr", "inv", "solve"))
     # on the adjoint branch too
     for lam in (grid[1], np.conj(grid[1])):
         for name in calls:
             calls[name].clear()
         shtraus_resolvent(a, 1j, f, lam)
         assert calls["svd"] == [((2, 2), False)] * 2
-        assert calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
-    assert f._memo == {}
+        assert calls["qr"] == calls["inv"] == [] and calls["solve"] == [((8, 8), True)]
+    assert len(f._memo) == 2
 
 
 def test_shtraus_at_e0_pays_the_parameter_stage_once_per_branch(monkeypatch):
     # with no exit space F is constant, and F keeps the parameter stage per branch:
     # the first lam of a branch pays it (the sample's norm, Y's values, and on the
-    # first branch the SVD of P^H), every later lam one inverse, of G, and no SVD or QR
+    # first branch the SVD of P^H), every later lam one LU solve, of G^T, and no
+    # inverse, SVD or QR
     a, ext, grid = cost_case()
     assert ext.exit_dim == 0
     f = ParameterFunction.from_extension(ext, 1j, grid)
-    calls = count_linalg(monkeypatch, ("svd", "qr", "inv"))
+    calls = count_linalg(monkeypatch, ("svd", "qr", "inv", "solve"))
     for branch in (grid, np.conj(grid)):
         for name in calls:
             calls[name].clear()
@@ -485,12 +488,13 @@ def test_shtraus_at_e0_pays_the_parameter_stage_once_per_branch(monkeypatch):
             for name in calls:
                 calls[name].clear()
             shtraus_resolvent(a, 1j, f, lam)
-            assert calls["svd"] == calls["qr"] == [] and calls["inv"] == [((8, 8), True)]
+            assert calls["svd"] == calls["qr"] == calls["inv"] == []
+            assert calls["solve"] == [((8, 8), True)]
     assert len(f._memo) == 2
 
 
-def fresh_constant(f):
-    """A new F with ``f``'s constant matrix and frames, and an empty memo."""
+def fresh_parameter(f):
+    """A new F with ``f``'s samples, constant matrix and frames, and an empty memo."""
     return ParameterFunction(f.lambda0, f.domain_frame, f.range_frame, dict(f.samples),
                              f.constant_matrix)
 
@@ -508,7 +512,7 @@ def test_kept_parameter_stage_changes_no_bit(worked_a):
         grid = default_lambda_grid(z)
         for lam in grid + tuple(np.conj(grid)):
             kept = shtraus_resolvent(a, z, f, lam)
-            assert np.array_equal(kept, shtraus_resolvent(a, z, fresh_constant(f), lam))
+            assert np.array_equal(kept, shtraus_resolvent(a, z, fresh_parameter(f), lam))
         assert len(f._memo) == 2
 
 
@@ -551,17 +555,55 @@ def test_parameter_function_owns_read_only_samples(worked_a):
             sample[0, 0] = 0.9
 
 
-def test_sampled_parameter_keeps_no_stage():
-    # a doubled chain's F depends on lam: a grid over both branches leaves its memo empty
+def test_sampled_parameter_keeps_its_frame_stage(monkeypatch):
+    # a doubled chain's F depends on lam: it keeps its frame stage alone, built once
+    # per branch and A, which it holds weakly; each kept array has the bits of the
+    # frame stage of a fresh copy of A, which no lam and no sample enters, and a
+    # resolvent read through it has the bits of one from a fresh F
     a, z, _ = random_instance(81, max_dim=6)
     ext = EmbeddedExtension.from_chain(build_invertible_selfadjoint(a, z, seed=2,
                                                                     double_first=True))
     grid = default_lambda_grid(z, ext.atilde_matrix())
     f = ParameterFunction.from_extension(ext, z, grid)
     assert f.constant_matrix is None
-    for lam in grid + tuple(np.conj(grid)):
+    frame_stage, builds = resolvents._frame_stage, []
+    monkeypatch.setattr(resolvents, "_frame_stage",
+                        lambda *args: builds.append(args[1]) or frame_stage(*args))
+    copy = decode_operator(json.loads(json_dump(encode_operator(a))))
+    points = grid + tuple(np.conj(grid))
+    for op in (a, copy):
+        del builds[:]
+        kept = [shtraus_resolvent(op, z, f, lam) for lam in points]
+        assert builds == [z, np.conj(z)]
+        for lam, value in zip(points, kept):
+            assert np.array_equal(value, shtraus_resolvent(op, z, fresh_parameter(f), lam))
+    held = dict(f._memo)
+    assert len(held) == 4
+    for (lambda0, up, ref), stage in held.items():
+        assert lambda0 == z and ref() in (a, copy)
+        dom = f.domain_frame if up else f.range_frame
+        fresh = frame_stage(decode_operator(json.loads(json_dump(encode_operator(a)))),
+                            z if up else np.conj(z), dom)
+        kept_bits, fresh_bits = _bits(stage), _bits(fresh)
+        assert len(kept_bits) == len(fresh_bits)
+        assert all(np.array_equal(x, y) for x, y in zip(kept_bits, fresh_bits))
+    # a further pass builds nothing and keeps the same objects
+    del builds[:]
+    for lam in points:
         shtraus_resolvent(a, z, f, lam)
-    assert f._memo == {}
+    assert builds == [] and all(f._memo[key] is stage for key, stage in held.items())
+    gone = weakref.ref(copy)
+    del copy, op, held, kept
+    gc.collect()
+    assert gone() is None
+    # F's frames are not A's defect spaces for 2A: the frame stage raises at every
+    # lam and keeps nothing
+    other = sx.scale_op(a, 2.0)
+    before = dict(f._memo)
+    for lam in points[:2]:
+        with pytest.raises(sx.ParameterShapeViolation, match="domain is not inside"):
+            shtraus_resolvent(other, z, f, lam)
+    assert len(builds) == 2 and f._memo == before
 
 
 def test_check_inversion_per_lambda_cost(monkeypatch):
@@ -829,6 +871,28 @@ def test_default_lambda_grid_properties(worked_a):
         assert abs(lam) > 1e-6
 
 
+def test_default_lambda_grid_reads_the_hermitian_part(monkeypatch):
+    # a skew part of the exit block within the self-adjoint gate moves the eigenvalues
+    # of the lower triangle, which is all of a matrix eigvalsh reads, past
+    # TOL.grid_clearance; the grid reads those of the Hermitian part, as the
+    # SpectrumHit gate does, which the skew part moves by rounding alone
+    a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=6, defect=1, spectrum_window=(0.5, 2e3),
+                                         seed=1))
+    m = build_invertible_selfadjoint(a, 1j, seed=1, double_first=True).final.to_matrix()
+    k = np.random.default_rng(0).standard_normal((6, 6, 2)) @ [1, 1j]
+    skew = np.zeros_like(m)
+    skew[6:, 6:] = k - k.conj().T
+    skew *= 0.4 * TOL.structure_gate * opnorm(m) / opnorm(skew)
+    tilted = EmbeddedExtension(a, operator_from_matrix(m + skew)).atilde_matrix()
+    herm = (m + m.conj().T) / 2
+    exact = np.linalg.eigvalsh(herm)
+    assert np.max(np.abs(np.linalg.eigvalsh(tilted) - exact)) > TOL.grid_clearance
+    read, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: read.append(eigvalsh(x)) or read[-1])
+    assert default_lambda_grid(1j, tilted) == default_lambda_grid(1j, herm)
+    assert np.max(np.abs(read[0] - exact)) <= 1e-12 * opnorm(m)
+
+
 def test_i_admissibility_rejects_noninvertible_constant(worked_a):
     f = ParameterFunction.constant(worked_a, 1j, np.array([[-1.0]], dtype=complex))
     verdict = i_admissibility_test(worked_a, 1j, f)
@@ -964,6 +1028,79 @@ def test_exit_dimensions_other_than_d(exit_dim):
             assert gap <= 1e-13 * np.linalg.norm(direct, 2)
 
 
+def sampler_cases():
+    """(extension, lam0) with an exit space: doubled chains at d = 8, 12 and 16, and
+    block extensions at e = 1, 2 and 3."""
+    for d in (8, 12, 16):
+        a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=d, defect=d // 4, seed=d))
+        yield EmbeddedExtension.from_chain(
+            build_invertible_selfadjoint(a, 1j, seed=d, double_first=True)), 1j
+    for exit_dim, z in ((1, 1j), (2, 0.5 - 0.7j), (3, -1.2 + 0.4j)):
+        a = sx.gen_symmetric(sx.InstanceSpec(ambient_dim=8, defect=2, seed=exit_dim))
+        yield block_extension(a, exit_dim, exit_dim), z
+
+
+def one_lambda_at_a_time(ext, lambda0, lams):
+    """The samples at ``lams`` taken one lam at a time: at each, the P_H gate, then
+    B_lam = M_HH - M_HE X from the exit block and ``_sample_from``."""
+    dd = defect_data(ext.base, lambda0)
+    m, d = ext.atilde_matrix(), ext.base.ambient_dim
+    nu, w, delta, a, b, kappa_e = ext._exit_block
+    samples = []
+    for lam in lams:
+        d_lam = (1.0 / (nu - lam))[:, None]
+        db = d_lam * b
+        y = db - d_lam * (delta @ db)
+        gap = np.abs(nu - lam).min() - kappa_e
+        lower = gap / np.hypot(gap, np.linalg.norm(m[d:, :d])) if gap > 0 else 0.0
+        tol = resolvents.TOL.projection
+        if not clears_cut(lower, 1.0, tol) and rank_split(np.linalg.qr(
+                np.vstack([np.eye(d), -(w @ y)]))[0][:d], tol)[0] < d:
+            raise ProjectionDegenerate(
+                f"projection onto H is not injective on the constrained space at {lam}")
+        samples.append(resolvents._sample_from(m[:d, :d] - a @ y, dd.z,
+                                               (dd.n_z.frame, dd.n_zbar.frame), lam))
+    return samples
+
+
+def test_grid_wide_sampler_keeps_the_bits_of_one_lambda_at_a_time():
+    for ext, z in sampler_cases():
+        assert ext.exit_dim
+        points = grid_and_sector(z, ext)
+        f = ParameterFunction.from_extension(ext, z, points)
+        want = one_lambda_at_a_time(ext, z, points)
+        assert [f.sample_at(lam).tobytes() for lam in points] == [x.tobytes() for x in want]
+
+
+def test_grid_wide_sampler_refuses_the_first_failing_lambda(monkeypatch):
+    # with tightened gates, lams fail different gates: after every lam that passes,
+    # two that fail different gates, then the rest, in either order the sampler
+    # raises at the earlier one, with the message it gets alone
+    ext, z = next(sampler_cases())
+    points = grid_and_sector(z, ext)
+    norms = [opnorm(x) for x in one_lambda_at_a_time(ext, z, points)]
+    m, d = ext.atilde_matrix(), ext.base.ambient_dim
+    x_norms = [np.linalg.norm(np.linalg.solve(m[d:, d:] - lam * np.eye(ext.exit_dim),
+                                              m[d:, :d]), 2) for lam in points]
+    s_min = 1.0 / np.sqrt(1.0 + np.square(x_norms))  # of P_H on L_lam
+    for tightened in ({"projection": float(np.median(s_min)),
+                       "sample_expansion": float(np.median(norms)) - 1.0},
+                      {"sample_residual": 2e-16}):
+        monkeypatch.setattr(resolvents, "TOL", dataclasses.replace(TOL, **tightened))
+        alone = {lam: outcome(one_lambda_at_a_time, ext, z, [lam]) for lam in points}
+        passing = [lam for lam in points if not isinstance(alone[lam], str)]
+        kinds = {}  # the first lam refused by each gate
+        for lam in points:
+            if lam not in passing:
+                kinds.setdefault(alone[lam].split(" at ")[0], lam)
+        assert len(kinds) == 2, kinds
+        for first, second in itertools.permutations(kinds.values()):
+            rest = [lam for lam in points if lam not in passing + [first, second]]
+            with pytest.raises(ProjectionDegenerate) as got:
+                ParameterFunction.from_extension(ext, z, passing + [first, second] + rest)
+            assert str(got.value) == alone[first]
+
+
 def test_from_extension_matches_frak_f_canonical_family(worked_a):
     for b in (3.0, -1.0, 0.5):
         ext = canonical_diag(worked_a, b)
@@ -1046,6 +1183,8 @@ def _bits(fact) -> list:
         ] + _bits(fact.u)
     if isinstance(fact, DomainOperator):
         return [fact.domain.frame, fact.action]
+    if isinstance(fact, Subspace):
+        return [fact.frame]
     if isinstance(fact, tuple):
         return [x for part in fact for x in _bits(part)]
     return [fact]
