@@ -183,15 +183,18 @@ def check_inversion(ext: EmbeddedExtension, lams, lambda0) -> list:
 
     At each lam the pass builds L_lam, B_lam and their inverse-pair
     counterparts at 1/lam once, with the stages that ``script_l``, ``frak_b``
-    and ``frak_f`` compose, and every check reads them from there. Each check
+    and ``frak_f`` compose, and every check reads them from there. Where Weyl's
+    bound on the exit block certifies both rank decisions, L_lam is one complete
+    QR and B_lam one LU inverse, and the stages take no SVD; elsewhere the SVDs of
+    ``script_l`` and ``_frak_b_from`` decide. Each check
     keeps its own guard: an exception in its set-up or at some lam turns that
     check red with the exception as its note, and the others finish the grid.
     Results come in the order of ``INVERSION_CHECKS``.
 
     At e = 0, ``script_l``'s constraint has no rows: L_lam is the identity frame,
-    B_lam is read off Atilde alone, and lam reaches F only through its half-plane
-    guards and error texts. So each later lam, whose stages and errors are the
-    first lam's bits, runs only those guards.
+    taken with no factorization, B_lam is read off Atilde alone, and lam reaches F
+    only through its half-plane guards and error texts. So each later lam, whose
+    stages and errors are the first lam's bits, runs only those guards.
     """
     decided = {}
     try:

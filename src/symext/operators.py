@@ -98,15 +98,10 @@ def operator_from_generators(generators, images, tol=DEFAULT_TOL) -> DomainOpera
     img = np.asarray(images, dtype=complex)
     if gen.shape != img.shape:
         raise ValueError("generators and images must have matching shapes")
-    return _from_generator_svd(rank_split(gen, tol, floor=0.0, part="svd"), img, tol)
-
-
-def _from_generator_svd(split, images, tol) -> DomainOperator:
-    """The map above from a thin ``rank_split`` of generators whose cut at floor 0 keeps all."""
-    _, s, (u, vh) = split
-    if np.sum(s > tol * s.max(initial=0.0)) != images.shape[1]:
+    rank, s, (u, vh) = rank_split(gen, tol, floor=0.0, part="svd")
+    if rank != img.shape[1]:
         raise ValueError("generators are linearly dependent; the map is ill-defined")
-    return DomainOperator(Subspace(u, tol), images @ (vh.conj().T / s))
+    return DomainOperator(Subspace(u, tol), img @ (vh.conj().T / s))
 
 
 def derived(a, key, build):

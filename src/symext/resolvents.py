@@ -18,9 +18,12 @@ forbidden-operator limit at 0 with a bounded norm-loss rate.
 
 ``script_l``, ``frak_b`` and ``frak_f`` are the definitions, kept as written as the checks'
 references; the checks call the stages they compose (``_frak_b_from``, ``_frak_f_from``)
-so that one L_lam serves every check at lam. One SVD of P_H|L_lam gates and builds B_lam.
-F(lam), in the oracle and in the sampler, is one LU of B_lam - lam0, unique by the Shtraus
-bound s_min(B_lam - lam0) >= |Im lam0|; an exact zero pivot reaches no defect vector.
+so that one L_lam serves every check at lam. Where Weyl's bound s_min(Atilde_EE - lam) >=
+|Im lam| - ||Atilde - Atilde^H||/2 certifies them, L_lam is one complete QR of the
+constraint's adjoint, and B_lam, gated by the bound it gives on s_min(P_H|L_lam), reads
+(P_H|L_lam)^{-1} off one LU; elsewhere SVDs decide. F(lam), in the oracle and in the
+sampler, is one LU of B_lam - lam0, unique by the Shtraus bound s_min(B_lam - lam0) >=
+|Im lam0|; an exact zero pivot reaches no defect vector.
 
 With E the last e coordinates, lam enters only through the e x e exit block:
 R_lam^{-1} is the Schur complement of Atilde_EE - lam in Atilde - lam, so
@@ -65,8 +68,7 @@ from .cayley import (_check_domain_shape, _check_range_shape, _shaped_bounds, de
 from .errors import (InsufficientSamples, NotAdmissible, ProjectionDegenerate,
                      ResolventSingular, SpectrumHit)
 from .neumann import require_nonexpanding
-from .operators import (DomainOperator, _from_generator_svd, derived, inverse_op,
-                        operator_from_matrix)
+from .operators import DomainOperator, derived, inverse_op, operator_from_matrix
 from .subspaces import (DEFAULT_TOL, TOL, SectorSpec, Subspace, clears_cut, fix_phase, opnorm,
                         opnorm_le, rank_split)
 
@@ -216,12 +218,33 @@ def compressed_resolvent(ext: EmbeddedExtension, lam: complex) -> np.ndarray:
     return np.linalg.solve(m - lam * np.eye(len(m)), np.eye(len(m), d))[:d]
 
 
+def _constraint(ext: EmbeddedExtension, lam: complex) -> tuple:
+    """``(C, gap)``: C = (Atilde - lam)[d:], whose kernel is L_lam, and gap <= s_min(C).
+
+    s_min(C) >= s_min(Atilde_EE - lam) >= |Im lam| - ||Atilde - Atilde^H|| / 2, by
+    Weyl's inequality on the exit block, whose skew part is a compression of Atilde's.
+    """
+    m, d = ext.atilde_matrix(), ext.base.ambient_dim
+    constraint = m[d:].copy()
+    constraint[:, d:][np.diag_indices(len(constraint))] -= lam
+    return constraint, abs(complex(lam).imag) - ext._skew / 2
+
+
 def script_l(ext: EmbeddedExtension, lam: complex) -> Subspace:
-    """L_lam = {h in C^{d+e} : (Atilde - lam) h in H}: its last e coordinates vanish."""
-    m = ext.atilde_matrix()
-    total = m.shape[0]
-    constraint = (m - lam * np.eye(total))[ext.base.ambient_dim:]
-    _, _, null = rank_split(constraint, ext.atilde.tol, floor=0.0, part="null")
+    """L_lam = {h in C^{d+e} : (Atilde - lam) h in H}: its last e coordinates vanish.
+
+    Where ``clears_cut`` certifies from C's s_min bound (``_constraint``) and ||C||_F
+    that C has full row rank e at the rank cut, L_lam is the last d columns of one
+    complete QR of C^H; elsewhere the null space of C's full SVD, cut at floor 0.
+    With no exit space (e = 0) C has no rows and L_lam is C^d, with no factorization.
+    """
+    constraint, gap = _constraint(ext, lam)
+    if not constraint.size:
+        return Subspace(np.eye(constraint.shape[1], dtype=complex), ext.atilde.tol)
+    if clears_cut(gap, float(np.linalg.norm(constraint)), ext.atilde.tol):
+        null = np.linalg.qr(constraint.conj().T, mode="complete")[0][:, len(constraint):]
+    else:
+        _, _, null = rank_split(constraint, ext.atilde.tol, floor=0.0, part="null")
     return Subspace(null, ext.atilde.tol)
 
 
@@ -231,16 +254,37 @@ def frak_b(ext: EmbeddedExtension, lam: complex) -> DomainOperator:
 
 
 def _frak_b_from(ext: EmbeddedExtension, lam: complex, l_space: Subspace) -> DomainOperator:
-    """B_lam from L_lam = ``script_l(ext, lam)``: the second stage of ``frak_b``."""
+    """B_lam from L_lam = ``script_l(ext, lam)``: the second stage of ``frak_b``.
+
+    L_lam is the graph of -X over H, X = (Atilde_EE - lam)^{-1} Atilde_EH, so for an
+    orthonormal frame G of L_lam, s_min(P_H G) = 1/sqrt(1 + ||X||^2) >= gap/hypot(gap,
+    ||Atilde_EH||_F), with ``_constraint``'s gap. Less the frame's rounding, of order
+    eps ||C||_F / gap, that bound certifies through ``clears_cut`` both cuts P_H G must
+    pass: ``TOL.projection`` at floor 1, and the generator cut, base tol at floor 0.
+    Where it falls short, P_H G's singular values decide. Then B_lam = (Atilde G)_H
+    (P_H G)^{-1} on H's standard frame, the inverse from one LU. (A solve of the
+    transposed system rounds B_lam in directions that the F guards read: on the
+    tests' small-eigenvalue bases it failed their leakage gate twice as often.)
+    """
+    d = ext.base.ambient_dim
     g = l_space.frame
-    proj = g[:ext.base.ambient_dim]
-    # injective only if every column direction survives; the same SVD builds B_lam
-    split = rank_split(proj, TOL.projection, part="svd")
-    if split[0] < proj.shape[1]:
-        raise ProjectionDegenerate(
-            f"projection onto H is not injective on the constrained space at {lam}")
-    images = (ext.atilde_matrix() @ g)[:ext.base.ambient_dim]
-    return _from_generator_svd(split, images, ext.base.tol)
+    proj = g[:d]
+    constraint, gap = _constraint(ext, lam)
+    lower = 0.0
+    if gap > 0 and proj.shape[1] == d:
+        coupling = np.linalg.norm(constraint[:, :d])  # ||Atilde_EH||_F
+        rounding = len(g) * np.finfo(float).eps * np.linalg.norm(constraint) / gap
+        lower = gap / np.hypot(gap, coupling) - rounding
+    if not (clears_cut(lower, 1.0, TOL.projection) and clears_cut(lower, 1.0, ext.base.tol)):
+        # injective only if every column direction survives
+        rank, s, _ = rank_split(proj, TOL.projection)
+        if rank < proj.shape[1]:
+            raise ProjectionDegenerate(
+                f"projection onto H is not injective on the constrained space at {lam}")
+        if np.sum(s > ext.base.tol * s.max(initial=0.0)) != d:
+            raise ValueError("generators are linearly dependent; the map is ill-defined")
+    images = ext.atilde_matrix()[:d] @ g
+    return operator_from_matrix(images @ np.linalg.inv(proj), tol=ext.base.tol)
 
 
 def frak_f(ext: EmbeddedExtension, lam: complex, lambda0: complex,
@@ -428,9 +472,6 @@ class ParameterFunction:
             if abs(key - lam) <= TOL.sample_match:
                 return value
         raise KeyError(f"no sample stored at {lam}")
-
-    def sampled_points(self):
-        return tuple(self.samples.keys())
 
     @classmethod
     def constant(cls, a: DomainOperator, lambda0: complex, matrix) -> "ParameterFunction":

@@ -447,7 +447,10 @@ def test_cli_answers_on_a_near_singular_base(tmp_path):
 def gate_bounds(monkeypatch, a, z):
     """``(lower, upper, s)`` for each per-lam full-rank gate of the resolvents on a
     doubled chain of A at z: the bounds handed to clears_cut, which is then
-    refused, and the singular values rank_split finds for the same gate."""
+    refused, and the singular values rank_split finds for the same gate. The gates
+    are the sampler's, the Shtraus formula's and, in ``check_inversion``, the
+    oracles' (C's full row rank in ``script_l``, P_H injective on L_lam in
+    ``_frak_b_from``), at lam and, for the inverse pair, at 1/lam."""
     try:
         chain = sx.build_invertible_selfadjoint(a, z, double_first=True)
     except (sx.NotAnExtension, sx.ChoiceExhausted):
@@ -476,6 +479,8 @@ def gate_bounds(monkeypatch, a, z):
             sx.shtraus_resolvent(a, z, f, lam)
     except sx.SymextError:
         pass
+    del bounds[:]
+    check_inversion(ext, grid, z)
     monkeypatch.undo()
     return gates
 

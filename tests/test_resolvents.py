@@ -607,34 +607,55 @@ def test_sampled_parameter_keeps_its_frame_stage(monkeypatch):
 
 
 def test_check_inversion_per_lambda_cost(monkeypatch):
-    # F at lam and at 1/lam: each one LU solve (no Cholesky, no lstsq);
-    # B_lam and B_{1/lam}: each one thin SVD of P_H|L, which decides the projection
-    # gate and builds B; the rest are the values-only SVDs of the three errors
+    # with no exit space: F at lam and at 1/lam, each one LU solve (no Cholesky, no
+    # lstsq); B_lam and B_{1/lam}, each one LU inverse of P_H|L = I, whose
+    # injectivity the Weyl bound certifies with no SVD; the rest are the
+    # values-only SVDs of the three errors
     from symext.checks import check_inversion
     a, ext, grid = cost_case()
     check_inversion(ext, grid[:1], 1j)
-    calls = count_linalg(monkeypatch, ("svd", "lstsq", "solve", "cholesky"))
+    calls = count_linalg(monkeypatch, ("svd", "lstsq", "solve", "inv", "cholesky"))
     assert all(r.passed for r in check_inversion(ext, grid[1:2], 1j))
     assert calls["lstsq"] == calls["cholesky"] == []
-    assert calls["solve"] == [((8, 8), True)] * 2
-    assert calls["svd"] == [((8, 8), False), ((8, 8), True), ((8, 8), True), ((16, 8), False),
+    assert calls["solve"] == calls["inv"] == [((8, 8), True)] * 2
+    assert calls["svd"] == [((8, 8), False), ((16, 8), False),
+                            ((2, 2), False), ((2, 2), False), ((2, 2), False)]
+
+
+def test_check_inversion_per_lambda_cost_with_an_exit_space(monkeypatch):
+    # a doubled chain (e = 8) at a certified lam: L_lam and L_{1/lam} are each one
+    # complete QR of the 8 x 16 constraint's adjoint, and B_lam and B_{1/lam} one
+    # LU inverse each, so the inversion stages take no full SVD and no SVD with
+    # vectors: every SVD is a values-only one of the three errors
+    from symext.checks import check_inversion
+    a, ext, grid = cost_case(doubled=True)
+    assert ext.exit_dim == 8
+    check_inversion(ext, grid[:1], 1j)
+    calls = count_linalg(monkeypatch, ("svd", "qr", "lstsq", "solve", "inv", "cholesky"))
+    assert all(r.passed for r in check_inversion(ext, grid[1:2], 1j))
+    assert calls["lstsq"] == calls["cholesky"] == []
+    assert calls["solve"] == calls["inv"] == [((8, 8), True)] * 2
+    # script_l, the QR of Atilde F_L, script_l at 1/lam, the frames of the two graphs
+    assert calls["qr"] == [((16, 8), True)] * 5
+    assert calls["svd"] == [((16, 8), False), ((16, 8), False),
                             ((2, 2), False), ((2, 2), False), ((2, 2), False)]
 
 
 def test_check_inversion_at_e0_takes_one_lambda(monkeypatch):
     # with no exit space L_lam is C^d and B_lam is Atilde at every lam: the whole
     # grid takes the factorizations of one lam: those pinned above, the QR of
-    # Atilde F_L and the QRs that frame graph(B_lam) and graph(B_{1/lam})
+    # Atilde F_L and the QRs that frame graph(B_lam) and graph(B_{1/lam}); script_l
+    # factors nothing
     from symext.checks import check_inversion
     a, ext, grid = cost_case()
     assert ext.exit_dim == 0 and len(grid) == 24
     check_inversion(ext, grid[:1], 1j)
-    calls = count_linalg(monkeypatch, ("svd", "qr", "lstsq", "solve", "cholesky"))
+    calls = count_linalg(monkeypatch, ("svd", "qr", "lstsq", "solve", "inv", "cholesky"))
     assert all(r.passed for r in check_inversion(ext, grid, 1j))
     assert calls["lstsq"] == calls["cholesky"] == []
     assert calls["qr"] == [((8, 8), True)] + [((16, 8), True)] * 2
-    assert calls["solve"] == [((8, 8), True)] * 2
-    assert calls["svd"] == [((8, 8), False), ((8, 8), True), ((8, 8), True), ((16, 8), False),
+    assert calls["solve"] == calls["inv"] == [((8, 8), True)] * 2
+    assert calls["svd"] == [((8, 8), False), ((16, 8), False),
                             ((2, 2), False), ((2, 2), False), ((2, 2), False)]
 
 
@@ -973,7 +994,7 @@ def engine_vs_oracle(ext, lambda0):
     points = grid_and_sector(lambda0, ext)
     f = ParameterFunction.from_extension(ext, lambda0, points)
     frames = (f.domain_frame, f.range_frame)
-    assert len(f.sampled_points()) == len(points)
+    assert len(f.samples) == len(points)
     worst = 0.0
     for lam in points:
         sample, oracle = f.sample_at(lam), frak_f(ext, lam, lambda0, frames)
@@ -1114,8 +1135,8 @@ def test_from_extension_defect_zero_empty():
     ext = EmbeddedExtension(h, h)
     assert ext.exit_dim == 0
     f = ParameterFunction.from_extension(ext, 1j, (0.4 + 0.6j, -0.3 + 0.2j))
-    assert len(f.sampled_points()) == 2
-    assert all(f.sample_at(lam).shape == (0, 0) for lam in f.sampled_points())
+    assert len(f.samples) == 2
+    assert all(f.sample_at(lam).shape == (0, 0) for lam in f.samples)
 
 
 def test_from_extension_halfplane_guard(worked_a):
@@ -1286,3 +1307,64 @@ def test_extension_memo_sound_and_weak():
         del parameter, report
         gc.collect()
         assert held[0]() is None, seed
+
+
+def test_uncertified_inversion_stages_match_the_certified_ones(monkeypatch):
+    # where clears_cut refuses, the SVDs decide and build: check_inversion gives the
+    # same verdicts, and L_lam and B_lam, of the extension at lam and of its inverse
+    # pair at 1/lam, are the certified ones to 1e-13; block extensions with e = 1, 2
+    # and 3, and a doubled chain, each of whose lam the certificates pass
+    from symext.checks import check_inversion
+    cases = [case for case in sampler_cases() if case[0].exit_dim not in (12, 16)]
+    assert sorted(ext.exit_dim for ext, _ in cases) == [1, 2, 3, 8]
+    for ext, z in cases:
+        grid = default_lambda_grid(z, ext.atilde_matrix())
+        points = [(ext, lam) for lam in grid] + [(ext.inverse_pair(), 1.0 / lam) for lam in grid]
+        verdicts, stages = [], []
+        for refuse in (False, True):
+            certified = []
+
+            def certify(*args):
+                certified.append(not refuse and clears_cut(*args))
+                return certified[-1]
+            with monkeypatch.context() as m:
+                m.setattr(resolvents, "clears_cut", certify)
+                verdicts.append([(r.name, r.passed, r.skipped)
+                                 for r in check_inversion(ext, grid, z)])
+                stages.append([(script_l(e, lam), frak_b(e, lam)) for e, lam in points])
+            assert certified and all(certified) != refuse, (ext.exit_dim, refuse)
+        assert verdicts[0] == verdicts[1] and all(passed for _, passed, _ in verdicts[0])
+        for (l_space, b), (l_ref, b_ref) in zip(*stages):
+            assert l_space.distance(l_ref) <= 1e-13
+            assert graph_distance(b, b_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("tol, smallest, error, text", [
+    (1e-10, 0.7e-10, ProjectionDegenerate,
+     "projection onto H is not injective on the constrained space at {lam}"),
+    (1e-6, 1e-8, ValueError, "generators are linearly dependent; the map is ill-defined"),
+])
+def test_uncertified_frame_keeps_the_errors_of_both_cuts(monkeypatch, tol, smallest, error,
+                                                         text):
+    # a hand-made frame G whose P_H block has singular values from 0.5 down to
+    # `smallest`, between the two cuts at the base tol: TOL.projection at floor 1
+    # (1e-10) and tol at floor 0 (0.5 tol). With clears_cut refused, the values
+    # decide, and each cut raises its own type and message
+    d = 8
+    rng = np.random.default_rng(7)
+
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    h = rng.standard_normal((d, d))
+    h = h + h.T
+    base = operator_from_matrix(h, tol=tol)
+    ext = EmbeddedExtension(base, operator_from_matrix(np.kron(np.eye(2), h), tol=tol))
+    sigma = np.geomspace(0.5, smallest, d)
+    u, v, w = unitary(), unitary(), unitary()
+    frame = np.vstack([(u * sigma) @ v, (w * np.sqrt(1 - sigma ** 2)) @ v])
+    assert np.isclose(np.linalg.svd(frame[:d], compute_uv=False)[-1], smallest, rtol=1e-3)
+    monkeypatch.setattr(resolvents, "clears_cut", lambda *args: False)
+    lam = 0.3 + 0.8j
+    with pytest.raises(error) as raised:
+        resolvents._frak_b_from(ext, lam, Subspace(frame, tol))
+    assert type(raised.value) is error and str(raised.value) == text.format(lam=lam)
