@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -258,8 +259,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with '-' and a digit as a value (``--z -0.5,1``), as
+    Python 3.13's argparse does; before it, only '-1' or '-0.5' was not an option."""
+
+    def __init__(self, *args, **kwargs):  # add_subparsers builds subparsers of this class
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symext",
         description="Extensions of symmetric operators with non-dense domains in C^d")
     sub = parser.add_subparsers(dest="command", required=True)

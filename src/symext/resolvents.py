@@ -21,9 +21,10 @@ references; the checks call the stages they compose (``_frak_b_from``, ``_frak_f
 so that one L_lam serves every check at lam. Where Weyl's bound s_min(Atilde_EE - lam) >=
 |Im lam| - ||Atilde - Atilde^H||/2 certifies them, L_lam is one complete QR of the
 constraint's adjoint, and B_lam, gated by the bound it gives on s_min(P_H|L_lam), reads
-(P_H|L_lam)^{-1} off one LU; elsewhere SVDs decide. F(lam), in the oracle and in the
-sampler, is one LU of B_lam - lam0, unique by the Shtraus bound s_min(B_lam - lam0) >=
-|Im lam0|; an exact zero pivot reaches no defect vector.
+(P_H|L_lam)^{-1} off one LU; elsewhere SVDs decide. F(lam) in the oracle is one LU of
+B_lam - lam0, unique by the Shtraus bound s_min(B_lam - lam0) >= |Im lam0|; an exact zero
+pivot reaches no defect vector. Each sample's solve is gated by its normwise backward
+error, so a large ||Atilde|| does not refuse an accurate sample.
 
 With E the last e coordinates, lam enters only through the e x e exit block:
 R_lam^{-1} is the Schur complement of Atilde_EE - lam in Atilde - lam, so
@@ -33,9 +34,10 @@ R_lam^{-1} is the Schur complement of Atilde_EE - lam in Atilde - lam, so
 Atilde_EE's skew part is a compression of Atilde's, so by Weyl's inequality
 s_min(Atilde_EE - lam) >= |Im lam| - kappa, kappa the slack of the SpectrumHit gate.
 ``compressed_resolvent`` inverts the d x d Schur complement wherever |Im lam| > kappa,
-and ``ParameterFunction.from_extension`` samples F from one Hermitian eigendecomposition
-of the exit block, one LU per lam, under frak_f's guards, whose norms it takes over the
-whole grid at once, and calls none of the oracles. With no exit space
+and ``ParameterFunction.from_extension`` samples F by block elimination of the bordered
+system [[Atilde_HH - lam0, Atilde_HE], [Atilde_EH, Atilde_EE - lam]], one LU of
+Atilde_HH - lam0 per call and one e x e LU per lam, under frak_f's guards, whose norms
+it takes over the whole grid at once, and calls none of the oracles. With no exit space
 (e = 0) B_lam is Atilde at every lam, so F is constant: one sample, taken from Atilde, is
 F's ``constant_matrix``, which answers ``sample_at`` at every lam.
 
@@ -77,17 +79,15 @@ def _half_plane(lam: complex, lambda0: complex) -> bool:
     return np.sign(lam.imag) == np.sign(lambda0.imag)
 
 
-def _eigh_rounding(eigenvalues: np.ndarray) -> float:
-    """A bound on how far eigh moves the eigenvalues of a Hermitian matrix by rounding."""
-    return len(eigenvalues) * np.finfo(float).eps * float(np.max(np.abs(eigenvalues), initial=0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddedExtension:
     """Self-adjoint total extension Atilde on C^{d+e}, with H = C^d its first d coordinates.
 
     P_H is the slice ``[:d]``: a product with the 0/1 matrix ``np.eye(d + e, d)`` equals it
     bit for bit up to the sign of an exact zero, and that matrix's SVD complement is [0; I].
+    It keeps, once computed, Atilde's matrix, the norm of its skew part, which the
+    self-adjoint gate and every Weyl bound on an exit block read, and the eigenvalues of
+    its Hermitian part, which the SpectrumHit gate reads.
     """
 
     base: DomainOperator
@@ -124,7 +124,7 @@ class EmbeddedExtension:
         return m
 
     @cached_property
-    def _skew(self) -> float:  # ||M - M^H||: the self-adjoint gate and kappa read it
+    def _skew(self) -> float:  # ||M - M^H||: the self-adjoint gate and the Weyl bounds read it
         return opnorm(self._matrix - self._matrix.conj().T)
 
     @cached_property
@@ -139,25 +139,8 @@ class EmbeddedExtension:
         m = self._matrix
         mu = np.linalg.eigvalsh((m + m.conj().T) / 2)
         mu.setflags(write=False)
-        return mu, self._skew / 2 + _eigh_rounding(mu)
-
-    @cached_property
-    def _exit_block(self) -> tuple:
-        """``(nu, w, delta, a, b, kappa_e)`` of the exit block M_EE, the last e coordinates.
-
-        nu, w is the eigh of M_EE's Hermitian part H_E, delta = w^H (M_EE - H_E) w
-        its anti-Hermitian residue, a = M_HE w and b = w^H M_EH. kappa_e is
-        ||M_EE - M_EE^H||_F / 2 plus the rounding of eigh, so that by Weyl's
-        inequality s_min(M_EE - lam) >= min |nu - lam| - kappa_e.
-        """
-        m, d = self._matrix, self.base.ambient_dim
-        block = m[d:, d:]
-        herm = (block + block.conj().T) / 2
-        nu, w = np.linalg.eigh(herm)
-        parts = (nu, w, w.conj().T @ (block - herm) @ w, m[:d, d:] @ w, w.conj().T @ m[d:, :d])
-        for part in parts:
-            part.setflags(write=False)
-        return parts + (np.linalg.norm(block - herm) + _eigh_rounding(nu),)
+        rounding = len(mu) * np.finfo(float).eps * float(np.max(np.abs(mu), initial=0.0))
+        return mu, self._skew / 2 + rounding
 
     @cached_property
     def _invertible(self) -> bool:
@@ -323,7 +306,7 @@ def _frak_f_from(bop: DomainOperator, lam: complex, lambda0: complex,
     fb, act = bop.domain.frame, bop.action
     down = act - lambda0 * fb
     c = _lu_solve(down, n_frame)
-    return _checked_sample(down @ c - n_frame, (act - np.conj(lambda0) * fb) @ c, nbar_frame, lam)
+    return _checked_sample(down, c, n_frame, (act - np.conj(lambda0) * fb) @ c, nbar_frame, lam)
 
 
 def _lu_solve(down: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -334,40 +317,37 @@ def _lu_solve(down: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.full(rhs.shape, np.nan, dtype=complex)
 
 
-def _sample_from(b_lam: np.ndarray, lambda0: complex, frames: tuple, lam) -> np.ndarray:
-    """F(lam), read-only, from the d x d matrix B_lam: ``_checked_sample`` of one LU."""
-    n_frame, nbar_frame = frames
-    down = b_lam - lambda0 * np.eye(len(b_lam))
-    c = _lu_solve(down, n_frame)
-    reached = down @ c
-    img = reached + (lambda0 - np.conj(lambda0)) * c  # (B_lam - lam0bar) c
-    sample = _checked_sample(reached - n_frame, img, nbar_frame, lam)
-    sample.setflags(write=False)
-    return sample
+def _backward_errors(residuals, m_norms, xs, rhs) -> np.ndarray:
+    """||r_j|| / (||M||_F ||x_j|| + ||N_j||) for each column j of each solve M x = N of a
+    stack, with r = M x - N and ``m_norms`` the ||M||_F: the normwise backward error, the
+    least relative change of M and N, in the Frobenius norm, that makes x exact (Rigal and
+    Gaches 1967; Higham, Accuracy and Stability of Numerical Algorithms, Thm. 7.1)."""
+    return np.linalg.norm(residuals, axis=-2) / (
+        np.asarray(m_norms)[..., None] * np.linalg.norm(xs, axis=-2)
+        + np.linalg.norm(rhs, axis=-2))
 
 
-def _checked_sample(residual, img, nbar_frame, lam) -> np.ndarray:
-    """Coordinates of ``img`` in ``nbar_frame``, after the guards on a sample of F.
-
-    Columns j of ``residual`` (the solve through B_lam - lam0) and of ``img``
-    belong to defect column j and are guarded alone; the sample must not expand.
-    """
-    return next(_checked_samples(residual[None], img[None], nbar_frame, (lam,)))
+def _checked_sample(down, c, rhs, img, nbar_frame, lam) -> np.ndarray:
+    """Coordinates of ``img`` in ``nbar_frame``, after the guards on a sample of F taken
+    by the solve ``down @ c = rhs`` (through B_lam - lam0); the sample must not expand."""
+    backward = _backward_errors(down @ c - rhs, np.linalg.norm(down), c, rhs)
+    return next(_checked_samples(backward[None], img[None], nbar_frame, (lam,)))
 
 
-def _checked_samples(residuals, imgs, nbar_frame, lams):
+def _checked_samples(backward, imgs, nbar_frame, lams):
     """``_checked_sample`` at each lam in turn, on stacks of its arrays, one per lam.
 
-    The norms and coordinates of the whole stack take a few array calls; the
-    guards of lams[k] run when the k-th sample is asked for, so a caller that
-    gates each lam first keeps the order of its own gate and these.
+    Column j of ``backward[k]`` (the backward error of the solve that reached defect
+    column j) and of ``imgs[k]`` belong to defect column j and are guarded alone. The
+    norms and coordinates of the whole stack take a few array calls; the guards of
+    lams[k] run when the k-th sample is asked for, so a caller that gates each lam
+    first keeps the order of its own gate and these.
     """
-    res = np.linalg.norm(residuals, axis=1)
     coords = nbar_frame.conj().T @ imgs
     leak = np.linalg.norm(imgs - nbar_frame @ coords, axis=1)
     scale = np.maximum(1.0, np.linalg.norm(imgs, axis=1))
     for k, lam in enumerate(lams):
-        if not np.all(res[k] <= TOL.sample_residual):
+        if not np.all(backward[k] <= TOL.sample_backward):
             raise ProjectionDegenerate(
                 f"defect vector falls outside the range of (B_lam - lam0) at {lam}")
         if np.any(leak[k] > TOL.sample_residual * scale[k]):
@@ -380,64 +360,70 @@ def _checked_samples(residuals, imgs, nbar_frame, lams):
 
 def _spectral_samples(ext: EmbeddedExtension, lambda0: complex, frames: tuple,
                       lams) -> tuple:
-    """``(samples, constant)``: F(lam) at every lam, as frak_f gives it, from one
-    eigendecomposition of the exit block, and F's constant value, or None.
+    """``(samples, constant)``: F(lam) at every lam, as frak_f gives it, by block
+    elimination, and F's constant value, or None.
 
-    M_EE = w (nu + delta) w^H with nu, w the eigh of its Hermitian part, which
-    the extension keeps; delta is the anti-Hermitian residue the EmbeddedExtension
-    gate admits, and one correction step (nu - lam + delta)^{-1} ~ D - D delta D
-    with D = (nu - lam)^{-1} gives X = (M_EE - lam)^{-1} M_EH. Then
+    With (B_lam - lam0)c = N, N = ``frames[0]``, F(lam) = Nbar^H (N + (lam0 - lam0bar)c),
+    and c is the H part of the solution of M(lam) [c; y] = [N; 0], with
+    M(lam) = [[M_HH - lam0, M_HE], [M_EH, M_EE - lam]]: eliminating y leaves
+    (B_lam - lam0)c = N. One LU of M_HH - lam0 per call gives K[N, M_HE], K its inverse,
+    and S = M_EE - M_EH K M_HE; per lam one e x e LU of S - lam gives
+    y = -(S - lam)^{-1} M_EH K N, and c = KN - K M_HE y. The guards are frak_f's: lam0's
+    half-plane at every lam first, then at each lam in turn P_H injective on L_lam and
+    ``_checked_samples``', on the bordered solve, whose norms take a few array calls
+    over the whole grid. L_lam is the graph of -X over H, X = (M_EE - lam)^{-1} M_EH, so
+    s_min(P_H|L_lam) = 1/sqrt(1 + ||X||^2) >= gap/hypot(gap, ||M_EH||_F), with
+    ``_constraint``'s Weyl gap; where that falls short of the cut, one e x e solve gives
+    X and rank_split cuts P_H of an orthonormal frame of [I; -X].
 
-        B_lam = M_HH - M_HE X,    F(lam) = (B_lam - lam0bar)(B_lam - lam0)^{-1} on N_{lam0},
-
-    by one LU of B_lam - lam0 per lam, as ``_sample_from`` takes it, under frak_f's
-    guards: lam0's half-plane at every lam before any sample, then at each lam in turn
-    P_H injective on L_lam and ``_checked_sample``'s guards, whose norms are taken over
-    the whole grid at once (``_checked_samples``). L_lam is the graph of -X over H, so
-    s_min(P_H|L_lam) = 1/sqrt(1 + ||X||^2), and the Weyl bound
-    ||X|| <= ||M_EH||_F / (min |nu - lam| - kappa_e) certifies the first with no QR or
-    SVD; where it falls short, rank_split cuts P_H of an orthonormal frame of [I; -X].
-
-    With no exit space (e = 0) L_lam is C^d and B_lam is Atilde at every lam, so F
-    does not depend on lam: this is where F is decided constant. ``_sample_from``
-    takes it once, from Atilde, and the one read-only array is stored at every lam.
+    With no exit space (e = 0) M(lam) is Atilde - lam0 at every lam, so F does not
+    depend on lam: this is where F is decided constant. The same code takes it at the
+    first lam, and the one read-only array is stored at every lam.
     """
     lams = [complex(lam) for lam in lams]
     for lam in lams:
         _contractive_point(lam, lambda0)
-    m, d = ext.atilde_matrix(), ext.base.ambient_dim
-    if not ext.exit_dim:
-        constant = _sample_from(m, lambda0, frames, lams[0]) if lams else None
-        return dict.fromkeys(lams, constant), constant
-    nu, w, delta, a, b, kappa_e = ext._exit_block
-    coupling = np.linalg.norm(m[d:, :d])  # ||M_EH||_F
+    m, d, e = ext.atilde_matrix(), ext.base.ambient_dim, ext.exit_dim
     n_frame, nbar_frame = frames
-
-    def exit_solve(lam):  # w^H X
-        d_lam = (1.0 / (nu - lam))[:, None]
-        db = d_lam * b
-        return db - d_lam * (delta @ db)
-    reached = np.empty((len(lams),) + n_frame.shape, complex)
-    imgs = np.empty_like(reached)
-    for k, lam in enumerate(lams):
-        down = m[:d, :d] - a @ exit_solve(lam)
-        down[np.diag_indices(d)] -= lambda0  # B_lam - lam0, as _sample_from forms it
-        c = _lu_solve(down, n_frame)
-        np.matmul(down, c, out=reached[k])
-        np.add(reached[k], (lambda0 - np.conj(lambda0)) * c, out=imgs[k])  # (B_lam - lam0bar) c
-    reached -= n_frame  # the residuals of the solves
-    checked = _checked_samples(reached, imgs, nbar_frame, lams)
+    points = lams if e else lams[:1]
+    off = m.copy()  # M(lam), first less lam0 on H's diagonal, then less its exit diagonal
+    off[np.diag_indices(d)] -= lambda0
+    kn, khe = np.hsplit(_lu_solve(off[:d, :d], np.hstack([n_frame, m[:d, d:]])),
+                        [n_frame.shape[1]])
+    schur = m[d:, d:] - m[d:, :d] @ khe
+    reach = m[d:, :d] @ kn  # M_EH K N
+    xs = np.empty((len(points), d + e) + n_frame.shape[1:], complex)
+    xs[:, :d] = kn  # c = KN at e = 0, where S is 0 x 0
+    for k, lam in enumerate(points if e else ()):
+        shifted = schur.copy()
+        shifted[np.diag_indices(e)] -= lam
+        minus_y = _lu_solve(shifted, reach)
+        np.negative(minus_y, out=xs[k, d:])
+        xs[k, :d] += khe @ minus_y
+    exit_diagonal = m[d:, d:].diagonal() - np.array(points)[:, None]  # of M_EE - lam
+    off[d:, d:][np.diag_indices(e)] = 0
+    residuals = off @ xs
+    residuals[:, d:] += exit_diagonal[:, :, None] * xs[:, d:]
+    residuals[:, :d] -= n_frame
+    m_norms = np.hypot(np.linalg.norm(off), np.linalg.norm(exit_diagonal, axis=1))
+    checked = _checked_samples(_backward_errors(residuals, m_norms, xs, n_frame),
+                               n_frame + (lambda0 - np.conj(lambda0)) * xs[:, :d],
+                               nbar_frame, points)
+    coupling = np.linalg.norm(m[d:, :d])  # ||M_EH||_F
     samples = {}
-    for lam in lams:
-        gap = np.abs(nu - lam).min() - kappa_e  # <= s_min(M_EE - lam)
+    for lam in points:
+        gap = abs(lam.imag) - ext._skew / 2  # <= s_min(M_EE - lam)
         lower = gap / np.hypot(gap, coupling) if gap > 0 else 0.0
-        if not clears_cut(lower, 1.0, TOL.projection) and rank_split(np.linalg.qr(
-                np.vstack([np.eye(d), -(w @ exit_solve(lam))]))[0][:d], TOL.projection)[0] < d:
+        if not clears_cut(lower, 1.0, TOL.projection) and rank_split(np.linalg.qr(np.vstack(
+                [np.eye(d), -np.linalg.solve(m[d:, d:] - lam * np.eye(e), m[d:, :d])]))[0][:d],
+                TOL.projection)[0] < d:
             raise ProjectionDegenerate(
                 f"projection onto H is not injective on the constrained space at {lam}")
         samples[lam] = next(checked)
         samples[lam].setflags(write=False)
-    return samples, None
+    if e or not lams:
+        return samples, None
+    return dict.fromkeys(lams, samples[lams[0]]), samples[lams[0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,12 +466,12 @@ class ParameterFunction:
 
     @classmethod
     def from_extension(cls, ext: EmbeddedExtension, lambda0: complex, lams) -> "ParameterFunction":
-        """F sampled at ``lams``: the values of frak_f, from one eigendecomposition of
-        the exit block (``_spectral_samples``), with no call to frak_f.
+        """F sampled at ``lams``: the values of frak_f, by block elimination of the
+        bordered system (``_spectral_samples``): one LU of Atilde_HH - lam0, then one
+        e x e LU per lam, with no call to frak_f.
 
-        With no exit space (e = 0) F is constant: its one sample, taken from Atilde
-        with no eigendecomposition, is ``constant_matrix``, and ``samples`` lists it
-        at every lam.
+        With no exit space (e = 0) F is constant: its one sample, one LU of
+        Atilde - lam0, is ``constant_matrix``, and ``samples`` lists it at every lam.
         """
         dd = defect_data(ext.base, lambda0)
         frames = (dd.n_z.frame, dd.n_zbar.frame)

@@ -29,7 +29,7 @@ def decode_complex(data) -> complex:
         re, im = data
         if bool not in (type(re), type(im)):  # JSON true is not the number 1
             return complex(re, im)
-    except (TypeError, ValueError):  # not a pair, or not numbers
+    except (TypeError, ValueError, OverflowError):  # not a pair, not numbers, or no float
         pass
     raise ValueError(f"expected a [re, im] pair of numbers, got {data!r:.40}")
 

@@ -48,7 +48,8 @@ class Tolerances:
     resolvent_singular: float = 1e-12  # shtraus_resolvent: B - lam = G (V - Q)^{-1} is singular
     cut_rounding: float = 1e-12       # clears_cut, opnorm_le: rounding may move a value by this * s0
     projection: float = 1e-10         # P_H injective on L_lam (frak_b and the sampler), relative
-    sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): residual, leakage
+    sample_backward: float = 1e-12    # sample of F (frak_f and the sampler): backward error
+    sample_residual: float = 1e-8     # sample of F (frak_f and the sampler): leakage, relative
     sample_expansion: float = 1e-7    # sample of F (frak_f and the sampler): norm excess over 1
     sample_match: float = 1e-9        # a stored sample of F answers every lam this close to it
     grid_clearance: float = 1e-6      # default grid drops lam this close to R, 0 or an eigenvalue

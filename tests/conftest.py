@@ -49,7 +49,7 @@ def lstsq_sample(bop, lam, lambda0, frames):
     down = bop.action - lambda0 * bop.domain.frame
     c = np.linalg.lstsq(down, n_frame, rcond=None)[0]
     up = bop.action - np.conj(lambda0) * bop.domain.frame
-    return _checked_sample(down @ c - n_frame, up @ c, nbar_frame, lam)
+    return _checked_sample(down, c, n_frame, up @ c, nbar_frame, lam)
 
 
 def small_eigenvalue_base(eps, d, n, seed):

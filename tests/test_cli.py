@@ -77,6 +77,30 @@ def test_non_finite_window_is_a_usage_error(tmp_path, capsys, window):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, text, expected", [
+    (["build-sa", "op.json", "--z"], "-0.5,1", complex(-0.5, 1)),
+    (["check-invert", "op.json", "--param", "p.json", "--z"], "-.5,-1", complex(-0.5, -1)),
+    (["resolvent", "op.json", "ext.json", "--lambda0"], "-1,1", complex(-1, 1)),
+    (["verify", "op.json", "--lambda0"], "-1,1", complex(-1, 1)),
+    (["gen", "--window"], "-2,-1", (-2.0, -1.0)),
+    (["resolvent", "op.json", "ext.json", "--lambda0", "0,1", "--grid"], "-0.5,0.2;0.3,0.4",
+     (complex(-0.5, 0.2), complex(0.3, 0.4))),
+], ids=["z", "z-no-leading-digit", "lambda0", "verify-lambda0", "window", "grid"])
+def test_a_value_with_a_leading_minus_is_a_value(argv, text, expected):
+    # '--z -0.5,1' parses as '--z=-0.5,1' does, not as an unknown option -0.5,1
+    dest = argv[-1].lstrip("-")
+    plain = vars(cli._parser().parse_args(argv + [text]))
+    joined = vars(cli._parser().parse_args(argv[:-1] + [f"{argv[-1]}={text}"]))
+    assert plain == joined and plain[dest] == expected
+
+
+def test_gen_takes_a_negative_window(tmp_path):
+    out = tmp_path / "op.json"
+    assert cli.main(["gen", "--dim", "4", "--defect", "1", "--window", "-2,-1",
+                     "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["instance_spec"]["spectrum_window"] == [-2.0, -1.0]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1", "1e300"])
 def test_tol_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, tol):
     # --tol is outside input: only a finite 0 < tol < 1 runs, and nothing is written otherwise

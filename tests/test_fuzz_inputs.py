@@ -24,7 +24,8 @@ from symext.serialize import json_dump, load_operator, parameter_file
 
 DOCUMENTED = {cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_NOT_ADMISSIBLE, cli.EXIT_DISAGREEMENT,
               cli.EXIT_NOT_EXTENSION, cli.EXIT_INFEASIBLE}  # 2 is argparse's, on bad argv
-LEAVES = (float("nan"), float("inf"), -float("inf"), 1e308, 0, 1e-300, "x", None, [], {}, True)
+LEAVES = (float("nan"), float("inf"), -float("inf"), 1e308, 0, 1e-300, 10**400, "x", None, [], {},
+          True)
 HEADERS = (("schema", 0), ("schema", 99), ("kind", "parameter"), ("kind", "operator"),
            ("kind", "embedded_extension"))
 READERS = {"op": ("verify", "resolvent", "build-sa", "extend", "check-invert"),

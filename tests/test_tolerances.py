@@ -174,8 +174,9 @@ def test_memo_only_in_derived():
 
 # the spectral sampler and the Shtraus formula are checked against the paper-level
 # constructions, so they never call them
-ENGINE = ("ParameterFunction.from_extension", "_spectral_samples", "_sample_from",
-          "compressed_resolvent", "shtraus_resolvent", "_parameter_stage", "_lambda_stage")
+ENGINE = ("ParameterFunction.from_extension", "_spectral_samples", "_checked_samples",
+          "_backward_errors", "compressed_resolvent", "shtraus_resolvent", "_parameter_stage",
+          "_gated_action", "_frame_stage", "_sample_stage", "_lambda_stage")
 ORACLES = {"script_l", "frak_b", "frak_f", "_frak_b_from", "_frak_f_from"}
 
 
